@@ -60,6 +60,7 @@ from .holonomy import (
     ConnectionField,
     DimMismatch,
     HolonomyMap,
+    IntegrationError,
     audit_axioms,
     check_axiom1,
     check_axiom2,

@@ -24,7 +24,6 @@ from .reconstruction import (
     FdConfig,
     GridSpec,
     PotentialField,
-    parallel_map,
     potential_grid_csv,
     round_trip_report,
 )
@@ -201,7 +200,6 @@ def _cmd_reconstruct(args) -> int:
     h_map = preset.holonomy_map(args.steps)
     pf = PotentialField.from_holonomy(h_map, preset.frame(), cfg)
     nodes = grid.nodes(preset.dim)
-    parallel_map(lambda x: [pf(x, mu) for mu in range(preset.dim)], nodes)
     max_err = None
     if preset.closed_form is not None:
         max_err = 0.0

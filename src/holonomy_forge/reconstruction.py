@@ -21,8 +21,6 @@ round-trip reconstruction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,7 +75,6 @@ __all__ = [
     "curvature",
     "round_trip_report",
     "potential_grid_csv",
-    "parallel_map",
 ]
 
 
@@ -98,24 +95,6 @@ class FdConfig:
             raise ValueError("h must lie in (0, 0.1)")
         if self.curvature_h < self.h:
             raise ValueError("curvature_h must be at least h")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HOLONOMY_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map honoring the HOLONOMY_FORGE_THREADS cap; order-preserving."""
-    items = list(items)
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _thin_loop(path: PathNd, basepoint) -> LoopAtBase:
@@ -174,9 +153,7 @@ class PotentialField:
     """A gauge potential evaluatable at (point, direction).
 
     Either wraps a closed-form connection or reconstructs lazily from a
-    holonomy map and frame, memoizing per (point, direction).  The memo is
-    a plain dict; concurrent writes are benign because values are
-    deterministic.
+    holonomy map and frame, memoizing per (point, direction).
     """
 
     def __init__(self, dim: int, spec: GroupSpec, evaluator, label: str = ""):
@@ -534,7 +511,7 @@ def round_trip_report(
         except (ValueError, ArithmeticError) as exc:
             return 0.0, 0.0, (x.tolist(), type(exc).__name__, str(exc))
 
-    results = parallel_map(node_defects, nodes)
+    results = [node_defects(x) for x in nodes]
     max_curv = max((r[0] for r in results), default=0.0)
     max_gauge = max((r[1] for r in results), default=0.0)
     failures.extend(r[2] for r in results if r[2] is not None)

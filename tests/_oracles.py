@@ -53,3 +53,50 @@ def polyline_vertices(path_or_loop) -> np.ndarray:
         assert s.kind == "line", "oracle only handles piecewise-line paths"
         pts.append(s.points[-1])
     return np.asarray(pts)
+
+
+def sequential_rk4_transport(field, path, steps: int) -> np.ndarray:
+    """u(1) for u' = -A(b) b' u, u(0) = 1, by textbook RK4 one step at a
+    time, projecting the iterate onto the group after every step.
+
+    Coefficients come from the field's pointwise rule.  Velocity abscissae
+    at the ends of each smooth piece sit 1e-12 of the span inside it,
+    because path velocities are right-continuous at breakpoints.
+    """
+    spec = field.spec
+    d = spec.matrix_dim
+    u = np.eye(d, dtype=complex)
+    bps = np.asarray(path.breakpoints, dtype=float)
+    for a, b in zip(bps[:-1], bps[1:]):
+        span = b - a
+        h = span / steps
+
+        def coeff(t):
+            x = path.point(np.array([t]))[0]
+            tv = min(max(t, a + 1e-12 * span), b - 1e-12 * span)
+            v = path.velocity(np.array([tv]))[0]
+            return -sum(field.component(x, mu).matrix * v[mu] for mu in range(field.dim))
+
+        for k in range(steps):
+            t = a + k * h
+            m1, m2, m4 = coeff(t), coeff(t + 0.5 * h), coeff(t + h)
+            k1 = m1 @ u
+            k2 = m2 @ (u + 0.5 * h * k1)
+            k3 = m2 @ (u + 0.5 * h * k2)
+            k4 = m4 @ (u + h * k3)
+            u = _project_iterate(spec.name.value, u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return u
+
+
+def _project_iterate(group: str, u) -> np.ndarray:
+    if group == "MultiplicativeReals":
+        assert u[0, 0].real > 0, "iterate left the positive reals"
+        return u.real.astype(complex)
+    if group == "U1":
+        return u / abs(u[0, 0])
+    if group == "SU2":
+        # unitary polar factor from the SVD, then unit determinant
+        w, _, vh = np.linalg.svd(u)
+        q = w @ vh
+        return q / np.sqrt(np.linalg.det(q))
+    return u

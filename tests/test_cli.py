@@ -81,14 +81,6 @@ class TestReconstruct:
         assert main(["reconstruct", "--preset", "paper-sec6", "--fd-h", "0.5",
                      "--out", str(tmp_path)]) == 1
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        a = tmp_path / "serial"
-        assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "5", "--out", str(a)]) == 0
-        monkeypatch.setenv("HOLONOMY_FORGE_THREADS", "4")
-        b = tmp_path / "threaded"
-        assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "5", "--out", str(b)]) == 0
-        assert read(a / "potential.csv") == read(b / "potential.csv")
-
 
 class TestAudit:
     def test_sec6_passes(self, tmp_path):

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 import holonomy_forge as hf
-from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, U1, group_distance
+from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupElement, gln, group_distance
 from holonomy_forge.holonomy import (
     AxiomReport,
     BasepointMismatch,
     ConnectionField,
     DimMismatch,
     HolonomyMap,
+    IntegrationError,
+    _integrate_transport,
     audit_axioms,
     check_axiom1,
     check_axiom2,
     check_axiom3,
     eval_holonomy,
+    transport_along,
 )
 from holonomy_forge.path_algebra import (
     LoopAtBase,
@@ -33,10 +36,11 @@ from holonomy_forge.path_algebra import (
     random_polyline,
     reconstruction_loop,
     reparametrize,
+    straight_segment,
     thin_reduce,
 )
 
-from _oracles import polyline_vertices, polyline_ydx_integral, shoelace_area
+from _oracles import polyline_vertices, polyline_ydx_integral, sequential_rk4_transport, shoelace_area
 
 ORIGIN = np.zeros(2)
 
@@ -131,6 +135,57 @@ class TestEvalTransport:
             errors.append(abs(eval_holonomy(h_map, unit_square()).matrix[0, 0] - reference))
         orders = [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]
         assert min(orders) >= 3.5, (errors, orders)
+
+
+def random_affine_field(spec, rng, scale=0.6) -> ConnectionField:
+    """A_mu = sum over the algebra basis of (c0 + c1 x1 + c2 x2) e_b."""
+    from holonomy_forge.lie_core import algebra_basis
+
+    n_basis = len(algebra_basis(spec))
+    components = [
+        [(scale * rng.normal(), exps, b) for b in range(n_basis) for exps in ((0, 0), (1, 0), (0, 1))]
+        for _ in range(2)
+    ]
+    return ConnectionField.from_polynomial(2, spec, components)
+
+
+def kernel_test_paths(rng):
+    """Polygon loops plus the special shapes: a lazily reparametrized
+    out-and-back, a path with a zero-length piece, and a single piece."""
+    paths = [random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8).path for _ in range(3)]
+    p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
+    paths.append(reparametrize(compose_paths(invert_path(p), p), piecewise_power_map(3, 0.5)))
+    a, b = rng.uniform(-0.8, 0.8, size=(2, 2))
+    segs = [Segment("line", np.stack(pair)) for pair in ((ORIGIN, a), (a, a), (a, b))]
+    paths.append(PathNd.from_segments(segs))
+    paths.append(straight_segment(a, b))
+    return paths
+
+
+class TestTransportKernel:
+    # The batched propagator-product kernel against a plain sequential
+    # RK4 with per-step projection; the two differ only in rounding.
+    @pytest.mark.parametrize(
+        "spec", [MULTIPLICATIVE_REALS, U1, SU2, gln(2), gln(3)], ids=lambda s: f"{s.name.value}{s.matrix_dim}"
+    )
+    def test_matches_sequential_oracle(self, spec, rng):
+        field = random_affine_field(spec, rng)
+        for path in kernel_test_paths(rng):
+            got = _integrate_transport(field, path, 16)
+            expected = sequential_rk4_transport(field, path, 16)
+            assert got.shape == (spec.matrix_dim, spec.matrix_dim)
+            assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+    def test_negative_propagator_raises(self):
+        # A = 20 x^2 - 10 x vanishes at the start and middle of the single
+        # step and is 10 at its end, so P = 1 - 10/6 < 0.
+        field = ConnectionField.from_polynomial(1, MULTIPLICATIVE_REALS, [[(20.0, (2,), 0), (-10.0, (1,), 0)]])
+        path = straight_segment([0.0], [1.0])
+        ident = GroupElement.identity(MULTIPLICATIVE_REALS)
+        with pytest.raises(IntegrationError):
+            transport_along(field, path, ident, 1)
+        assert issubclass(IntegrationError, ArithmeticError)
+        assert transport_along(field, path, ident, 4).matrix[0, 0] > 0
 
 
 class TestGeneralLinearTransport:

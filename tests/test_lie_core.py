@@ -148,6 +148,30 @@ class TestInvariantEnforcement:
             AlgebraElement(U1, [[1.0 + 0j]])
 
 
+class TestProjection:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)
+    def test_stack_projects_like_each_matrix(self, spec, rng):
+        from holonomy_forge.lie_core import project_to_group
+
+        stack = np.stack([exp_map(random_algebra(spec, rng, norm=0.4)).matrix for _ in range(6)])
+        drift = 1e-6 * rng.normal(size=stack.shape)
+        projected = project_to_group(spec, stack + drift)
+        assert projected.shape == stack.shape
+        for one, drifted in zip(projected, stack + drift):
+            assert np.array_equal(one, project_to_group(spec, drifted))
+            GroupElement(spec, one).validate()
+
+    def test_su2_matches_svd_polar_factor(self, rng):
+        from holonomy_forge.lie_core import project_to_group
+
+        g = exp_map(random_algebra(SU2, rng, norm=0.4)).matrix
+        m = g + 1e-6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        w, _, vh = np.linalg.svd(m)
+        polar = w @ vh
+        expected = polar / np.sqrt(np.linalg.det(polar))
+        assert np.linalg.norm(project_to_group(SU2, m) - expected) <= 1e-14
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

@@ -372,21 +372,6 @@ class TestRoundTrip:
         ]
 
 
-class TestParallelMap:
-    def test_order_preserved_under_threads(self, monkeypatch):
-        from holonomy_forge.reconstruction import parallel_map
-
-        monkeypatch.setenv("HOLONOMY_FORGE_THREADS", "4")
-        items = list(range(50))
-        assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
-
-    def test_invalid_env_value_falls_back_to_serial(self, monkeypatch):
-        from holonomy_forge.reconstruction import parallel_map
-
-        monkeypatch.setenv("HOLONOMY_FORGE_THREADS", "many")
-        assert parallel_map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
-
-
 class TestPotentialField:
     def test_memoization(self, sec6):
         h_map, psi, _ = sec6
