@@ -203,10 +203,11 @@ def _cmd_reconstruct(args) -> int:
     max_err = None
     if preset.closed_form is not None:
         max_err = 0.0
-        for x in nodes:
-            for mu in range(preset.dim):
+        for mu in range(preset.dim):
+            got = pf.matrices(np.array(nodes), mu)
+            for x, m in zip(nodes, got):
                 expected = np.asarray(preset.closed_form(x, mu))
-                max_err = max(max_err, float(np.linalg.norm(pf.matrix(x, mu) - expected)))
+                max_err = max(max_err, float(np.linalg.norm(m - expected)))
     tol = preset.tolerances.get("reconstruct")
     ok = max_err is None or tol is None or max_err <= tol
     summary = {

@@ -15,11 +15,14 @@ Conventions:
   identity (Frobenius distance < 0.5) and raises ``FarFromIdentity``
   outside it -- callers differentiating holonomies should shrink their
   step instead of crossing branch cuts.
+
+``project_to_group``, ``project_to_algebra`` and ``log_map`` also take
+(..., d, d) stacks of matrices, so batched integrators and reconstructions
+stay vectorized.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -179,20 +182,26 @@ def project_to_group(spec: GroupSpec, matrix: np.ndarray) -> np.ndarray:
     return m.astype(np.complex128)
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
 def project_to_algebra(spec: GroupSpec, matrix: np.ndarray) -> np.ndarray:
-    """Project a near-algebra matrix onto the Lie algebra."""
+    """Project a near-algebra matrix, or a (..., d, d) stack of them, onto
+    the Lie algebra."""
+    m = np.asarray(matrix)
     name = spec.name
     if name is GroupName.MULTIPLICATIVE_REALS:
-        return np.array([[float(np.real(matrix[0, 0]))]])
+        return np.real(m).astype(np.float64)
     if name is GroupName.U1:
-        return np.array([[1j * float(np.imag(matrix[0, 0]))]])
+        return 1j * np.imag(m)
     if name is GroupName.SU2:
-        m = np.asarray(matrix, dtype=np.complex128)
-        ah = 0.5 * (m - m.conj().T)
-        return ah - (np.trace(ah) / 2.0) * np.eye(2)
+        m = m.astype(np.complex128)
+        ah = 0.5 * (m - _adjoint(m))
+        return ah - (0.5 * (ah[..., 0, 0] + ah[..., 1, 1]))[..., None, None] * np.eye(2)
     if spec.scalar_field == "real":
-        return np.real(matrix).astype(np.float64)
-    return np.asarray(matrix, dtype=np.complex128)
+        return np.real(m).astype(np.float64)
+    return m.astype(np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +218,10 @@ class GroupElement:
     def validate(self):
         m = self.matrix
         det = np.linalg.det(m)
-        if abs(det) <= _DET_TOL:
+        # Relative to the Frobenius norm (which bounds |det| via Hadamard's
+        # inequality), so a valid element far from the identity, such as a
+        # positive real of size 1e-130, is not mistaken for a singular one.
+        if abs(det) <= _DET_TOL * float(np.linalg.norm(m)) ** m.shape[0]:
             raise ValueError(f"matrix is not invertible (|det| = {abs(det):.3e})")
         name = self.spec.name
         if name is GroupName.MULTIPLICATIVE_REALS and m[0, 0] <= 0:
@@ -306,36 +318,56 @@ class AlgebraElement:
 
 def exp_map(x: AlgebraElement) -> GroupElement:
     """Exponential map from the algebra into the group."""
-    if x.spec.matrix_dim == 1:
-        v = x.matrix[0, 0]
-        e = math.exp(float(np.real(v))) if x.spec.scalar_field == "real" else cmath.exp(complex(v))
-        m = np.array([[e]])
-    else:
-        m = scipy.linalg.expm(x.matrix)
+    m = np.exp(x.matrix) if x.spec.matrix_dim == 1 else scipy.linalg.expm(x.matrix)
     return GroupElement(x.spec, project_to_group(x.spec, m))
 
 
-def log_map(g: GroupElement) -> AlgebraElement:
+def _log_su2(m: np.ndarray) -> np.ndarray:
+    # Axis-angle form: m = cos(t) I + sin(t) (i n.sigma), so the
+    # anti-Hermitian part a = (m - m^H)/2 is sin(t) (i n.sigma), with
+    # |a|_F = sqrt(2) sin(t), and log m = t / sin(t) * a.  The factor
+    # t / sin(t) is insensitive to rounding in sin(t), so the result is as
+    # accurate as a itself.
+    a = 0.5 * (m - _adjoint(m))
+    sin_t = np.linalg.norm(a, axis=(-2, -1)) / math.sqrt(2.0)
+    t = np.arctan2(sin_t, 0.5 * np.real(m[..., 0, 0] + m[..., 1, 1]))
+    ratio = np.divide(t, sin_t, out=np.ones_like(t), where=sin_t > 0.0)
+    return ratio[..., None, None] * a
+
+
+def log_map(g, spec: GroupSpec | None = None):
     """Principal logarithm of a group element near the identity.
 
-    Raises ``FarFromIdentity`` outside the trust region; a caller doing
-    finite differences should reduce its step instead of catching this.
+    ``log_map(g)`` maps a ``GroupElement`` to an ``AlgebraElement``;
+    ``log_map(stack, spec)`` maps a (..., d, d) stack of group matrices to
+    the stack of algebra matrices.  1x1 groups and SU(2) use closed forms,
+    GL(n) uses SciPy's ``logm`` per matrix.
+
+    Raises ``FarFromIdentity`` if any element lies outside the trust
+    region; a caller doing finite differences should reduce its step
+    instead of catching this.
     """
-    ident = np.eye(g.spec.matrix_dim, dtype=g.spec.dtype)
-    dist = float(np.linalg.norm(g.matrix - ident))
+    element = isinstance(g, GroupElement)
+    if element:
+        spec, m = g.spec, g.matrix
+    else:
+        m = np.asarray(g)
+    dist = np.linalg.norm(m - np.eye(spec.matrix_dim), axis=(-2, -1))
     # Positive reals have a global single-valued logarithm; every other
     # supported group has branch cuts, so stay inside the trust region.
-    if dist >= _LOG_TRUST_RADIUS and g.spec.name is not GroupName.MULTIPLICATIVE_REALS:
+    if spec.name is not GroupName.MULTIPLICATIVE_REALS and np.any(dist >= _LOG_TRUST_RADIUS):
         raise FarFromIdentity(
-            f"element is {dist:.3g} from the identity (trust radius {_LOG_TRUST_RADIUS})"
+            f"element is {np.max(dist):.3g} from the identity (trust radius {_LOG_TRUST_RADIUS})"
         )
-    if g.spec.matrix_dim == 1:
-        v = g.matrix[0, 0]
-        l = math.log(float(np.real(v))) if g.spec.scalar_field == "real" else cmath.log(complex(v))
-        m = np.array([[l]])
+    if spec.matrix_dim == 1:
+        out = np.log(np.real(m)) if spec.scalar_field == "real" else np.log(m.astype(np.complex128))
+    elif spec.name is GroupName.SU2:
+        out = _log_su2(m.astype(np.complex128))
     else:
-        m = scipy.linalg.logm(g.matrix)
-    return AlgebraElement(g.spec, project_to_algebra(g.spec, m))
+        flat = m.reshape(-1, spec.matrix_dim, spec.matrix_dim)
+        out = np.stack([scipy.linalg.logm(x) for x in flat]).reshape(m.shape)
+    out = project_to_algebra(spec, out)
+    return AlgebraElement(spec, out) if element else out
 
 
 def group_distance(a: GroupElement, b: GroupElement) -> float:

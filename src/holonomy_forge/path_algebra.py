@@ -12,6 +12,11 @@ Two kinds of path object appear:
   supports evaluation only (point / velocity / breakpoints), which is all
   the holonomy integrators require.
 
+``PathNd`` evaluates through its flat segment table (``segment_table``),
+and reconstruction loops skip the path objects altogether:
+``reconstruction_chains`` builds them, thin-reduced, as bare segment
+tables in traversal order.
+
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
 """
@@ -19,10 +24,13 @@ are parametrization-independent, so the choice is unobservable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
+
+from .segment_table import SegmentChain, bezier_points, bezier_velocities, table_rows, thin_keep
 
 __all__ = [
     "EndpointMismatch",
@@ -40,6 +48,7 @@ __all__ = [
     "radial_family",
     "axis_dogleg_family",
     "reconstruction_loop",
+    "reconstruction_chains",
     "thin_reduce",
     "reparametrize",
     "power_map",
@@ -91,28 +100,10 @@ class Segment:
         return self.points.shape[1]
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u)[:, None]
-        p = self.points
-        if self.kind == "line":
-            out = p[0] + uu * (p[1] - p[0])
-        else:
-            v = 1.0 - uu
-            out = v**3 * p[0] + 3 * v**2 * uu * p[1] + 3 * v * uu**2 * p[2] + uu**3 * p[3]
-        return out[0] if scalar else out
+        return bezier_points(self.kind == "cubic", table_rows(self.kind, self.points), np.asarray(u, dtype=float))
 
     def velocity(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u)[:, None]
-        p = self.points
-        if self.kind == "line":
-            out = np.broadcast_to(p[1] - p[0], (uu.shape[0], self.dim)).copy()
-        else:
-            v = 1.0 - uu
-            out = 3.0 * (v**2 * (p[1] - p[0]) + 2 * v * uu * (p[2] - p[1]) + uu**2 * (p[3] - p[2]))
-        return out[0] if scalar else out
+        return bezier_velocities(self.kind == "cubic", table_rows(self.kind, self.points), np.asarray(u, dtype=float))
 
     def reversed_(self) -> "Segment":
         return Segment(self.kind, self.points[::-1])
@@ -132,12 +123,6 @@ class Segment:
     def is_degenerate(self, tol: float | None = None) -> bool:
         tol = _CONT_TOL * _scale(self.points) if tol is None else tol
         return bool(np.max(np.abs(self.points - self.points[0])) <= tol)
-
-    def is_reverse_of(self, other: "Segment", tol: float | None = None) -> bool:
-        if self.kind != other.kind:
-            return False
-        tol = _CONT_TOL * max(_scale(self.points), _scale(other.points)) if tol is None else tol
-        return bool(np.max(np.abs(self.points - other.points[::-1])) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,34 +162,32 @@ class PathNd:
             breakpoints = np.linspace(0.0, 1.0, len(segments) + 1)
         return cls(segments[0].dim, tuple(segments), np.asarray(breakpoints, dtype=float))
 
-    def _locate(self, i: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, i, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        cubic = np.array([s.kind == "cubic" for s in self.segments])
+        return cubic, np.array([table_rows(s.kind, s.points) for s in self.segments])
+
+    def _local(self, i):
+        """Segment index, local parameter and span of global parameters."""
+        i = np.clip(np.asarray(i, dtype=float), 0.0, 1.0)
+        idx = np.clip(np.searchsorted(self.breakpoints, i, side="right") - 1, 0, len(self.segments) - 1)
+        a, b = self.breakpoints[idx], self.breakpoints[idx + 1]
+        return idx, (i - a) / (b - a), np.asarray(b - a)
 
     def point(self, i):
-        i = np.clip(np.asarray(i, dtype=float), 0.0, 1.0)
-        scalar = i.ndim == 0
-        ii = np.atleast_1d(i)
-        idx = self._locate(ii)
-        out = np.empty((ii.size, self.dim))
-        for s in np.unique(idx):
-            m = idx == s
-            a, b = self.breakpoints[s], self.breakpoints[s + 1]
-            out[m] = self.segments[s].point((ii[m] - a) / (b - a))
-        return out[0] if scalar else out
+        idx, u, _ = self._local(i)
+        cubic, ctrl = self._table
+        return bezier_points(cubic[idx], ctrl[idx], u)
 
     def velocity(self, i):
         """Right-hand derivative with respect to the global parameter."""
-        i = np.clip(np.asarray(i, dtype=float), 0.0, 1.0)
-        scalar = i.ndim == 0
-        ii = np.atleast_1d(i)
-        idx = self._locate(ii)
-        out = np.empty((ii.size, self.dim))
-        for s in np.unique(idx):
-            m = idx == s
-            a, b = self.breakpoints[s], self.breakpoints[s + 1]
-            out[m] = self.segments[s].velocity((ii[m] - a) / (b - a)) / (b - a)
-        return out[0] if scalar else out
+        idx, u, span = self._local(i)
+        cubic, ctrl = self._table
+        return bezier_velocities(cubic[idx], ctrl[idx], u) / span[..., None]
+
+    @property
+    def n_pieces(self) -> int:
+        return len(self.segments)
 
     @property
     def start(self) -> np.ndarray:
@@ -257,6 +240,36 @@ class ReparametrizedPath:
         v = self.path.velocity(t)
         return v * (dphi[..., None] if np.ndim(dphi) else dphi)
 
+    @property
+    def start(self) -> np.ndarray:
+        return self.point(0.0)
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.point(1.0)
+
+    @property
+    def n_pieces(self) -> int:
+        return len(self.breakpoints) - 1
+
+    def piece_samples(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities d/du at local parameters u in [0, 1] on
+        every smooth piece, each (pieces, len(u), dim)."""
+        u = np.asarray(u, dtype=float)
+        a, b = self.breakpoints[:-1, None], self.breakpoints[1:, None]
+        span = b - a
+        ts = (1.0 - u) * a + u * b
+        # velocity() is right-continuous and piece boundaries sit within
+        # root-finding tolerance of the base path's breakpoints, so end
+        # abscissae could sample the neighbouring piece's velocity; pull
+        # them inside the span.  The perturbation is ~1e-12 * |v'|, far
+        # below integrator error.
+        tv = np.clip(ts, a + 1e-12 * span, b - 1e-12 * span)
+        shape = ts.shape + (self.dim,)
+        pts = self.point(ts.reshape(-1)).reshape(shape)
+        vels = self.velocity(tv.reshape(-1)).reshape(shape) * span[..., None]
+        return pts, vels
+
 
 @dataclass(frozen=True, eq=False)
 class LoopAtBase:
@@ -270,7 +283,7 @@ class LoopAtBase:
         bp.setflags(write=False)
         object.__setattr__(self, "basepoint", bp)
         tol = _CONT_TOL * (1.0 + float(np.max(np.abs(bp))) if bp.size else 1.0)
-        for end in (self.path.point(0.0), self.path.point(1.0)):
+        for end in (self.path.start, self.path.end):
             if np.linalg.norm(end - bp) > tol:
                 raise ValueError("loop endpoints must sit at the base point")
 
@@ -302,9 +315,9 @@ class PathFamily:
         x = np.asarray(x, dtype=float)
         p = self.rule(x)
         tol = _CONT_TOL * (1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(self.basepoint)))))
-        if np.linalg.norm(p.point(0.0) - self.basepoint) > tol:
+        if np.linalg.norm(p.start - self.basepoint) > tol:
             raise ValueError("family path does not start at the base point")
-        if np.linalg.norm(p.point(1.0) - x) > tol:
+        if np.linalg.norm(p.end - x) > tol:
             raise ValueError("family path does not end at the target point")
         return p
 
@@ -407,6 +420,46 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     return LoopAtBase(compose_paths(invert_path(psi[y]), inner), psi.basepoint)
 
 
+_NOT_CUBIC = np.zeros(1, dtype=bool)
+
+
+def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
+    """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
+    thin-reduced, as flat segment chains for the holonomy kernel.
+
+    Each chain is psi[x], the straight segment from x to y, then psi[y]
+    reversed, with the semantics of ``thin_reduce``.  Every distinct point
+    fetches its frame path once, with the family's endpoint checks.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    frames: dict = {}
+
+    def frame(z):
+        table = frames.get(z.tobytes())
+        if table is None:
+            path = psi[z]
+            if not isinstance(path, PathNd):
+                raise TypeError("reconstruction loops need segment-backed frame paths")
+            table = frames[z.tobytes()] = path._table
+        return table
+
+    shifts = np.stack([xs, xs, ys, ys], axis=1)
+    cubic, ctrl, counts = [], [], []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        cx, px = frame(x)
+        cy, py = frame(y)
+        cubic += [cx, _NOT_CUBIC, cy[::-1]]
+        ctrl += [px, shifts[k : k + 1], py[::-1, ::-1]]
+        counts.append(len(cx) + 1 + len(cy))
+    cubic, ctrl = np.concatenate(cubic), np.concatenate(ctrl)
+    keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
+    kept = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
+    ends = np.cumsum(kept)
+    cubic, ctrl = cubic[keep], ctrl[keep]
+    return [SegmentChain(cubic[e - n : e], ctrl[e - n : e]) for n, e in zip(kept, ends)]
+
+
 def thin_reduce(p: PathNd) -> PathNd:
     """Cancel exact adjacent retracings and drop zero-length segments.
 
@@ -414,28 +467,14 @@ def thin_reduce(p: PathNd) -> PathNd:
     are cancelled; geometrically thin configurations that are not exact
     retracings are left alone and handled behaviorally by holonomy.
     """
-    segs = list(p.segments)
-    spans = list(np.diff(p.breakpoints))
-    changed = True
-    while changed:
-        changed = False
-        keep = [k for k, s in enumerate(segs) if not s.is_degenerate()]
-        if len(keep) != len(segs):
-            segs = [segs[k] for k in keep]
-            spans = [spans[k] for k in keep]
-            changed = True
-            continue
-        for k in range(len(segs) - 1):
-            if segs[k].is_reverse_of(segs[k + 1]):
-                del segs[k : k + 2]
-                del spans[k : k + 2]
-                changed = True
-                break
-    if not segs:
+    cubic, ctrl = p._table
+    keep = np.flatnonzero(thin_keep(cubic, ctrl, [len(cubic)], _CONT_TOL))
+    if not keep.size:
         return constant_path(p.point(0.0))
-    bp = np.concatenate([[0.0], np.cumsum(spans)]) / sum(spans)
+    spans = np.diff(p.breakpoints)[keep]
+    bp = np.concatenate([[0.0], np.cumsum(spans)]) / spans.sum()
     bp[-1] = 1.0
-    return PathNd(p.dim, tuple(segs), bp)
+    return PathNd(p.dim, tuple(p.segments[k] for k in keep), bp)
 
 
 def power_map(k: int) -> PathNd:

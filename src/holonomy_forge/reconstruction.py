@@ -8,11 +8,15 @@ T from x to y,
 
 Derivatives are taken as central differences with one optional Richardson
 extrapolation step (h and h/2), giving observed order ~4; the error
-budget is explicit and owned by ``FdConfig``.  The same difference
-quotient, applied to a general trivialized curve (a moving reference path
-chi[i] plus a moving fiber value g(i)), evaluates the connection 1-form
-on arbitrary tangent vectors; horizontality and frame covariance are then
-checkable properties rather than axioms.
+budget is explicit and owned by ``FdConfig``.  ``reconstruct_potential``
+takes many points of one direction at once and sends all their difference
+loops through the holonomy kernel as one batch; ``PotentialField``
+memoizes the values and offers the batch as a connection ``batch_rule``.
+
+The same difference quotient, applied to a general trivialized curve (a
+moving reference path chi[i] plus a moving fiber value g(i)), evaluates
+the connection 1-form on arbitrary tangent vectors; horizontality and
+frame covariance are then checkable properties rather than axioms.
 
 Curvature F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] serves as the
 computable gauge-covariant comparator between an input connection and its
@@ -41,8 +45,10 @@ from .holonomy import (
     BasepointMismatch,
     ConnectionField,
     HolonomyMap,
-    _abelian_line_integral,
+    _check_based,
+    _holonomy_matrices,
     _integrate_transport,
+    _line_integrals,
     eval_holonomy,
     transport_along,
 )
@@ -55,7 +61,7 @@ from .path_algebra import (
     contract,
     invert_path,
     random_polyline,
-    reconstruction_loop,
+    reconstruction_chains,
     straight_segment,
     thin_reduce,
 )
@@ -76,6 +82,13 @@ __all__ = [
     "round_trip_report",
     "potential_grid_csv",
 ]
+
+
+# Difference loops are built and evaluated this many at a time, which
+# bounds the segment tables and frame paths held at once (the 676 loops of
+# a 13x13 grid held together peaked 0.8 MB higher) and keeps kernel
+# batches full.
+_LOOPS_PER_BLOCK = 128
 
 
 class StepTooLarge(ValueError):
@@ -103,57 +116,67 @@ def _thin_loop(path: PathNd, basepoint) -> LoopAtBase:
     return LoopAtBase(thin_reduce(path), basepoint)
 
 
-def _log_for_difference(g: GroupElement) -> np.ndarray:
-    """Logarithm guarded by the difference-quotient trust region.
+def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
+    """Logarithms of a (k, d, d) stack of holonomies, guarded by the
+    difference-quotient trust region.
 
     Difference quotients are only meaningful for near-identity arguments,
     independent of whether the group's own logarithm happens to extend
     further (it does for the positive reals).
     """
-    ident = GroupElement.identity(g.spec)
-    if group_distance(g, ident) >= 0.5:
-        raise StepTooLarge(
-            f"holonomy is {group_distance(g, ident):.3g} from the identity; reduce cfg.h"
-        )
+    dist = np.linalg.norm(hols - np.eye(spec.matrix_dim), axis=(-2, -1))
+    far = np.flatnonzero(dist >= 0.5)
+    if far.size:
+        raise StepTooLarge(f"holonomy is {dist[far[0]]:.3g} from the identity; reduce cfg.h")
     try:
-        return log_map(g).matrix
+        return log_map(hols, spec)
     except FarFromIdentity as exc:  # same trust radius, defensive
         raise StepTooLarge(f"reduce cfg.h: {exc}") from exc
 
 
 def reconstruct_potential(
     h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig()
-) -> AlgebraElement:
+):
     """Gauge potential component A_mu(x) recovered from holonomies only.
 
     Central difference of log H over straight shifts of x along axis mu,
-    with one Richardson step when configured.  Raises ``StepTooLarge`` if
-    the holonomy of the difference loop leaves the logarithm trust region.
+    with one Richardson step when configured.  ``x`` is one point, giving
+    an ``AlgebraElement``, or an (m, dim) array of points, giving a list of
+    m of them; either way the difference loops of all points are built as
+    flat segment tables and evaluated in batches, with no per-point work.
+    Raises ``StepTooLarge`` if the holonomy of any difference loop leaves
+    the logarithm trust region.
     """
     x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
     spec = h_map.spec
-    step = np.zeros_like(x)
+    _check_based(h_map, psi.dim, psi.basepoint)
+    step = np.zeros(xs.shape[1])
     step[mu] = 1.0
-
-    def difference(h: float) -> np.ndarray:
-        out = []
-        for sign in (+1.0, -1.0):
-            loop = reconstruction_loop(psi, x, x + sign * h * step)
-            loop = _thin_loop(loop.path, loop.basepoint)
-            out.append(_log_for_difference(eval_holonomy(h_map, loop)))
-        return (out[0] - out[1]) / (2.0 * h)
-
-    d = difference(cfg.h)
+    hs = (cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)
+    shifts = np.array([sign * h * step for h in hs for sign in (+1.0, -1.0)])
+    xs_rep = np.repeat(xs, len(shifts), axis=0)
+    ys = (xs[:, None, :] + shifts).reshape(-1, xs.shape[1])
+    blocks = []
+    for k in range(0, len(ys), _LOOPS_PER_BLOCK):
+        chains = reconstruction_chains(psi, xs_rep[k : k + _LOOPS_PER_BLOCK], ys[k : k + _LOOPS_PER_BLOCK])
+        blocks.append(_logs_for_difference(spec, _holonomy_matrices(h_map, chains)))
+    logs = np.concatenate(blocks)
+    logs = logs.reshape((len(xs), len(shifts)) + logs.shape[1:])
+    d = (logs[:, 0] - logs[:, 1]) / (2.0 * cfg.h)
     if cfg.richardson:
-        d = (4.0 * difference(cfg.h / 2.0) - d) / 3.0
-    return AlgebraElement(spec, project_to_algebra(spec, d))
+        d = (4.0 * ((logs[:, 2] - logs[:, 3]) / (2.0 * hs[1])) - d) / 3.0
+    out = [AlgebraElement(spec, a) for a in project_to_algebra(spec, d)]
+    return out if x.ndim == 2 else out[0]
 
 
 class PotentialField:
     """A gauge potential evaluatable at (point, direction).
 
     Either wraps a closed-form connection or reconstructs lazily from a
-    holonomy map and frame, memoizing per (point, direction).
+    holonomy map and frame, memoizing per (point, direction).  ``matrices``
+    evaluates many points of one direction, and reconstructs the points
+    not yet memoized in one batch.
     """
 
     def __init__(self, dim: int, spec: GroupSpec, evaluator, label: str = ""):
@@ -162,6 +185,9 @@ class PotentialField:
         self._evaluator = evaluator
         self.label = label
         self._memo: dict = {}
+        # Evaluator of an (m, dim) array of points for one direction,
+        # returning m values; without one, ``matrices`` goes point by point.
+        self._batch_evaluator = None
 
     @classmethod
     def from_connection(cls, field: ConnectionField) -> "PotentialField":
@@ -174,7 +200,9 @@ class PotentialField:
         def evaluator(x, mu):
             return reconstruct_potential(h_map, psi, x, mu, cfg)
 
-        return cls(h_map.field.dim, h_map.spec, evaluator, "reconstructed")
+        pf = cls(h_map.field.dim, h_map.spec, evaluator, "reconstructed")
+        pf._batch_evaluator = evaluator  # reconstruct_potential takes point arrays too
+        return pf
 
     def __call__(self, x, mu: int) -> AlgebraElement:
         x = np.asarray(x, dtype=float)
@@ -188,8 +216,38 @@ class PotentialField:
     def matrix(self, x, mu: int) -> np.ndarray:
         return self(x, mu).matrix
 
+    def matrices(self, points, mu: int) -> np.ndarray:
+        """Values at an (m, dim) array of points for one direction, as an
+        (m, d, d) array, memoized like single-point calls.
+
+        The points not yet memoized are evaluated in one batch.  If the
+        batch raises, they are evaluated again point by point, so the error
+        raised and the values memoized are those of single-point calls in
+        order.
+        """
+        pts = np.ascontiguousarray(points, dtype=float).reshape(-1, self.dim)
+        keys = [(x.tobytes(), mu) for x in pts]
+        missing: dict = {}
+        for row, key in enumerate(keys):
+            if key not in self._memo:
+                missing.setdefault(key, row)
+        if missing:
+            rows = pts[list(missing.values())]
+            values = None
+            if self._batch_evaluator is not None:
+                try:
+                    values = self._batch_evaluator(rows, mu)
+                except (ValueError, ArithmeticError):
+                    pass
+            if values is None:
+                for x in rows:
+                    self(x, mu)
+            else:
+                self._memo.update(zip(missing, values))
+        return np.stack([self._memo[key].matrix for key in keys])
+
     def to_connection_field(self) -> ConnectionField:
-        return ConnectionField(self.dim, self.spec, lambda x, mu: self(x, mu))
+        return ConnectionField(self.dim, self.spec, lambda x, mu: self(x, mu), self.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +351,7 @@ def connection_form_action(
     def value(i: float) -> np.ndarray:
         hol = eval_holonomy(h_map, curve.loop_between(j, i))
         m = gj_inv @ hol.matrix @ curve.g(i).matrix
-        return _log_for_difference(GroupElement(spec, project_to_group(spec, m)))
+        return _logs_for_difference(spec, GroupElement(spec, project_to_group(spec, m)).matrix[None])[0]
 
     def difference(h: float) -> np.ndarray:
         return (value(j + h) - value(j - h)) / (2.0 * h)
@@ -450,7 +508,7 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
         if hit is None:
             path = psi[x]
             if spec.is_abelian:
-                z = -_abelian_line_integral(A_in, path)
+                z = -_line_integrals(A_in, [path])[0]
                 hit = exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]]))))
             else:
                 u = _integrate_transport(A_in, path, steps)
@@ -476,11 +534,13 @@ def round_trip_report(
     """Drive a connection through its holonomy map and back, and report
     curvature, gauge and transport defects over a grid.
 
-    Curvature is compared entrywise for abelian groups and through
-    conjugation-invariant norms otherwise.  The gauge defect compares the
-    reconstruction against the explicitly transformed input; the transport
-    defect compares holonomy-only transport with solving the transport
-    equation in the reconstructed potential along sample paths.
+    Curvature is compared entry by entry against the input curvature
+    conjugated by the relating gauge field, F_rec = g^{-1} F_in g.  The
+    gauge defect compares the reconstruction against the explicitly
+    transformed input; the transport defect compares holonomy-only
+    transport with solving the transport equation in the reconstructed
+    potential along sample paths.  Failures are reported per grid node and
+    per sample path.
     """
     tolerances = dict(tolerances or {})
     spec = A_in.spec
@@ -492,17 +552,34 @@ def round_trip_report(
     nodes = grid.nodes(dim)
     failures: list[tuple] = []
 
+    # Reconstruct the whole curvature stencil (each node and its neighbours
+    # at +-curvature_h along the other axes) in one batch per direction.
+    # A batch that fails leaves its points to the per-node pass below,
+    # which attributes each failure to its node.
+    ch = cfg.curvature_h
+    xs = np.array(nodes)
+    for mu in range(dim):
+        stencil = [xs]
+        for nu in range(dim):
+            if nu != mu:
+                e_nu = np.zeros(dim)
+                e_nu[nu] = 1.0
+                stencil += [xs + ch * e_nu, xs - ch * e_nu]
+        try:
+            A_rec.matrices(np.concatenate(stencil), mu)
+        except (ValueError, ArithmeticError):
+            pass
+
     def node_defects(x):
         try:
+            g = gfield(x)
+            g_inv = g.inverse().matrix
             curv = 0.0
             for mu in range(dim):
                 for nu in range(mu + 1, dim):
                     f_rec = curvature(A_rec, x, mu, nu, cfg).matrix
                     f_in = curvature(A_in_pf, x, mu, nu, cfg).matrix
-                    if spec.is_abelian:
-                        curv = max(curv, float(np.linalg.norm(f_rec - f_in)))
-                    else:
-                        curv = max(curv, abs(float(np.linalg.norm(f_rec)) - float(np.linalg.norm(f_in))))
+                    curv = max(curv, float(np.linalg.norm(f_rec - g_inv @ f_in @ g.matrix)))
             gauge = 0.0
             for mu in range(dim):
                 expected = gauge_transform_potential(A_in_pf, gfield, x, mu, cfg)
@@ -553,9 +630,11 @@ def potential_grid_csv(pf: PotentialField, grid: GridSpec) -> str:
         for c in range(d):
             cols += [f"re_{r}_{c}", f"im_{r}_{c}"]
     lines = [",".join(cols)]
-    for x in grid.nodes(dim):
+    nodes = grid.nodes(dim)
+    values = [pf.matrices(np.array(nodes), mu) for mu in range(dim)]
+    for k, x in enumerate(nodes):
         for mu in range(dim):
-            m = np.asarray(pf.matrix(x, mu), dtype=complex).reshape(-1)
+            m = np.asarray(values[mu][k], dtype=complex).reshape(-1)
             vals = [f"{v:.17g}" for v in x] + [str(mu)]
             for entry in m:
                 vals += [f"{entry.real:.17g}", f"{entry.imag:.17g}"]

@@ -1,11 +1,16 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately primitive (truncated series, polygon
-area formulas, exact per-edge integrals) and shares no code with the
-library's own evaluation paths.
+area formulas, exact per-edge integrals, one loop at a time) and shares
+no code with the library's own evaluation paths beyond building paths.
 """
 
+import cmath
+
 import numpy as np
+import scipy.linalg
+
+from holonomy_forge.path_algebra import reconstruction_loop, thin_reduce
 
 
 def taylor_expm(m, terms: int = 20) -> np.ndarray:
@@ -100,3 +105,31 @@ def _project_iterate(group: str, u) -> np.ndarray:
         q = w @ vh
         return q / np.sqrt(np.linalg.det(q))
     return u
+
+
+def reference_potential(field, psi, x, mu: int, h: float, richardson: bool, steps: int) -> np.ndarray:
+    """A_mu(x) reconstructed one difference loop at a time.
+
+    Each loop is built by ``reconstruction_loop`` and ``thin_reduce``, its
+    holonomy is u(1)^{-1} from ``sequential_rk4_transport``, and its
+    logarithm is the scalar ``cmath.log`` or SciPy's ``logm``; the central
+    differences and the Richardson step follow the difference scheme.
+    """
+    x = np.asarray(x, dtype=float)
+    step = np.zeros_like(x)
+    step[mu] = 1.0
+
+    def log_holonomy(y):
+        path = thin_reduce(reconstruction_loop(psi, x, y).path)
+        hol = np.linalg.inv(sequential_rk4_transport(field, path, steps))
+        if hol.shape == (1, 1):
+            return np.array([[cmath.log(hol[0, 0])]])
+        return scipy.linalg.logm(hol)
+
+    def difference(hh):
+        return (log_holonomy(x + hh * step) - log_holonomy(x - hh * step)) / (2.0 * hh)
+
+    d = difference(h)
+    if richardson:
+        d = (4.0 * difference(h / 2.0) - d) / 3.0
+    return d

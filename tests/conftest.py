@@ -28,3 +28,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def random_affine_field(spec, rng, scale=0.6):
+    """A_mu = sum over the algebra basis of (c0 + c1 x1 + c2 x2) e_b."""
+    from holonomy_forge.holonomy import ConnectionField
+    from holonomy_forge.lie_core import algebra_basis
+
+    n_basis = len(algebra_basis(spec))
+    components = [
+        [(scale * rng.normal(), exps, b) for b in range(n_basis) for exps in ((0, 0), (1, 0), (0, 1))]
+        for _ in range(2)
+    ]
+    return ConnectionField.from_polynomial(2, spec, components)

@@ -18,6 +18,7 @@ from holonomy_forge.holonomy import (
     check_axiom1,
     check_axiom2,
     check_axiom3,
+    eval_holonomies,
     eval_holonomy,
     transport_along,
 )
@@ -41,6 +42,7 @@ from holonomy_forge.path_algebra import (
 )
 
 from _oracles import polyline_vertices, polyline_ydx_integral, sequential_rk4_transport, shoelace_area
+from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
 
@@ -137,18 +139,6 @@ class TestEvalTransport:
         assert min(orders) >= 3.5, (errors, orders)
 
 
-def random_affine_field(spec, rng, scale=0.6) -> ConnectionField:
-    """A_mu = sum over the algebra basis of (c0 + c1 x1 + c2 x2) e_b."""
-    from holonomy_forge.lie_core import algebra_basis
-
-    n_basis = len(algebra_basis(spec))
-    components = [
-        [(scale * rng.normal(), exps, b) for b in range(n_basis) for exps in ((0, 0), (1, 0), (0, 1))]
-        for _ in range(2)
-    ]
-    return ConnectionField.from_polynomial(2, spec, components)
-
-
 def kernel_test_paths(rng):
     """Polygon loops plus the special shapes: a lazily reparametrized
     out-and-back, a path with a zero-length piece, and a single piece."""
@@ -186,6 +176,100 @@ class TestTransportKernel:
             transport_along(field, path, ident, 1)
         assert issubclass(IntegrationError, ArithmeticError)
         assert transport_along(field, path, ident, 4).matrix[0, 0] > 0
+
+
+def batch_test_loops(rng):
+    """Polygon loops interleaved with the special shapes: reparametrized
+    out-and-back loops, a loop with a zero-length piece, a constant loop,
+    and unreduced dogleg reconstruction loops at nodes sharing a
+    coordinate with the base point (degenerate legs, exact reversals)."""
+    dogleg = axis_dogleg_family(ORIGIN)
+    phi = piecewise_power_map(3, 0.5)
+    loops = []
+    for k in range(6):
+        loops.append(random_polygon_loop(rng, ORIGIN, n_vertices=3 + k % 3, radius=0.8))
+        p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
+        loops.append(LoopAtBase(reparametrize(compose_paths(invert_path(p), p), phi), ORIGIN))
+    a = rng.uniform(-0.8, 0.8, size=2)
+    loops.append(polygon_loop([ORIGIN, a, a, ORIGIN - a, ORIGIN]))
+    loops.append(LoopAtBase(constant_path(ORIGIN), ORIGIN))
+    for x, y in (([0.5, 0.0], [0.5, 0.1]), ([0.0, 0.6], [0.1, 0.6]), ([0.4, 0.0], [0.3, 0.0])):
+        loops.append(reconstruction_loop(dogleg, np.array(x), np.array(y)))
+    return loops
+
+
+class TestEvalHolonomies:
+    # The batch API against one eval_holonomy call per loop.  The batch
+    # spans several kernel calls and mixes segment-backed and lazily
+    # reparametrized loops.
+    @pytest.mark.parametrize(
+        "spec, backend",
+        [
+            (MULTIPLICATIVE_REALS, "analytic"),
+            (U1, "analytic"),
+            (MULTIPLICATIVE_REALS, "transport"),
+            (U1, "transport"),
+            (SU2, "transport"),
+            (gln(2), "transport"),
+            (gln(3), "transport"),
+        ],
+        ids=lambda v: getattr(getattr(v, "name", None), "value", v),
+    )
+    def test_matches_single_loop_evaluation(self, spec, backend, rng):
+        field = random_affine_field(spec, rng)
+        if backend == "analytic":
+            h_map = HolonomyMap.analytic_abelian(field, ORIGIN)
+        else:
+            h_map = HolonomyMap.transport(field, ORIGIN, 16)
+        loops = batch_test_loops(rng)
+        batch = eval_holonomies(h_map, loops)
+        assert len(batch) == len(loops)
+        for loop, got in zip(loops, batch):
+            expected = eval_holonomy(h_map, loop)
+            assert got.spec == spec
+            assert np.linalg.norm(got.matrix - expected.matrix) <= 1e-12 * max(1.0, np.linalg.norm(expected.matrix))
+
+    def test_transport_batch_matches_sequential_oracle(self, rng):
+        field = random_affine_field(SU2, rng)
+        h_map = HolonomyMap.transport(field, ORIGIN, 16)
+        loops = batch_test_loops(rng)
+        for loop, got in zip(loops, eval_holonomies(h_map, loops)):
+            expected = np.linalg.inv(sequential_rk4_transport(field, loop.path, 16))
+            assert np.linalg.norm(got.matrix - expected) <= 1e-12
+
+    def test_checks_every_loop(self):
+        shifted = polygon_loop([(1, 1), (2, 1), (2, 2), (1, 1)])
+        with pytest.raises(BasepointMismatch):
+            eval_holonomies(analytic_map(), [unit_square(), shifted])
+        assert eval_holonomies(analytic_map(), []) == []
+
+    def test_integration_error_raised_from_inside_a_batch(self):
+        # A_1 = 20 x^2 - 10 x: the single step along (0,0) -> (1,0) has
+        # P = 1 - 10/6 < 0 (see TestTransportKernel).
+        field = ConnectionField.from_polynomial(
+            2, MULTIPLICATIVE_REALS, [[(20.0, (2, 0), 0), (-10.0, (1, 0), 0)], []]
+        )
+        h_map = HolonomyMap.transport(field, ORIGIN, 1)
+        bad = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 0)])
+        good = polygon_loop([(0, 0), (0, 1), (-1, 1), (0, 0)])
+        with pytest.raises(IntegrationError):
+            eval_holonomies(h_map, [good] * 40 + [bad] + [good] * 5)
+
+
+class TestRelativeDeterminantCheck:
+    # A = c y dx around the counter-clockwise unit square has flux -c, so
+    # the holonomy exp(-c) is a valid, tiny positive real.
+    @pytest.mark.parametrize("flux", [-30.0, -300.0])
+    def test_analytic_holonomy_of_strong_flux(self, flux):
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(-flux, (0, 1), 0)], []])
+        got = eval_holonomy(HolonomyMap.analytic_abelian(field, ORIGIN), unit_square()).matrix[0, 0]
+        assert abs(got - math.exp(flux)) <= 1e-12 * math.exp(flux)
+
+    def test_scaled_elements_are_invertible(self):
+        assert GroupElement(MULTIPLICATIVE_REALS, [[math.exp(-300.0)]]).matrix[0, 0] > 0
+        GroupElement(gln(2), 1e-7 * np.eye(2))
+        with pytest.raises(ValueError):
+            GroupElement(gln(2), 1e-7 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
 
 
 class TestGeneralLinearTransport:

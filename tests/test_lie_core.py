@@ -96,6 +96,28 @@ class TestLogMap:
         g = exp_map(math.pi * su2_basis()[2])  # diag(i, -i), distance 2
         with pytest.raises(FarFromIdentity):
             log_map(g)
+        near = GroupElement.identity(SU2).matrix
+        with pytest.raises(FarFromIdentity):
+            log_map(np.stack([near, g.matrix, near]), SU2)
+
+    def test_su2_closed_form_matches_scipy_logm(self, rng):
+        import scipy.linalg
+
+        xs = [random_algebra(SU2, rng, norm=r) for r in (1e-9, 1e-5, 1e-2, 0.1, 0.3, 0.49)]
+        stack = np.stack([exp_map(x).matrix for x in xs])
+        got = log_map(stack, SU2)
+        assert got.shape == stack.shape
+        for g, x, m in zip(got, xs, stack):
+            assert np.linalg.norm(g - scipy.linalg.logm(m)) <= 1e-13
+            assert np.linalg.norm(g - x.matrix) <= 1e-13
+        assert np.array_equal(log_map(np.eye(2, dtype=complex)[None], SU2), np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)
+    def test_stack_logs_like_each_element(self, spec, rng):
+        elements = [exp_map(random_algebra(spec, rng, norm=0.3)) for _ in range(5)]
+        got = log_map(np.stack([g.matrix for g in elements]), spec)
+        for g, m in zip(elements, got):
+            assert np.linalg.norm(log_map(g).matrix - m) <= 1e-15
 
 
 class TestGroupDistance:

@@ -8,11 +8,14 @@ import holonomy_forge as hf
 from holonomy_forge.lie_core import (
     MULTIPLICATIVE_REALS,
     SU2,
+    U1,
+    AlgebraElement,
     GroupElement,
+    gln,
     group_distance,
     su2_basis,
 )
-from holonomy_forge.holonomy import ConnectionField, HolonomyMap, transport_along
+from holonomy_forge.holonomy import ConnectionField, HolonomyMap, IntegrationError, transport_along
 from holonomy_forge.path_algebra import (
     axis_dogleg_family,
     compose_paths,
@@ -35,6 +38,9 @@ from holonomy_forge.reconstruction import (
     round_trip_report,
     transition_function,
 )
+
+from _oracles import reference_potential
+from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
 CFG = FdConfig()
@@ -419,3 +425,117 @@ class TestRichardson:
         assert min(gains) >= 8.0, errors
         orders = [math.log2(g) for g in gains]
         assert min(orders) >= 3.0, orders
+
+
+class TestBatchedReconstruction:
+    # Nodes: the base point, points sharing a coordinate with it (the
+    # dogleg frame then has degenerate legs and exact reversals) and
+    # generic points.
+    POINTS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.6], [0.7, -0.4]])
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize(
+        "spec", [MULTIPLICATIVE_REALS, U1, SU2, gln(2)], ids=lambda s: f"{s.name.value}{s.matrix_dim}"
+    )
+    def test_matches_per_loop_oracle(self, spec, richardson, rng):
+        field = random_affine_field(spec, rng, scale=0.5)
+        h_map = HolonomyMap.transport(field, ORIGIN, 8)
+        cfg = FdConfig(h=1e-3, richardson=richardson, curvature_h=1e-2)
+        for psi in (radial_family(ORIGIN), axis_dogleg_family(ORIGIN)):
+            for mu in (0, 1):
+                got = reconstruct_potential(h_map, psi, self.POINTS, mu, cfg)
+                assert len(got) == len(self.POINTS)
+                for x, a in zip(self.POINTS, got):
+                    expected = reference_potential(field, psi, x, mu, cfg.h, richardson, 8)
+                    assert np.linalg.norm(a.matrix - expected) <= 1e-9, (x, mu)
+
+    @pytest.mark.parametrize("preset", ["paper-sec6", "su2-shear"])
+    def test_single_point_is_the_batch_of_one(self, preset):
+        p = hf.get_preset(preset)
+        h_map, psi = p.holonomy_map(32), p.frame()
+        xs = GridSpec(-1.0, 1.0, 4).nodes(2)
+        for mu in (0, 1):
+            batch = reconstruct_potential(h_map, psi, np.array(xs), mu, CFG)
+            for x, a in zip(xs, batch):
+                single = reconstruct_potential(h_map, psi, x, mu, CFG)
+                assert np.array_equal(a.matrix, single.matrix)
+                assert np.linalg.norm(a.matrix - p.closed_form(x, mu)) <= 1e-3
+
+    def test_step_too_large_raised_from_inside_a_batch(self):
+        strong = ConnectionField.from_polynomial(
+            2, MULTIPLICATIVE_REALS, [[(40.0, (0, 1), 0)], []]
+        )
+        h_map = HolonomyMap.analytic_abelian(strong, ORIGIN)
+        cfg = FdConfig(h=0.05, richardson=False, curvature_h=0.05)
+        with pytest.raises(StepTooLarge):
+            reconstruct_potential(h_map, radial_family(ORIGIN), [[0.1, 0.1], [3.0, 3.0], [0.2, 0.1]], 0, cfg)
+
+    def test_integration_error_raised_from_inside_a_batch(self):
+        # One RK4 step along (0,0) -> (1,0) of A_1 = 20 x^2 - 10 x has a
+        # negative propagator; the frame leg of the second node is that path.
+        field = ConnectionField.from_polynomial(
+            2, MULTIPLICATIVE_REALS, [[(20.0, (2, 0), 0), (-10.0, (1, 0), 0)], []]
+        )
+        h_map = HolonomyMap.transport(field, ORIGIN, 1)
+        with pytest.raises(IntegrationError):
+            reconstruct_potential(h_map, radial_family(ORIGIN), [[0.5, 0.5], [1.0, 0.0]], 1, CFG)
+
+    def test_memo_hits_match_single_point_calls(self, sec6):
+        h_map, psi, _ = sec6
+        xs = np.array(GridSpec(-1.0, 1.0, 3).nodes(2))
+        xs = np.concatenate([xs, xs[::2]])  # repeated points
+        batched = PotentialField.from_holonomy(h_map, psi, CFG)
+        single = PotentialField.from_holonomy(h_map, psi, CFG)
+        for mu in (0, 1):
+            values = batched.matrices(xs, mu)
+            assert values.shape == (len(xs), 1, 1)
+            for x, v in zip(xs, values):
+                assert np.array_equal(single.matrix(x, mu), v)
+        assert batched._memo.keys() == single._memo.keys()
+        size = len(batched._memo)
+        for x in xs:
+            batched(x, 0)
+        single.matrices(xs, 1)
+        assert len(batched._memo) == len(single._memo) == size
+
+    def test_round_trip_failures_match_serial_evaluation(self, monkeypatch):
+        def region_field(x, mu):
+            if x[0] > 0.55:
+                raise ValueError("pole in the coefficient field")
+            return AlgebraElement(MULTIPLICATIVE_REALS, [[x[1] if mu == 0 else 0.0]])
+
+        cases = [
+            (ConnectionField(2, MULTIPLICATIVE_REALS, region_field), GridSpec(-1.0, 1.0, 3), CFG),
+            (
+                ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(40.0, (0, 1), 0)], []]),
+                GridSpec(-3.0, 3.0, 3),
+                FdConfig(h=0.05, richardson=False, curvature_h=0.05),
+            ),
+        ]
+
+        def reports():
+            return [
+                round_trip_report(
+                    field, radial_family(ORIGIN), grid, cfg,
+                    steps_per_segment=8, transport_paths=4, transport_steps=4, seed=5,
+                ).to_json_dict()
+                for field, grid, cfg in cases
+            ]
+
+        batched = reports()
+        monkeypatch.setattr(
+            PotentialField, "matrices", lambda self, pts, mu: np.stack([self.matrix(x, mu) for x in pts])
+        )
+        serial = reports()
+        assert all(r["failures"] for r in batched)
+        assert batched == serial
+
+    def test_su2_twist_curvature_is_gauge_covariant(self):
+        # non-commuting field: the reconstructed curvature equals the input
+        # curvature only after conjugation by the relating gauge field
+        tw = hf.get_preset("su2-twist")
+        report = round_trip_report(
+            tw.connection, tw.frame(), GridSpec(-0.5, 0.5, 3), CFG, steps_per_segment=64, transport_paths=0
+        )
+        assert not report.failures
+        assert report.max_curvature_defect <= 1e-3
