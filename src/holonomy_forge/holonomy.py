@@ -315,11 +315,6 @@ def _transport_products(field: ConnectionField, paths, steps_per_segment: int) -
     return np.concatenate(out)
 
 
-def _integrate_transport(field: ConnectionField, path, steps_per_segment: int) -> np.ndarray:
-    """u(1) of the transport equation along one path (a batch of one)."""
-    return _transport_products(field, [path], steps_per_segment)[0]
-
-
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
     if dim != h_map.field.dim:
         raise DimMismatch(f"loop dimension {dim} != field dimension {h_map.field.dim}")
@@ -368,7 +363,7 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     With the lift convention used here the endpoint value is u(1) g0,
     so transport around a closed loop returns H(loop)^{-1} g0.
     """
-    u = _integrate_transport(field, path, steps_per_segment)
+    u = _transport_products(field, [path], steps_per_segment)[0]
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 

@@ -15,7 +15,10 @@ Two kinds of path object appear:
 ``PathNd`` evaluates through its flat segment table (``segment_table``),
 and reconstruction loops skip the path objects altogether:
 ``reconstruction_chains`` builds them, thin-reduced, as bare segment
-tables in traversal order.
+tables in traversal order, from one ``PathFamily.tables`` call that
+returns the frame tables of many targets at once.  ``radial_family`` and
+``axis_dogleg_family`` compute those tables vectorized (``table_rule``);
+a family given by a per-point ``rule`` calls it once per target.
 
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
@@ -296,13 +299,16 @@ class LoopAtBase:
 class PathFamily:
     """Reference frame: a path from the base point to each target point.
 
-    The rule must be a pure function of the target; every produced path is
-    checked to run from the base point to the target.
+    Given by a per-point ``rule`` or by a vectorized ``table_rule`` mapping
+    an (m, dim) array of targets to the ``tables`` of their paths; either
+    must be a pure function of the target.  Every path is checked to run
+    from the base point to the target.
     """
 
     dim: int
     basepoint: np.ndarray
-    rule: Callable[[np.ndarray], PathNd]
+    rule: Callable[[np.ndarray], PathNd] | None = None
+    table_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         bp = np.array(self.basepoint, dtype=float)
@@ -310,16 +316,46 @@ class PathFamily:
         object.__setattr__(self, "basepoint", bp)
         if bp.shape != (self.dim,):
             raise ValueError("basepoint dimension mismatch")
+        if (self.rule is None) == (self.table_rule is None):
+            raise ValueError("a family needs exactly one of rule and table_rule")
+
+    def _check_ends(self, starts, ends, targets):
+        tol = _CONT_TOL * (1.0 + np.maximum(np.abs(targets).max(axis=1), np.abs(self.basepoint).max()))
+        if np.any(np.linalg.norm(starts - self.basepoint, axis=1) > tol):
+            raise ValueError("family path does not start at the base point")
+        if np.any(np.linalg.norm(ends - targets, axis=1) > tol):
+            raise ValueError("family path does not end at the target point")
+
+    def tables(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Segment tables of the paths to an (m, dim) array of targets: kind
+        flags (m, s) and control points (m, s, 4, dim).  A ``rule`` family
+        calls its rule once per target and pads shorter paths at their end
+        with zero-length segments, which thin reduction drops.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        if self.table_rule is not None:
+            cubic, ctrl = self.table_rule(pts)
+        else:
+            paths = [self.rule(x) for x in pts]
+            if not all(isinstance(p, PathNd) for p in paths):
+                raise TypeError("frame tables need segment-backed frame paths")
+            s = max((p.n_pieces for p in paths), default=1)
+            cubic, ctrl = np.zeros((len(pts), s), dtype=bool), np.empty((len(pts), s, 4, self.dim))
+            for k, p in enumerate(paths):
+                c, t = p._table
+                cubic[k, : len(c)], ctrl[k, : len(c)], ctrl[k, len(c) :] = c, t, t[-1, 3]
+        self._check_ends(ctrl[:, 0, 0], ctrl[:, -1, 3], pts)
+        return cubic, ctrl
 
     def __getitem__(self, x) -> PathNd:
         x = np.asarray(x, dtype=float)
-        p = self.rule(x)
-        tol = _CONT_TOL * (1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(self.basepoint)))))
-        if np.linalg.norm(p.start - self.basepoint) > tol:
-            raise ValueError("family path does not start at the base point")
-        if np.linalg.norm(p.end - x) > tol:
-            raise ValueError("family path does not end at the target point")
-        return p
+        if self.table_rule is None:
+            p = self.rule(x)
+            self._check_ends(p.start[None], p.end[None], x[None])
+            return p
+        (cubic,), (ctrl,) = self.tables(x)
+        segments = [Segment("cubic", t) if c else Segment("line", t[[0, 3]]) for c, t in zip(cubic, ctrl)]
+        return PathNd.from_segments(segments)
 
 
 def constant_path(x) -> PathNd:
@@ -391,24 +427,26 @@ def contract(p: PathNd, i: float) -> PathNd:
 def radial_family(basepoint) -> PathFamily:
     """Straight-line frame x -> (i -> * + i*(x - *)); Fock-Schwinger style."""
     basepoint = np.asarray(basepoint, dtype=float)
-    return PathFamily(basepoint.size, basepoint, lambda x: straight_segment(basepoint, x))
+
+    def table_rule(xs):
+        ctrl = np.stack(np.broadcast_arrays(basepoint, basepoint, xs, xs), axis=1)
+        return np.zeros((len(xs), 1), dtype=bool), ctrl[:, None]
+
+    return PathFamily(basepoint.size, basepoint, table_rule=table_rule)
 
 
 def axis_dogleg_family(basepoint) -> PathFamily:
     """Axis-parallel frame: adjust one coordinate at a time, x1 first."""
     basepoint = np.asarray(basepoint, dtype=float)
     dim = basepoint.size
+    from_target = np.tri(dim + 1, dim, -1, dtype=bool)  # corner k takes x1..xk from x
 
-    def rule(x):
-        corners = [basepoint]
-        for k in range(dim):
-            c = corners[-1].copy()
-            c[k] = x[k]
-            corners.append(c)
-        segs = [Segment("line", np.stack([a, b])) for a, b in zip(corners[:-1], corners[1:])]
-        return PathNd.from_segments(segs)
+    def table_rule(xs):
+        corners = np.where(from_target, xs[:, None, :], basepoint)
+        a, b = corners[:, :-1], corners[:, 1:]
+        return np.zeros((len(xs), dim), dtype=bool), np.stack([a, a, b, b], axis=2)
 
-    return PathFamily(dim, basepoint, rule)
+    return PathFamily(dim, basepoint, table_rule=table_rule)
 
 
 def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
@@ -420,44 +458,32 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     return LoopAtBase(compose_paths(invert_path(psi[y]), inner), psi.basepoint)
 
 
-_NOT_CUBIC = np.zeros(1, dtype=bool)
-
-
 def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
     """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
     thin-reduced, as flat segment chains for the holonomy kernel.
 
     Each chain is psi[x], the straight segment from x to y, then psi[y]
-    reversed, with the semantics of ``thin_reduce``.  Every distinct point
-    fetches its frame path once, with the family's endpoint checks.
+    reversed, with the semantics of ``thin_reduce``.  The frame paths of
+    all distinct points come from one ``PathFamily.tables`` call.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    frames: dict = {}
-
-    def frame(z):
-        table = frames.get(z.tobytes())
-        if table is None:
-            path = psi[z]
-            if not isinstance(path, PathNd):
-                raise TypeError("reconstruction loops need segment-backed frame paths")
-            table = frames[z.tobytes()] = path._table
-        return table
-
-    shifts = np.stack([xs, xs, ys, ys], axis=1)
-    cubic, ctrl, counts = [], [], []
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        cx, px = frame(x)
-        cy, py = frame(y)
-        cubic += [cx, _NOT_CUBIC, cy[::-1]]
-        ctrl += [px, shifts[k : k + 1], py[::-1, ::-1]]
-        counts.append(len(cx) + 1 + len(cy))
-    cubic, ctrl = np.concatenate(cubic), np.concatenate(ctrl)
+    n, dim = xs.shape
+    # Points are distinct by their bytes, as memo keys are.  (A dict, not
+    # np.unique, whose first call alone raises peak memory by 0.2-0.5 MB.)
+    ids: dict = {}
+    where = np.array([ids.setdefault(p.tobytes(), len(ids)) for p in np.concatenate([xs, ys])])
+    cubic, ctrl = psi.tables(np.frombuffer(b"".join(ids), dtype=float).reshape(-1, dim))
+    ix, iy = where[:n], where[n:]
+    ctrl = np.concatenate([ctrl[ix], np.stack([xs, xs, ys, ys], axis=1)[:, None], ctrl[iy, ::-1, ::-1]], axis=1)
+    cubic = np.concatenate([cubic[ix], np.zeros((n, 1), dtype=bool), cubic[iy, ::-1]], axis=1)
+    counts = [cubic.shape[1]] * n
+    cubic, ctrl = cubic.reshape(-1), ctrl.reshape(-1, 4, dim)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
-    kept = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
+    kept = np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n)
     ends = np.cumsum(kept)
     cubic, ctrl = cubic[keep], ctrl[keep]
-    return [SegmentChain(cubic[e - n : e], ctrl[e - n : e]) for n, e in zip(kept, ends)]
+    return [SegmentChain(cubic[e - k : e], ctrl[e - k : e]) for k, e in zip(kept, ends)]
 
 
 def thin_reduce(p: PathNd) -> PathNd:

@@ -47,8 +47,8 @@ from .holonomy import (
     HolonomyMap,
     _check_based,
     _holonomy_matrices,
-    _integrate_transport,
     _line_integrals,
+    _transport_products,
     eval_holonomy,
     transport_along,
 )
@@ -65,6 +65,7 @@ from .path_algebra import (
     straight_segment,
     thin_reduce,
 )
+from .segment_table import SegmentChain
 
 __all__ = [
     "StepTooLarge",
@@ -227,20 +228,16 @@ class PotentialField:
         """
         pts = np.ascontiguousarray(points, dtype=float).reshape(-1, self.dim)
         keys = [(x.tobytes(), mu) for x in pts]
-        missing: dict = {}
-        for row, key in enumerate(keys):
-            if key not in self._memo:
-                missing.setdefault(key, row)
+        missing = {key: x for key, x in zip(keys, pts) if key not in self._memo}
         if missing:
-            rows = pts[list(missing.values())]
             values = None
             if self._batch_evaluator is not None:
                 try:
-                    values = self._batch_evaluator(rows, mu)
+                    values = self._batch_evaluator(np.array(list(missing.values())), mu)
                 except (ValueError, ArithmeticError):
                     pass
             if values is None:
-                for x in rows:
+                for x in missing.values():
                     self(x, mu)
             else:
                 self._memo.update(zip(missing, values))
@@ -494,29 +491,23 @@ class RoundTripReport:
         )
 
 
-def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
+def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int) -> PotentialField:
     """The group-valued field carrying the input potential into its
     radial-frame reconstruction: transport of the identity along the
-    frame path (closed-form quadrature in the abelian case)."""
+    frame path (closed-form quadrature in the abelian case).  It is
+    memoized and batched as a ``PotentialField`` that ignores ``mu``."""
     spec = A_in.spec
-    memo: dict = {}
 
-    def gfield(x) -> GroupElement:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            path = psi[x]
-            if spec.is_abelian:
-                z = -_line_integrals(A_in, [path])[0]
-                hit = exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]]))))
-            else:
-                u = _integrate_transport(A_in, path, steps)
-                hit = GroupElement(spec, project_to_group(spec, u))
-            memo[key] = hit
-        return hit
+    def values(points, mu=0) -> list:
+        paths = [SegmentChain(c, t) for c, t in zip(*psi.tables(points))]
+        if spec.is_abelian:
+            zs = -_line_integrals(A_in, paths)
+            return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
+        return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, paths, steps)]
 
-    return gfield
+    field = PotentialField(A_in.dim, spec, lambda x, mu: values(x)[0], "relating gauge field")
+    field._batch_evaluator = values
+    return field
 
 
 def round_trip_report(
@@ -548,7 +539,8 @@ def round_trip_report(
     h_map = HolonomyMap.transport(A_in, psi.basepoint, steps_per_segment)
     A_rec = PotentialField.from_holonomy(h_map, psi, cfg)
     A_in_pf = PotentialField.from_connection(A_in)
-    gfield = _relating_gauge_field(A_in, psi, steps_per_segment)
+    g_field = _relating_gauge_field(A_in, psi, steps_per_segment)
+    gfield = lambda x: g_field(x, 0)
     nodes = grid.nodes(dim)
     failures: list[tuple] = []
 
@@ -556,21 +548,24 @@ def round_trip_report(
     # at +-curvature_h along the other axes) in one batch per direction.
     # A batch that fails leaves its points to the per-node pass below,
     # which attributes each failure to its node.
-    ch = cfg.curvature_h
     xs = np.array(nodes)
     for mu in range(dim):
-        stencil = [xs]
-        for nu in range(dim):
-            if nu != mu:
-                e_nu = np.zeros(dim)
-                e_nu[nu] = 1.0
-                stencil += [xs + ch * e_nu, xs - ch * e_nu]
+        offsets = [cfg.curvature_h * e for nu, e in enumerate(np.eye(dim)) if nu != mu]
         try:
-            A_rec.matrices(np.concatenate(stencil), mu)
+            A_rec.matrices(np.concatenate([xs, *(xs + d for d in offsets), *(xs - d for d in offsets)]), mu)
         except (ValueError, ArithmeticError):
             pass
 
+    # The points at which gauge_transform_potential evaluates gfield; each
+    # node's are evaluated in one batch, and failures are left to the
+    # serial calls below, as for the curvature stencil.
+    fd_steps = [h * e for h in ((cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)) for e in np.eye(dim)]
+
     def node_defects(x):
+        try:
+            g_field.matrices([x] + [x + d for d in fd_steps] + [x - d for d in fd_steps], 0)
+        except (ValueError, ArithmeticError):
+            pass
         try:
             g = gfield(x)
             g_inv = g.inverse().matrix

@@ -13,7 +13,7 @@ from holonomy_forge.holonomy import (
     DimMismatch,
     HolonomyMap,
     IntegrationError,
-    _integrate_transport,
+    _transport_products,
     audit_axioms,
     check_axiom1,
     check_axiom2,
@@ -161,7 +161,7 @@ class TestTransportKernel:
     def test_matches_sequential_oracle(self, spec, rng):
         field = random_affine_field(spec, rng)
         for path in kernel_test_paths(rng):
-            got = _integrate_transport(field, path, 16)
+            got = _transport_products(field, [path], 16)[0]
             expected = sequential_rk4_transport(field, path, 16)
             assert got.shape == (spec.matrix_dim, spec.matrix_dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))

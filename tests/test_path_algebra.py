@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonomy_forge.path_algebra import (
     EndpointMismatch,
     LoopAtBase,
     NotMonotone,
+    PathFamily,
     PathNd,
     Segment,
     axis_dogleg_family,
@@ -22,6 +23,7 @@ from holonomy_forge.path_algebra import (
     power_map,
     radial_family,
     random_polygon_loop,
+    reconstruction_chains,
     reconstruction_loop,
     reparametrize,
     straight_segment,
@@ -354,3 +356,82 @@ def test_contract_matches_rescaling_property(seed, i):
     k = contract(p, i)
     grid = np.linspace(0, 1, 23)
     assert np.max(np.linalg.norm(k.point(grid) - p.point(i * grid), axis=1)) <= 1e-12
+
+
+def curved_family(basepoint) -> PathFamily:
+    """A rule-only frame whose paths have one line or a cubic and a line,
+    depending on the target."""
+    base = np.asarray(basepoint, dtype=float)
+
+    def rule(x):
+        if x[0] >= x[1]:
+            return straight_segment(base, x)
+        mid = 0.5 * (base + x) + np.array([0.25, -0.5])
+        bend = Segment("cubic", np.stack([base, base + [0.1, 0.2], mid - [0.3, 0.0], mid]))
+        return PathNd.from_segments([bend, Segment("line", np.stack([mid, x]))])
+
+    return PathFamily(2, base, rule)
+
+
+BASE = (0.3, -0.6)
+FAMILIES = {"radial": radial_family, "dogleg": axis_dogleg_family, "curved": curved_family}
+# Coordinates from a short list that includes the base point's (so frames
+# pass through the base point, x == y and the dogleg has zero-length legs)
+# and arbitrary floats.
+_coord = st.one_of(st.sampled_from([*BASE, 1.2]), st.floats(-2.0, 2.0))
+_point = st.tuples(_coord, _coord)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), pairs=st.lists(st.tuples(_point, _point), min_size=1, max_size=6))
+@example(family="radial", pairs=[((1.0, 1.0), (1.0, 1.0)), (BASE, (0.5, -0.6)), ((0.5, -0.6), BASE)])
+@example(family="dogleg", pairs=[(BASE, (0.3, 0.4)), ((0.3, 0.4), (0.3, 0.5)), ((1.0, -0.6), (1.1, -0.6))])
+@example(family="curved", pairs=[((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0)), (BASE, (-1.0, 1.0))])
+def test_reconstruction_chains_match_reduced_loops_property(family, pairs):
+    psi = FAMILIES[family](BASE)
+    xs, ys = (np.array(p, dtype=float) for p in zip(*pairs))
+    chains = reconstruction_chains(psi, xs, ys)
+    assert len(chains) == len(pairs)
+    for chain, x, y in zip(chains, xs, ys):
+        reduced = thin_reduce(reconstruction_loop(psi, x, y).path)
+        if reduced.is_constant():  # nothing survives reduction
+            assert chain.n_pieces == 0
+            continue
+        cubic, ctrl = chain._table
+        assert np.array_equal(cubic, reduced._table[0])
+        assert np.array_equal(ctrl, reduced._table[1])
+
+
+class TestFamilyTables:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_are_the_paths_of_getitem(self, family, rng):
+        psi = FAMILIES[family](BASE)
+        xs = np.concatenate([[BASE, [0.3, 1.0]], rng.uniform(-2, 2, size=(5, 2))])
+        cubic, ctrl = psi.tables(xs)
+        assert cubic.shape == ctrl.shape[:2] and ctrl.shape[0] == len(xs) and ctrl.shape[2:] == (4, 2)
+        for c, t, x in zip(cubic, ctrl, xs):
+            path_cubic, path_ctrl = psi[x]._table
+            s = len(path_cubic)
+            assert np.array_equal(c[:s], path_cubic) and np.array_equal(t[:s], path_ctrl)
+            assert not c[s:].any() and np.array_equal(t[s:], np.broadcast_to(x, t[s:].shape))
+
+    @pytest.mark.parametrize("miss", ["start", "end"])
+    def test_table_rule_endpoints_checked(self, miss):
+        def table_rule(xs):
+            cubic, ctrl = radial_family(BASE).table_rule(xs)
+            ctrl[-1:, :, (0 if miss == "start" else 3)] += 1e-6
+            return cubic, ctrl
+
+        psi = PathFamily(2, BASE, table_rule=table_rule)
+        message = "does not start at the base point" if miss == "start" else "does not end at the target point"
+        with pytest.raises(ValueError, match=message):
+            psi.tables([[1.0, 1.0], [0.5, 2.0]])
+        with pytest.raises(ValueError, match=message):
+            psi[[1.0, 1.0]]
+
+    def test_needs_exactly_one_rule(self):
+        rule = radial_family(BASE).table_rule
+        with pytest.raises(ValueError):
+            PathFamily(2, BASE)
+        with pytest.raises(ValueError):
+            PathFamily(2, BASE, lambda x: straight_segment(BASE, x), rule)

@@ -17,6 +17,7 @@ from holonomy_forge.lie_core import (
 )
 from holonomy_forge.holonomy import ConnectionField, HolonomyMap, IntegrationError, transport_along
 from holonomy_forge.path_algebra import (
+    PathFamily,
     axis_dogleg_family,
     compose_paths,
     radial_family,
@@ -28,6 +29,7 @@ from holonomy_forge.reconstruction import (
     PotentialField,
     RoundTripReport,
     StepTooLarge,
+    _relating_gauge_field,
     TrivializedCurve,
     connection_form_action,
     curvature,
@@ -461,6 +463,43 @@ class TestBatchedReconstruction:
                 assert np.array_equal(a.matrix, single.matrix)
                 assert np.linalg.norm(a.matrix - p.closed_form(x, mu)) <= 1e-3
 
+    @pytest.mark.parametrize("miss", ["start", "end"])
+    @pytest.mark.parametrize("form", ["table_rule", "rule"])
+    def test_frame_endpoints_checked_in_a_batch(self, sec6, form, miss):
+        # A straight frame whose path to one node misses the base point or
+        # that node by 1e-6.
+        def ends(x):
+            start, end = ORIGIN.copy(), np.array(x, dtype=float)
+            if np.allclose(x, [0.5, -0.5], atol=0.01):
+                (start if miss == "start" else end)[0] += 1e-6
+            return start, end
+
+        def table_rule(xs):
+            rows = [np.stack([a, a, b, b]) for a, b in map(ends, xs)]
+            return np.zeros((len(xs), 1), dtype=bool), np.array(rows)[:, None]
+
+        if form == "rule":
+            psi = PathFamily(2, ORIGIN, lambda x: straight_segment(*ends(x)))
+        else:
+            psi = PathFamily(2, ORIGIN, table_rule=table_rule)
+        message = "does not start at the base point" if miss == "start" else "does not end at the target point"
+        points = np.array([[0.2, 0.3], [0.5, -0.5], [-0.4, 0.1]])
+        with pytest.raises(ValueError, match=message):
+            reconstruct_potential(sec6[0], psi, points, 0, CFG)
+        with pytest.raises(ValueError, match=message):
+            PotentialField.from_holonomy(sec6[0], psi, CFG).matrices(points, 1)
+
+    @pytest.mark.parametrize("frame", [radial_family, axis_dogleg_family])
+    def test_frame_paths_are_not_fetched_one_by_one(self, sec6, frame, monkeypatch):
+        fetches = []
+        getitem = PathFamily.__getitem__
+        monkeypatch.setattr(PathFamily, "__getitem__", lambda psi, x: fetches.append(x) or getitem(psi, x))
+        xs = np.array(GridSpec(-1.0, 1.0, 4).nodes(2))
+        for mu in (0, 1):
+            reconstruct_potential(sec6[0], frame(ORIGIN), xs, mu, CFG)
+            reconstruct_potential(sec6[0], frame(ORIGIN), xs[0], mu, CFG)
+        assert fetches == []
+
     def test_step_too_large_raised_from_inside_a_batch(self):
         strong = ConnectionField.from_polynomial(
             2, MULTIPLICATIVE_REALS, [[(40.0, (0, 1), 0)], []]
@@ -529,6 +568,15 @@ class TestBatchedReconstruction:
         serial = reports()
         assert all(r["failures"] for r in batched)
         assert batched == serial
+
+    @pytest.mark.parametrize("preset", ["abelian-ydx", "su2-twist"])
+    def test_gauge_field_batch_matches_single_points(self, preset, rng):
+        p = hf.get_preset(preset)
+        xs = rng.uniform(-1.0, 1.0, size=(6, 2))
+        batched = _relating_gauge_field(p.connection, p.frame(), 16).matrices(np.concatenate([xs, xs[:2]]), 0)
+        single = _relating_gauge_field(p.connection, p.frame(), 16)
+        for x, g in zip(xs, batched):
+            assert np.array_equal(g, single(x, 0).matrix)
 
     def test_su2_twist_curvature_is_gauge_covariant(self):
         # non-commuting field: the reconstructed curvature equals the input
