@@ -178,9 +178,17 @@ def _grid_from(args, preset: Preset) -> GridSpec:
 
 def _fd_config(args) -> FdConfig:
     try:
-        return FdConfig(h=args.fd_h) if args.fd_h else FdConfig()
+        return FdConfig() if args.fd_h is None else FdConfig(h=args.fd_h)
     except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(f"--fd-h: {exc}") from exc
+
+
+def _steps(args, preset: Preset) -> int:
+    if args.steps is None:
+        return preset.default_steps
+    if args.steps < 1:
+        raise _InputError("--steps must be at least 1")
+    return args.steps
 
 
 def _axiom3_family(preset: Preset):
@@ -197,7 +205,8 @@ def _cmd_reconstruct(args) -> int:
     preset = _resolve_preset(args)
     grid = _grid_from(args, preset)
     cfg = _fd_config(args)
-    h_map = preset.holonomy_map(args.steps)
+    steps = _steps(args, preset)
+    h_map = preset.holonomy_map(steps)
     pf = PotentialField.from_holonomy(h_map, preset.frame(), cfg)
     nodes = grid.nodes(preset.dim)
     max_err = None
@@ -214,7 +223,7 @@ def _cmd_reconstruct(args) -> int:
         "preset": preset.name,
         "grid": grid.describe(preset.dim),
         "fd_h": cfg.h,
-        "steps": None if preset.backend == "analytic" else (args.steps or preset.default_steps),
+        "steps": None if preset.backend == "analytic" else steps,
         "backend": preset.backend,
         "max_abs_error": max_err,
         "tolerance": tol,
@@ -229,7 +238,10 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_audit(args) -> int:
     preset = _resolve_preset(args)
-    h_map = preset.holonomy_map(args.steps)
+    if args.samples < 1:
+        raise _InputError("--samples must be at least 1")
+    _fd_config(args)  # unused by the audit, but a bad value is still an input error
+    h_map = preset.holonomy_map(_steps(args, preset))
     tols = (
         preset.tolerances.get("axiom1", 1e-6),
         preset.tolerances.get("axiom2", 1e-8),
@@ -260,7 +272,7 @@ def _cmd_roundtrip(args) -> int:
         preset.frame(),
         grid,
         cfg,
-        steps_per_segment=args.steps or preset.default_steps,
+        steps_per_segment=_steps(args, preset),
         tolerances=tolerances,
         seed=args.seed,
     )

@@ -12,9 +12,12 @@ Two backends are provided:
   H(loop) = u(1)^{-1}.  One vectorized kernel serves every group; a
   propagator that leaves the positive reals raises ``IntegrationError``.
 
-Both backends evaluate loops in batches (``eval_holonomies``): every
-smooth piece of every loop in a batch is sampled once and fed to one
-kernel call, and ``eval_holonomy`` is the batch of one.
+Both backends evaluate loops in batches (``eval_holonomies``): each
+distinct smooth piece of a batch (keyed on its exact control points, so
+pieces shared between loops count once) is sampled and integrated once,
+and the per-piece results are reduced per loop; ``eval_holonomy`` is the
+batch of one.  The randomized audit builds every loop of a law first and
+evaluates each law as one batch.
 
 The inverse in the transport convention makes composition come out as
 H(alpha o beta) = H(beta) H(alpha) (beta traversed first), and for
@@ -54,7 +57,7 @@ from .path_algebra import (
     reconstruction_loop,
     reparametrize,
 )
-from .segment_table import sample_pieces
+from .segment_table import SegmentChain, sample_pieces
 
 __all__ = [
     "DimMismatch",
@@ -76,10 +79,10 @@ _nodes, _weights = roots_legendre(32)
 _GL_NODES = 0.5 * (_nodes + 1.0)
 _GL_WEIGHTS = 0.5 * _weights
 
-# Lattice samples per kernel call.  Batches are cut at loop boundaries so
-# that the (samples, d, d) temporaries stay below about 1 MB for any batch
-# size; at 4096 an SU(2) grid reconstruction already peaks 0.5 MB higher,
-# with no gain in speed.
+# Lattice samples per kernel call.  Distinct pieces are cut into chunks at
+# piece boundaries so that the (samples, d, d) temporaries stay below about
+# 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
+# peaks 0.5 MB higher, with no gain in speed.
 _KERNEL_SAMPLES = 2048
 
 
@@ -223,21 +226,6 @@ def _stacked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunks(paths, samples_per_piece: int):
-    """Consecutive runs of paths holding at most ``_KERNEL_SAMPLES``
-    lattice samples each (a single larger path forms its own run)."""
-    chunk, size = [], 0
-    for p in paths:
-        n = p.n_pieces * samples_per_piece
-        if chunk and size + n > _KERNEL_SAMPLES:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(p)
-        size += n
-    if chunk:
-        yield chunk
-
-
 def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray) -> np.ndarray:
     """sum_mu A_mu(x) dx_mu/du at every sample, (pieces, samples, d, d)."""
     d = field.spec.matrix_dim
@@ -249,18 +237,67 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     return out.reshape(pts.shape[:2] + (d, d))
 
 
+def _per_piece(paths, u: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel(points, velocities)`` on the samples at abscissae ``u`` of
+    the smooth pieces of many paths, each distinct piece once; returns the
+    per-piece results in traversal order and the number of pieces of each
+    path.
+
+    Table pieces are the same piece when their kind flag and control-point
+    bytes are equal, so a piece shared by several paths, or repeated in
+    one, is sampled and integrated once (orientation is part of the bytes).
+    Every piece of a path without a table (a ``ReparametrizedPath``)
+    counts as distinct.  Distinct pieces reach the kernel in chunks of at
+    most ``_KERNEL_SAMPLES`` samples cut at piece boundaries; the kernel
+    treats each piece on its own, so no result depends on its batch.
+    """
+    counts = np.array([p.n_pieces for p in paths], dtype=int)
+    tabled = np.array([getattr(p, "_table", None) is not None for p in paths], dtype=bool)
+    per_path_tabled = np.repeat(tabled, counts)
+    where = np.empty(len(per_path_tabled), dtype=np.intp)
+    sources, n_distinct = [], 0
+    if tabled.any():
+        cubic = np.concatenate([p._table[0] for p, t in zip(paths, tabled) if t])
+        ctrl = np.concatenate([p._table[1] for p, t in zip(paths, tabled) if t])
+        # One flat byte row per piece, its flag then its control points.
+        flat = ctrl.reshape(-1, 4 * ctrl.shape[-1]).view(np.uint8)
+        rows = np.concatenate([cubic[:, None].view(np.uint8), flat], axis=1)
+        raw, w = rows.tobytes(), rows.shape[1]
+        ids: dict = {}
+        where_t = np.array([ids.setdefault(raw[k * w : (k + 1) * w], len(ids)) for k in range(len(rows))], dtype=np.intp)
+        # Any occurrence represents its piece: equal keys mean equal bytes.
+        rep = np.empty(len(ids), dtype=np.intp)
+        rep[where_t] = np.arange(len(where_t))
+        cubic, ctrl = cubic[rep], ctrl[rep]
+        cap = max(1, _KERNEL_SAMPLES // len(u))
+        sources = [SegmentChain(cubic[a : a + cap], ctrl[a : a + cap]) for a in range(0, max(len(rep), 1), cap)]
+        where[per_path_tabled] = where_t
+        n_distinct = len(rep)
+    where[~per_path_tabled] = n_distinct + np.arange(np.count_nonzero(~per_path_tabled))
+    sources += [p for p, t in zip(paths, tabled) if not t]
+    chunks, size = [[]], 0
+    for s in sources:
+        n = s.n_pieces * len(u)
+        if chunks[-1] and size + n > _KERNEL_SAMPLES:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(s)
+        size += n
+    return np.concatenate([kernel(*sample_pieces(chunk, u)) for chunk in chunks])[where], counts
+
+
 def _line_integrals(field: ConnectionField, paths) -> np.ndarray:
     """Line integral of the (abelian) connection along every path, by
     per-piece Gauss-Legendre quadrature (exact for the polynomial fields
     used in presets, since the per-piece integrand degree is far below 63)."""
-    out = []
-    for chunk in _chunks(paths, len(_GL_NODES)):
-        pts, vels, counts = sample_pieces(chunk, _GL_NODES)
-        pieces = (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
-        totals = np.zeros(len(counts), dtype=np.complex128)
-        np.add.at(totals, np.repeat(np.arange(len(counts)), counts), pieces)
-        out.append(totals)
-    return np.concatenate(out)
+
+    def kernel(pts, vels):
+        return (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
+
+    pieces, counts = _per_piece(paths, _GL_NODES, kernel)
+    totals = np.zeros(len(counts), dtype=np.complex128)
+    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), pieces)
+    return totals
 
 
 def _ordered_products(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -287,17 +324,14 @@ def _transport_products(field: ConnectionField, paths, steps_per_segment: int) -
     by u, so per-step projection is kept and u(1) is the ordered product
     P_{N-1} ... P_0 of projected propagators.  Each smooth piece takes n
     steps in its local parameter (h = 1/n), and the coefficient is sampled
-    once on the half-step lattice of every piece of every path in a batch.
+    once on the half-step lattice of every distinct piece in a batch.
     """
     spec = field.spec
-    d = spec.matrix_dim
     n = steps_per_segment
-    lattice = np.linspace(0.0, 1.0, 2 * n + 1)
     h = 1.0 / n
-    eye = np.eye(d)
-    out = []
-    for chunk in _chunks(paths, len(lattice)):
-        pts, vels, counts = sample_pieces(chunk, lattice)
+    eye = np.eye(spec.matrix_dim)
+
+    def kernel(pts, vels):
         m = -_connection_along(field, pts, vels)
         m1, m2, m4 = m[:, :-1:2], m[:, 1::2], m[:, 2::2]
         k2 = _stacked_matmul(m2, eye + 0.5 * h * m1)
@@ -311,8 +345,9 @@ def _transport_products(field: ConnectionField, paths, steps_per_segment: int) -
         while p.shape[1] > 1:
             k = p.shape[1]
             p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
-        out.append(_ordered_products(p[:, 0], counts))
-    return np.concatenate(out)
+        return p[:, 0]
+
+    return _ordered_products(*_per_piece(paths, np.linspace(0.0, 1.0, 2 * n + 1), kernel))
 
 
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
@@ -339,11 +374,11 @@ def _holonomy_matrices(h_map: HolonomyMap, paths) -> np.ndarray:
 
 
 def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
-    """Evaluate the holonomies of many based loops in batches.
+    """Evaluate the holonomies of many based loops as one batch.
 
-    Every smooth piece of every loop is sampled once, and the samples feed
-    one kernel call per batch of a bounded number of lattice samples; a
-    loop's value does not depend on the other loops of its batch.
+    Each distinct smooth piece of the batch is sampled and integrated once,
+    in kernel calls of a bounded number of lattice samples; a loop's value
+    does not depend on the other loops of its batch, bit for bit.
     """
     loops = list(loops)
     for loop in loops:
@@ -367,26 +402,39 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 
+def _composition_defects(h_map: HolonomyMap, pairs) -> list[float]:
+    """|H(alpha o beta) - H(beta) H(alpha)| for every pair (alpha, beta),
+    from one batch: the composed loop reuses the pieces of alpha and beta."""
+    loops = []
+    for alpha, beta in pairs:
+        loops += [LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint), alpha, beta]
+    hols = eval_holonomies(h_map, loops)
+    return [group_distance(ab, b @ a) for ab, a, b in zip(hols[::3], hols[1::3], hols[2::3])]
+
+
+def _thin_loop_defects(h_map: HolonomyMap, loops) -> list[float]:
+    """Distance of H(loop) from the identity for every loop, one batch."""
+    identity = GroupElement.identity(h_map.spec)
+    return [group_distance(g, identity) for g in eval_holonomies(h_map, loops)]
+
+
 def check_axiom1(h_map: HolonomyMap, alpha: LoopAtBase, beta: LoopAtBase) -> float:
     """Composition-law defect |H(alpha o beta) - H(beta) H(alpha)|."""
-    composed = LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint)
-    lhs = eval_holonomy(h_map, composed)
-    rhs = eval_holonomy(h_map, beta) @ eval_holonomy(h_map, alpha)
-    return group_distance(lhs, rhs)
+    return _composition_defects(h_map, [(alpha, beta)])[0]
 
 
 def check_axiom2(h_map: HolonomyMap, loop: LoopAtBase) -> float:
     """Thin-loop defect: distance of H(loop) from the identity."""
-    return group_distance(eval_holonomy(h_map, loop), GroupElement.identity(h_map.spec))
+    return _thin_loop_defects(h_map, [loop])[0]
 
 
 def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     """Smoothness proxy for a k-parameter loop family over [0, 1]^k.
 
-    Evaluates H on a grid**k lattice and returns the largest normalized
-    second difference |h(u+d e) - 2 h(u) + h(u-d e)| / d**2 over interior
-    nodes and axes.  Small values indicate C2-like behavior at the grid
-    scale; genuine smoothness is not finitely decidable.
+    Evaluates H on a grid**k lattice, in one batch, and returns the largest
+    normalized second difference |h(u+d e) - 2 h(u) + h(u-d e)| / d**2 over
+    interior nodes and axes.  Small values indicate C2-like behavior at the
+    grid scale; genuine smoothness is not finitely decidable.
 
     One-parameter families may take a bare float; for k > 1 the family
     receives a length-k array.
@@ -398,11 +446,11 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     us = np.linspace(0.0, 1.0, grid)
     delta = float(us[1] - us[0])
     shape = (grid,) * k
+    nodes = list(np.ndindex(shape))
+    loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in nodes]
     values = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        u = us[list(idx)]
-        arg = float(u[0]) if k == 1 else u
-        values[idx] = eval_holonomy(h_map, family(arg)).matrix
+    for idx, g in zip(nodes, eval_holonomies(h_map, loops)):
+        values[idx] = g.matrix
     worst = 0.0
     for idx in np.ndindex(shape):
         for axis in range(k):
@@ -454,23 +502,28 @@ def audit_axioms(
     Composition is tested on random polygon loop pairs, thin-loop
     triviality on out-and-back polylines (every other one reparametrized
     by a cubic-start time map), smoothness on the supplied family or on a
-    default frame-conjugated straight-shift family.
+    default frame-conjugated straight-shift family.  All loops of a law
+    are built first and evaluated as one batch.
     """
+    if samples < 1:
+        raise ValueError("an audit needs at least one sample")
     rng = np.random.default_rng(seed)
     base = h_map.basepoint
-    a1 = 0.0
+    pairs = []
     for _ in range(samples):
         alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
         beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
-        a1 = max(a1, check_axiom1(h_map, alpha, beta))
-    a2 = 0.0
+        pairs.append((alpha, beta))
+    a1 = max([0.0, *_composition_defects(h_map, pairs)])
+    thin = []
     phi = piecewise_power_map(3, 0.5)
     for k in range(samples):
         p = random_polyline(rng, base, n_segments=2, radius=radius)
         path = compose_paths(invert_path(p), p)
         if k % 2:
             path = reparametrize(path, phi)
-        a2 = max(a2, check_axiom2(h_map, LoopAtBase(path, base)))
+        thin.append(LoopAtBase(path, base))
+    a2 = max([0.0, *_thin_loop_defects(h_map, thin)])
     if axiom3_family is None:
         from .path_algebra import radial_family
 

@@ -43,7 +43,7 @@ class Preset:
         base = np.array(self.basepoint, dtype=float)
         if self.backend == "analytic":
             return HolonomyMap.analytic_abelian(self.connection, base)
-        return HolonomyMap.transport(self.connection, base, steps or self.default_steps)
+        return HolonomyMap.transport(self.connection, base, self.default_steps if steps is None else steps)
 
 
 PRESETS: dict[str, Preset] = {}

@@ -120,10 +120,10 @@ def _sample_table(cubic, ctrl, u) -> tuple[np.ndarray, np.ndarray]:
     return bezier_points(k, c, uu), bezier_velocities(k, c, uu)
 
 
-def sample_pieces(paths, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_pieces(paths, u) -> tuple[np.ndarray, np.ndarray]:
     """Samples at local abscissae u in [0, 1] on every smooth piece of every
     path, stacked in traversal order: points and velocities d/du, each
-    (pieces, len(u), dim), and the number of pieces of each path.
+    (pieces, len(u), dim).
 
     Paths with a segment table (``PathNd``, ``SegmentChain``) are sampled
     straight from their control points, one vectorized call per run of
@@ -145,7 +145,6 @@ def sample_pieces(paths, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             run.append(table)
     flush()
-    counts = np.array([p.n_pieces for p in paths], dtype=int)
     if len(blocks) == 1:
-        return blocks[0][0], blocks[0][1], counts
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]), counts
+        return blocks[0]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])

@@ -3,6 +3,8 @@
 Everything here is deliberately primitive (truncated series, polygon
 area formulas, exact per-edge integrals, one loop at a time) and shares
 no code with the library's own evaluation paths beyond building paths.
+The one exception is ``serial_audit``, the audit written as the loop over
+single-law checkers that the batched ``audit_axioms`` must reproduce.
 """
 
 import cmath
@@ -10,7 +12,19 @@ import cmath
 import numpy as np
 import scipy.linalg
 
-from holonomy_forge.path_algebra import reconstruction_loop, thin_reduce
+from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, check_axiom3
+from holonomy_forge.path_algebra import (
+    LoopAtBase,
+    compose_paths,
+    invert_path,
+    piecewise_power_map,
+    radial_family,
+    random_polygon_loop,
+    random_polyline,
+    reconstruction_loop,
+    reparametrize,
+    thin_reduce,
+)
 
 
 def taylor_expm(m, terms: int = 20) -> np.ndarray:
@@ -133,3 +147,33 @@ def reference_potential(field, psi, x, mu: int, h: float, richardson: bool, step
     if richardson:
         d = (4.0 * difference(h / 2.0) - d) / 3.0
     return d
+
+
+def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):
+    """The randomized audit of ``audit_axioms``, one checker call per loop
+    pair, thin loop and family grid, drawing the same random loops in the
+    same order."""
+    rng = np.random.default_rng(seed)
+    base = h_map.basepoint
+    a1 = 0.0
+    for _ in range(samples):
+        alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        a1 = max(a1, check_axiom1(h_map, alpha, beta))
+    a2 = 0.0
+    phi = piecewise_power_map(3, 0.5)
+    for k in range(samples):
+        p = random_polyline(rng, base, n_segments=2, radius=radius)
+        path = compose_paths(invert_path(p), p)
+        if k % 2:
+            path = reparametrize(path, phi)
+        a2 = max(a2, check_axiom2(h_map, LoopAtBase(path, base)))
+    if axiom3_family is None:
+        psi = radial_family(base)
+        anchor = base + 0.5 * np.ones_like(base)
+        step = np.zeros_like(base)
+        step[0] = 0.5
+        axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
+    a3 = check_axiom3(h_map, axiom3_family, axiom3_grid)
+    t1, t2, t3 = tolerances
+    return AxiomReport(a1, a2, a3, samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)))

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from holonomy_forge.cli import main
 
 
@@ -170,3 +172,18 @@ class TestErrors:
     def test_no_tmp_files_left_behind(self, tmp_path):
         main(["audit", "--preset", "paper-sec6", "--samples", "5", "--out", str(tmp_path)])
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_audit_needs_a_sample(self, tmp_path, samples):
+        out = tmp_path / "never"
+        assert main(["audit", "--preset", "paper-sec6", "--samples", samples, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "audit", "roundtrip"])
+    @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-1"), ("--fd-h", "0"), ("--fd-h", "-0.001")])
+    def test_bad_steps_and_fd_h_are_input_errors(self, tmp_path, command, flag, value):
+        # Zero must not fall back to the preset default, and a negative
+        # step count must not escape as a traceback.
+        out = tmp_path / "never"
+        assert main([command, "--preset", "su2-shear", "--grid", "3", flag, value, "--out", str(out)]) == 1
+        assert not out.exists()

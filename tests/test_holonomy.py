@@ -41,7 +41,7 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from _oracles import polyline_vertices, polyline_ydx_integral, sequential_rk4_transport, shoelace_area
+from _oracles import polyline_vertices, polyline_ydx_integral, sequential_rk4_transport, serial_audit, shoelace_area
 from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
@@ -256,6 +256,97 @@ class TestEvalHolonomies:
             eval_holonomies(h_map, [good] * 40 + [bad] + [good] * 5)
 
 
+def shared_piece_loops(rng):
+    """A batch whose loops share smooth pieces: a loop twice, alpha, beta
+    and alpha o beta, a reversed loop, a lazily reparametrized loop beside
+    the segment-backed loop it reparametrizes, twin loops differing only
+    in the sign of a zero control point, and enough further loops for the
+    distinct pieces to span several kernel calls."""
+    alpha = random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8)
+    beta = random_polygon_loop(rng, ORIGIN, n_vertices=3, radius=0.8)
+    p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
+    out_and_back = LoopAtBase(compose_paths(invert_path(p), p), ORIGIN)
+    loops = [
+        alpha,
+        alpha,
+        beta,
+        LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN),
+        LoopAtBase(invert_path(alpha.path), ORIGIN),
+        out_and_back,
+        LoopAtBase(reparametrize(out_and_back.path, piecewise_power_map(3, 0.5)), ORIGIN),
+        polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)]),
+        polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)]),
+    ]
+    loops += [random_polygon_loop(rng, ORIGIN, n_vertices=5, radius=0.8) for _ in range(30)]
+    return loops + [beta, alpha]
+
+
+class TestSharedPieces:
+    # Each distinct piece is integrated once per batch, and a piece's
+    # result is computed by the same elementwise operations whatever
+    # batch it sits in, so batch and single-loop values agree bit for bit.
+    @pytest.mark.parametrize(
+        "spec, backend",
+        [
+            (MULTIPLICATIVE_REALS, "analytic"),
+            (U1, "analytic"),
+            (MULTIPLICATIVE_REALS, "transport"),
+            (U1, "transport"),
+            (SU2, "transport"),
+            (gln(3), "transport"),
+        ],
+        ids=lambda v: getattr(getattr(v, "name", None), "value", v),
+    )
+    def test_batch_is_bitwise_single_loop_evaluation(self, spec, backend, rng):
+        field = random_affine_field(spec, rng)
+        if backend == "analytic":
+            h_map = HolonomyMap.analytic_abelian(field, ORIGIN)
+        else:
+            h_map = HolonomyMap.transport(field, ORIGIN, 16)
+        loops = shared_piece_loops(rng)
+        for loop, got in zip(loops, eval_holonomies(h_map, loops)):
+            assert np.array_equal(got.matrix, eval_holonomy(h_map, loop).matrix)
+
+    def test_batch_spans_several_kernel_calls(self, rng, monkeypatch):
+        calls = count_sampled_pieces(monkeypatch)
+        h_map = HolonomyMap.transport(random_affine_field(SU2, rng), ORIGIN, 16)
+        eval_holonomies(h_map, shared_piece_loops(rng))
+        assert len(calls) >= 3
+
+    def test_composed_loop_integrates_no_new_piece(self, rng, monkeypatch):
+        calls = count_sampled_pieces(monkeypatch)
+        alpha = random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8)
+        beta = random_polygon_loop(rng, ORIGIN, n_vertices=3, radius=0.8)
+        composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
+        for h_map in (analytic_map(), HolonomyMap.transport(ydx_field(), ORIGIN, 16)):
+            calls.clear()
+            eval_holonomies(h_map, [alpha, beta, composed])
+            assert sum(calls) == alpha.path.n_pieces + beta.path.n_pieces
+
+    def test_signed_zero_twins_are_distinct_pieces(self, monkeypatch):
+        calls = count_sampled_pieces(monkeypatch)
+        plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
+        minus = polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)])
+        eval_holonomies(analytic_map(), [plus, minus])
+        assert sum(calls) == 5
+
+
+def count_sampled_pieces(monkeypatch) -> list:
+    """Record the number of pieces sampled by each kernel call."""
+    import holonomy_forge.holonomy as holonomy
+
+    calls = []
+    real = holonomy.sample_pieces
+
+    def counting(paths, u):
+        samples = real(paths, u)
+        calls.append(len(samples[0]))
+        return samples
+
+    monkeypatch.setattr(holonomy, "sample_pieces", counting)
+    return calls
+
+
 class TestRelativeDeterminantCheck:
     # A = c y dx around the counter-clockwise unit square has flux -c, so
     # the holonomy exp(-c) is a valid, tiny positive real.
@@ -459,6 +550,16 @@ class TestAudit:
         assert r1 == r2
         assert r1.all_passed
         assert r1.samples == 25
+
+    @pytest.mark.parametrize("preset", ["su2-twist", "paper-sec6"])
+    def test_batched_audit_equals_serial_checks(self, preset):
+        h_map = hf.get_preset(preset).holonomy_map()
+        kwargs = dict(samples=12, seed=5, tolerances=(1e-6, 1e-8, 10.0))
+        assert audit_axioms(h_map, **kwargs) == serial_audit(h_map, **kwargs)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            audit_axioms(analytic_map(), samples=0, seed=0, tolerances=(1.0, 1.0, 1.0))
 
     def test_report_json_keys(self):
         report = AxiomReport(1e-12, 2e-12, 0.1, 7, (True, True, False))
