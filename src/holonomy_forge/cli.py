@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext imports it on first use, inside main
 import os
 import sys
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+import numpy.random  # numpy loads it lazily; the audit and round trip draw from it
 
 from .lie_core import (
     AlgebraElement,
@@ -75,7 +75,28 @@ __all__ = [
     "audit_axioms",
 ]
 
-_nodes, _weights = roots_legendre(32)
+# 32-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those
+# of SciPy's roots_legendre(32) (numpy's leggauss differs in the last bits).
+_nodes = np.array([float.fromhex(h) for h in """
+    -0x1.fe995e70409b6p-1 -0x1.f8a212714bcdcp-1 -0x1.edf5518053baap-1 -0x1.deac0259f7f42p-1
+    -0x1.caea9b4574cb9p-1 -0x1.b2e04fd686a12p-1 -0x1.96c69481c4bc4p-1 -0x1.76e0931d693bap-1
+    -0x1.537a89c487f8ap-1 -0x1.2ce9146962ca4p-1 -0x1.038862866b29ep-1 -0x1.af76b57c6f8f2p-2
+    -0x1.53d55ce57bdf6p-2 -0x1.ea0f7e19c094cp-3 -0x1.27e0ea717f235p-3 -0x1.8bbc8488cc49cp-5
+    0x1.8bbc8488cc49cp-5 0x1.27e0ea717f235p-3 0x1.ea0f7e19c094cp-3 0x1.53d55ce57bdf6p-2
+    0x1.af76b57c6f8f2p-2 0x1.038862866b29ep-1 0x1.2ce9146962ca4p-1 0x1.537a89c487f8ap-1
+    0x1.76e0931d693bap-1 0x1.96c69481c4bc4p-1 0x1.b2e04fd686a12p-1 0x1.caea9b4574cb9p-1
+    0x1.deac0259f7f42p-1 0x1.edf5518053baap-1 0x1.f8a212714bcdcp-1 0x1.fe995e70409b6p-1
+""".split()])
+_weights = np.array([float.fromhex(h) for h in """
+    0x1.cbf8bc743dfd5p-8 0x1.0aa3c248694f0p-6 0x1.a0060a8531f15p-6 0x1.18c5800a35559p-5
+    0x1.5ee963a3354e0p-5 0x1.a1c6ae961fc05p-5 0x1.e0bd76c9249a4p-5 0x1.0d9b9a62cabebp-4
+    0x1.2854103b35e0bp-4 0x1.40483e126fd09p-4 0x1.553ee25ebebb2p-4 0x1.6705e18e13ec9p-4
+    0x1.7572bdb3f6e3fp-4 0x1.8062fc0f6feeep-4 0x1.87bc776f8c6c8p-4 0x1.8b6d9eaec779ep-4
+    0x1.8b6d9eaec779ep-4 0x1.87bc776f8c6c8p-4 0x1.8062fc0f6feeep-4 0x1.7572bdb3f6e3fp-4
+    0x1.6705e18e13ec9p-4 0x1.553ee25ebebb2p-4 0x1.40483e126fd09p-4 0x1.2854103b35e0bp-4
+    0x1.0d9b9a62cabebp-4 0x1.e0bd76c9249a4p-5 0x1.a1c6ae961fc05p-5 0x1.5ee963a3354e0p-5
+    0x1.18c5800a35559p-5 0x1.a0060a8531f15p-6 0x1.0aa3c248694f0p-6 0x1.cbf8bc743dfd5p-8
+""".split()])
 _GL_NODES = 0.5 * (_nodes + 1.0)
 _GL_WEIGHTS = 0.5 * _weights
 
@@ -103,8 +124,8 @@ class ConnectionField:
 
     ``component_rule(x, mu)`` must be a pure function returning an
     ``AlgebraElement``.  An optional vectorized ``batch_rule(points, mu)``
-    returning an (m, d, d) array accelerates the integrators; results are
-    identical either way.
+    returning a new (m, d, d) array, which the integrators scale in place,
+    accelerates them; results are identical either way.
     """
 
     def __init__(self, dim: int, spec: GroupSpec, component_rule, batch_rule=None):
@@ -135,19 +156,26 @@ class ConnectionField:
         (coeff, exponents, basis_index) over the algebra basis."""
         from .lie_core import algebra_basis
 
-        basis = algebra_basis(spec)
+        d = spec.matrix_dim
+        basis = np.array(algebra_basis(spec), dtype=spec.dtype).reshape(-1, d * d)
         terms = [list(components.get(mu, []) if isinstance(components, dict) else components[mu]) for mu in range(dim)]
+        # The basis elements each direction's terms use, and their rows.
+        used = [sorted({b for _, _, b in t}) for t in terms]
+        rows = [basis[u] for u in used]
 
         def batch(points, mu):
+            # Coefficients per used basis element, then one product with
+            # their rows: no (points, d, d) temporary per term.  (np.dot,
+            # as matmul costs about 10 us more per call on these thin shapes.)
             pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.zeros((pts.shape[0], spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)
+            coef = np.zeros((pts.shape[0], len(used[mu])))
             for coeff, exps, b in terms[mu]:
                 mono = np.ones(pts.shape[0])
                 for k, e in enumerate(exps):
                     if e:
                         mono = mono * pts[:, k] ** e
-                out += (coeff * mono)[:, None, None] * basis[b]
-            return out
+                coef[:, used[mu].index(b)] += coeff * mono
+            return np.dot(coef, rows[mu]).reshape(-1, d, d)
 
         def rule(x, mu):
             return AlgebraElement.from_matrix(spec, batch(np.asarray(x, float)[None, :], mu)[0])
@@ -233,7 +261,9 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     out = np.zeros((len(flat), d, d), dtype=np.complex128)
     if len(flat):
         for mu in range(field.dim):
-            out += field._matrices(flat, mu) * v[:, mu, None, None]
+            a = field._matrices(flat, mu)
+            a *= v[:, mu, None, None]
+            out += a
     return out.reshape(pts.shape[:2] + (d, d))
 
 
@@ -446,20 +476,16 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     us = np.linspace(0.0, 1.0, grid)
     delta = float(us[1] - us[0])
     shape = (grid,) * k
-    nodes = list(np.ndindex(shape))
-    loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in nodes]
-    values = np.empty(shape, dtype=object)
-    for idx, g in zip(nodes, eval_holonomies(h_map, loops)):
-        values[idx] = g.matrix
+    loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in np.ndindex(shape)]
+    d = h_map.spec.matrix_dim
+    values = np.array([g.matrix for g in eval_holonomies(h_map, loops)]).reshape(shape + (d, d))
     worst = 0.0
-    for idx in np.ndindex(shape):
-        for axis in range(k):
-            if not 0 < idx[axis] < grid - 1:
-                continue
-            lo = tuple(v - (1 if a == axis else 0) for a, v in enumerate(idx))
-            hi = tuple(v + (1 if a == axis else 0) for a, v in enumerate(idx))
-            second = values[hi] - 2.0 * values[idx] + values[lo]
-            worst = max(worst, float(np.linalg.norm(second)) / delta**2)
+    for axis in range(k):
+        v = np.moveaxis(values, axis, 0)
+        second = (v[2:] - 2.0 * v[1:-1] + v[:-2]).reshape(-1, d, d)
+        # One norm call per node: a stacked norm sums the squares in another
+        # order and can differ in the last bit.
+        worst = max(worst, *(float(np.linalg.norm(s)) / delta**2 for s in second))
     return worst
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "GroupName",
@@ -316,9 +315,30 @@ class AlgebraElement:
         return f"AlgebraElement({self.spec.name.value}, {self.matrix.tolist()})"
 
 
+def _exp_su2(x: np.ndarray) -> np.ndarray:
+    # x is traceless, so x^2 = -det(x) I and exp(x) = cos(t) I + sin(t)/t x
+    # with t^2 = det(x), the counterpart of _log_su2 (Higham, Functions of
+    # Matrices, 2008).  det(x) is real and >= 0 for anti-Hermitian x; near
+    # t = 0 the Taylor series of sin(t)/t is exact to rounding.
+    t2 = max(_det2(x).real.item(), 0.0)
+    t = math.sqrt(t2)
+    ratio = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 if t < 1e-4 else math.sin(t) / t
+    return math.cos(t) * np.eye(2) + ratio * x
+
+
 def exp_map(x: AlgebraElement) -> GroupElement:
-    """Exponential map from the algebra into the group."""
-    m = np.exp(x.matrix) if x.spec.matrix_dim == 1 else scipy.linalg.expm(x.matrix)
+    """Exponential map from the algebra into the group.
+
+    1x1 groups and SU(2) use closed forms; GL(n) uses SciPy's ``expm``.
+    """
+    if x.spec.matrix_dim == 1:
+        m = np.exp(x.matrix)
+    elif x.spec.name is GroupName.SU2:
+        m = _exp_su2(x.matrix)
+    else:
+        import scipy.linalg
+
+        m = scipy.linalg.expm(x.matrix)
     return GroupElement(x.spec, project_to_group(x.spec, m))
 
 
@@ -364,6 +384,8 @@ def log_map(g, spec: GroupSpec | None = None):
     elif spec.name is GroupName.SU2:
         out = _log_su2(m.astype(np.complex128))
     else:
+        import scipy.linalg
+
         flat = m.reshape(-1, spec.matrix_dim, spec.matrix_dim)
         out = np.stack([scipy.linalg.logm(x) for x in flat]).reshape(m.shape)
     out = project_to_algebra(spec, out)

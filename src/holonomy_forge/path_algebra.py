@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .segment_table import SegmentChain, bezier_points, bezier_velocities, table_rows, thin_keep
 
@@ -204,6 +203,36 @@ class PathNd:
         return all(s.is_degenerate(tol) for s in self.segments)
 
 
+def _preimage(phi: PathNd, target: float) -> float | None:
+    """The least t with phi(t) = target for a nondecreasing 1-d time map,
+    or None unless phi(0) < target < phi(1).
+
+    The segment is the first whose end ordinate reaches the target, so a
+    flat segment is never inverted.  A line inverts in closed form; a
+    cubic is bisected on its Bernstein form until the bracket is two
+    adjacent floats.
+    """
+    cubic, ctrl = phi._table
+    y = ctrl[:, :, 0]
+    if not y[0, 0] < target < y[-1, 3]:
+        return None
+    k = int(np.searchsorted(y[:, 3], target))
+    a, b = float(phi.breakpoints[k]), float(phi.breakpoints[k + 1])
+    y0, y1, y2, y3 = (float(v) for v in y[k])
+    if target <= y0:
+        return a
+    if not cubic[k]:
+        return a + (target - y0) / (y3 - y0) * (b - a)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        v = 1.0 - mid
+        if v**3 * y0 + 3.0 * v * v * mid * y1 + 3.0 * v * mid * mid * y2 + mid**3 * y3 < target:
+            lo = mid
+        else:
+            hi = mid
+    return a + hi * (b - a)
+
+
 class ReparametrizedPath:
     """Lazy composition p(phi(i)) of a path with a monotone time map.
 
@@ -218,10 +247,9 @@ class ReparametrizedPath:
         self.phi = phi
         bps = set(float(b) for b in phi.breakpoints)
         for b in np.asarray(path.breakpoints)[1:-1]:
-            target = float(b)
-            f = lambda t, tb=target: float(phi.point(t)[0]) - tb
-            if f(0.0) < 0 < f(1.0):
-                bps.add(float(brentq(f, 0.0, 1.0, xtol=1e-15)))
+            t = _preimage(phi, float(b))
+            if t is not None:
+                bps.add(t)
         merged = [0.0]
         for b in sorted(bps):
             if b - merged[-1] > 1e-12:

@@ -43,6 +43,48 @@ def taylor_expm(m, terms: int = 20) -> np.ndarray:
     return out
 
 
+def brentq_breakpoints(path, phi) -> np.ndarray:
+    """Breakpoints of ``reparametrize(path, phi)``: phi's own breakpoints and
+    the preimages under phi of the interior breakpoints of ``path``, found
+    by SciPy's ``brentq`` on the whole time map, then merged as the library
+    merges them (a breakpoint within 1e-12 of the previous one is dropped,
+    and the last one is 1)."""
+    from scipy.optimize import brentq
+
+    bps = set(float(b) for b in phi.breakpoints)
+    for b in np.asarray(path.breakpoints)[1:-1]:
+        f = lambda t, target=float(b): float(phi.point(t)[0]) - target
+        if f(0.0) < 0 < f(1.0):
+            bps.add(float(brentq(f, 0.0, 1.0, xtol=1e-15)))
+    merged = [0.0]
+    for b in sorted(bps):
+        if b - merged[-1] > 1e-12:
+            merged.append(b)
+    merged[-1] = 1.0
+    return np.array(merged)
+
+
+def loop_axiom3(h_map, family, grid: int, k: int = 1) -> float:
+    """``check_axiom3`` node by node: the holonomies in an object array,
+    then one second difference per interior node and axis."""
+    us = np.linspace(0.0, 1.0, grid)
+    delta = float(us[1] - us[0])
+    shape = (grid,) * k
+    values = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        values[idx] = h_map(family(float(us[idx[0]]) if k == 1 else us[list(idx)])).matrix
+    worst = 0.0
+    for idx in np.ndindex(shape):
+        for axis in range(k):
+            if not 0 < idx[axis] < grid - 1:
+                continue
+            lo = tuple(v - (1 if a == axis else 0) for a, v in enumerate(idx))
+            hi = tuple(v + (1 if a == axis else 0) for a, v in enumerate(idx))
+            second = values[hi] - 2.0 * values[idx] + values[lo]
+            worst = max(worst, float(np.linalg.norm(second)) / delta**2)
+    return worst
+
+
 def shoelace_area(vertices) -> float:
     """Signed area of a closed polygon (positive = counterclockwise)."""
     v = np.asarray(vertices, dtype=float)

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import holonomy_forge
 from holonomy_forge.cli import main
 
 
@@ -187,3 +191,41 @@ class TestErrors:
         out = tmp_path / "never"
         assert main([command, "--preset", "su2-shear", "--grid", "3", flag, value, "--out", str(out)]) == 1
         assert not out.exists()
+
+
+_IMPORT_GUARD = """
+import json, sys
+from holonomy_forge import cli
+
+out = sys.argv[1]
+runs = [
+    ["reconstruct", "--preset", "paper-sec6", "--grid", "3"],
+    ["reconstruct", "--preset", "su2-shear", "--grid", "3"],
+    ["audit", "--preset", "su2-twist", "--samples", "2"],
+    ["roundtrip", "--preset", "abelian-ydx", "--grid", "3", "--steps", "8"],
+    ["roundtrip", "--preset", "su2-shear", "--grid", "3", "--steps", "8"],
+]
+codes, late = [], set()
+for argv in runs:
+    before = set(sys.modules)
+    codes.append(cli.main(argv + ["--out", out]))
+    late |= set(sys.modules) - before
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy, "inside_main": sorted(late)}))
+"""
+
+
+def test_subcommands_import_no_scipy_and_no_module_inside_main(tmp_path):
+    # SciPy is only for GL(n) exp/log, so the 1x1 and SU(2) presets never
+    # load it; the modules a run needs (numpy.random, locale for argparse's
+    # messages) load with the package, not on first use inside main.
+    src = str(Path(holonomy_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["scipy"] == []
+    assert result["inside_main"] == []

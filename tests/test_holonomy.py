@@ -41,7 +41,14 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from _oracles import polyline_vertices, polyline_ydx_integral, sequential_rk4_transport, serial_audit, shoelace_area
+from _oracles import (
+    loop_axiom3,
+    polyline_vertices,
+    polyline_ydx_integral,
+    sequential_rk4_transport,
+    serial_audit,
+    shoelace_area,
+)
 from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
@@ -66,6 +73,15 @@ def unit_square() -> LoopAtBase:
 
 
 class TestEvalAnalytic:
+    def test_quadrature_rule_is_scipys_bit_for_bit(self):
+        from scipy.special import roots_legendre
+
+        from holonomy_forge import holonomy
+
+        nodes, weights = roots_legendre(32)
+        assert np.array_equal(holonomy._nodes, nodes)
+        assert np.array_equal(holonomy._weights, weights)
+
     def test_constant_loop_is_identity_exactly(self):
         loop = LoopAtBase(constant_path(ORIGIN), ORIGIN)
         g = eval_holonomy(analytic_map(), loop)
@@ -501,6 +517,19 @@ class TestAxiom3:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             check_axiom3(analytic_map(), lambda u: unit_square(), grid=2)
+
+    @pytest.mark.parametrize("name", ["su2-twist", "paper-sec6"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_node_by_node_oracle_bitwise(self, name, k):
+        preset = hf.get_preset(name)
+        h_map, psi = preset.holonomy_map(), preset.frame()
+        anchor = np.array(preset.axiom3_anchor, dtype=float)
+        if k == 1:
+            family = lambda u: reconstruction_loop(psi, anchor, anchor + np.array([u, 0.0]))
+        else:
+            family = lambda u: reconstruction_loop(psi, anchor, anchor + np.array([u[0], 0.5 * u[1]]))
+        grid = 21 if k == 1 else 5
+        assert check_axiom3(h_map, family, grid, k) == loop_axiom3(h_map, family, grid, k)
 
 
 class TestInverseLoop:

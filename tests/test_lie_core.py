@@ -76,6 +76,24 @@ class TestExpMap:
             x = random_algebra(SU2, rng, norm=0.8)
             assert np.linalg.norm(exp_map(x).matrix - taylor_expm(x.matrix)) < 1e-12
 
+    def test_su2_closed_form_matches_scipy_expm(self, rng):
+        import scipy.linalg
+
+        # From the series branch near 0 through the closed form to angles past pi.
+        for r in (0.0, 1e-12, 1e-8, 5e-5, 1.5e-4, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 7.0):
+            for _ in range(3):
+                x = random_algebra(SU2, rng, norm=r) if r else AlgebraElement.zero(SU2)
+                g = exp_map(x).matrix
+                assert np.linalg.norm(g - scipy.linalg.expm(x.matrix)) <= 1e-14
+                assert np.linalg.norm(g - taylor_expm(x.matrix, terms=30)) <= 1e-14
+
+    def test_gln_keeps_scipy_expm(self, rng):
+        import scipy.linalg
+
+        for spec in (gln(3), gln(2, "complex")):
+            x = random_algebra(spec, rng, norm=0.7)
+            assert np.array_equal(exp_map(x).matrix, scipy.linalg.expm(x.matrix))
+
 
 class TestLogMap:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)

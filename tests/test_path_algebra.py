@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holonomy_forge.path_algebra import (
@@ -9,6 +9,7 @@ from holonomy_forge.path_algebra import (
     NotMonotone,
     PathFamily,
     PathNd,
+    ReparametrizedPath,
     Segment,
     axis_dogleg_family,
     compose_paths,
@@ -30,7 +31,7 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from _oracles import polyline_vertices, shoelace_area
+from _oracles import brentq_breakpoints, polyline_vertices, shoelace_area
 
 
 def random_cubic_path(rng, dim=2, n_segments=3):
@@ -277,6 +278,61 @@ class TestReparametrize:
         phi = PathNd.from_segments([Segment("line", np.array([[0.0], [0.5]]))])
         with pytest.raises(NotMonotone):
             reparametrize(p, phi)
+
+
+def flat_time_map(level: float) -> PathNd:
+    """A time map that rises along a cubic to ``level``, stays there, then
+    rises along a line to 1."""
+    rise = Segment("cubic", np.array([[0.0], [0.0], [0.5 * level], [level]]))
+    flat = Segment("line", np.array([[level], [level]]))
+    tail = Segment("line", np.array([[level], [1.0]]))
+    return PathNd(1, (rise, flat, tail), np.array([0.0, 0.3, 0.7, 1.0]))
+
+
+def polyline_1d(breakpoints) -> PathNd:
+    segs = [Segment("line", np.array([[float(k)], [k + 1.0]])) for k in range(len(breakpoints) - 1)]
+    return PathNd(1, tuple(segs), np.asarray(breakpoints, dtype=float))
+
+
+_time_map = st.one_of(
+    st.integers(1, 3).map(power_map),
+    st.builds(piecewise_power_map, st.sampled_from([2, 3]), st.floats(0.05, 0.95)),
+    st.floats(0.05, 0.95).map(flat_time_map),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=_time_map, inner=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=6, unique=True))
+@example(phi=power_map(3), inner=[1e-6, 0.001, 0.5])
+@example(phi=piecewise_power_map(2, 0.5), inner=[0.25, 0.25 + 1e-9, 0.6])
+def test_breakpoints_match_brentq_property(phi, inner):
+    """The preimages of the base path's breakpoints agree with SciPy's brentq
+    to within brentq's own tolerance, 1e-15 + 4 eps |t|.  A breakpoint at
+    the level of a flat piece has a whole interval of preimages, of which
+    brentq returns any one (see TestBreakpoints)."""
+    flat_levels = {float(s.points[0, 0]) for s in phi.segments if s.is_degenerate(0.0)}
+    assume(not flat_levels & set(inner))
+    path = polyline_1d([0.0, *sorted(inner), 1.0])
+    bps = ReparametrizedPath(path, phi).breakpoints
+    expected = brentq_breakpoints(path, phi)
+    assert bps.shape == expected.shape
+    assert np.all(np.abs(bps - expected) <= 1e-15 + 4 * np.finfo(float).eps * np.abs(expected))
+
+
+class TestBreakpoints:
+    def test_flat_piece_adds_no_breakpoint(self):
+        # Base breakpoints at the flat level, below it and above it: the one
+        # at the level maps to the flat piece's start, a breakpoint already.
+        phi = flat_time_map(0.5)
+        with np.errstate(all="raise"):
+            bps = ReparametrizedPath(polyline_1d([0.0, 0.25, 0.5, 0.75, 1.0]), phi).breakpoints
+        assert bps[[0, 2, 3, 5]].tolist() == [0.0, 0.3, 0.7, 1.0] and len(bps) == 6
+        np.testing.assert_allclose(phi.point(bps[[1, 4]])[:, 0], [0.25, 0.75], rtol=0, atol=1e-15)
+
+    def test_line_piece_inverts_in_closed_form(self):
+        bps = ReparametrizedPath(polyline_1d([0.0, 0.5, 1.0]), piecewise_power_map(2, 0.5)).breakpoints
+        # phi(t) = 0.25 + 1.5 (t - 0.5) on the tail, so phi(2/3) = 0.5.
+        assert abs(bps[2] - 2.0 / 3.0) <= 1e-15 and bps.tolist()[:2] == [0.0, 0.5]
 
 
 class TestValidation:
