@@ -49,6 +49,7 @@ from .lie_core import (
 )
 from .path_algebra import (
     LoopAtBase,
+    PathNd,
     compose_paths,
     invert_path,
     piecewise_power_map,
@@ -57,7 +58,7 @@ from .path_algebra import (
     reconstruction_loop,
     reparametrize,
 )
-from .segment_table import SegmentChain, sample_pieces
+from .segment_table import sample_pieces, stack_tables
 
 __all__ = [
     "DimMismatch",
@@ -116,7 +117,8 @@ class BasepointMismatch(ValueError):
 
 
 class IntegrationError(ArithmeticError):
-    """A transport step left the group instead of being clamped back."""
+    """A transport step left the positive reals, or a 1x1 holonomy came out
+    0, infinite or nan because a double cannot hold it; neither is clamped."""
 
 
 class ConnectionField:
@@ -273,47 +275,33 @@ def _per_piece(paths, u: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
     per-piece results in traversal order and the number of pieces of each
     path.
 
-    Table pieces are the same piece when their kind flag and control-point
-    bytes are equal, so a piece shared by several paths, or repeated in
-    one, is sampled and integrated once (orientation is part of the bytes).
-    Every piece of a path without a table (a ``ReparametrizedPath``)
-    counts as distinct.  Distinct pieces reach the kernel in chunks of at
-    most ``_KERNEL_SAMPLES`` samples cut at piece boundaries; the kernel
-    treats each piece on its own, so no result depends on its batch.
+    Pieces are the same piece when their kind flag, control-point bytes
+    and time-map bytes (in a batch that has time maps) are equal, so a
+    piece shared by several paths, or repeated in one, is sampled and
+    integrated once (orientation is part of the bytes).  Distinct pieces
+    reach the kernel in chunks of at most ``_KERNEL_SAMPLES`` samples cut
+    at piece boundaries; the kernel treats each piece on its own, so no
+    result depends on its batch.
     """
     counts = np.array([p.n_pieces for p in paths], dtype=int)
-    tabled = np.array([getattr(p, "_table", None) is not None for p in paths], dtype=bool)
-    per_path_tabled = np.repeat(tabled, counts)
-    where = np.empty(len(per_path_tabled), dtype=np.intp)
-    sources, n_distinct = [], 0
-    if tabled.any():
-        cubic = np.concatenate([p._table[0] for p, t in zip(paths, tabled) if t])
-        ctrl = np.concatenate([p._table[1] for p, t in zip(paths, tabled) if t])
-        # One flat byte row per piece, its flag then its control points.
-        flat = ctrl.reshape(-1, 4 * ctrl.shape[-1]).view(np.uint8)
-        rows = np.concatenate([cubic[:, None].view(np.uint8), flat], axis=1)
-        raw, w = rows.tobytes(), rows.shape[1]
-        ids: dict = {}
-        where_t = np.array([ids.setdefault(raw[k * w : (k + 1) * w], len(ids)) for k in range(len(rows))], dtype=np.intp)
-        # Any occurrence represents its piece: equal keys mean equal bytes.
-        rep = np.empty(len(ids), dtype=np.intp)
-        rep[where_t] = np.arange(len(where_t))
-        cubic, ctrl = cubic[rep], ctrl[rep]
-        cap = max(1, _KERNEL_SAMPLES // len(u))
-        sources = [SegmentChain(cubic[a : a + cap], ctrl[a : a + cap]) for a in range(0, max(len(rep), 1), cap)]
-        where[per_path_tabled] = where_t
-        n_distinct = len(rep)
-    where[~per_path_tabled] = n_distinct + np.arange(np.count_nonzero(~per_path_tabled))
-    sources += [p for p, t in zip(paths, tabled) if not t]
-    chunks, size = [[]], 0
-    for s in sources:
-        n = s.n_pieces * len(u)
-        if chunks[-1] and size + n > _KERNEL_SAMPLES:
-            chunks.append([])
-            size = 0
-        chunks[-1].append(s)
-        size += n
-    return np.concatenate([kernel(*sample_pieces(chunk, u)) for chunk in chunks])[where], counts
+    cubic, ctrl, tmap = stack_tables(paths)
+    # One flat byte row per piece: its flag, its control points, its time map.
+    parts = [cubic[:, None].view(np.uint8), ctrl.reshape(-1, 4 * ctrl.shape[-1]).view(np.uint8)]
+    if tmap is not None:
+        parts.append(tmap.view(np.uint8))
+    rows = np.concatenate(parts, axis=1)
+    raw, w = rows.tobytes(), rows.shape[1]
+    ids: dict = {}
+    where = np.array([ids.setdefault(raw[k * w : (k + 1) * w], len(ids)) for k in range(len(rows))], dtype=np.intp)
+    # Any occurrence represents its piece: equal keys mean equal bytes.
+    rep = np.empty(len(ids), dtype=np.intp)
+    rep[where] = np.arange(len(where))
+    cap = max(1, _KERNEL_SAMPLES // len(u))
+    results = [
+        kernel(*sample_pieces([PathNd.chain(cubic[c], ctrl[c], None if tmap is None else tmap[c])], u))
+        for c in (rep[a : a + cap] for a in range(0, max(len(rep), 1), cap))
+    ]
+    return np.concatenate(results)[where], counts
 
 
 def _line_integrals(field: ConnectionField, paths) -> np.ndarray:
@@ -390,17 +378,34 @@ def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
         )
 
 
+def _check_representable(values: np.ndarray, what: str):
+    """``IntegrationError`` unless a (paths, 1, 1) stack is finite and
+    nonzero; larger matrices pass unchecked."""
+    if values.shape[-1] > 1:
+        return
+    v = values[:, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(v) | (v == 0))
+    if bad.size:
+        raise IntegrationError(f"{what} of loop {bad[0]} is {v[bad[0]]}, which is not a finite nonzero double")
+
+
 def _holonomy_matrices(h_map: HolonomyMap, paths) -> np.ndarray:
     """Holonomy matrices, (paths, d, d), of closed paths at the map's base
-    point; callers have checked dimension and base point."""
+    point; callers have checked dimension and base point.  A 1x1 value a
+    double cannot hold raises ``IntegrationError``, not a RuntimeWarning."""
     spec = h_map.spec
     if not paths:
         return np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)
-    if isinstance(h_map.backend, _AnalyticAbelianBackend):
-        z = _line_integrals(h_map.field, paths)[:, None, None]
-        return project_to_group(spec, np.exp(project_to_algebra(spec, z)))
-    u = _transport_products(h_map.field, paths, h_map.backend.steps_per_segment)
-    return project_to_group(spec, np.linalg.inv(u))
+    quiet = "ignore" if spec.matrix_dim == 1 else None  # None leaves the setting alone
+    with np.errstate(over=quiet, invalid=quiet):
+        if isinstance(h_map.backend, _AnalyticAbelianBackend):
+            h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, paths)[:, None, None]))
+        else:
+            u = _transport_products(h_map.field, paths, h_map.backend.steps_per_segment)
+            _check_representable(u, "the transport value u(1)")
+            h = np.linalg.inv(u)
+    _check_representable(h, "the holonomy")
+    return project_to_group(spec, h)
 
 
 def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:

@@ -169,7 +169,7 @@ def project_to_group(spec: GroupSpec, matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix)
     name = spec.name
     if name is GroupName.MULTIPLICATIVE_REALS:
-        return np.maximum(np.real(m), np.finfo(float).tiny)
+        return np.real(m)
     if name is GroupName.U1:
         m = np.where(m != 0, m, 1.0 + 0j)
         return m / np.abs(m)

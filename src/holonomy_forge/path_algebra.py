@@ -5,20 +5,18 @@ with the groupoid operations holonomy computations need: composition,
 inversion, contraction (truncate-and-rescale), straight segments,
 reference-path families, thin reduction and reparametrization.
 
-Two kinds of path object appear:
+The one path type, ``PathNd``, holds a segment table (``segment_table``)
+and breakpoints.  Composition concatenates rows, inversion reverses them,
+contraction splits the last by de Casteljau and thin reduction keeps what
+``thin_keep`` keeps; ``Segment`` is a constructor and view for the public
+API and the JSON form.  ``reparametrize`` returns a table path whose rows
+also carry a time map (``ReparametrizedPath``), which evaluates exactly
+but takes no further algebra.
 
-* ``PathNd``       -- segment-backed, supports all algebraic operations;
-* ``ReparametrizedPath`` -- lazy composition with a monotone time map,
-  supports evaluation only (point / velocity / breakpoints), which is all
-  the holonomy integrators require.
-
-``PathNd`` evaluates through its flat segment table (``segment_table``),
-and reconstruction loops skip the path objects altogether:
-``reconstruction_chains`` builds them, thin-reduced, as bare segment
-tables in traversal order, from one ``PathFamily.tables`` call that
-returns the frame tables of many targets at once.  ``radial_family`` and
-``axis_dogleg_family`` compute those tables vectorized (``table_rule``);
-a family given by a per-point ``rule`` calls it once per target.
+``reconstruction_chains`` builds many reconstruction loops, thin-reduced,
+as unchecked chains (``PathNd.chain``) from one ``PathFamily.tables``
+call; ``radial_family`` and ``axis_dogleg_family`` compute those tables
+vectorized (``table_rule``), a per-point ``rule`` once per target.
 
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
@@ -27,12 +25,11 @@ are parametrization-independent, so the choice is unobservable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .segment_table import SegmentChain, bezier_points, bezier_velocities, table_rows, thin_keep
+from .segment_table import bezier_points, bezier_velocities, table_rows, thin_keep, time_map
 
 __all__ = [
     "EndpointMismatch",
@@ -74,10 +71,6 @@ class NotMonotone(ValueError):
     """Time map for reparametrization is not monotone on [0, 1]."""
 
 
-def _scale(points: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(points))) if points.size else 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class Segment:
     """A line (2 control points) or cubic Bezier (4) in R^n."""
@@ -107,55 +100,27 @@ class Segment:
     def velocity(self, u):
         return bezier_velocities(self.kind == "cubic", table_rows(self.kind, self.points), np.asarray(u, dtype=float))
 
-    def reversed_(self) -> "Segment":
-        return Segment(self.kind, self.points[::-1])
-
-    def split_left(self, u: float) -> "Segment":
-        """The restriction to [0, u], reparametrized back to [0, 1]."""
-        p = self.points
-        if self.kind == "line":
-            return Segment("line", np.stack([p[0], self.point(u)]))
-        a = p[0] + u * (p[1] - p[0])
-        b = p[1] + u * (p[2] - p[1])
-        c = p[2] + u * (p[3] - p[2])
-        ab = a + u * (b - a)
-        bc = b + u * (c - b)
-        return Segment("cubic", np.stack([p[0], a, ab, ab + u * (bc - ab)]))
-
     def is_degenerate(self, tol: float | None = None) -> bool:
-        tol = _CONT_TOL * _scale(self.points) if tol is None else tol
+        tol = _CONT_TOL * (1.0 + np.abs(self.points).max()) if tol is None else tol
         return bool(np.max(np.abs(self.points - self.points[0])) <= tol)
 
 
-@dataclass(frozen=True, eq=False)
 class PathNd:
-    """A continuous chain of segments parametrized over [0, 1]."""
+    """A continuous chain of smooth pieces parametrized over [0, 1]: kind
+    flags ``cubic`` (s,), control points ``ctrl`` (s, 4, dim),
+    ``breakpoints`` (s + 1,) and, on a ``ReparametrizedPath`` only, time
+    maps ``tmap`` (s, 4).  Built from ``Segment`` objects or by an
+    operation, a path is checked for breakpoints, dimensions and
+    continuity; ``PathNd.chain`` makes one from a table without checks."""
 
-    dim: int
-    segments: tuple
-    breakpoints: np.ndarray
+    __slots__ = ("dim", "cubic", "ctrl", "tmap", "_breakpoints")
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        bp = np.array(self.breakpoints, dtype=float)
-        bp.setflags(write=False)
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "breakpoints", bp)
-        if not segs:
-            raise ValueError("a path needs at least one segment")
-        if bp.shape != (len(segs) + 1,):
-            raise ValueError("breakpoints must have one more entry than segments")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        for s in segs:
-            if s.dim != self.dim:
-                raise ValueError("segment dimension mismatch")
-        for a, b in zip(segs[:-1], segs[1:]):
-            gap = np.linalg.norm(a.points[-1] - b.points[0])
-            if gap > _CONT_TOL * max(_scale(a.points), _scale(b.points)):
-                raise ValueError(f"adjacent segments are discontinuous (gap {gap:.3e})")
+    def __init__(self, dim: int, segments, breakpoints):
+        segs = tuple(segments)
+        if any(s.dim != dim for s in segs):
+            raise ValueError("segment dimension mismatch")
+        ctrl = np.array([table_rows(s.kind, s.points) for s in segs]).reshape(-1, 4, dim)
+        self._fill(np.array([s.kind == "cubic" for s in segs], dtype=bool), ctrl, np.array(breakpoints, dtype=float))
 
     @classmethod
     def from_segments(cls, segments, breakpoints=None) -> "PathNd":
@@ -164,43 +129,100 @@ class PathNd:
             breakpoints = np.linspace(0.0, 1.0, len(segments) + 1)
         return cls(segments[0].dim, tuple(segments), np.asarray(breakpoints, dtype=float))
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        cubic = np.array([s.kind == "cubic" for s in self.segments])
-        return cubic, np.array([table_rows(s.kind, s.points) for s in self.segments])
+    @staticmethod
+    def chain(cubic: np.ndarray, ctrl: np.ndarray, tmap: np.ndarray | None = None) -> "PathNd":
+        """An unchecked path from a segment table in traversal order, one
+        smooth piece per row; uniform breakpoints are made on first use."""
+        p = object.__new__(PathNd)
+        p.dim, p.cubic, p.ctrl, p.tmap, p._breakpoints = ctrl.shape[-1], cubic, ctrl, tmap, None
+        return p
+
+    def _fill(self, cubic: np.ndarray, ctrl: np.ndarray, bp: np.ndarray):
+        """Check a segment table and its breakpoints, then hold them."""
+        if not len(cubic):
+            raise ValueError("a path needs at least one segment")
+        if bp.shape != (len(cubic) + 1,):
+            raise ValueError("breakpoints must have one more entry than segments")
+        if bp[0] != 0.0 or bp[-1] != 1.0:
+            raise ValueError("breakpoints must start at 0 and end at 1")
+        if (bp[1:] <= bp[:-1]).any():
+            raise ValueError("breakpoints must be strictly increasing")
+        scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))
+        d = ctrl[:-1, 3] - ctrl[1:, 0]
+        gap = np.sqrt((d * d).sum(axis=1))
+        bad = gap > _CONT_TOL * np.maximum(scale[:-1], scale[1:])
+        if bad.any():
+            raise ValueError(f"adjacent segments are discontinuous (gap {gap[bad][0]:.3e})")
+        bp.setflags(write=False)
+        self.dim, self.cubic, self.ctrl, self.tmap, self._breakpoints = ctrl.shape[-1], cubic, ctrl, None, bp
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        if self._breakpoints is None:
+            self._breakpoints = np.linspace(0.0, 1.0, len(self.cubic) + 1)
+        return self._breakpoints
+
+    @property
+    def segments(self) -> tuple:
+        """The rows as ``Segment`` objects, built on each access."""
+        if self.tmap is not None:
+            raise TypeError("a reparametrized path has no segments")
+        return tuple(Segment("cubic", t) if c else Segment("line", t[[0, 3]]) for c, t in zip(self.cubic, self.ctrl))
 
     def _local(self, i):
         """Segment index, local parameter and span of global parameters."""
+        bp = self.breakpoints
         i = np.clip(np.asarray(i, dtype=float), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self.breakpoints, i, side="right") - 1, 0, len(self.segments) - 1)
-        a, b = self.breakpoints[idx], self.breakpoints[idx + 1]
+        idx = np.clip(np.searchsorted(bp, i, side="right") - 1, 0, len(self.cubic) - 1)
+        a, b = bp[idx], bp[idx + 1]
         return idx, (i - a) / (b - a), np.asarray(b - a)
 
     def point(self, i):
         idx, u, _ = self._local(i)
-        cubic, ctrl = self._table
-        return bezier_points(cubic[idx], ctrl[idx], u)
+        if self.tmap is not None:
+            u = time_map(self.tmap[idx], u)[0]
+        return bezier_points(self.cubic[idx], self.ctrl[idx], u)
 
     def velocity(self, i):
         """Right-hand derivative with respect to the global parameter."""
         idx, u, span = self._local(i)
-        cubic, ctrl = self._table
-        return bezier_velocities(cubic[idx], ctrl[idx], u) / span[..., None]
+        du = 1.0  # exact: a path without time maps keeps its bits
+        if self.tmap is not None:
+            u, du = time_map(self.tmap[idx], u)
+        return bezier_velocities(self.cubic[idx], self.ctrl[idx], u) / span[..., None] * np.asarray(du)[..., None]
 
     @property
     def n_pieces(self) -> int:
-        return len(self.segments)
+        return len(self.cubic)
 
     @property
     def start(self) -> np.ndarray:
-        return self.segments[0].points[0].copy()
+        c, t = self.ctrl[0], self.tmap
+        return c[0].copy() if t is None else bezier_points(self.cubic[0], c, t[0, 0])
 
     @property
     def end(self) -> np.ndarray:
-        return self.segments[-1].points[-1].copy()
+        c, t = self.ctrl[-1], self.tmap
+        return c[3].copy() if t is None else bezier_points(self.cubic[-1], c, t[-1, 3])
 
     def is_constant(self, tol: float | None = None) -> bool:
-        return all(s.is_degenerate(tol) for s in self.segments)
+        ctrl = self.ctrl
+        tol = _CONT_TOL * (1.0 + np.abs(ctrl).max(axis=(1, 2))) if tol is None else tol
+        return bool(np.all(np.abs(ctrl - ctrl[:, :1]).max(axis=(1, 2)) <= tol))
+
+
+def _table_path(cubic: np.ndarray, ctrl: np.ndarray, breakpoints: np.ndarray) -> PathNd:
+    """A path from its segment table, with the checks of ``PathNd``."""
+    p = object.__new__(PathNd)
+    p._fill(cubic, ctrl, breakpoints)
+    return p
+
+
+def _segment_backed(*paths, what: str):
+    """Operations other than evaluation need paths without a time map."""
+    for p in paths:
+        if not isinstance(p, PathNd) or p.tmap is not None:
+            raise TypeError(f"{what} needs segment-backed paths")
 
 
 def _preimage(phi: PathNd, target: float) -> float | None:
@@ -212,8 +234,7 @@ def _preimage(phi: PathNd, target: float) -> float | None:
     cubic is bisected on its Bernstein form until the bracket is two
     adjacent floats.
     """
-    cubic, ctrl = phi._table
-    y = ctrl[:, :, 0]
+    y = phi.ctrl[:, :, 0]
     if not y[0, 0] < target < y[-1, 3]:
         return None
     k = int(np.searchsorted(y[:, 3], target))
@@ -221,7 +242,7 @@ def _preimage(phi: PathNd, target: float) -> float | None:
     y0, y1, y2, y3 = (float(v) for v in y[k])
     if target <= y0:
         return a
-    if not cubic[k]:
+    if not phi.cubic[k]:
         return a + (target - y0) / (y3 - y0) * (b - a)
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -233,20 +254,33 @@ def _preimage(phi: PathNd, target: float) -> float | None:
     return a + hi * (b - a)
 
 
-class ReparametrizedPath:
-    """Lazy composition p(phi(i)) of a path with a monotone time map.
+def _restrict(y: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Bezier ordinates (m, 4) of cubics restricted to [s0, s1] (each (m,))
+    and reparametrized back to [0, 1].  Ordinate k is the blossom at s0
+    taken 3 - k times and s1 taken k times: de Casteljau with s1 at the
+    levels l >= 3 - k."""
+    t = np.where(np.add.outer(np.arange(4), np.arange(3)) >= 3, s1[:, None, None], s0[:, None, None])
+    c = np.broadcast_to(y[:, None, :], (len(y), 4, 4))
+    for level in range(3):
+        c = c[..., :-1] + t[..., level, None] * (c[..., 1:] - c[..., :-1])
+    return c[..., 0]
 
-    Evaluation is exact: the time map is itself a 1-d piecewise-polynomial
-    path, so points and velocities carry no fitting error.  Breakpoints
-    are the union of the map's breakpoints and the preimages of the base
-    path's breakpoints, so integrators see only smooth pieces.
+
+class ReparametrizedPath(PathNd):
+    """The path p(phi(i)) of a path and a monotone time map, as a table path.
+
+    Breakpoints are the union of the map's breakpoints and the preimages
+    of the base path's breakpoints, so each piece is one base segment's
+    row plus one time-map piece (a line raised to degree 3), restricted by
+    de Casteljau and mapped into the segment's local parameter.
     """
 
-    def __init__(self, path, phi: PathNd):
-        self.path = path
-        self.phi = phi
+    __slots__ = ()
+
+    def __init__(self, path: PathNd, phi: PathNd):
+        _segment_backed(path, phi, what="reparametrization")
         bps = set(float(b) for b in phi.breakpoints)
-        for b in np.asarray(path.breakpoints)[1:-1]:
+        for b in path.breakpoints[1:-1]:
             t = _preimage(phi, float(b))
             if t is not None:
                 bps.add(t)
@@ -255,51 +289,19 @@ class ReparametrizedPath:
             if b - merged[-1] > 1e-12:
                 merged.append(b)
         merged[-1] = 1.0
-        self.breakpoints = np.array(merged)
-
-    @property
-    def dim(self) -> int:
-        return self.path.dim
-
-    def point(self, i):
-        t = self.phi.point(i)[..., 0]
-        return self.path.point(t)
-
-    def velocity(self, i):
-        t = self.phi.point(i)[..., 0]
-        dphi = self.phi.velocity(i)[..., 0]
-        v = self.path.velocity(t)
-        return v * (dphi[..., None] if np.ndim(dphi) else dphi)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.point(1.0)
-
-    @property
-    def n_pieces(self) -> int:
-        return len(self.breakpoints) - 1
-
-    def piece_samples(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Points and velocities d/du at local parameters u in [0, 1] on
-        every smooth piece, each (pieces, len(u), dim)."""
-        u = np.asarray(u, dtype=float)
-        a, b = self.breakpoints[:-1, None], self.breakpoints[1:, None]
-        span = b - a
-        ts = (1.0 - u) * a + u * b
-        # velocity() is right-continuous and piece boundaries sit within
-        # root-finding tolerance of the base path's breakpoints, so end
-        # abscissae could sample the neighbouring piece's velocity; pull
-        # them inside the span.  The perturbation is ~1e-12 * |v'|, far
-        # below integrator error.
-        tv = np.clip(ts, a + 1e-12 * span, b - 1e-12 * span)
-        shape = ts.shape + (self.dim,)
-        pts = self.point(ts.reshape(-1)).reshape(shape)
-        vels = self.velocity(tv.reshape(-1)).reshape(shape) * span[..., None]
-        return pts, vels
+        bp = np.array(merged)
+        lo, hi = bp[:-1], bp[1:]
+        # The time-map piece under each piece, as cubic ordinates.
+        k = np.clip(np.searchsorted(phi.breakpoints, 0.5 * (lo + hi), side="right") - 1, 0, phi.n_pieces - 1)
+        fa, fb = phi.breakpoints[k], phi.breakpoints[k + 1]
+        y = phi.ctrl[k, :, 0]
+        line = np.stack([y[:, 0], (2.0 * y[:, 0] + y[:, 3]) / 3.0, (y[:, 0] + 2.0 * y[:, 3]) / 3.0, y[:, 3]], axis=1)
+        y = _restrict(np.where(phi.cubic[k, None], y, line), (lo - fa) / (fb - fa), (hi - fa) / (fb - fa))
+        # The base segment each piece runs along, and its local parameter.
+        j = np.clip(np.searchsorted(path.breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, path.n_pieces - 1)
+        ba, bb = path.breakpoints[j, None], path.breakpoints[j + 1, None]
+        self.dim, self.cubic, self.ctrl, self._breakpoints = path.dim, path.cubic[j], path.ctrl[j], bp
+        self.tmap = (y - ba) / (bb - ba)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,13 +367,13 @@ class PathFamily:
             cubic, ctrl = self.table_rule(pts)
         else:
             paths = [self.rule(x) for x in pts]
-            if not all(isinstance(p, PathNd) for p in paths):
+            if not all(isinstance(p, PathNd) and p.tmap is None for p in paths):
                 raise TypeError("frame tables need segment-backed frame paths")
             s = max((p.n_pieces for p in paths), default=1)
             cubic, ctrl = np.zeros((len(pts), s), dtype=bool), np.empty((len(pts), s, 4, self.dim))
             for k, p in enumerate(paths):
-                c, t = p._table
-                cubic[k, : len(c)], ctrl[k, : len(c)], ctrl[k, len(c) :] = c, t, t[-1, 3]
+                n = p.n_pieces
+                cubic[k, :n], ctrl[k, :n], ctrl[k, n:] = p.cubic, p.ctrl, p.ctrl[-1, 3]
         self._check_ends(ctrl[:, 0, 0], ctrl[:, -1, 3], pts)
         return cubic, ctrl
 
@@ -382,20 +384,24 @@ class PathFamily:
             self._check_ends(p.start[None], p.end[None], x[None])
             return p
         (cubic,), (ctrl,) = self.tables(x)
-        segments = [Segment("cubic", t) if c else Segment("line", t[[0, 3]]) for c, t in zip(cubic, ctrl)]
-        return PathNd.from_segments(segments)
+        return _table_path(cubic, ctrl, np.linspace(0.0, 1.0, len(cubic) + 1))
+
+
+def _polyline(vertices: np.ndarray) -> PathNd:
+    """The chain of straight segments through an (n + 1, dim) array of
+    vertices, with uniform breakpoints."""
+    a, b = vertices[:-1], vertices[1:]
+    return _table_path(np.zeros(len(a), dtype=bool), np.stack([a, a, b, b], axis=1), np.linspace(0.0, 1.0, len(a) + 1))
 
 
 def constant_path(x) -> PathNd:
     x = np.asarray(x, dtype=float)
-    return PathNd.from_segments([Segment("line", np.stack([x, x]))])
+    return _polyline(np.stack([x, x]))
 
 
 def straight_segment(x, y) -> PathNd:
     """The straight line i -> x + i*(y - x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return PathNd.from_segments([Segment("line", np.stack([x, y]))])
+    return _polyline(np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
 
 
 def compose_paths(alpha: PathNd, beta: PathNd) -> PathNd:
@@ -404,28 +410,27 @@ def compose_paths(alpha: PathNd, beta: PathNd) -> PathNd:
     beta occupies parameter range [0, 1/2] and alpha [1/2, 1]; the split
     choice is invisible to holonomy by thin-loop invariance.
     """
-    if not isinstance(alpha, PathNd) or not isinstance(beta, PathNd):
-        raise TypeError("composition needs segment-backed paths")
+    _segment_backed(alpha, beta, what="composition")
     if alpha.dim != beta.dim:
         raise EndpointMismatch("paths live in different dimensions")
     gap = float(np.linalg.norm(beta.end - alpha.start))
     if gap > 1e-10 * (1.0 + max(np.max(np.abs(beta.end)), np.max(np.abs(alpha.start)))):
         raise EndpointMismatch(f"beta ends {gap:.3e} away from where alpha starts")
     bp = np.concatenate([0.5 * beta.breakpoints, 0.5 + 0.5 * alpha.breakpoints[1:]])
-    return PathNd(alpha.dim, tuple(beta.segments) + tuple(alpha.segments), bp)
+    return _table_path(np.concatenate([beta.cubic, alpha.cubic]), np.concatenate([beta.ctrl, alpha.ctrl]), bp)
 
 
 def invert_path(p: PathNd) -> PathNd:
     """Reverse orientation: i -> p(1 - i)."""
-    segs = tuple(s.reversed_() for s in reversed(p.segments))
+    _segment_backed(p, what="inversion")
     bp = 1.0 - p.breakpoints[::-1]
-    bp = bp.copy()
     bp[0], bp[-1] = 0.0, 1.0
-    return PathNd(p.dim, segs, bp)
+    return _table_path(p.cubic[::-1], p.ctrl[::-1, ::-1], bp)
 
 
 def contract(p: PathNd, i: float) -> PathNd:
     """The truncation-and-rescale j -> p(i*j)."""
+    _segment_backed(p, what="contraction")
     i = float(i)
     if not -1e-12 <= i <= 1.0 + 1e-12:
         raise ValueError("contraction parameter must lie in [0, 1]")
@@ -433,23 +438,21 @@ def contract(p: PathNd, i: float) -> PathNd:
     if i == 0.0:
         return constant_path(p.point(0.0))
     if i == 1.0:
-        return PathNd(p.dim, p.segments, p.breakpoints)
+        return p
     bp = p.breakpoints
-    segs, new_bp = [], [0.0]
-    for s in range(len(p.segments)):
-        a, b = bp[s], bp[s + 1]
-        if b <= i:
-            segs.append(p.segments[s])
-            new_bp.append(b / i)
-            if b == i:
-                break
+    m = int(np.searchsorted(bp, i))  # bp[m - 1] < i <= bp[m]
+    cubic, ctrl = p.cubic[:m], p.ctrl[:m].copy()
+    if bp[m] != i:
+        # de Casteljau: the last segment's restriction to [0, u].
+        u = (i - bp[m - 1]) / (bp[m] - bp[m - 1])
+        p0, p1, p2, p3 = ctrl[-1]
+        if cubic[-1]:
+            c1, c2, c3 = p0 + u * (p1 - p0), p1 + u * (p2 - p1), p2 + u * (p3 - p2)
+            c12, c23 = c1 + u * (c2 - c1), c2 + u * (c3 - c2)
+            ctrl[-1] = [p0, c1, c12, c12 + u * (c23 - c12)]
         else:
-            u = (i - a) / (b - a)
-            segs.append(p.segments[s].split_left(u))
-            new_bp.append(1.0)
-            break
-    new_bp[-1] = 1.0
-    return PathNd(p.dim, tuple(segs), np.array(new_bp))
+            ctrl[-1, 2:] = bezier_points(False, ctrl[-1], u)
+    return _table_path(cubic, ctrl, np.append(bp[:m] / i, 1.0))
 
 
 def radial_family(basepoint) -> PathFamily:
@@ -482,13 +485,22 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     back along psi[y]; a loop at the family's base point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    inner = compose_paths(straight_segment(x, y), psi[x])
-    return LoopAtBase(compose_paths(invert_path(psi[y]), inner), psi.basepoint)
+    out, back = psi[x], psi[y]
+    _segment_backed(out, back, what="composition")
+    # compose_paths(invert_path(back), compose_paths(straight_segment(x, y),
+    # out)) as rows and breakpoints; the family checked that the legs meet.
+    cubic = np.concatenate([out.cubic, [False], back.cubic[::-1]])
+    ctrl = np.concatenate([out.ctrl, [[x, x, y, y]], back.ctrl[::-1, ::-1]])
+    inner = np.append(0.5 * out.breakpoints, 1.0)
+    reverse = 1.0 - back.breakpoints[::-1]
+    bp = np.concatenate([0.5 * inner, 0.5 + 0.5 * reverse[1:]])
+    return LoopAtBase(_table_path(cubic, ctrl, bp), psi.basepoint)
 
 
 def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
     """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
-    thin-reduced, as flat segment chains for the holonomy kernel.
+    thin-reduced, as unchecked chains (``PathNd.chain``) for the holonomy
+    kernel.
 
     Each chain is psi[x], the straight segment from x to y, then psi[y]
     reversed, with the semantics of ``thin_reduce``.  The frame paths of
@@ -511,7 +523,7 @@ def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
     kept = np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n)
     ends = np.cumsum(kept)
     cubic, ctrl = cubic[keep], ctrl[keep]
-    return [SegmentChain(cubic[e - k : e], ctrl[e - k : e]) for k, e in zip(kept, ends)]
+    return [PathNd.chain(cubic[e - k : e], ctrl[e - k : e]) for k, e in zip(kept, ends)]
 
 
 def thin_reduce(p: PathNd) -> PathNd:
@@ -521,14 +533,14 @@ def thin_reduce(p: PathNd) -> PathNd:
     are cancelled; geometrically thin configurations that are not exact
     retracings are left alone and handled behaviorally by holonomy.
     """
-    cubic, ctrl = p._table
-    keep = np.flatnonzero(thin_keep(cubic, ctrl, [len(cubic)], _CONT_TOL))
+    _segment_backed(p, what="thin reduction")
+    keep = np.flatnonzero(thin_keep(p.cubic, p.ctrl, [p.n_pieces], _CONT_TOL))
     if not keep.size:
         return constant_path(p.point(0.0))
     spans = np.diff(p.breakpoints)[keep]
     bp = np.concatenate([[0.0], np.cumsum(spans)]) / spans.sum()
     bp[-1] = 1.0
-    return PathNd(p.dim, tuple(p.segments[k] for k in keep), bp)
+    return _table_path(p.cubic[keep], p.ctrl[keep], bp)
 
 
 def power_map(k: int) -> PathNd:
@@ -536,8 +548,8 @@ def power_map(k: int) -> PathNd:
     controls = {1: [0.0, 1.0, 2.0, 3.0], 2: [0.0, 0.0, 1.0, 3.0], 3: [0.0, 0.0, 0.0, 3.0]}
     if k not in controls:
         raise ValueError("only powers 1..3 are exactly representable")
-    pts = np.array(controls[k])[:, None] / 3.0
-    return PathNd.from_segments([Segment("cubic", pts)])
+    ctrl = np.array(controls[k])[None, :, None] / 3.0
+    return _table_path(np.ones(1, dtype=bool), ctrl, np.array([0.0, 1.0]))
 
 
 def piecewise_power_map(k: int, split: float = 0.5) -> PathNd:
@@ -546,33 +558,30 @@ def piecewise_power_map(k: int, split: float = 0.5) -> PathNd:
         raise ValueError("split must be interior to [0, 1]")
     s = float(split)
     if k == 2:
-        cubic = Segment("cubic", np.array([[0.0], [0.0], [s**2 / 3.0], [s**2]]))
+        head = [0.0, 0.0, s**2 / 3.0, s**2]
     elif k == 3:
-        cubic = Segment("cubic", np.array([[0.0], [0.0], [0.0], [s**3]]))
+        head = [0.0, 0.0, 0.0, s**3]
     else:
         raise ValueError("only powers 2 and 3 are supported")
-    tail = Segment("line", np.array([[s**k], [1.0]]))
-    return PathNd(1, (cubic, tail), np.array([0.0, s, 1.0]))
+    tail = [s**k, s**k, 1.0, 1.0]
+    return _table_path(np.array([True, False]), np.array([head, tail])[..., None], np.array([0.0, s, 1.0]))
 
 
 def reparametrize(p, phi: PathNd):
     """Precompose a path with a monotone time map given as a 1-d path.
 
     phi must run from 0 to 1 and be nondecreasing; violations raise
-    ``NotMonotone``.  The identity map returns the path unchanged.
+    ``NotMonotone``.  The identity map returns the path unchanged; any
+    other returns a ``ReparametrizedPath``.
     """
     if phi.dim != 1:
         raise NotMonotone("time map must be one-dimensional")
-    if abs(float(phi.point(0.0)[0])) > 1e-12 or abs(float(phi.point(1.0)[0]) - 1.0) > 1e-12:
+    if abs(float(phi.start[0])) > 1e-12 or abs(float(phi.end[0]) - 1.0) > 1e-12:
         raise NotMonotone("time map must fix 0 and 1")
     samples = np.linspace(0.0, 1.0, 257)
     if np.min(phi.velocity(samples)[:, 0]) < -1e-10:
         raise NotMonotone("time map must be nondecreasing")
-    if (
-        len(phi.segments) == 1
-        and phi.segments[0].kind == "line"
-        and np.allclose(phi.segments[0].points, [[0.0], [1.0]])
-    ):
+    if phi.n_pieces == 1 and not phi.cubic[0] and np.allclose(phi.ctrl[0, [0, 3]], [[0.0], [1.0]]):
         return p
     return ReparametrizedPath(p, phi)
 
@@ -581,19 +590,14 @@ def random_polygon_loop(rng: np.random.Generator, basepoint, n_vertices: int = 4
     """Seeded closed polyline through random vertices near the base point."""
     basepoint = np.asarray(basepoint, dtype=float)
     verts = basepoint + rng.uniform(-radius, radius, size=(n_vertices, basepoint.size))
-    chain = [basepoint, *verts, basepoint]
-    segs = [Segment("line", np.stack([a, b])) for a, b in zip(chain[:-1], chain[1:])]
-    return LoopAtBase(PathNd.from_segments(segs), basepoint)
+    return LoopAtBase(_polyline(np.concatenate([basepoint[None], verts, basepoint[None]])), basepoint)
 
 
 def random_polyline(rng: np.random.Generator, start, n_segments: int = 2, radius: float = 0.75) -> PathNd:
     """Seeded open polyline starting at a given point."""
     start = np.asarray(start, dtype=float)
-    chain = [start]
-    for _ in range(n_segments):
-        chain.append(chain[-1] + rng.uniform(-radius, radius, size=start.size))
-    segs = [Segment("line", np.stack([a, b])) for a, b in zip(chain[:-1], chain[1:])]
-    return PathNd.from_segments(segs)
+    steps = rng.uniform(-radius, radius, size=(n_segments, start.size))
+    return _polyline(np.cumsum(np.concatenate([start[None], steps]), axis=0))
 
 
 def path_to_json(p: PathNd) -> dict:

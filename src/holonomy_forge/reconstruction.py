@@ -65,7 +65,6 @@ from .path_algebra import (
     straight_segment,
     thin_reduce,
 )
-from .segment_table import SegmentChain
 
 __all__ = [
     "StepTooLarge",
@@ -499,7 +498,7 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int) ->
     spec = A_in.spec
 
     def values(points, mu=0) -> list:
-        paths = [SegmentChain(c, t) for c, t in zip(*psi.tables(points))]
+        paths = [PathNd.chain(c, t) for c, t in zip(*psi.tables(points))]
         if spec.is_abelian:
             zs = -_line_integrals(A_in, paths)
             return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]

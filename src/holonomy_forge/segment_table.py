@@ -3,10 +3,11 @@
 A chain of s segments is a pair (cubic, ctrl): kind flags of shape (s,)
 and control points of shape (s, 4, dim), a line p0 -> p1 stored as
 [p0, p0, p1, p1] so that reversing the rows of either kind reverses the
-segment.  ``PathNd`` evaluates points and velocities through its table,
-and reconstruction loops are built as bare tables (``SegmentChain``)
-without path objects.  ``sample_pieces`` samples the smooth pieces of
-many paths at once; it is what the holonomy integrators read.
+segment.  A reparametrized piece adds a time map ``tmap`` (s, 4): the
+Bezier ordinates of a cubic from the piece's parameter to the segment's.
+``PathNd`` holds a table with breakpoints, an unchecked ``PathNd.chain``
+none (reconstruction loops, kernel batches).  ``sample_pieces`` samples
+the pieces of many paths at once for the holonomy integrators.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SegmentChain",
     "table_rows",
     "bezier_points",
     "bezier_velocities",
+    "time_map",
     "thin_keep",
+    "stack_tables",
     "sample_pieces",
 ]
 
@@ -66,6 +68,17 @@ def bezier_velocities(cubic, ctrl, u) -> np.ndarray:
     return out
 
 
+def time_map(tmap: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Segment parameters and their derivatives d/du at local parameters u
+    of pieces with time-map ordinates ``tmap`` (..., 4), u broadcasting
+    against (...).  A row of NaN marks a piece without a time map, which
+    gets u and 1 exactly."""
+    tm = tmap[..., None]
+    timed = ~np.isnan(tmap[..., 0])
+    t, dt = bezier_points(True, tm, u)[..., 0], bezier_velocities(True, tm, u)[..., 0]
+    return np.where(timed, t, u), np.where(timed, dt, 1.0)
+
+
 def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.ndarray:
     """Thin reduction of each chain in a flat batch of segment tables.
 
@@ -102,50 +115,25 @@ def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.nda
     return keep
 
 
-class SegmentChain:
-    """A path as a bare segment table in traversal order, without
-    breakpoints or validation; every segment is one smooth piece."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, cubic: np.ndarray, ctrl: np.ndarray):
-        self._table = (cubic, ctrl)
-
-    @property
-    def n_pieces(self) -> int:
-        return len(self._table[0])
-
-
-def _sample_table(cubic, ctrl, u) -> tuple[np.ndarray, np.ndarray]:
-    k, c, uu = cubic[:, None], ctrl[:, None], np.asarray(u, dtype=float)[None, :]
-    return bezier_points(k, c, uu), bezier_velocities(k, c, uu)
+def stack_tables(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The segment tables of many paths stacked in traversal order: flags,
+    control points and time maps, the last None unless some path has
+    one, in which case the rows of the other paths are NaN."""
+    cubic = np.concatenate([p.cubic for p in paths])
+    ctrl = np.concatenate([p.ctrl for p in paths])
+    if all(p.tmap is None for p in paths):
+        return cubic, ctrl, None
+    return cubic, ctrl, np.concatenate([np.full((p.n_pieces, 4), np.nan) if p.tmap is None else p.tmap for p in paths])
 
 
 def sample_pieces(paths, u) -> tuple[np.ndarray, np.ndarray]:
     """Samples at local abscissae u in [0, 1] on every smooth piece of every
     path, stacked in traversal order: points and velocities d/du, each
-    (pieces, len(u), dim).
-
-    Paths with a segment table (``PathNd``, ``SegmentChain``) are sampled
-    straight from their control points, one vectorized call per run of
-    them; other paths sample through their ``piece_samples``.
-    """
-    blocks, run = [], []
-
-    def flush():
-        if run:
-            cubic, ctrl = (np.concatenate(parts) for parts in zip(*run))
-            blocks.append(_sample_table(cubic, ctrl, u))
-            run.clear()
-
-    for p in paths:
-        table = getattr(p, "_table", None)
-        if table is None:
-            flush()
-            blocks.append(p.piece_samples(u))
-        else:
-            run.append(table)
-    flush()
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+    (pieces, len(u), dim).  A piece without a time map is sampled from its
+    control points alone, bit for bit whatever else is in the stack."""
+    cubic, ctrl, tmap = stack_tables(paths)
+    k, c, t = cubic[:, None], ctrl[:, None], np.asarray(u, dtype=float)[None, :]
+    if tmap is None:
+        return bezier_points(k, c, t), bezier_velocities(k, c, t)
+    t, dt = time_map(tmap[:, None], t)
+    return bezier_points(k, c, t), bezier_velocities(k, c, t) * dt[..., None]

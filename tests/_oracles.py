@@ -3,8 +3,11 @@
 Everything here is deliberately primitive (truncated series, polygon
 area formulas, exact per-edge integrals, one loop at a time) and shares
 no code with the library's own evaluation paths beyond building paths.
-The one exception is ``serial_audit``, the audit written as the loop over
-single-law checkers that the batched ``audit_axioms`` must reproduce.
+The exceptions are ``serial_audit``, the audit written as the loop over
+single-law checkers that the batched ``audit_axioms`` must reproduce, and
+the path operations on tuples of ``Segment`` objects (``segment_compose``
+and its siblings, ``LazyReparametrizedPath``), the object forms of the
+table operations in ``path_algebra``.
 """
 
 import cmath
@@ -15,7 +18,11 @@ import scipy.linalg
 from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, check_axiom3
 from holonomy_forge.path_algebra import (
     LoopAtBase,
+    PathNd,
+    Segment,
+    _preimage,
     compose_paths,
+    constant_path,
     invert_path,
     piecewise_power_map,
     radial_family,
@@ -41,6 +48,131 @@ def taylor_expm(m, terms: int = 20) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def _reversed(s: Segment) -> Segment:
+    return Segment(s.kind, s.points[::-1])
+
+
+def _split_left(s: Segment, u: float) -> Segment:
+    """The restriction of a segment to [0, u], reparametrized back to [0, 1]."""
+    p = s.points
+    if s.kind == "line":
+        return Segment("line", np.stack([p[0], s.point(u)]))
+    a = p[0] + u * (p[1] - p[0])
+    b = p[1] + u * (p[2] - p[1])
+    c = p[2] + u * (p[3] - p[2])
+    ab = a + u * (b - a)
+    bc = b + u * (c - b)
+    return Segment("cubic", np.stack([p[0], a, ab, ab + u * (bc - ab)]))
+
+
+def segment_compose(alpha, beta):
+    """``compose_paths`` on segment tuples: beta, then alpha."""
+    bp = np.concatenate([0.5 * beta.breakpoints, 0.5 + 0.5 * alpha.breakpoints[1:]])
+    return PathNd(alpha.dim, tuple(beta.segments) + tuple(alpha.segments), bp)
+
+
+def segment_invert(p):
+    """``invert_path`` on segment tuples."""
+    segs = tuple(_reversed(s) for s in reversed(p.segments))
+    bp = 1.0 - p.breakpoints[::-1]
+    bp[0], bp[-1] = 0.0, 1.0
+    return PathNd(p.dim, segs, bp)
+
+
+def segment_contract(p, i: float):
+    """``contract`` on segment tuples, one segment at a time."""
+    i = min(max(float(i), 0.0), 1.0)
+    if i == 0.0:
+        return constant_path(p.point(0.0))
+    if i == 1.0:
+        return PathNd(p.dim, p.segments, p.breakpoints)
+    bp = p.breakpoints
+    segs, new_bp = [], [0.0]
+    for s, seg in enumerate(p.segments):
+        a, b = bp[s], bp[s + 1]
+        if b <= i:
+            segs.append(seg)
+            new_bp.append(b / i)
+            if b == i:
+                break
+        else:
+            segs.append(_split_left(seg, (i - a) / (b - a)))
+            new_bp.append(1.0)
+            break
+    new_bp[-1] = 1.0
+    return PathNd(p.dim, tuple(segs), np.array(new_bp))
+
+
+def _scale(points) -> float:
+    return 1.0 + float(np.max(np.abs(points)))
+
+
+def segment_thin_reduce(p, tol: float = 1e-12):
+    """``thin_reduce`` on segment tuples: drop degenerate segments, then
+    cancel each segment against an exact reversal of the one before it
+    with a stack, which reaches the fixed point."""
+    stack = []
+    for seg, span in zip(p.segments, np.diff(p.breakpoints)):
+        if seg.is_degenerate():
+            continue
+        if stack:
+            top = stack[-1][0]
+            gap = np.max(np.abs(top.points - seg.points[::-1])) if top.kind == seg.kind else np.inf
+            if gap <= tol * max(_scale(top.points), _scale(seg.points)):
+                stack.pop()
+                continue
+        stack.append((seg, span))
+    if not stack:
+        return constant_path(p.point(0.0))
+    spans = np.array([span for _, span in stack])
+    bp = np.concatenate([[0.0], np.cumsum(spans)]) / spans.sum()
+    bp[-1] = 1.0
+    return PathNd(p.dim, tuple(seg for seg, _ in stack), bp)
+
+
+class LazyReparametrizedPath:
+    """``reparametrize`` as a lazy composition p(phi(i)): points and
+    velocities go through the base path and the time map at global
+    parameters, and velocity abscissae at the ends of each piece sit
+    1e-12 of the span inside it, because velocities are right-continuous
+    at breakpoints."""
+
+    def __init__(self, path, phi):
+        self.path, self.phi = path, phi
+        bps = set(float(b) for b in phi.breakpoints)
+        for b in np.asarray(path.breakpoints)[1:-1]:
+            t = _preimage(phi, float(b))
+            if t is not None:
+                bps.add(t)
+        merged = [0.0]
+        for b in sorted(bps):
+            if b - merged[-1] > 1e-12:
+                merged.append(b)
+        merged[-1] = 1.0
+        self.breakpoints = np.array(merged)
+
+    def point(self, i):
+        return self.path.point(self.phi.point(i)[..., 0])
+
+    def velocity(self, i):
+        dphi = self.phi.velocity(i)[..., 0]
+        v = self.path.velocity(self.phi.point(i)[..., 0])
+        return v * (dphi[..., None] if np.ndim(dphi) else dphi)
+
+    def piece_samples(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities d/du at local parameters u on every smooth
+        piece, each (pieces, len(u), dim)."""
+        u = np.asarray(u, dtype=float)
+        a, b = self.breakpoints[:-1, None], self.breakpoints[1:, None]
+        span = b - a
+        ts = (1.0 - u) * a + u * b
+        tv = np.clip(ts, a + 1e-12 * span, b - 1e-12 * span)
+        shape = ts.shape + (self.path.dim,)
+        pts = self.point(ts.reshape(-1)).reshape(shape)
+        vels = self.velocity(tv.reshape(-1)).reshape(shape) * span[..., None]
+        return pts, vels
 
 
 def brentq_breakpoints(path, phi) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,22 @@ class TestSharedPieces:
             eval_holonomies(h_map, [alpha, beta, composed])
             assert sum(calls) == alpha.path.n_pieces + beta.path.n_pieces
 
+    def test_reparametrized_pieces_are_shared(self, rng, monkeypatch):
+        # A reparametrized loop given twice and the same reparametrization
+        # built again: the time map is part of the piece key, so each
+        # reparametrized piece is integrated once.
+        calls = count_sampled_pieces(monkeypatch)
+        p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
+        out_and_back = compose_paths(invert_path(p), p)
+        phi = piecewise_power_map(3, 0.5)
+        warped = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
+        again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
+        for h_map in (analytic_map(), HolonomyMap.transport(ydx_field(), ORIGIN, 16)):
+            calls.clear()
+            values = eval_holonomies(h_map, [warped, again, warped])
+            assert sum(calls) == warped.path.n_pieces == 5
+            assert all(np.array_equal(v.matrix, values[0].matrix) for v in values)
+
     def test_signed_zero_twins_are_distinct_pieces(self, monkeypatch):
         calls = count_sampled_pieces(monkeypatch)
         plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
@@ -371,6 +388,27 @@ class TestRelativeDeterminantCheck:
         field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(-flux, (0, 1), 0)], []])
         got = eval_holonomy(HolonomyMap.analytic_abelian(field, ORIGIN), unit_square()).matrix[0, 0]
         assert abs(got - math.exp(flux)) <= 1e-12 * math.exp(flux)
+
+    @pytest.mark.parametrize("flux", [-800.0, 800.0])
+    def test_analytic_holonomy_a_double_cannot_hold_raises(self, flux):
+        # exp(-800) underflows to 0 and exp(800) overflows: a named error
+        # that names the loop, and no RuntimeWarning on the way.
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(-flux, (0, 1), 0)], []])
+        small = polygon_loop([(0, 0), (0.1, 0), (0.1, 0.1), (0, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="holonomy of loop 1 is (0.0|inf),"):
+                eval_holonomies(HolonomyMap.analytic_abelian(field, ORIGIN), [small, unit_square()])
+
+    @pytest.mark.parametrize("flux", [-8000.0, 8000.0])
+    def test_transport_value_a_double_cannot_hold_raises(self, flux):
+        # At 64 steps the RK4 propagators of either sign grow so large that
+        # their product overflows.
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(-flux, (0, 1), 0)], []])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="u\\(1\\) of loop 0 is inf,"):
+                eval_holonomy(HolonomyMap.transport(field, ORIGIN, 64), unit_square())
 
     def test_scaled_elements_are_invertible(self):
         assert GroupElement(MULTIPLICATIVE_REALS, [[math.exp(-300.0)]]).matrix[0, 0] > 0
@@ -589,6 +627,17 @@ class TestAudit:
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
             audit_axioms(analytic_map(), samples=0, seed=0, tolerances=(1.0, 1.0, 1.0))
+
+    def test_builds_and_evaluates_its_loops_as_tables(self, monkeypatch):
+        # Every loop of the audit is built and sampled from segment tables:
+        # no Segment object is made on the way.
+        h_map = hf.get_preset("su2-twist").holonomy_map()
+
+        def refuse(self):
+            raise AssertionError("a Segment object was built")
+
+        monkeypatch.setattr(Segment, "__post_init__", refuse)
+        assert audit_axioms(h_map, samples=4, seed=3, tolerances=(1e-6, 1e-8, 10.0)).all_passed
 
     def test_report_json_keys(self):
         report = AxiomReport(1e-12, 2e-12, 0.1, 7, (True, True, False))

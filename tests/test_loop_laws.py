@@ -4,7 +4,9 @@ random polygon loops.
 Each law is evaluated as one ``eval_holonomies`` batch in which loops
 share smooth pieces (the composed loop reuses the pieces of its factors, a
 thin loop those of its forward leg), and a transport value of each batch is
-checked against the one-step-at-a-time RK4 oracle.
+checked against the one-step-at-a-time RK4 oracle.  Reparametrization
+invariance is exact to rounding under the analytic backend, whose
+Gauss-Legendre rule integrates these polynomial pullbacks exactly.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from holonomy_forge.path_algebra import (
     compose_paths,
     invert_path,
     piecewise_power_map,
+    power_map,
     reparametrize,
 )
 
@@ -34,6 +37,10 @@ MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 coefficients = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
 coordinates = st.floats(-0.8, 0.8, allow_nan=False, allow_infinity=False)
 vertices = st.lists(st.tuples(coordinates, coordinates), min_size=2, max_size=4)
+time_maps = st.one_of(
+    st.integers(1, 3).map(power_map),
+    st.builds(piecewise_power_map, st.sampled_from([2, 3]), st.floats(0.05, 0.95)),
+)
 law_settings = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -112,3 +119,17 @@ def test_thin_loop_law(connection, corners):
         finer = eval_holonomies(h_map.with_steps(2 * STEPS), loops[exact:])
         for g, coarse in zip(finer, defects[exact:]):
             assert group_distance(g, identity) <= coarse / 8.0 + 1e-12
+
+
+@law_settings
+@given(connections(), vertices, time_maps)
+def test_reparametrization_invariance(connection, corners, phi):
+    spec, field = connection
+    loop = polygon_loop(corners)
+    warped = LoopAtBase(reparametrize(loop.path, phi), ORIGIN)
+    for h_map in holonomy_maps(spec, field):
+        h_loop, h_warped = eval_holonomies(h_map, [loop, warped])
+        if h_map.kind == "analytic_abelian":
+            # The pulled-back integrand has degree <= 8 on every piece.
+            assert group_distance(h_warped, h_loop) <= 1e-12 * max(1.0, float(np.linalg.norm(h_loop.matrix)))
+        assert_matches_oracle(h_map, warped, h_warped)

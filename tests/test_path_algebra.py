@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,7 +33,18 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from _oracles import brentq_breakpoints, polyline_vertices, shoelace_area
+from holonomy_forge.segment_table import sample_pieces
+
+from _oracles import (
+    LazyReparametrizedPath,
+    brentq_breakpoints,
+    polyline_vertices,
+    segment_compose,
+    segment_contract,
+    segment_invert,
+    segment_thin_reduce,
+    shoelace_area,
+)
 
 
 def random_cubic_path(rng, dim=2, n_segments=3):
@@ -319,6 +332,113 @@ def test_breakpoints_match_brentq_property(phi, inner):
     assert np.all(np.abs(bps - expected) <= 1e-15 + 4 * np.finfo(float).eps * np.abs(expected))
 
 
+_ordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def segment_paths(draw):
+    """A continuous chain of line and cubic segments in 1-3 dimensions with
+    random breakpoints, where some segments retrace the one before them
+    exactly and some have zero length."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(_ordinate, min_size=dim, max_size=dim).map(np.array)
+    cur, segs = draw(point), []
+    for step in draw(st.lists(st.sampled_from(["line", "cubic", "back", "still"]), min_size=1, max_size=7)):
+        if step == "back" and segs:
+            seg = Segment(segs[-1].kind, segs[-1].points[::-1])
+        elif step == "still":
+            seg = Segment("line", np.stack([cur, cur]))
+        elif step == "cubic":
+            seg = Segment("cubic", np.stack([cur, draw(point), draw(point), draw(point)]))
+        else:
+            seg = Segment("line", np.stack([cur, draw(point)]))
+        segs.append(seg)
+        cur = seg.points[-1]
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=len(segs) - 1, max_size=len(segs) - 1, unique=True))
+    return PathNd(dim, tuple(segs), np.array([0.0, *sorted(cuts), 1.0]))
+
+
+def assert_same_outcome(op, oracle, *args):
+    """Bit for bit the same kind flags, control points and breakpoints, or
+    the same error (breakpoints that rescaling makes equal are rejected)."""
+    try:
+        expected = oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            op(*args)
+        return
+    got = op(*args)
+    assert got.cubic.tolist() == expected.cubic.tolist()
+    assert got.ctrl.shape == expected.ctrl.shape and got.ctrl.tobytes() == expected.ctrl.tobytes()
+    assert got.breakpoints.tobytes() == expected.breakpoints.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=segment_paths(), data=st.data())
+def test_table_operations_match_segment_oracles_property(p, data):
+    """The row operations on segment tables reproduce the operations on
+    tuples of ``Segment`` objects bit for bit."""
+    assert_same_outcome(lambda q: PathNd(q.dim, q.segments, q.breakpoints), lambda q: q, p)
+    assert_same_outcome(invert_path, segment_invert, p)
+    try:
+        back = invert_path(p)
+    except ValueError:  # 1 - b made two breakpoints equal; both forms refuse
+        return
+    assert_same_outcome(compose_paths, segment_compose, back, p)
+    assert_same_outcome(compose_paths, segment_compose, p, constant_path(p.start))
+    assert_same_outcome(thin_reduce, segment_thin_reduce, p)
+    assert_same_outcome(thin_reduce, segment_thin_reduce, compose_paths(back, p))
+    i = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(p.breakpoints.tolist())), label="i")
+    assert_same_outcome(contract, segment_contract, p, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=segment_paths(), phi=_time_map, inner=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5))
+def test_reparametrized_table_matches_lazy_oracle_property(p, phi, inner):
+    """A reparametrized table path has the breakpoints of the lazy
+    composition p(phi(i)) bit for bit, and its samples agree with the lazy
+    ones to rounding.  The time map is stored in the base path's global
+    parameter, so both forms round the local parameter of base segment j
+    at eps / (span of j): the bound is 32 eps of the sample scale over the
+    smallest base span.  Velocities are compared at interior abscissae: at
+    a piece end the lazy sampler moved 1e-12 of the span inside, which can
+    round to no move at all and sample the neighbouring piece."""
+    r = reparametrize(p, phi)
+    lazy = LazyReparametrizedPath(p, phi)
+    assert isinstance(r, ReparametrizedPath) and r.breakpoints.tobytes() == lazy.breakpoints.tobytes()
+    u = np.array([0.0, *inner, 1.0])
+    pts, vels = sample_pieces([r], u)
+    lazy_pts, lazy_vels = lazy.piece_samples(u)
+    bound = 32 * np.finfo(float).eps / np.diff(p.breakpoints).min()
+    assert np.abs(pts - lazy_pts).max() <= bound * (1.0 + np.abs(p.ctrl).max())
+    assert np.abs(vels - lazy_vels)[:, 1:-1].max() <= bound * (1.0 + np.abs(lazy_vels).max())
+    ts = np.linspace(0.0, 1.0, 17)
+    assert np.abs(r.point(ts) - lazy.point(ts)).max() <= bound * (1.0 + np.abs(p.ctrl).max())
+
+
+class TestTimeMappedPaths:
+    def test_algebra_needs_segment_backed_paths(self):
+        p = straight_segment([0.0, 0.0], [1.0, 0.0])
+        r = reparametrize(p, power_map(2))
+        with pytest.raises(TypeError, match="composition needs segment-backed paths"):
+            compose_paths(p, r)
+        for op in (invert_path, thin_reduce, lambda q: contract(q, 0.5), lambda q: reparametrize(q, power_map(3))):
+            with pytest.raises(TypeError, match="needs segment-backed paths"):
+                op(r)
+        with pytest.raises(TypeError):
+            path_to_json(r)
+
+    def test_ends_and_samples_of_a_flat_piece(self):
+        # The flat piece of the time map sits at a base breakpoint: it stays
+        # at that point with zero velocity.
+        p = polyline_1d([0.0, 0.5, 1.0])
+        r = reparametrize(p, flat_time_map(0.5))
+        assert np.array_equal(r.start, [0.0]) and np.array_equal(r.end, [2.0])
+        pts, vels = sample_pieces([r], np.linspace(0.0, 1.0, 5))
+        flat = int(np.searchsorted(r.breakpoints, 0.5)) - 1
+        assert np.array_equal(pts[flat], np.ones((5, 1))) and not vels[flat].any()
+
+
 class TestBreakpoints:
     def test_flat_piece_adds_no_breakpoint(self):
         # Base breakpoints at the flat level, below it and above it: the one
@@ -453,9 +573,8 @@ def test_reconstruction_chains_match_reduced_loops_property(family, pairs):
         if reduced.is_constant():  # nothing survives reduction
             assert chain.n_pieces == 0
             continue
-        cubic, ctrl = chain._table
-        assert np.array_equal(cubic, reduced._table[0])
-        assert np.array_equal(ctrl, reduced._table[1])
+        assert np.array_equal(chain.cubic, reduced.cubic)
+        assert np.array_equal(chain.ctrl, reduced.ctrl)
 
 
 class TestFamilyTables:
@@ -466,7 +585,7 @@ class TestFamilyTables:
         cubic, ctrl = psi.tables(xs)
         assert cubic.shape == ctrl.shape[:2] and ctrl.shape[0] == len(xs) and ctrl.shape[2:] == (4, 2)
         for c, t, x in zip(cubic, ctrl, xs):
-            path_cubic, path_ctrl = psi[x]._table
+            path_cubic, path_ctrl = psi[x].cubic, psi[x].ctrl
             s = len(path_cubic)
             assert np.array_equal(c[:s], path_cubic) and np.array_equal(t[:s], path_ctrl)
             assert not c[s:].any() and np.array_equal(t[s:], np.broadcast_to(x, t[s:].shape))
