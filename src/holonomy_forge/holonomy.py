@@ -13,8 +13,8 @@ Two backends are provided:
   propagator that leaves the positive reals raises ``IntegrationError``.
 
 Both backends evaluate loops in batches (``eval_holonomies``): each
-distinct smooth piece of a batch (keyed on its exact control points, so
-pieces shared between loops count once) is sampled and integrated once,
+distinct smooth piece of a batch (keyed on its exact control points and
+time map, so pieces shared between loops count once) is integrated once,
 and the per-piece results are reduced per loop; ``eval_holonomy`` is the
 batch of one.  The randomized audit builds every loop of a law first and
 evaluates each law as one batch.

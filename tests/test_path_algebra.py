@@ -397,10 +397,10 @@ def test_table_operations_match_segment_oracles_property(p, data):
 def test_reparametrized_table_matches_lazy_oracle_property(p, phi, inner):
     """A reparametrized table path has the breakpoints of the lazy
     composition p(phi(i)) bit for bit, and its samples agree with the lazy
-    ones to rounding.  The time map is stored in the base path's global
-    parameter, so both forms round the local parameter of base segment j
-    at eps / (span of j): the bound is 32 eps of the sample scale over the
-    smallest base span.  Velocities are compared at interior abscissae: at
+    ones to rounding.  Both forms get the local parameter of base segment j
+    from the time map's value in the base path's global parameter, so both
+    round it at eps / (span of j): the bound is 32 eps of the sample scale
+    over the smallest base span.  Velocities are compared at interior abscissae: at
     a piece end the lazy sampler moved 1e-12 of the span inside, which can
     round to no move at all and sample the neighbouring piece."""
     r = reparametrize(p, phi)
