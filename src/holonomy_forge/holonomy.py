@@ -124,52 +124,55 @@ class IntegrationError(ArithmeticError):
 class ConnectionField:
     """Algebra-valued connection components A_mu(x) on R^n.
 
-    ``component_rule(x, mu)`` must be a pure function returning an
-    ``AlgebraElement``.  An optional vectorized ``batch_rule(points, mu)``
-    returning a new (m, d, d) array, which the integrators scale in place,
-    accelerates them; results are identical either way.
+    ``rule(points, mu)`` must be a pure function of an (m, dim) array of
+    points returning a new (m, d, d) array of algebra matrices, which the
+    integrators scale in place; ``component(x, mu)`` is the batch of one.
     """
 
-    def __init__(self, dim: int, spec: GroupSpec, component_rule, batch_rule=None):
+    def __init__(self, dim: int, spec: GroupSpec, rule):
         self.dim = int(dim)
         self.spec = spec
-        self.component_rule = component_rule
-        self.batch_rule = batch_rule
+        self.rule = rule
 
     @classmethod
     def zero(cls, dim: int, spec: GroupSpec) -> "ConnectionField":
         d = spec.matrix_dim
-
-        def batch(points, mu):
-            return np.zeros((len(points), d, d), dtype=spec.dtype)
-
-        return cls(dim, spec, lambda x, mu: AlgebraElement.zero(spec), batch)
+        return cls(dim, spec, lambda points, mu: np.zeros((len(points), d, d), dtype=spec.dtype))
 
     @classmethod
-    def from_matrix_rule(cls, dim: int, spec: GroupSpec, matrix_rule, batch_rule=None) -> "ConnectionField":
-        def rule(x, mu):
-            return AlgebraElement.from_matrix(spec, matrix_rule(np.asarray(x, float), mu))
+    def from_matrix_rule(cls, dim: int, spec: GroupSpec, matrix_rule) -> "ConnectionField":
+        """A connection from a per-point ``matrix_rule(x, mu)``, each value
+        projected onto the algebra and checked."""
 
-        return cls(dim, spec, rule, batch_rule)
+        def rule(points, mu):
+            return np.stack([AlgebraElement.from_matrix(spec, matrix_rule(x, mu)).matrix for x in points])
+
+        return cls(dim, spec, rule)
 
     @classmethod
     def from_polynomial(cls, dim: int, spec: GroupSpec, components) -> "ConnectionField":
         """Polynomial components: components[mu] is a list of terms
-        (coeff, exponents, basis_index) over the algebra basis."""
+        (coeff, exponents, basis_index) over the algebra basis, with one
+        nonnegative exponent per coordinate; malformed terms raise
+        ``ValueError``."""
         from .lie_core import algebra_basis
 
         d = spec.matrix_dim
         basis = np.array(algebra_basis(spec), dtype=spec.dtype).reshape(-1, d * d)
         terms = [list(components.get(mu, []) if isinstance(components, dict) else components[mu]) for mu in range(dim)]
+        for term in (term for t in terms for term in t):
+            _, exps, b = term
+            if b not in range(spec.algebra_dim) or len(exps) != dim or min(exps, default=0) < 0:
+                raise ValueError(f"malformed term {term} for a {spec.name.value} connection on R^{dim}")
         # The basis elements each direction's terms use, and their rows.
         used = [sorted({b for _, _, b in t}) for t in terms]
         rows = [basis[u] for u in used]
 
-        def batch(points, mu):
+        def rule(points, mu):
             # Coefficients per used basis element, then one product with
             # their rows: no (points, d, d) temporary per term.  (np.dot,
             # as matmul costs about 10 us more per call on these thin shapes.)
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
+            pts = np.asarray(points, dtype=float)
             coef = np.zeros((pts.shape[0], len(used[mu])))
             for coeff, exps, b in terms[mu]:
                 mono = np.ones(pts.shape[0])
@@ -179,18 +182,10 @@ class ConnectionField:
                 coef[:, used[mu].index(b)] += coeff * mono
             return np.dot(coef, rows[mu]).reshape(-1, d, d)
 
-        def rule(x, mu):
-            return AlgebraElement.from_matrix(spec, batch(np.asarray(x, float)[None, :], mu)[0])
-
-        return cls(dim, spec, rule, batch)
+        return cls(dim, spec, rule)
 
     def component(self, x, mu: int) -> AlgebraElement:
-        return self.component_rule(np.asarray(x, dtype=float), mu)
-
-    def _matrices(self, points: np.ndarray, mu: int) -> np.ndarray:
-        if self.batch_rule is not None:
-            return np.asarray(self.batch_rule(points, mu))
-        return np.stack([self.component_rule(x, mu).matrix for x in points])
+        return AlgebraElement.from_matrix(self.spec, self.rule(np.asarray(x, dtype=float)[None, :], mu)[0])
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     out = np.zeros((len(flat), d, d), dtype=np.complex128)
     if len(flat):
         for mu in range(field.dim):
-            a = field._matrices(flat, mu)
+            a = field.rule(flat, mu)
             a *= v[:, mu, None, None]
             out += a
     return out.reshape(pts.shape[:2] + (d, d))

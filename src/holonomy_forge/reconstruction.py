@@ -11,7 +11,7 @@ extrapolation step (h and h/2), giving observed order ~4; the error
 budget is explicit and owned by ``FdConfig``.  ``reconstruct_potential``
 takes many points of one direction at once and sends all their difference
 loops through the holonomy kernel as one batch; ``PotentialField``
-memoizes the values and offers the batch as a connection ``batch_rule``.
+memoizes the values and hands its batch method on as a connection rule.
 
 The same difference quotient, applied to a general trivialized curve (a
 moving reference path chi[i] plus a moving fiber value g(i)), evaluates
@@ -174,9 +174,9 @@ class PotentialField:
     """A gauge potential evaluatable at (point, direction).
 
     Either wraps a closed-form connection or reconstructs lazily from a
-    holonomy map and frame, memoizing per (point, direction).  ``matrices``
-    evaluates many points of one direction, and reconstructs the points
-    not yet memoized in one batch.
+    holonomy map and frame, memoizing per (point, direction).
+    ``evaluator(points, mu)`` takes an (m, dim) array of points and returns
+    m values; a single point is a batch of one.
     """
 
     def __init__(self, dim: int, spec: GroupSpec, evaluator, label: str = ""):
@@ -185,31 +185,27 @@ class PotentialField:
         self._evaluator = evaluator
         self.label = label
         self._memo: dict = {}
-        # Evaluator of an (m, dim) array of points for one direction,
-        # returning m values; without one, ``matrices`` goes point by point.
-        self._batch_evaluator = None
 
     @classmethod
     def from_connection(cls, field: ConnectionField) -> "PotentialField":
-        return cls(field.dim, field.spec, field.component, "closed-form")
+        # Point by point: the rule's product over many rows need not round
+        # like its batch of one, which ``component`` evaluates.
+        return cls(field.dim, field.spec, lambda xs, mu: [field.component(x, mu) for x in xs], "closed-form")
 
     @classmethod
     def from_holonomy(
         cls, h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig()
     ) -> "PotentialField":
-        def evaluator(x, mu):
-            return reconstruct_potential(h_map, psi, x, mu, cfg)
-
-        pf = cls(h_map.field.dim, h_map.spec, evaluator, "reconstructed")
-        pf._batch_evaluator = evaluator  # reconstruct_potential takes point arrays too
-        return pf
+        return cls(
+            h_map.field.dim, h_map.spec, lambda xs, mu: reconstruct_potential(h_map, psi, xs, mu, cfg), "reconstructed"
+        )
 
     def __call__(self, x, mu: int) -> AlgebraElement:
         x = np.asarray(x, dtype=float)
         key = (x.tobytes(), mu)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._evaluator(x, mu)
+            hit = self._evaluator(x[None], mu)[0]
             self._memo[key] = hit
         return hit
 
@@ -221,7 +217,7 @@ class PotentialField:
         (m, d, d) array, memoized like single-point calls.
 
         The points not yet memoized are evaluated in one batch.  If the
-        batch raises, they are evaluated again point by point, so the error
+        batch raises, they are evaluated again one at a time, so the error
         raised and the values memoized are those of single-point calls in
         order.
         """
@@ -229,21 +225,15 @@ class PotentialField:
         keys = [(x.tobytes(), mu) for x in pts]
         missing = {key: x for key, x in zip(keys, pts) if key not in self._memo}
         if missing:
-            values = None
-            if self._batch_evaluator is not None:
-                try:
-                    values = self._batch_evaluator(np.array(list(missing.values())), mu)
-                except (ValueError, ArithmeticError):
-                    pass
-            if values is None:
+            try:
+                self._memo.update(zip(missing, self._evaluator(np.array(list(missing.values())), mu)))
+            except (ValueError, ArithmeticError):
                 for x in missing.values():
                     self(x, mu)
-            else:
-                self._memo.update(zip(missing, values))
         return np.stack([self._memo[key].matrix for key in keys])
 
     def to_connection_field(self) -> ConnectionField:
-        return ConnectionField(self.dim, self.spec, lambda x, mu: self(x, mu), self.matrices)
+        return ConnectionField(self.dim, self.spec, self.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,16 +487,14 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int) ->
     memoized and batched as a ``PotentialField`` that ignores ``mu``."""
     spec = A_in.spec
 
-    def values(points, mu=0) -> list:
+    def values(points, mu) -> list:
         paths = [PathNd.chain(c, t) for c, t in zip(*psi.tables(points))]
         if spec.is_abelian:
             zs = -_line_integrals(A_in, paths)
             return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
         return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, paths, steps)]
 
-    field = PotentialField(A_in.dim, spec, lambda x, mu: values(x)[0], "relating gauge field")
-    field._batch_evaluator = values
-    return field
+    return PotentialField(A_in.dim, spec, values, "relating gauge field")
 
 
 def round_trip_report(

@@ -253,8 +253,9 @@ def sequential_rk4_transport(field, path, steps: int) -> np.ndarray:
     time, projecting the iterate onto the group after every step.
 
     Coefficients come from the field's pointwise rule.  Velocity abscissae
-    at the ends of each smooth piece sit 1e-12 of the span inside it,
-    because path velocities are right-continuous at breakpoints.
+    at the ends of each smooth piece sit 1e-12 of the span, and at least
+    one float, inside it, because path velocities are right-continuous at
+    breakpoints.
     """
     spec = field.spec
     d = spec.matrix_dim
@@ -266,7 +267,7 @@ def sequential_rk4_transport(field, path, steps: int) -> np.ndarray:
 
         def coeff(t):
             x = path.point(np.array([t]))[0]
-            tv = min(max(t, a + 1e-12 * span), b - 1e-12 * span)
+            tv = min(max(t, a + 1e-12 * span), b - 1e-12 * span, np.nextafter(b, a))
             v = path.velocity(np.array([tv]))[0]
             return -sum(field.component(x, mu).matrix * v[mu] for mu in range(field.dim))
 

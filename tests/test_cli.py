@@ -173,6 +173,26 @@ class TestErrors:
         bad.write_text("{not json")
         assert main(["reconstruct", "--input", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"basis": -1, "exps": [0, 1]},
+            {"basis": 1, "exps": [0, 1]},
+            {"basis": 0, "exps": [0, 1, 0]},
+            {"basis": 0, "exps": [1]},
+            {"basis": 0, "exps": [0, -1]},
+        ],
+        ids=["negative-basis", "basis-past-u1", "long-exps", "short-exps", "negative-exponent"],
+    )
+    def test_malformed_polynomial_term(self, tmp_path, capsys, term):
+        conn = {"group": "U1", "dim": 2, "components": [[{"coeff": 1.0, **term}], []]}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        out = tmp_path / "never"
+        assert main(["reconstruct", "--input", str(src), "--grid", "3", "--out", str(out)]) == 1
+        assert "error: malformed connection file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         main(["audit", "--preset", "paper-sec6", "--samples", "5", "--out", str(tmp_path)])
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]

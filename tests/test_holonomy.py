@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import holonomy_forge as hf
-from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupElement, gln, group_distance
+from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, AlgebraElement, GroupElement, gln, group_distance
 from holonomy_forge.holonomy import (
     AxiomReport,
     BasepointMismatch,
@@ -41,6 +41,7 @@ from holonomy_forge.path_algebra import (
     straight_segment,
     thin_reduce,
 )
+from holonomy_forge.presets import PRESETS
 
 from _oracles import (
     loop_axiom3,
@@ -182,6 +183,16 @@ class TestTransportKernel:
             expected = sequential_rk4_transport(field, path, 16)
             assert got.shape == (spec.matrix_dim, spec.matrix_dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+    def test_oracle_keeps_end_velocities_in_short_pieces(self):
+        # Pieces of span 4e-5 and 1e-5 just below parameter 1, where a
+        # nudge of 1e-12 of the span is below one ulp.
+        field = hf.get_preset("su2-twist").connection
+        verts = [ORIGIN, np.array([0.6, 0.1]), np.array([0.2, 0.7]), ORIGIN]
+        segs = [Segment("line", np.stack(pair)) for pair in zip(verts[:-1], verts[1:])]
+        path = PathNd.from_segments(segs, [0.0, 0.99995, 0.99999, 1.0])
+        got = _transport_products(field, [path], 16)[0]
+        assert np.linalg.norm(got - sequential_rk4_transport(field, path, 16)) <= 1e-12
 
     def test_negative_propagator_raises(self):
         # A = 20 x^2 - 10 x vanishes at the start and middle of the single
@@ -415,6 +426,29 @@ class TestRelativeDeterminantCheck:
         GroupElement(gln(2), 1e-7 * np.eye(2))
         with pytest.raises(ValueError):
             GroupElement(gln(2), 1e-7 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+
+
+class TestConnectionField:
+    # One batch rule per field; a single point is the batch of one.
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_component_is_the_batch_of_one(self, name, rng):
+        field = hf.get_preset(name).connection
+        for x in rng.uniform(-1.0, 1.0, size=(4, field.dim)):
+            for mu in range(field.dim):
+                expected = AlgebraElement.from_matrix(field.spec, field.rule(x[None], mu)[0])
+                assert np.array_equal(field.component(x, mu).matrix, expected.matrix)
+
+    def test_matrix_rule_rows_are_per_point_elements(self, rng):
+        spec = SU2
+        mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+        anti = [m - m.conj().T for m in mats]
+        matrix_rule = lambda x, mu: (x[0] - x[1] ** 2) * anti[mu] + 1e-13 * mats[mu]
+        field = ConnectionField.from_matrix_rule(2, spec, matrix_rule)
+        xs = rng.uniform(-1.0, 1.0, size=(5, 2))
+        for mu in (0, 1):
+            rows = field.rule(xs, mu)
+            for x, row in zip(xs, rows):
+                assert np.array_equal(row, AlgebraElement.from_matrix(spec, matrix_rule(x, mu)).matrix)
 
 
 class TestGeneralLinearTransport:

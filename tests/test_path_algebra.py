@@ -286,6 +286,17 @@ class TestReparametrize:
         with pytest.raises(NotMonotone):
             reparametrize(p, dip)
 
+    def test_dip_between_velocity_samples_rejected(self):
+        # True least velocity -2.0e-9 near t = 0.502; sampled at 257 points
+        # it reads +4.6e-5.
+        p = straight_segment([0.0, 0.0], [1.0, 0.0])
+        y = [0.0, 1.0077816275561928, 0.007842657252058238, 1.0]
+        dip = PathNd.from_segments([Segment("cubic", np.array(y)[:, None])])
+        with pytest.raises(NotMonotone):
+            reparametrize(p, dip)
+        for phi in (*map(power_map, (1, 2, 3)), piecewise_power_map(2), piecewise_power_map(3, 0.3)):
+            reparametrize(p, phi)
+
     def test_wrong_endpoints_rejected(self):
         p = straight_segment([0.0, 0.0], [1.0, 0.0])
         phi = PathNd.from_segments([Segment("line", np.array([[0.0], [0.5]]))])

@@ -351,11 +351,9 @@ class TestRoundTrip:
         def exploding(x, mu):
             if np.linalg.norm(x - np.array([1.0, 1.0])) < 0.4:
                 raise ValueError("pole in the coefficient field")
-            from holonomy_forge.lie_core import AlgebraElement
+            return np.zeros((1, 1))
 
-            return AlgebraElement.zero(MULTIPLICATIVE_REALS)
-
-        field = ConnectionField(2, MULTIPLICATIVE_REALS, exploding)
+        field = ConnectionField.from_matrix_rule(2, MULTIPLICATIVE_REALS, exploding)
         report = round_trip_report(
             field,
             radial_family(ORIGIN),
@@ -385,9 +383,9 @@ class TestPotentialField:
         h_map, psi, _ = sec6
         calls = []
 
-        def counting(x, mu):
-            calls.append((tuple(x), mu))
-            return reconstruct_potential(h_map, psi, x, mu, CFG)
+        def counting(xs, mu):
+            calls.append((xs.tolist(), mu))
+            return reconstruct_potential(h_map, psi, xs, mu, CFG)
 
         pf = PotentialField(2, MULTIPLICATIVE_REALS, counting)
         x = np.array([0.5, 0.25])
@@ -395,6 +393,24 @@ class TestPotentialField:
         pf(x, 0)
         pf(np.array([0.5, 0.25]), 0)
         assert len(calls) == 1
+
+    def test_evaluator_receives_point_arrays(self, sec6):
+        h_map, psi, _ = sec6
+        shapes = []
+
+        def recording(xs, mu):
+            shapes.append(xs.shape)
+            return reconstruct_potential(h_map, psi, xs, mu, CFG)
+
+        pf = PotentialField(2, MULTIPLICATIVE_REALS, recording)
+        xs = np.array(GridSpec(-1.0, 1.0, 3).nodes(2))
+        pf.matrices(xs, 0)
+        assert shapes == [(9, 2)]
+        pf(np.array([0.3, 0.4]), 1)
+        assert shapes == [(9, 2), (1, 2)]
+        pf.matrices(np.concatenate([xs, [[0.3, 0.4]]]), 0)
+        pf.matrices(np.concatenate([xs[:2], [[0.3, 0.4]]]), 1)
+        assert shapes == [(9, 2), (1, 2), (1, 2), (2, 2)]
 
     def test_invariants_of_reconstructed_values(self, sec6):
         h_map, psi, _ = sec6
@@ -541,10 +557,10 @@ class TestBatchedReconstruction:
         def region_field(x, mu):
             if x[0] > 0.55:
                 raise ValueError("pole in the coefficient field")
-            return AlgebraElement(MULTIPLICATIVE_REALS, [[x[1] if mu == 0 else 0.0]])
+            return np.array([[x[1] if mu == 0 else 0.0]])
 
         cases = [
-            (ConnectionField(2, MULTIPLICATIVE_REALS, region_field), GridSpec(-1.0, 1.0, 3), CFG),
+            (ConnectionField.from_matrix_rule(2, MULTIPLICATIVE_REALS, region_field), GridSpec(-1.0, 1.0, 3), CFG),
             (
                 ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(40.0, (0, 1), 0)], []]),
                 GridSpec(-3.0, 3.0, 3),
