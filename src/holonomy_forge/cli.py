@@ -172,8 +172,8 @@ def _grid_from(args, preset: Preset) -> GridSpec:
             lo, hi = (float(v) for v in args.box.split(","))
         except ValueError as exc:
             raise _InputError(f"--box expects lo,hi, got {args.box!r}") from exc
-        if not lo < hi:
-            raise _InputError("--box must satisfy lo < hi")
+    if not -np.inf < lo < hi < np.inf:
+        raise _InputError(f"the box must be finite with lo < hi, got {lo!r},{hi!r}")
     return GridSpec(lo, hi, args.grid)
 
 
@@ -212,14 +212,15 @@ def _cmd_reconstruct(args) -> int:
     nodes = grid.nodes(preset.dim)
     max_err = None
     if preset.closed_form is not None:
-        max_err = 0.0
-        for mu in range(preset.dim):
-            got = pf.matrices(np.array(nodes), mu)
-            for x, m in zip(nodes, got):
-                expected = np.asarray(preset.closed_form(x, mu))
-                max_err = max(max_err, float(np.linalg.norm(m - expected)))
+        # np.max, not a max() fold, so that a NaN defect is not dropped.
+        errs = [
+            float(np.linalg.norm(m - np.asarray(preset.closed_form(x, mu))))
+            for mu in range(preset.dim)
+            for x, m in zip(nodes, pf.matrices(np.array(nodes), mu))
+        ]
+        max_err = float(np.max(errs, initial=0.0))
     tol = preset.tolerances.get("reconstruct")
-    ok = max_err is None or tol is None or max_err <= tol
+    ok = max_err is None or (bool(np.isfinite(max_err)) and (tol is None or max_err <= tol))
     summary = {
         "preset": preset.name,
         "grid": grid.describe(preset.dim),
@@ -233,7 +234,7 @@ def _cmd_reconstruct(args) -> int:
     _write_atomic(args.out, "potential.csv", potential_grid_csv(pf, grid))
     _write_atomic(args.out, "reconstruct_summary.json", _json_text(summary) + "\n")
     if not ok:
-        print(f"reconstruct: defect {max_err:.3e} exceeds tolerance {tol:.3e}", file=sys.stderr)
+        print(f"reconstruct: defect {max_err:.3e} is not finite or exceeds tolerance {tol}", file=sys.stderr)
     return 0 if ok else 2
 
 
@@ -300,6 +301,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise _InputError("--seed must be at least 0")
         if args.command == "presets":
             return _cmd_presets(args)
         if args.command == "reconstruct":

@@ -49,7 +49,6 @@ from .lie_core import (
 )
 from .path_algebra import (
     LoopAtBase,
-    PathNd,
     compose_paths,
     invert_path,
     piecewise_power_map,
@@ -58,7 +57,7 @@ from .path_algebra import (
     reconstruction_loop,
     reparametrize,
 )
-from .segment_table import sample_pieces, stack_tables
+from .segment_table import Batch, sample_pieces, stack_tables
 
 __all__ = [
     "DimMismatch",
@@ -264,11 +263,10 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     return out.reshape(pts.shape[:2] + (d, d))
 
 
-def _per_piece(paths, u: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+def _per_piece(batch: Batch, u: np.ndarray, kernel) -> np.ndarray:
     """``kernel(points, velocities)`` on the samples at abscissae ``u`` of
-    the smooth pieces of many paths, each distinct piece once; returns the
-    per-piece results in traversal order and the number of pieces of each
-    path.
+    the rows (smooth pieces) of a batch, each distinct piece once; returns
+    the per-piece results in traversal order.
 
     Pieces are the same piece when their kind flag, control-point bytes
     and time-map bytes (in a batch that has time maps) are equal, so a
@@ -278,8 +276,7 @@ def _per_piece(paths, u: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
     at piece boundaries; the kernel treats each piece on its own, so no
     result depends on its batch.
     """
-    counts = np.array([p.n_pieces for p in paths], dtype=int)
-    cubic, ctrl, tmap = stack_tables(paths)
+    cubic, ctrl, tmap, _ = batch
     # One flat byte row per piece: its flag, its control points, its time map.
     parts = [cubic[:, None].view(np.uint8), ctrl.reshape(-1, 4 * ctrl.shape[-1]).view(np.uint8)]
     if tmap is not None:
@@ -293,23 +290,24 @@ def _per_piece(paths, u: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
     rep[where] = np.arange(len(where))
     cap = max(1, _KERNEL_SAMPLES // len(u))
     results = [
-        kernel(*sample_pieces([PathNd.chain(cubic[c], ctrl[c], None if tmap is None else tmap[c])], u))
+        kernel(*sample_pieces(cubic[c], ctrl[c], None if tmap is None else tmap[c], u))
         for c in (rep[a : a + cap] for a in range(0, max(len(rep), 1), cap))
     ]
-    return np.concatenate(results)[where], counts
+    return np.concatenate(results)[where]
 
 
-def _line_integrals(field: ConnectionField, paths) -> np.ndarray:
-    """Line integral of the (abelian) connection along every path, by
-    per-piece Gauss-Legendre quadrature (exact for the polynomial fields
-    used in presets, since the per-piece integrand degree is far below 63)."""
+def _line_integrals(field: ConnectionField, batch: Batch) -> np.ndarray:
+    """Line integral of the (abelian) connection along every chain of a
+    batch, by per-piece Gauss-Legendre quadrature (exact for the polynomial
+    fields used in presets, since the per-piece integrand degree is far
+    below 63)."""
 
     def kernel(pts, vels):
         return (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
 
-    pieces, counts = _per_piece(paths, _GL_NODES, kernel)
+    counts = batch.counts
     totals = np.zeros(len(counts), dtype=np.complex128)
-    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), pieces)
+    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), _per_piece(batch, _GL_NODES, kernel))
     return totals
 
 
@@ -325,9 +323,9 @@ def _ordered_products(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transport_products(field: ConnectionField, paths, steps_per_segment: int) -> np.ndarray:
-    """Solve u' = -A(b) b' u, u(0) = 1, over each whole path; returns the
-    (paths, d, d) stack of u(1).
+def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int) -> np.ndarray:
+    """Solve u' = -A(b) b' u, u(0) = 1, over each whole chain of a batch;
+    returns the (chains, d, d) stack of u(1).
 
     RK4 is linear in u, so step k is u -> P_k u with the propagator
     P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = M1, K2 = M2 (I + h/2 K1),
@@ -360,7 +358,7 @@ def _transport_products(field: ConnectionField, paths, steps_per_segment: int) -
             p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
         return p[:, 0]
 
-    return _ordered_products(*_per_piece(paths, np.linspace(0.0, 1.0, 2 * n + 1), kernel))
+    return _ordered_products(_per_piece(batch, np.linspace(0.0, 1.0, 2 * n + 1), kernel), batch.counts)
 
 
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
@@ -384,19 +382,18 @@ def _check_representable(values: np.ndarray, what: str):
         raise IntegrationError(f"{what} of loop {bad[0]} is {v[bad[0]]}, which is not a finite nonzero double")
 
 
-def _holonomy_matrices(h_map: HolonomyMap, paths) -> np.ndarray:
-    """Holonomy matrices, (paths, d, d), of closed paths at the map's base
-    point; callers have checked dimension and base point.  A 1x1 value a
-    double cannot hold raises ``IntegrationError``, not a RuntimeWarning."""
+def _holonomy_matrices(h_map: HolonomyMap, batch: Batch) -> np.ndarray:
+    """Holonomy matrices, (chains, d, d), of a batch of closed chains at the
+    map's base point; callers have checked dimension and base point.  A
+    1x1 value a double cannot hold raises ``IntegrationError``, not a
+    RuntimeWarning."""
     spec = h_map.spec
-    if not paths:
-        return np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)
     quiet = "ignore" if spec.matrix_dim == 1 else None  # None leaves the setting alone
     with np.errstate(over=quiet, invalid=quiet):
         if isinstance(h_map.backend, _AnalyticAbelianBackend):
-            h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, paths)[:, None, None]))
+            h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, batch)[:, None, None]))
         else:
-            u = _transport_products(h_map.field, paths, h_map.backend.steps_per_segment)
+            u = _transport_products(h_map.field, batch, h_map.backend.steps_per_segment)
             _check_representable(u, "the transport value u(1)")
             h = np.linalg.inv(u)
     _check_representable(h, "the holonomy")
@@ -413,7 +410,9 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
     loops = list(loops)
     for loop in loops:
         _check_based(h_map, loop.dim, loop.basepoint)
-    mats = _holonomy_matrices(h_map, [loop.path for loop in loops])
+    if not loops:
+        return []
+    mats = _holonomy_matrices(h_map, stack_tables([loop.path for loop in loops]))
     return [GroupElement(h_map.spec, m) for m in mats]
 
 
@@ -428,7 +427,7 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     With the lift convention used here the endpoint value is u(1) g0,
     so transport around a closed loop returns H(loop)^{-1} g0.
     """
-    u = _transport_products(field, [path], steps_per_segment)[0]
+    u = _transport_products(field, stack_tables([path]), steps_per_segment)[0]
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 

@@ -13,10 +13,11 @@ API and the JSON form.  ``reparametrize`` returns a table path whose rows
 also carry a time map (``ReparametrizedPath``), which evaluates exactly
 but takes no further algebra.
 
+A reference frame (``PathFamily``) is a vectorized ``table_rule`` giving
+the segment tables of the paths to many targets at once;
 ``reconstruction_chains`` builds many reconstruction loops, thin-reduced,
-as unchecked chains (``PathNd.chain``) from one ``PathFamily.tables``
-call; ``radial_family`` and ``axis_dogleg_family`` compute those tables
-vectorized (``table_rule``), a per-point ``rule`` once per target.
+as one flat batch (``segment_table.Batch``) from one ``PathFamily.tables``
+call.
 
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .segment_table import bezier_points, bezier_velocities, table_rows, thin_keep, time_map
+from .segment_table import Batch, bezier_points, bezier_velocities, table_batch, table_rows, thin_keep, time_map
 
 __all__ = [
     "EndpointMismatch",
@@ -111,9 +112,9 @@ class PathNd:
     ``breakpoints`` (s + 1,) and, on a ``ReparametrizedPath`` only, time
     maps ``tmap`` (s, 4).  Built from ``Segment`` objects or by an
     operation, a path is checked for breakpoints, dimensions and
-    continuity; ``PathNd.chain`` makes one from a table without checks."""
+    continuity."""
 
-    __slots__ = ("dim", "cubic", "ctrl", "tmap", "_breakpoints")
+    __slots__ = ("dim", "cubic", "ctrl", "tmap", "breakpoints")
 
     def __init__(self, dim: int, segments, breakpoints):
         segs = tuple(segments)
@@ -128,14 +129,6 @@ class PathNd:
         if breakpoints is None:
             breakpoints = np.linspace(0.0, 1.0, len(segments) + 1)
         return cls(segments[0].dim, tuple(segments), np.asarray(breakpoints, dtype=float))
-
-    @staticmethod
-    def chain(cubic: np.ndarray, ctrl: np.ndarray, tmap: np.ndarray | None = None) -> "PathNd":
-        """An unchecked path from a segment table in traversal order, one
-        smooth piece per row; uniform breakpoints are made on first use."""
-        p = object.__new__(PathNd)
-        p.dim, p.cubic, p.ctrl, p.tmap, p._breakpoints = ctrl.shape[-1], cubic, ctrl, tmap, None
-        return p
 
     def _fill(self, cubic: np.ndarray, ctrl: np.ndarray, bp: np.ndarray):
         """Check a segment table and its breakpoints, then hold them."""
@@ -154,13 +147,7 @@ class PathNd:
         if bad.any():
             raise ValueError(f"adjacent segments are discontinuous (gap {gap[bad][0]:.3e})")
         bp.setflags(write=False)
-        self.dim, self.cubic, self.ctrl, self.tmap, self._breakpoints = ctrl.shape[-1], cubic, ctrl, None, bp
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        if self._breakpoints is None:
-            self._breakpoints = np.linspace(0.0, 1.0, len(self.cubic) + 1)
-        return self._breakpoints
+        self.dim, self.cubic, self.ctrl, self.tmap, self.breakpoints = ctrl.shape[-1], cubic, ctrl, None, bp
 
     @property
     def segments(self) -> tuple:
@@ -300,7 +287,7 @@ class ReparametrizedPath(PathNd):
         # The base segment each piece runs along, and its local parameter.
         j = np.clip(np.searchsorted(path.breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, path.n_pieces - 1)
         ba, bb = path.breakpoints[j, None], path.breakpoints[j + 1, None]
-        self.dim, self.cubic, self.ctrl, self._breakpoints = path.dim, path.cubic[j], path.ctrl[j], bp
+        self.dim, self.cubic, self.ctrl, self.breakpoints = path.dim, path.cubic[j], path.ctrl[j], bp
         self.tmap = (y - ba) / (bb - ba)
 
 
@@ -329,16 +316,15 @@ class LoopAtBase:
 class PathFamily:
     """Reference frame: a path from the base point to each target point.
 
-    Given by a per-point ``rule`` or by a vectorized ``table_rule`` mapping
-    an (m, dim) array of targets to the ``tables`` of their paths; either
-    must be a pure function of the target.  Every path is checked to run
-    from the base point to the target.
+    Given by a vectorized ``table_rule`` mapping an (m, dim) array of
+    targets to the ``tables`` of their paths, a pure function of each
+    target.  Every path is checked to run from the base point to the
+    target.
     """
 
     dim: int
     basepoint: np.ndarray
-    rule: Callable[[np.ndarray], PathNd] | None = None
-    table_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    table_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         bp = np.array(self.basepoint, dtype=float)
@@ -346,45 +332,35 @@ class PathFamily:
         object.__setattr__(self, "basepoint", bp)
         if bp.shape != (self.dim,):
             raise ValueError("basepoint dimension mismatch")
-        if (self.rule is None) == (self.table_rule is None):
-            raise ValueError("a family needs exactly one of rule and table_rule")
-
-    def _check_ends(self, starts, ends, targets):
-        tol = _CONT_TOL * (1.0 + np.maximum(np.abs(targets).max(axis=1), np.abs(self.basepoint).max()))
-        if np.any(np.linalg.norm(starts - self.basepoint, axis=1) > tol):
-            raise ValueError("family path does not start at the base point")
-        if np.any(np.linalg.norm(ends - targets, axis=1) > tol):
-            raise ValueError("family path does not end at the target point")
 
     def tables(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Segment tables of the paths to an (m, dim) array of targets: kind
-        flags (m, s) and control points (m, s, 4, dim).  A ``rule`` family
-        calls its rule once per target and pads shorter paths at their end
-        with zero-length segments, which thin reduction drops.
+        """Segment tables of the paths to one target or an (m, dim) array
+        of them: kind flags (m, s) and control points (m, s, 4, dim).  A
+        target that is not finite raises ``ValueError``.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        if self.table_rule is not None:
-            cubic, ctrl = self.table_rule(pts)
-        else:
-            paths = [self.rule(x) for x in pts]
-            if not all(isinstance(p, PathNd) and p.tmap is None for p in paths):
-                raise TypeError("frame tables need segment-backed frame paths")
-            s = max((p.n_pieces for p in paths), default=1)
-            cubic, ctrl = np.zeros((len(pts), s), dtype=bool), np.empty((len(pts), s, 4, self.dim))
-            for k, p in enumerate(paths):
-                n = p.n_pieces
-                cubic[k, :n], ctrl[k, :n], ctrl[k, n:] = p.cubic, p.ctrl, p.ctrl[-1, 3]
-        self._check_ends(ctrl[:, 0, 0], ctrl[:, -1, 3], pts)
+        pts = _as_points(points, self.dim)
+        if not np.isfinite(pts).all():
+            raise ValueError("frame targets must be finite")
+        cubic, ctrl = self.table_rule(pts)
+        tol = _CONT_TOL * (1.0 + np.maximum(np.abs(pts).max(axis=1), np.abs(self.basepoint).max()))
+        if np.any(np.linalg.norm(ctrl[:, 0, 0] - self.basepoint, axis=1) > tol):
+            raise ValueError("family path does not start at the base point")
+        if np.any(np.linalg.norm(ctrl[:, -1, 3] - pts, axis=1) > tol):
+            raise ValueError("family path does not end at the target point")
         return cubic, ctrl
 
     def __getitem__(self, x) -> PathNd:
-        x = np.asarray(x, dtype=float)
-        if self.table_rule is None:
-            p = self.rule(x)
-            self._check_ends(p.start[None], p.end[None], x[None])
-            return p
         (cubic,), (ctrl,) = self.tables(x)
         return _table_path(cubic, ctrl, np.linspace(0.0, 1.0, len(cubic) + 1))
+
+
+def _as_points(points, dim: int) -> np.ndarray:
+    """One point of length dim, or an (m, dim) array, as an (m, dim) array;
+    any other shape raises ``ValueError`` rather than being regrouped."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (dim,) and (pts.ndim != 2 or pts.shape[1] != dim):
+        raise ValueError(f"expected a point of R^{dim} or an (m, {dim}) array, got shape {pts.shape}")
+    return pts.reshape(-1, dim)
 
 
 def _polyline(vertices: np.ndarray) -> PathNd:
@@ -497,10 +473,10 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     return LoopAtBase(_table_path(cubic, ctrl, bp), psi.basepoint)
 
 
-def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
+def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
     """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
-    thin-reduced, as unchecked chains (``PathNd.chain``) for the holonomy
-    kernel.
+    thin-reduced, as one batch for the holonomy kernel: the surviving rows
+    of every loop in order, and the number of rows of each.
 
     Each chain is psi[x], the straight segment from x to y, then psi[y]
     reversed, with the semantics of ``thin_reduce``.  The frame paths of
@@ -517,13 +493,9 @@ def reconstruction_chains(psi: PathFamily, xs, ys) -> list:
     ix, iy = where[:n], where[n:]
     ctrl = np.concatenate([ctrl[ix], np.stack([xs, xs, ys, ys], axis=1)[:, None], ctrl[iy, ::-1, ::-1]], axis=1)
     cubic = np.concatenate([cubic[ix], np.zeros((n, 1), dtype=bool), cubic[iy, ::-1]], axis=1)
-    counts = [cubic.shape[1]] * n
-    cubic, ctrl = cubic.reshape(-1), ctrl.reshape(-1, 4, dim)
+    cubic, ctrl, _, counts = table_batch(cubic, ctrl)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
-    kept = np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n)
-    ends = np.cumsum(kept)
-    cubic, ctrl = cubic[keep], ctrl[keep]
-    return [PathNd.chain(cubic[e - k : e], ctrl[e - k : e]) for k, e in zip(kept, ends)]
+    return Batch(cubic[keep], ctrl[keep], None, np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n))
 
 
 def thin_reduce(p: PathNd) -> PathNd:

@@ -56,6 +56,7 @@ from .path_algebra import (
     LoopAtBase,
     PathFamily,
     PathNd,
+    _as_points,
     compose_paths,
     constant_path,
     contract,
@@ -65,6 +66,7 @@ from .path_algebra import (
     straight_segment,
     thin_reduce,
 )
+from .segment_table import table_batch
 
 __all__ = [
     "StepTooLarge",
@@ -221,7 +223,7 @@ class PotentialField:
         raised and the values memoized are those of single-point calls in
         order.
         """
-        pts = np.ascontiguousarray(points, dtype=float).reshape(-1, self.dim)
+        pts = np.ascontiguousarray(_as_points(points, self.dim))
         keys = [(x.tobytes(), mu) for x in pts]
         missing = {key: x for key, x in zip(keys, pts) if key not in self._memo}
         if missing:
@@ -410,10 +412,7 @@ def curvature(A: PotentialField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()
     """
     x = np.asarray(x, dtype=float)
     ch = cfg.curvature_h
-    e_mu = np.zeros_like(x)
-    e_mu[mu] = 1.0
-    e_nu = np.zeros_like(x)
-    e_nu[nu] = 1.0
+    e_mu, e_nu = np.eye(len(x))[[mu, nu]]
     d_mu_a_nu = (A.matrix(x + ch * e_mu, nu) - A.matrix(x - ch * e_mu, nu)) / (2.0 * ch)
     d_nu_a_mu = (A.matrix(x + ch * e_nu, mu) - A.matrix(x - ch * e_nu, mu)) / (2.0 * ch)
     a_mu = A.matrix(x, mu)
@@ -488,11 +487,11 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int) ->
     spec = A_in.spec
 
     def values(points, mu) -> list:
-        paths = [PathNd.chain(c, t) for c, t in zip(*psi.tables(points))]
+        batch = table_batch(*psi.tables(points))
         if spec.is_abelian:
-            zs = -_line_integrals(A_in, paths)
+            zs = -_line_integrals(A_in, batch)
             return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
-        return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, paths, steps)]
+        return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, batch, steps)]
 
     return PotentialField(A_in.dim, spec, values, "relating gauge field")
 

@@ -5,21 +5,26 @@ and control points of shape (s, 4, dim), a line p0 -> p1 stored as
 [p0, p0, p1, p1] so that reversing the rows of either kind reverses the
 segment.  A reparametrized piece adds a time map ``tmap`` (s, 4): the
 Bezier ordinates of a cubic from the piece's parameter to the segment's.
-``PathNd`` holds a table with breakpoints, an unchecked ``PathNd.chain``
-none (reconstruction loops, kernel batches).  ``sample_pieces`` samples
-the pieces of many paths at once for the holonomy integrators.
+``PathNd`` holds a table with breakpoints.  A batch of many chains is one
+flat table plus the row count of each chain (``Batch``); it is what frames,
+reconstruction loops and the holonomy kernels pass on, and
+``sample_pieces`` samples its rows for the integrators.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
+    "Batch",
     "table_rows",
     "bezier_points",
     "bezier_velocities",
     "time_map",
     "thin_keep",
+    "table_batch",
     "stack_tables",
     "sample_pieces",
 ]
@@ -115,23 +120,40 @@ def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.nda
     return keep
 
 
-def stack_tables(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The segment tables of many paths stacked in traversal order: flags,
-    control points and time maps, the last None unless some path has
-    one, in which case the rows of the other paths are NaN."""
-    cubic = np.concatenate([p.cubic for p in paths])
-    ctrl = np.concatenate([p.ctrl for p in paths])
+class Batch(NamedTuple):
+    """Many chains as one flat segment table in traversal order: flags,
+    control points, time maps or None, and the row count of each chain."""
+
+    cubic: np.ndarray
+    ctrl: np.ndarray
+    tmap: np.ndarray | None
+    counts: np.ndarray
+
+
+def table_batch(cubic: np.ndarray, ctrl: np.ndarray) -> Batch:
+    """The batch of m chains of s rows each, from flags (m, s) and control
+    points (m, s, 4, dim) such as ``PathFamily.tables`` returns."""
+    m, s = cubic.shape
+    return Batch(cubic.reshape(-1), ctrl.reshape(-1, 4, ctrl.shape[-1]), None, np.full(m, s))
+
+
+def stack_tables(paths) -> Batch:
+    """The segment tables of many paths as one batch, its time maps None
+    unless some path has one, in which case the other paths' rows are NaN."""
+    counts = np.array([p.n_pieces for p in paths])
+    cubic, ctrl = np.concatenate([p.cubic for p in paths]), np.concatenate([p.ctrl for p in paths])
     if all(p.tmap is None for p in paths):
-        return cubic, ctrl, None
-    return cubic, ctrl, np.concatenate([np.full((p.n_pieces, 4), np.nan) if p.tmap is None else p.tmap for p in paths])
+        return Batch(cubic, ctrl, None, counts)
+    tmap = np.concatenate([np.full((p.n_pieces, 4), np.nan) if p.tmap is None else p.tmap for p in paths])
+    return Batch(cubic, ctrl, tmap, counts)
 
 
-def sample_pieces(paths, u) -> tuple[np.ndarray, np.ndarray]:
-    """Samples at local abscissae u in [0, 1] on every smooth piece of every
-    path, stacked in traversal order: points and velocities d/du, each
-    (pieces, len(u), dim).  A piece without a time map is sampled from its
-    control points alone, bit for bit whatever else is in the stack."""
-    cubic, ctrl, tmap = stack_tables(paths)
+def sample_pieces(cubic, ctrl, tmap, u) -> tuple[np.ndarray, np.ndarray]:
+    """Samples at local abscissae u in [0, 1] on every row of a segment
+    table (flags, control points, time maps or None): points and
+    velocities d/du, each (rows, len(u), dim).  A row without a time map
+    is sampled from its control points alone, bit for bit whatever else
+    is in the table."""
     k, c, t = cubic[:, None], ctrl[:, None], np.asarray(u, dtype=float)[None, :]
     if tmap is None:
         return bezier_points(k, c, t), bezier_velocities(k, c, t)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holonomy_forge
@@ -202,6 +203,37 @@ class TestErrors:
         out = tmp_path / "never"
         assert main(["audit", "--preset", "paper-sec6", "--samples", samples, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, box", [("su2-shear", "0,inf"), ("paper-sec6", "-inf,1"), ("su2-shear", "nan,1")])
+    @pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+    def test_non_finite_box_is_an_input_error(self, tmp_path, capsys, command, preset, box):
+        # An infinite end makes NaN grid nodes: the box is refused before any
+        # node is computed, not reported as a pass or a tolerance failure.
+        out = tmp_path / "never"
+        assert main([command, "--preset", preset, "--grid", "3", "--box", box, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "audit", "roundtrip"])
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys, command):
+        out = tmp_path / "never"
+        assert main([command, "--preset", "su2-shear", "--grid", "3", "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_defect_fails_the_run(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0, so a max() fold would drop a NaN defect.
+        import dataclasses
+
+        from holonomy_forge import cli
+
+        preset = dataclasses.replace(
+            holonomy_forge.get_preset("paper-sec6"), closed_form=lambda x, mu: np.full((1, 1), np.nan)
+        )
+        monkeypatch.setattr(cli, "get_preset", lambda name: preset)
+        assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "3", "--out", str(tmp_path)]) == 2
+        summary = read(tmp_path / "reconstruct_summary.json")
+        assert '"max_abs_error": nan' in summary and '"pass": false' in summary
 
     @pytest.mark.parametrize("command", ["reconstruct", "audit", "roundtrip"])
     @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-1"), ("--fd-h", "0"), ("--fd-h", "-0.001")])

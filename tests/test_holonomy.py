@@ -42,6 +42,7 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 from holonomy_forge.presets import PRESETS
+from holonomy_forge.segment_table import stack_tables
 
 from _oracles import (
     loop_axiom3,
@@ -179,7 +180,7 @@ class TestTransportKernel:
     def test_matches_sequential_oracle(self, spec, rng):
         field = random_affine_field(spec, rng)
         for path in kernel_test_paths(rng):
-            got = _transport_products(field, [path], 16)[0]
+            got = _transport_products(field, stack_tables([path]), 16)[0]
             expected = sequential_rk4_transport(field, path, 16)
             assert got.shape == (spec.matrix_dim, spec.matrix_dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -191,7 +192,7 @@ class TestTransportKernel:
         verts = [ORIGIN, np.array([0.6, 0.1]), np.array([0.2, 0.7]), ORIGIN]
         segs = [Segment("line", np.stack(pair)) for pair in zip(verts[:-1], verts[1:])]
         path = PathNd.from_segments(segs, [0.0, 0.99995, 0.99999, 1.0])
-        got = _transport_products(field, [path], 16)[0]
+        got = _transport_products(field, stack_tables([path]), 16)[0]
         assert np.linalg.norm(got - sequential_rk4_transport(field, path, 16)) <= 1e-12
 
     def test_negative_propagator_raises(self):
@@ -382,8 +383,8 @@ def count_sampled_pieces(monkeypatch) -> list:
     calls = []
     real = holonomy.sample_pieces
 
-    def counting(paths, u):
-        samples = real(paths, u)
+    def counting(cubic, ctrl, tmap, u):
+        samples = real(cubic, ctrl, tmap, u)
         calls.append(len(samples[0]))
         return samples
 

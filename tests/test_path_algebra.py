@@ -418,7 +418,7 @@ def test_reparametrized_table_matches_lazy_oracle_property(p, phi, inner):
     lazy = LazyReparametrizedPath(p, phi)
     assert isinstance(r, ReparametrizedPath) and r.breakpoints.tobytes() == lazy.breakpoints.tobytes()
     u = np.array([0.0, *inner, 1.0])
-    pts, vels = sample_pieces([r], u)
+    pts, vels = sample_pieces(r.cubic, r.ctrl, r.tmap, u)
     lazy_pts, lazy_vels = lazy.piece_samples(u)
     bound = 32 * np.finfo(float).eps / np.diff(p.breakpoints).min()
     assert np.abs(pts - lazy_pts).max() <= bound * (1.0 + np.abs(p.ctrl).max())
@@ -445,7 +445,7 @@ class TestTimeMappedPaths:
         p = polyline_1d([0.0, 0.5, 1.0])
         r = reparametrize(p, flat_time_map(0.5))
         assert np.array_equal(r.start, [0.0]) and np.array_equal(r.end, [2.0])
-        pts, vels = sample_pieces([r], np.linspace(0.0, 1.0, 5))
+        pts, vels = sample_pieces(r.cubic, r.ctrl, r.tmap, np.linspace(0.0, 1.0, 5))
         flat = int(np.searchsorted(r.breakpoints, 0.5)) - 1
         assert np.array_equal(pts[flat], np.ones((5, 1))) and not vels[flat].any()
 
@@ -486,7 +486,7 @@ class TestValidation:
 
     def test_family_rule_checked(self):
         bad = radial_family([0.0, 0.0])
-        broken = type(bad)(2, np.zeros(2), lambda x: straight_segment([0.1, 0.0], x))
+        broken = type(bad)(2, np.zeros(2), radial_family([0.1, 0.0]).table_rule)
         with pytest.raises(ValueError):
             broken[[1.0, 1.0]]
 
@@ -546,18 +546,20 @@ def test_contract_matches_rescaling_property(seed, i):
 
 
 def curved_family(basepoint) -> PathFamily:
-    """A rule-only frame whose paths have one line or a cubic and a line,
-    depending on the target."""
+    """A frame whose paths are a cubic and a line, or one line padded at
+    the target with a zero-length line, depending on the target."""
     base = np.asarray(basepoint, dtype=float)
 
-    def rule(x):
-        if x[0] >= x[1]:
-            return straight_segment(base, x)
-        mid = 0.5 * (base + x) + np.array([0.25, -0.5])
-        bend = Segment("cubic", np.stack([base, base + [0.1, 0.2], mid - [0.3, 0.0], mid]))
-        return PathNd.from_segments([bend, Segment("line", np.stack([mid, x]))])
+    def table_rule(xs):
+        mid = 0.5 * (base + xs) + np.array([0.25, -0.5])
+        bend = np.stack(np.broadcast_arrays(base, base + [0.1, 0.2], mid - [0.3, 0.0], mid), axis=1)
+        line = np.stack(np.broadcast_arrays(base, base, xs, xs), axis=1)
+        bent = xs[:, 0] < xs[:, 1]
+        curved = np.stack([bend, np.stack([mid, mid, xs, xs], axis=1)], axis=1)
+        straight = np.stack([line, np.stack([xs] * 4, axis=1)], axis=1)
+        return np.stack([bent, np.zeros_like(bent)], axis=1), np.where(bent[:, None, None, None], curved, straight)
 
-    return PathFamily(2, base, rule)
+    return PathFamily(2, base, table_rule)
 
 
 BASE = (0.3, -0.6)
@@ -577,15 +579,15 @@ _point = st.tuples(_coord, _coord)
 def test_reconstruction_chains_match_reduced_loops_property(family, pairs):
     psi = FAMILIES[family](BASE)
     xs, ys = (np.array(p, dtype=float) for p in zip(*pairs))
-    chains = reconstruction_chains(psi, xs, ys)
-    assert len(chains) == len(pairs)
-    for chain, x, y in zip(chains, xs, ys):
+    batch = reconstruction_chains(psi, xs, ys)
+    assert len(batch.counts) == len(pairs)
+    for k, e, x, y in zip(batch.counts, np.cumsum(batch.counts), xs, ys):
         reduced = thin_reduce(reconstruction_loop(psi, x, y).path)
         if reduced.is_constant():  # nothing survives reduction
-            assert chain.n_pieces == 0
+            assert k == 0
             continue
-        assert np.array_equal(chain.cubic, reduced.cubic)
-        assert np.array_equal(chain.ctrl, reduced.ctrl)
+        assert np.array_equal(batch.cubic[e - k : e], reduced.cubic)
+        assert np.array_equal(batch.ctrl[e - k : e], reduced.ctrl)
 
 
 class TestFamilyTables:
@@ -615,9 +617,18 @@ class TestFamilyTables:
         with pytest.raises(ValueError, match=message):
             psi[[1.0, 1.0]]
 
-    def test_needs_exactly_one_rule(self):
-        rule = radial_family(BASE).table_rule
-        with pytest.raises(ValueError):
-            PathFamily(2, BASE)
-        with pytest.raises(ValueError):
-            PathFamily(2, BASE, lambda x: straight_segment(BASE, x), rule)
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_targets_raise(self, bad):
+        # A NaN target passes the endpoint check (nan > tol is False), and
+        # thin reduction would then drop every segment of its loop.
+        psi = radial_family(BASE)
+        with pytest.raises(ValueError, match="finite"):
+            psi.tables([[1.0, 1.0], bad])
+        with pytest.raises(ValueError, match="finite"):
+            psi[bad]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (6,), (1, 1, 2)])
+    def test_targets_of_the_wrong_dimension_raise(self, shape):
+        # reshape(-1, dim) would silently regroup the six numbers of (2, 3).
+        with pytest.raises(ValueError, match="shape"):
+            radial_family(BASE).tables(np.zeros(shape))

@@ -412,6 +412,20 @@ class TestPotentialField:
         pf.matrices(np.concatenate([xs[:2], [[0.3, 0.4]]]), 1)
         assert shapes == [(9, 2), (1, 2), (1, 2), (2, 2)]
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 1, 2)])
+    def test_points_of_the_wrong_dimension_raise(self, sec6, shape):
+        h_map, psi, _ = sec6
+        for pf in (PotentialField.from_holonomy(h_map, psi, CFG), PotentialField.from_connection(h_map.field)):
+            with pytest.raises(ValueError, match="shape"):
+                pf.matrices(np.zeros(shape), 0)
+            assert pf._memo == {}
+
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0]])
+    def test_non_finite_frame_target_raises(self, bad):
+        # Unchecked, a NaN target's loop thins away and gives the zero potential.
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_potential(hf.get_preset("su2-shear").holonomy_map(), radial_family([0.0, 0.0]), bad, 0)
+
     def test_invariants_of_reconstructed_values(self, sec6):
         h_map, psi, _ = sec6
         pf = PotentialField.from_holonomy(h_map, psi, CFG)
@@ -480,8 +494,7 @@ class TestBatchedReconstruction:
                 assert np.linalg.norm(a.matrix - p.closed_form(x, mu)) <= 1e-3
 
     @pytest.mark.parametrize("miss", ["start", "end"])
-    @pytest.mark.parametrize("form", ["table_rule", "rule"])
-    def test_frame_endpoints_checked_in_a_batch(self, sec6, form, miss):
+    def test_frame_endpoints_checked_in_a_batch(self, sec6, miss):
         # A straight frame whose path to one node misses the base point or
         # that node by 1e-6.
         def ends(x):
@@ -494,10 +507,7 @@ class TestBatchedReconstruction:
             rows = [np.stack([a, a, b, b]) for a, b in map(ends, xs)]
             return np.zeros((len(xs), 1), dtype=bool), np.array(rows)[:, None]
 
-        if form == "rule":
-            psi = PathFamily(2, ORIGIN, lambda x: straight_segment(*ends(x)))
-        else:
-            psi = PathFamily(2, ORIGIN, table_rule=table_rule)
+        psi = PathFamily(2, ORIGIN, table_rule=table_rule)
         message = "does not start at the base point" if miss == "start" else "does not end at the target point"
         points = np.array([[0.2, 0.3], [0.5, -0.5], [-0.4, 0.1]])
         with pytest.raises(ValueError, match=message):
