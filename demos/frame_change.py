@@ -39,7 +39,9 @@ print(f"\nTransition value dogleg -> radial at (1,1): {t:.9f}")
 print(f"  area oracle exp(-1/2)                    : {math.exp(-0.5):.9f}")
 
 print("\nGauge law carries the radial potential into the dogleg one:")
-relating = lambda y: transition_function(h_map, radial, dogleg, y)
+# transition_function takes an (m, dim) array of points too, so it serves
+# as the batch gauge field that gauge_transform_potential calls once.
+relating = lambda ys: transition_function(h_map, radial, dogleg, ys)
 for point in ([1.0, 1.0], [-0.7, 0.4]):
     point = np.array(point)
     for mu in (0, 1):

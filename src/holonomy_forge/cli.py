@@ -2,9 +2,10 @@
 
 Subcommands: ``reconstruct``, ``audit``, ``roundtrip``, ``presets list``.
 Exit codes: 0 all checks within tolerance, 1 input error, 2 tolerance
-failure.  Outputs are written to temporary files and renamed into place,
-so interrupted runs never leave partial files.  Identical configurations
-(including the seed) produce byte-identical outputs.
+failure or a named numerical error.  Outputs are written to temporary
+files and renamed into place, so interrupted runs never leave partial
+files.  Identical configurations (including the seed) produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -86,7 +87,10 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.17g}"
+        # JSON has no nan or infinity literals: such floats are written as
+        # the strings "nan", "inf" and "-inf".
+        text = f"{float(obj):.17g}"
+        return text if np.isfinite(obj) else json.dumps(text)
     return json.dumps(str(obj))
 
 
@@ -178,10 +182,12 @@ def _grid_from(args, preset: Preset) -> GridSpec:
 
 
 def _fd_config(args) -> FdConfig:
-    try:
-        return FdConfig() if args.fd_h is None else FdConfig(h=args.fd_h)
-    except ValueError as exc:
-        raise _InputError(f"--fd-h: {exc}") from exc
+    if args.fd_h is None:
+        return FdConfig()
+    # The CLI keeps the default curvature step, which h may not exceed.
+    if not 0.0 < args.fd_h <= FdConfig.curvature_h:
+        raise _InputError(f"--fd-h must lie in (0, {FdConfig.curvature_h:g}], got {args.fd_h!r}")
+    return FdConfig(h=args.fd_h)
 
 
 def _steps(args, preset: Preset) -> int:
@@ -216,7 +222,7 @@ def _cmd_reconstruct(args) -> int:
         errs = [
             float(np.linalg.norm(m - np.asarray(preset.closed_form(x, mu))))
             for mu in range(preset.dim)
-            for x, m in zip(nodes, pf.matrices(np.array(nodes), mu))
+            for x, m in zip(nodes, pf.matrices(nodes, mu))
         ]
         max_err = float(np.max(errs, initial=0.0))
     tol = preset.tolerances.get("reconstruct")
@@ -315,6 +321,11 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, ArithmeticError) as exc:
+        # A named numerical error (StepTooLarge, IntegrationError, ...):
+        # the run has no trustworthy answer, which fails it like a defect.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

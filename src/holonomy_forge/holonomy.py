@@ -49,6 +49,7 @@ from .lie_core import (
 )
 from .path_algebra import (
     LoopAtBase,
+    _as_points,
     compose_paths,
     invert_path,
     piecewise_power_map,
@@ -116,8 +117,9 @@ class BasepointMismatch(ValueError):
 
 
 class IntegrationError(ArithmeticError):
-    """A transport step left the positive reals, or a 1x1 holonomy came out
-    0, infinite or nan because a double cannot hold it; neither is clamped."""
+    """A transport step left the positive reals, or a holonomy or transport
+    value came out infinite or nan (or, 1x1, 0) because a double cannot hold
+    it; neither is clamped."""
 
 
 class ConnectionField:
@@ -151,17 +153,18 @@ class ConnectionField:
     @classmethod
     def from_polynomial(cls, dim: int, spec: GroupSpec, components) -> "ConnectionField":
         """Polynomial components: components[mu] is a list of terms
-        (coeff, exponents, basis_index) over the algebra basis, with one
-        nonnegative exponent per coordinate; malformed terms raise
-        ``ValueError``."""
+        (coeff, exponents, basis_index) over the algebra basis, with a finite
+        coefficient and one nonnegative exponent per coordinate; malformed
+        terms raise ``ValueError``."""
         from .lie_core import algebra_basis
 
         d = spec.matrix_dim
         basis = np.array(algebra_basis(spec), dtype=spec.dtype).reshape(-1, d * d)
         terms = [list(components.get(mu, []) if isinstance(components, dict) else components[mu]) for mu in range(dim)]
         for term in (term for t in terms for term in t):
-            _, exps, b = term
-            if b not in range(spec.algebra_dim) or len(exps) != dim or min(exps, default=0) < 0:
+            coeff, exps, b = term
+            malformed = b not in range(spec.algebra_dim) or len(exps) != dim or min(exps, default=0) < 0
+            if malformed or not np.isfinite(coeff):
                 raise ValueError(f"malformed term {term} for a {spec.name.value} connection on R^{dim}")
         # The basis elements each direction's terms use, and their rows.
         used = [sorted({b for _, _, b in t}) for t in terms]
@@ -184,7 +187,8 @@ class ConnectionField:
         return cls(dim, spec, rule)
 
     def component(self, x, mu: int) -> AlgebraElement:
-        return AlgebraElement.from_matrix(self.spec, self.rule(np.asarray(x, dtype=float)[None, :], mu)[0])
+        (x,) = _as_points(x, self.dim)
+        return AlgebraElement.from_matrix(self.spec, self.rule(x[None, :], mu)[0])
 
 
 @dataclass(frozen=True)
@@ -358,7 +362,10 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
             p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
         return p[:, 0]
 
-    return _ordered_products(_per_piece(batch, np.linspace(0.0, 1.0, 2 * n + 1), kernel), batch.counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _ordered_products(_per_piece(batch, np.linspace(0.0, 1.0, 2 * n + 1), kernel), batch.counts)
+    _check_representable(u, "the transport value u(1)")
+    return u
 
 
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
@@ -372,30 +379,29 @@ def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
 
 
 def _check_representable(values: np.ndarray, what: str):
-    """``IntegrationError`` unless a (paths, 1, 1) stack is finite and
-    nonzero; larger matrices pass unchecked."""
-    if values.shape[-1] > 1:
-        return
-    v = values[:, 0, 0]
-    bad = np.flatnonzero(~np.isfinite(v) | (v == 0))
-    if bad.size:
-        raise IntegrationError(f"{what} of loop {bad[0]} is {v[bad[0]]}, which is not a finite nonzero double")
+    """``IntegrationError`` unless every matrix of a (paths, d, d) stack is
+    finite and, if 1x1, nonzero."""
+    bad = ~np.isfinite(values).all(axis=(-2, -1))
+    if values.shape[-1] == 1:
+        bad |= values[:, 0, 0] == 0
+    k = np.flatnonzero(bad)
+    if k.size and values.shape[-1] == 1:
+        raise IntegrationError(f"{what} of loop {k[0]} is {values[k[0], 0, 0]}, which is not a finite nonzero double")
+    if k.size:
+        raise IntegrationError(f"{what} of loop {k[0]} has entries that are not finite")
 
 
 def _holonomy_matrices(h_map: HolonomyMap, batch: Batch) -> np.ndarray:
     """Holonomy matrices, (chains, d, d), of a batch of closed chains at the
     map's base point; callers have checked dimension and base point.  A
-    1x1 value a double cannot hold raises ``IntegrationError``, not a
+    value a double cannot hold raises ``IntegrationError``, not a
     RuntimeWarning."""
     spec = h_map.spec
-    quiet = "ignore" if spec.matrix_dim == 1 else None  # None leaves the setting alone
-    with np.errstate(over=quiet, invalid=quiet):
+    with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(h_map.backend, _AnalyticAbelianBackend):
             h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, batch)[:, None, None]))
         else:
-            u = _transport_products(h_map.field, batch, h_map.backend.steps_per_segment)
-            _check_representable(u, "the transport value u(1)")
-            h = np.linalg.inv(u)
+            h = np.linalg.inv(_transport_products(h_map.field, batch, h_map.backend.steps_per_segment))
     _check_representable(h, "the holonomy")
     return project_to_group(spec, h)
 
@@ -478,14 +484,14 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in np.ndindex(shape)]
     d = h_map.spec.matrix_dim
     values = np.array([g.matrix for g in eval_holonomies(h_map, loops)]).reshape(shape + (d, d))
-    worst = 0.0
+    worst = []
     for axis in range(k):
         v = np.moveaxis(values, axis, 0)
         second = (v[2:] - 2.0 * v[1:-1] + v[:-2]).reshape(-1, d, d)
         # One norm call per node: a stacked norm sums the squares in another
         # order and can differ in the last bit.
-        worst = max(worst, *(float(np.linalg.norm(s)) / delta**2 for s in second))
-    return worst
+        worst += [float(np.linalg.norm(s)) / delta**2 for s in second]
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)
@@ -539,7 +545,7 @@ def audit_axioms(
         alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
         beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
         pairs.append((alpha, beta))
-    a1 = max([0.0, *_composition_defects(h_map, pairs)])
+    a1 = np.max(_composition_defects(h_map, pairs), initial=0.0)
     thin = []
     phi = piecewise_power_map(3, 0.5)
     for k in range(samples):
@@ -548,7 +554,7 @@ def audit_axioms(
         if k % 2:
             path = reparametrize(path, phi)
         thin.append(LoopAtBase(path, base))
-    a2 = max([0.0, *_thin_loop_defects(h_map, thin)])
+    a2 = np.max(_thin_loop_defects(h_map, thin), initial=0.0)
     if axiom3_family is None:
         from .path_algebra import radial_family
 

@@ -215,22 +215,23 @@ class GroupElement:
         self.validate()
 
     def validate(self):
+        # Every test is written so that a nan entry fails it.
         m = self.matrix
         det = np.linalg.det(m)
         # Relative to the Frobenius norm (which bounds |det| via Hadamard's
         # inequality), so a valid element far from the identity, such as a
         # positive real of size 1e-130, is not mistaken for a singular one.
-        if abs(det) <= _DET_TOL * float(np.linalg.norm(m)) ** m.shape[0]:
+        if not abs(det) > _DET_TOL * float(np.linalg.norm(m)) ** m.shape[0]:
             raise ValueError(f"matrix is not invertible (|det| = {abs(det):.3e})")
         name = self.spec.name
-        if name is GroupName.MULTIPLICATIVE_REALS and m[0, 0] <= 0:
+        if name is GroupName.MULTIPLICATIVE_REALS and not m[0, 0] > 0:
             raise ValueError("multiplicative-reals element must be positive")
-        if name is GroupName.U1 and abs(abs(m[0, 0]) - 1.0) > _GROUP_TOL:
+        if name is GroupName.U1 and not abs(abs(m[0, 0]) - 1.0) <= _GROUP_TOL:
             raise ValueError(f"U(1) element has modulus {abs(m[0, 0])!r}")
         if name is GroupName.SU2:
-            if np.linalg.norm(m @ m.conj().T - np.eye(2)) > _GROUP_TOL:
+            if not np.linalg.norm(m @ m.conj().T - np.eye(2)) <= _GROUP_TOL:
                 raise ValueError("SU(2) element is not unitary")
-            if abs(det - 1.0) > _GROUP_TOL:
+            if not abs(det - 1.0) <= _GROUP_TOL:
                 raise ValueError(f"SU(2) element has det {det!r}")
 
     @classmethod
@@ -270,12 +271,12 @@ class AlgebraElement:
     def validate(self):
         m = self.matrix
         name = self.spec.name
-        if name is GroupName.U1 and abs(np.real(m[0, 0])) > _ALGEBRA_TOL:
+        if name is GroupName.U1 and not abs(np.real(m[0, 0])) <= _ALGEBRA_TOL:
             raise ValueError("u(1) element must be purely imaginary")
         if name is GroupName.SU2:
-            if np.linalg.norm(m + m.conj().T) > _ALGEBRA_TOL:
+            if not np.linalg.norm(m + m.conj().T) <= _ALGEBRA_TOL:
                 raise ValueError("su(2) element must be anti-Hermitian")
-            if abs(np.trace(m)) > _ALGEBRA_TOL:
+            if not abs(np.trace(m)) <= _ALGEBRA_TOL:
                 raise ValueError("su(2) element must be traceless")
 
     @classmethod

@@ -50,6 +50,7 @@ from .holonomy import (
     _line_integrals,
     _transport_products,
     eval_holonomy,
+    eval_holonomies,
     transport_along,
 )
 from .path_algebra import (
@@ -203,7 +204,7 @@ class PotentialField:
         )
 
     def __call__(self, x, mu: int) -> AlgebraElement:
-        x = np.asarray(x, dtype=float)
+        (x,) = _as_points(x, self.dim)
         key = (x.tobytes(), mu)
         hit = self._memo.get(key)
         if hit is None:
@@ -364,61 +365,80 @@ def horizontal_transport(
     return hol @ g0
 
 
-def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x) -> GroupElement:
+def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x):
     """Frame-change value H( psi2[x]^{-1} o psi[x] ).
 
     Multiplying on the left by this value (and adding its logarithmic
     derivative) carries the psi-frame potential into the psi2-frame one;
-    swapping the arguments yields the inverse element.
+    swapping the arguments yields the inverse element.  ``x`` is one point,
+    giving a ``GroupElement``, or an (m, dim) array of points, giving a
+    list of m of them from one holonomy batch.
     """
     if np.linalg.norm(psi.basepoint - psi2.basepoint) > 1e-12 * (1.0 + np.max(np.abs(psi.basepoint))):
         raise BasepointMismatch("frames must share a base point")
     x = np.asarray(x, dtype=float)
-    loop = compose_paths(invert_path(psi2[x]), psi[x])
-    return eval_holonomy(h_map, _thin_loop(loop, psi.basepoint))
+    loops = [_thin_loop(compose_paths(invert_path(psi2[y]), psi[y]), psi.basepoint) for y in np.atleast_2d(x)]
+    out = eval_holonomies(h_map, loops)
+    return out if x.ndim == 2 else out[0]
 
 
 def gauge_transform_potential(
-    A: PotentialField, gfield: Callable[[np.ndarray], GroupElement], x, mu: int, cfg: FdConfig = FdConfig()
-) -> AlgebraElement:
+    A: PotentialField, gfield: Callable[[np.ndarray], list], x, mu: int, cfg: FdConfig = FdConfig()
+):
     """Transform a potential by a group-valued field:
-    g^{-1} A_mu g + g^{-1} d_mu g, the derivative by central difference."""
+    g^{-1} A_mu g + g^{-1} d_mu g, the derivative by central difference.
+
+    ``gfield(points)`` maps an (m, dim) array to m ``GroupElement``s and is
+    called once, on the points and their shifts along axis mu.  ``x`` is
+    one point, giving an ``AlgebraElement``, or an (m, dim) array, giving a
+    list; ``StepTooLarge`` if the field varies too fast at any point.
+    """
     x = np.asarray(x, dtype=float)
-    step = np.zeros_like(x)
-    step[mu] = 1.0
-    g = gfield(x).matrix
-    g_inv = gfield(x).inverse().matrix
+    xs = np.atleast_2d(x)
+    step = np.eye(xs.shape[1])[mu]
+    hs = (cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)
+    gs = gfield(np.concatenate([xs, *(xs + sign * h * step for h in hs for sign in (+1.0, -1.0))]))
+    g_inv = np.stack([g.inverse().matrix for g in gs[: len(xs)]])
+    g = np.stack([g.matrix for g in gs]).reshape((-1,) + g_inv.shape)
 
-    def dg(h: float) -> np.ndarray:
-        plus = gfield(x + h * step).matrix
-        minus = gfield(x - h * step).matrix
-        if np.linalg.norm(plus - minus) > 1.0:
+    def dg(k: int) -> np.ndarray:
+        plus, minus = g[2 * k + 1], g[2 * k + 2]
+        if np.any(np.linalg.norm(plus - minus, axis=(-2, -1)) > 1.0):
             raise StepTooLarge("gauge field varies too fast at the difference scale")
-        return (plus - minus) / (2.0 * h)
+        return (plus - minus) / (2.0 * hs[k])
 
-    d = dg(cfg.h)
+    d = dg(0)
     if cfg.richardson:
-        d = (4.0 * dg(cfg.h / 2.0) - d) / 3.0
-    out = g_inv @ A.matrix(x, mu) @ g + g_inv @ d
-    return AlgebraElement(A.spec, project_to_algebra(A.spec, out))
+        d = (4.0 * dg(1) - d) / 3.0
+    out = g_inv @ A.matrices(xs, mu) @ g[0] + g_inv @ d
+    out = [AlgebraElement(A.spec, a) for a in project_to_algebra(A.spec, out)]
+    return out if x.ndim == 2 else out[0]
 
 
-def curvature(A: PotentialField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()) -> AlgebraElement:
+def curvature(A: PotentialField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()):
     """Field strength F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
     Central differences with step ``cfg.curvature_h``; the formula is
     literally antisymmetric, so swapping (mu, nu) negates the value
-    exactly.
+    exactly.  ``x`` is one point, giving an ``AlgebraElement``, or an
+    (m, dim) array, giving a list; A is evaluated in one ``matrices`` call
+    per direction.
     """
     x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
     ch = cfg.curvature_h
-    e_mu, e_nu = np.eye(len(x))[[mu, nu]]
-    d_mu_a_nu = (A.matrix(x + ch * e_mu, nu) - A.matrix(x - ch * e_mu, nu)) / (2.0 * ch)
-    d_nu_a_mu = (A.matrix(x + ch * e_nu, mu) - A.matrix(x - ch * e_nu, mu)) / (2.0 * ch)
-    a_mu = A.matrix(x, mu)
-    a_nu = A.matrix(x, nu)
+    e = np.eye(xs.shape[1])
+
+    def stencil(a: int, b: int):
+        # d_a A_b and A_b at the points, from A_b at x + ch e_a, x - ch e_a, x.
+        plus, minus, mid = np.split(A.matrices(np.concatenate([xs + ch * e[a], xs - ch * e[a], xs]), b), 3)
+        return (plus - minus) / (2.0 * ch), mid
+
+    d_mu_a_nu, a_nu = stencil(mu, nu)
+    d_nu_a_mu, a_mu = stencil(nu, mu)
     f = d_mu_a_nu - d_nu_a_mu + a_mu @ a_nu - a_nu @ a_mu
-    return AlgebraElement(A.spec, project_to_algebra(A.spec, f))
+    out = [AlgebraElement(A.spec, m) for m in project_to_algebra(A.spec, f)]
+    return out if x.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True)
@@ -438,10 +458,9 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.resolution)
 
-    def nodes(self, dim: int) -> list[np.ndarray]:
-        axes = [self.axis()] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
+    def nodes(self, dim: int) -> np.ndarray:
+        mesh = np.meshgrid(*[self.axis()] * dim, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def describe(self, dim: int) -> dict:
         return {"box": [self.lo, self.hi], "resolution": self.resolution, "dim": dim}
@@ -479,21 +498,21 @@ class RoundTripReport:
         )
 
 
-def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int) -> PotentialField:
+def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
     """The group-valued field carrying the input potential into its
-    radial-frame reconstruction: transport of the identity along the
-    frame path (closed-form quadrature in the abelian case).  It is
-    memoized and batched as a ``PotentialField`` that ignores ``mu``."""
+    radial-frame reconstruction, as a batch function of an (m, dim) array
+    of points: transport of the identity along the frame paths
+    (closed-form quadrature in the abelian case)."""
     spec = A_in.spec
 
-    def values(points, mu) -> list:
+    def gfield(points) -> list:
         batch = table_batch(*psi.tables(points))
         if spec.is_abelian:
             zs = -_line_integrals(A_in, batch)
             return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
         return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, batch, steps)]
 
-    return PotentialField(A_in.dim, spec, values, "relating gauge field")
+    return gfield
 
 
 def round_trip_report(
@@ -520,59 +539,40 @@ def round_trip_report(
     per sample path.
     """
     tolerances = dict(tolerances or {})
-    spec = A_in.spec
     dim = A_in.dim
     h_map = HolonomyMap.transport(A_in, psi.basepoint, steps_per_segment)
     A_rec = PotentialField.from_holonomy(h_map, psi, cfg)
     A_in_pf = PotentialField.from_connection(A_in)
-    g_field = _relating_gauge_field(A_in, psi, steps_per_segment)
-    gfield = lambda x: g_field(x, 0)
+    gfield = _relating_gauge_field(A_in, psi, steps_per_segment)
     nodes = grid.nodes(dim)
     failures: list[tuple] = []
 
-    # Reconstruct the whole curvature stencil (each node and its neighbours
-    # at +-curvature_h along the other axes) in one batch per direction.
-    # A batch that fails leaves its points to the per-node pass below,
-    # which attributes each failure to its node.
-    xs = np.array(nodes)
-    for mu in range(dim):
-        offsets = [cfg.curvature_h * e for nu, e in enumerate(np.eye(dim)) if nu != mu]
-        try:
-            A_rec.matrices(np.concatenate([xs, *(xs + d for d in offsets), *(xs - d for d in offsets)]), mu)
-        except (ValueError, ArithmeticError):
-            pass
+    def node_defects(xs):
+        """Worst curvature and gauge defects at each of an (m, dim) array of nodes."""
+        gs = gfield(xs)
+        g_inv = [g.inverse().matrix for g in gs]
+        curv = gauge = np.zeros(len(xs))
+        for mu in range(dim):
+            for nu in range(mu + 1, dim):
+                rows = zip(curvature(A_rec, xs, mu, nu, cfg), curvature(A_in_pf, xs, mu, nu, cfg), g_inv, gs)
+                curv = np.maximum(curv, [np.linalg.norm(r.matrix - gi @ i.matrix @ g.matrix) for r, i, gi, g in rows])
+        for mu in range(dim):
+            expected = gauge_transform_potential(A_in_pf, gfield, xs, mu, cfg)
+            gauge = np.maximum(gauge, [np.linalg.norm(a - e.matrix) for a, e in zip(A_rec.matrices(xs, mu), expected)])
+        return curv, gauge
 
-    # The points at which gauge_transform_potential evaluates gfield; each
-    # node's are evaluated in one batch, and failures are left to the
-    # serial calls below, as for the curvature stencil.
-    fd_steps = [h * e for h in ((cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)) for e in np.eye(dim)]
-
-    def node_defects(x):
-        try:
-            g_field.matrices([x] + [x + d for d in fd_steps] + [x - d for d in fd_steps], 0)
-        except (ValueError, ArithmeticError):
-            pass
-        try:
-            g = gfield(x)
-            g_inv = g.inverse().matrix
-            curv = 0.0
-            for mu in range(dim):
-                for nu in range(mu + 1, dim):
-                    f_rec = curvature(A_rec, x, mu, nu, cfg).matrix
-                    f_in = curvature(A_in_pf, x, mu, nu, cfg).matrix
-                    curv = max(curv, float(np.linalg.norm(f_rec - g_inv @ f_in @ g.matrix)))
-            gauge = 0.0
-            for mu in range(dim):
-                expected = gauge_transform_potential(A_in_pf, gfield, x, mu, cfg)
-                gauge = max(gauge, float(np.linalg.norm(A_rec.matrix(x, mu) - expected.matrix)))
-            return curv, gauge, None
-        except (ValueError, ArithmeticError) as exc:
-            return 0.0, 0.0, (x.tolist(), type(exc).__name__, str(exc))
-
-    results = [node_defects(x) for x in nodes]
-    max_curv = max((r[0] for r in results), default=0.0)
-    max_gauge = max((r[1] for r in results), default=0.0)
-    failures.extend(r[2] for r in results if r[2] is not None)
+    # All nodes in one batch; only if that raises, node by node, so that
+    # each failure names its node.
+    try:
+        curv, gauge = node_defects(nodes)
+    except (ValueError, ArithmeticError):
+        curv, gauge = np.zeros((2, len(nodes)))
+        for k, x in enumerate(nodes):
+            try:
+                (curv[k],), (gauge[k],) = node_defects(x[None])
+            except (ValueError, ArithmeticError) as exc:
+                failures.append((x.tolist(), type(exc).__name__, str(exc)))
+    max_curv, max_gauge = float(np.max(curv)), float(np.max(gauge))
 
     # Transport cross-check on sample paths; the reconstruction used to
     # drive the transport equation skips Richardson (its h^2 bias is far
@@ -581,7 +581,7 @@ def round_trip_report(
         h_map, psi, FdConfig(h=cfg.h, richardson=False, curvature_h=cfg.curvature_h)
     ).to_connection_field()
     rng = np.random.default_rng(seed)
-    ident = GroupElement.identity(spec)
+    ident = GroupElement.identity(A_in.spec)
     span = 0.25 * (grid.hi - grid.lo)
     max_transport = 0.0
     for _ in range(transport_paths):
@@ -612,7 +612,7 @@ def potential_grid_csv(pf: PotentialField, grid: GridSpec) -> str:
             cols += [f"re_{r}_{c}", f"im_{r}_{c}"]
     lines = [",".join(cols)]
     nodes = grid.nodes(dim)
-    values = [pf.matrices(np.array(nodes), mu) for mu in range(dim)]
+    values = [pf.matrices(nodes, mu) for mu in range(dim)]
     for k, x in enumerate(nodes):
         for mu in range(dim):
             m = np.asarray(values[mu][k], dtype=complex).reshape(-1)

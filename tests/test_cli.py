@@ -194,6 +194,70 @@ class TestErrors:
         assert "error: malformed connection file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coefficient_is_an_input_error(self, tmp_path, capsys, literal):
+        # json.load accepts these literals; the connection file must not.
+        src = tmp_path / "conn.json"
+        src.write_text('{"group": "SU2", "matrix_dim": 2, "dim": 2, "components": '
+                       f'[[{{"coeff": {literal}, "exps": [0, 1], "basis": 0}}], []]}}')
+        out = tmp_path / "never"
+        assert main(["reconstruct", "--input", str(src), "--grid", "3", "--out", str(out)]) == 1
+        assert "error: malformed connection file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "audit", "roundtrip"])
+    def test_overflowing_su2_field_fails_the_run(self, tmp_path, capsys, command):
+        # The transport products of a 1e300 coefficient overflow to nan;
+        # each subcommand used to exit 0 with nan or zero defects.
+        conn = {"group": "SU2", "matrix_dim": 2, "dim": 2,
+                "components": [[{"coeff": 1e300, "exps": [0, 1], "basis": 0}], []]}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        out = tmp_path / "out"
+        samples = ["--samples", "2"] if command == "audit" else []
+        assert main([command, "--input", str(src), "--grid", "3", *samples, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if command == "roundtrip":
+            report = json.loads(read(out / "roundtrip_report.json"))
+            assert report["failures"] and all(f[1] == "IntegrationError" for f in report["failures"])
+        else:
+            assert "error: IntegrationError: " in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["reconstruct", "--preset", "paper-sec6", "--box=-20000,20000", "--grid", "2"], "StepTooLarge"),
+            (["reconstruct", "--input", "REALS", "--grid", "3"], "IntegrationError"),
+        ],
+        ids=["huge-box", "negative-propagator"],
+    )
+    def test_numerical_errors_are_named_failures(self, tmp_path, capsys, argv, name):
+        # A named numerical error ends the run with exit 2 and one error
+        # line, not a traceback.
+        conn = {"group": "MultiplicativeReals", "dim": 2, "backend": "transport", "box": [-5.0, 5.0],
+                "components": [[{"coeff": -800.0, "exps": [0, 1], "basis": 0}], []]}
+        src = tmp_path / "reals.json"
+        src.write_text(json.dumps(conn))
+        argv = [str(src) if a == "REALS" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"error: {name}: " in capsys.readouterr().err
+
+    def test_fd_h_range_names_the_flag(self, tmp_path, capsys):
+        # 0.01 lies in FdConfig's (0, 0.1) but above the CLI's curvature
+        # step; the error states the range the flag really has.
+        out = tmp_path / "never"
+        assert main(["reconstruct", "--preset", "paper-sec6", "--fd-h", "0.01", "--out", str(out)]) == 1
+        assert "error: --fd-h must lie in (0, 0.001], got 0.01" in capsys.readouterr().err
+        assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "3", "--fd-h", "0.001",
+                     "--out", str(out)]) == 0
+
+    def test_non_finite_floats_are_json_strings(self):
+        from holonomy_forge.cli import _json_text
+
+        text = _json_text({"a": float("nan"), "b": np.inf, "c": -np.inf, "d": 0.1})
+        assert json.loads(text) == {"a": "nan", "b": "inf", "c": "-inf", "d": 0.1}
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         main(["audit", "--preset", "paper-sec6", "--samples", "5", "--out", str(tmp_path)])
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
@@ -232,8 +296,9 @@ class TestErrors:
         )
         monkeypatch.setattr(cli, "get_preset", lambda name: preset)
         assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "3", "--out", str(tmp_path)]) == 2
-        summary = read(tmp_path / "reconstruct_summary.json")
-        assert '"max_abs_error": nan' in summary and '"pass": false' in summary
+        # A nan defect is written as the string "nan", so the file stays JSON.
+        summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
+        assert summary["max_abs_error"] == "nan" and summary["pass"] is False
 
     @pytest.mark.parametrize("command", ["reconstruct", "audit", "roundtrip"])
     @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-1"), ("--fd-h", "0"), ("--fd-h", "-0.001")])

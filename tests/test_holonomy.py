@@ -422,6 +422,17 @@ class TestRelativeDeterminantCheck:
             with pytest.raises(IntegrationError, match="u\\(1\\) of loop 0 is inf,"):
                 eval_holonomy(HolonomyMap.transport(field, ORIGIN, 64), unit_square())
 
+    def test_su2_holonomy_a_double_cannot_hold_raises(self):
+        # The RK4 products of a 1e300 coefficient overflow; unchecked, they
+        # gave an all-nan GroupElement that every later check let through.
+        field = ConnectionField.from_polynomial(2, SU2, [[(1e300, (0, 1), 0)], []])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="u\\(1\\) of loop 0 has entries that are not finite"):
+                eval_holonomy(HolonomyMap.transport(field, ORIGIN, 64), unit_square())
+            with pytest.raises(IntegrationError):
+                transport_along(field, unit_square().path, GroupElement.identity(SU2))
+
     def test_scaled_elements_are_invertible(self):
         assert GroupElement(MULTIPLICATIVE_REALS, [[math.exp(-300.0)]]).matrix[0, 0] > 0
         GroupElement(gln(2), 1e-7 * np.eye(2))
@@ -450,6 +461,19 @@ class TestConnectionField:
             rows = field.rule(xs, mu)
             for x, row in zip(xs, rows):
                 assert np.array_equal(row, AlgebraElement.from_matrix(spec, matrix_rule(x, mu)).matrix)
+
+
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="malformed term"):
+            ConnectionField.from_polynomial(2, SU2, [[(coeff, (0, 1), 0)], []])
+
+    @pytest.mark.parametrize("x", [[0.5, 0.2, 9.0], [0.5], [[0.5, 0.2, 9.0]]])
+    def test_component_needs_one_point_of_the_field_dimension(self, x):
+        # The rule reads only the first dim coordinates; a longer point was
+        # evaluated as if its extra coordinates were not there.
+        with pytest.raises(ValueError, match="expected a point of R\\^2"):
+            hf.get_preset("su2-shear").connection.component(x, 1)
 
 
 class TestGeneralLinearTransport:

@@ -187,6 +187,19 @@ class TestInvariantEnforcement:
         with pytest.raises(ValueError):
             AlgebraElement(U1, [[1.0 + 0j]])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_group_element_rejected(self, spec, value):
+        # nan fails every comparison, so each check must be one that nan fails.
+        with pytest.raises(ValueError):
+            GroupElement(spec, np.full((spec.matrix_dim, spec.matrix_dim), value))
+
+    @pytest.mark.parametrize("spec", [U1, SU2], ids=lambda s: s.name.value)
+    def test_nan_algebra_element_rejected(self, spec):
+        with pytest.raises(ValueError):
+            AlgebraElement(spec, np.full((spec.matrix_dim, spec.matrix_dim), np.nan, dtype=complex))
+
 
 class TestProjection:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)

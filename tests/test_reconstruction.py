@@ -235,13 +235,13 @@ class TestGaugeTransform:
         ident = GroupElement.identity(MULTIPLICATIVE_REALS)
         x = np.array([0.9, 0.4])
         for mu in (0, 1):
-            got = gauge_transform_potential(a, lambda _: ident, x, mu, CFG)
+            got = gauge_transform_potential(a, lambda pts: [ident] * len(pts), x, mu, CFG)
             assert np.linalg.norm(got.matrix - a.matrix(x, mu)) <= 1e-12
 
     def test_pure_gauge_from_zero_potential(self):
         # with A = 0 and g = exp(f), the transform is the gradient of f
         zero = PotentialField.from_connection(ConnectionField.zero(2, MULTIPLICATIVE_REALS))
-        gfield = lambda x: GroupElement(MULTIPLICATIVE_REALS, [[math.exp(x[0] * x[1])]])
+        gfield = lambda pts: [GroupElement(MULTIPLICATIVE_REALS, [[math.exp(x[0] * x[1])]]) for x in pts]
         x = np.array([0.7, -1.2])
         d0 = gauge_transform_potential(zero, gfield, x, 0, CFG).matrix[0, 0]
         d1 = gauge_transform_potential(zero, gfield, x, 1, CFG).matrix[0, 0]
@@ -250,7 +250,7 @@ class TestGaugeTransform:
 
     def test_fast_varying_gauge_field_rejected(self):
         zero = PotentialField.from_connection(ConnectionField.zero(2, MULTIPLICATIVE_REALS))
-        steep = lambda x: GroupElement(MULTIPLICATIVE_REALS, [[1.0 + 1e5 * abs(x[0])]])
+        steep = lambda pts: [GroupElement(MULTIPLICATIVE_REALS, [[1.0 + 1e5 * abs(x[0])]]) for x in pts]
         with pytest.raises(StepTooLarge):
             gauge_transform_potential(zero, steep, np.array([0.5, 0.0]), 0, CFG)
 
@@ -394,6 +394,12 @@ class TestPotentialField:
         pf(np.array([0.5, 0.25]), 0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("x", [[0.5, 0.2, 9.0], [0.5], [[0.5, 0.2, 9.0]]])
+    def test_point_of_the_wrong_length_rejected(self, x):
+        pf = PotentialField.from_connection(hf.get_preset("su2-shear").connection)
+        with pytest.raises(ValueError, match="expected a point of R\\^2"):
+            pf(np.array(x), 0)
+
     def test_evaluator_receives_point_arrays(self, sec6):
         h_map, psi, _ = sec6
         shapes = []
@@ -457,6 +463,79 @@ class TestRichardson:
         assert min(gains) >= 8.0, errors
         orders = [math.log2(g) for g in gains]
         assert min(orders) >= 3.0, orders
+
+
+class TestArrayForms:
+    # An (m, dim) array of points gives, bit for bit, the values of m
+    # single-point calls, each made on a fresh potential (no shared memo).
+    POINTS = np.array([[0.5, 0.5], [-0.3, 0.7], [0.0, 0.0], [0.6, -0.2]])
+
+    @staticmethod
+    def setting(name):
+        p = hf.get_preset(name)
+        h_map = p.holonomy_map()
+        return p, h_map, lambda: PotentialField.from_holonomy(h_map, p.frame(), CFG)
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    def test_curvature(self, name):
+        _, _, fresh = self.setting(name)
+        batched = curvature(fresh(), self.POINTS, 0, 1, CFG)
+        assert len(batched) == len(self.POINTS)
+        for x, f in zip(self.POINTS, batched):
+            assert np.array_equal(f.matrix, curvature(fresh(), x, 0, 1, CFG).matrix)
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    def test_transition_function_and_gauge_transform(self, name):
+        p, h_map, fresh = self.setting(name)
+        dogleg = axis_dogleg_family(ORIGIN)
+        batched = transition_function(h_map, p.frame(), dogleg, self.POINTS)
+        for x, t in zip(self.POINTS, batched):
+            assert np.array_equal(t.matrix, transition_function(h_map, p.frame(), dogleg, x).matrix)
+        # transition_function is itself a batch gauge field.
+        relating = lambda pts: transition_function(h_map, p.frame(), dogleg, pts)
+        for mu in (0, 1):
+            batched = gauge_transform_potential(fresh(), relating, self.POINTS, mu, CFG)
+            for x, a in zip(self.POINTS, batched):
+                assert np.array_equal(a.matrix, gauge_transform_potential(fresh(), relating, x, mu, CFG).matrix)
+
+    def test_gauge_field_called_once_per_transform(self):
+        calls = []
+
+        def gfield(pts):
+            calls.append(pts.shape)
+            return [GroupElement(MULTIPLICATIVE_REALS, [[math.exp(x[0] * x[1])]]) for x in pts]
+
+        zero = PotentialField.from_connection(ConnectionField.zero(2, MULTIPLICATIVE_REALS))
+        gauge_transform_potential(zero, gfield, self.POINTS, 1, CFG)
+        assert calls == [(5 * len(self.POINTS), 2)]
+
+    def test_round_trip_checks_all_nodes_in_one_batch(self, monkeypatch):
+        # A failure-free round trip makes one curvature call per pair of
+        # directions and potential, one gauge transform per direction, and
+        # no single-point PotentialField calls.
+        from holonomy_forge import reconstruction
+
+        counts = {"call": 0, "curvature": 0, "gauge_transform_potential": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(PotentialField, "__call__", counting("call", PotentialField.__call__))
+        for key in ("curvature", "gauge_transform_potential"):
+            monkeypatch.setattr(reconstruction, key, counting(key, getattr(reconstruction, key)))
+        field = ConnectionField.from_polynomial(
+            3, MULTIPLICATIVE_REALS, [[(1.0, (0, 1, 0), 0)], [(0.5, (0, 0, 1), 0)], [(-0.3, (1, 0, 0), 0)]]
+        )
+        report = round_trip_report(
+            field, radial_family(np.zeros(3)), GridSpec(-0.5, 0.5, 2), CFG,
+            steps_per_segment=8, transport_paths=2, transport_steps=4,
+        )
+        assert not report.failures
+        assert counts == {"call": 0, "curvature": 2 * 3, "gauge_transform_potential": 3}
 
 
 class TestBatchedReconstruction:
@@ -599,10 +678,10 @@ class TestBatchedReconstruction:
     def test_gauge_field_batch_matches_single_points(self, preset, rng):
         p = hf.get_preset(preset)
         xs = rng.uniform(-1.0, 1.0, size=(6, 2))
-        batched = _relating_gauge_field(p.connection, p.frame(), 16).matrices(np.concatenate([xs, xs[:2]]), 0)
-        single = _relating_gauge_field(p.connection, p.frame(), 16)
+        gfield = _relating_gauge_field(p.connection, p.frame(), 16)
+        batched = gfield(np.concatenate([xs, xs[:2]]))
         for x, g in zip(xs, batched):
-            assert np.array_equal(g, single(x, 0).matrix)
+            assert np.array_equal(g.matrix, gfield(x[None])[0].matrix)
 
     def test_su2_twist_curvature_is_gauge_covariant(self):
         # non-commuting field: the reconstructed curvature equals the input
