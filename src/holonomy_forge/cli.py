@@ -136,12 +136,15 @@ def _load_custom(path: str) -> Preset:
         if backend == "analytic" and not spec.is_abelian:
             raise _InputError("analytic backend requires an abelian group")
         box = data.get("box", [-1.0, 1.0])
+        basepoint = tuple(float(v) for v in data.get("basepoint", [0.0] * dim))
+        if len(basepoint) != dim or not np.isfinite(basepoint).all():
+            raise ValueError(f"basepoint must be {dim} finite numbers, got {list(basepoint)}")
         return Preset(
             name=str(data.get("name", os.path.basename(path))),
             description="user-supplied polynomial connection",
             spec=spec,
             dim=dim,
-            basepoint=tuple(data.get("basepoint", [0.0] * dim)),
+            basepoint=basepoint,
             connection=connection,
             backend=backend,
             default_steps=int(data.get("steps", 64)),

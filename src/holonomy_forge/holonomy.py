@@ -11,11 +11,15 @@ Two backends are provided:
   of its step propagators, each projected onto the group, and set
   H(loop) = u(1)^{-1}.  One vectorized kernel serves every group; a
   propagator that leaves the positive reals raises ``IntegrationError``.
+  A piece whose 1- and 2-step values agree to rounding (step doubling
+  puts the 2-step error at a fifteenth of their gap, so its value is
+  already exact to double precision) keeps its 2-step value; every
+  other piece takes the map's steps per segment.
 
 Both backends evaluate loops in batches (``eval_holonomies``): each
 distinct smooth piece of a batch (keyed on its exact control points and
-time map, so pieces shared between loops count once) is integrated once,
-and the per-piece results are reduced per loop; ``eval_holonomy`` is the
+time map, so pieces shared between loops count once) is integrated once
+per pass, and the per-piece results are reduced per loop; ``eval_holonomy`` is the
 batch of one.  The randomized audit builds every loop of a law first and
 evaluates each law as one batch.
 
@@ -104,7 +108,10 @@ _GL_WEIGHTS = 0.5 * _weights
 # Lattice samples per kernel call.  Distinct pieces are cut into chunks at
 # piece boundaries so that the (samples, d, d) temporaries stay below about
 # 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
-# peaks 0.5 MB higher, with no gain in speed.
+# peaks 0.5 MB higher, with no gain in speed.  The transport backend's
+# 2-step probe (5 samples per piece) and its n-step pass over the pieces
+# the probe does not accept (2n+1 samples) are chunked alike, so the probe
+# adds at most ceil(5 pieces / 2048) kernel calls.
 _KERNEL_SAMPLES = 2048
 
 
@@ -267,18 +274,14 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     return out.reshape(pts.shape[:2] + (d, d))
 
 
-def _per_piece(batch: Batch, u: np.ndarray, kernel) -> np.ndarray:
-    """``kernel(points, velocities)`` on the samples at abscissae ``u`` of
-    the rows (smooth pieces) of a batch, each distinct piece once; returns
-    the per-piece results in traversal order.
+def _distinct_pieces(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """A representative row of each distinct piece of a batch, and the
+    distinct piece of every row.
 
     Pieces are the same piece when their kind flag, control-point bytes
     and time-map bytes (in a batch that has time maps) are equal, so a
     piece shared by several paths, or repeated in one, is sampled and
-    integrated once (orientation is part of the bytes).  Distinct pieces
-    reach the kernel in chunks of at most ``_KERNEL_SAMPLES`` samples cut
-    at piece boundaries; the kernel treats each piece on its own, so no
-    result depends on its batch.
+    integrated once (orientation is part of the bytes).
     """
     cubic, ctrl, tmap, _ = batch
     # One flat byte row per piece: its flag, its control points, its time map.
@@ -292,12 +295,21 @@ def _per_piece(batch: Batch, u: np.ndarray, kernel) -> np.ndarray:
     # Any occurrence represents its piece: equal keys mean equal bytes.
     rep = np.empty(len(ids), dtype=np.intp)
     rep[where] = np.arange(len(where))
+    return rep, where
+
+
+def _sampled(batch: Batch, rows: np.ndarray, u: np.ndarray, kernel) -> np.ndarray:
+    """``kernel(points, velocities)`` on the samples at abscissae ``u`` of
+    the given rows of a batch, in chunks of at most ``_KERNEL_SAMPLES``
+    samples cut at piece boundaries; the kernel treats each piece on its
+    own, so no result depends on its chunk."""
+    cubic, ctrl, tmap, _ = batch
     cap = max(1, _KERNEL_SAMPLES // len(u))
     results = [
         kernel(*sample_pieces(cubic[c], ctrl[c], None if tmap is None else tmap[c], u))
-        for c in (rep[a : a + cap] for a in range(0, max(len(rep), 1), cap))
+        for c in (rows[a : a + cap] for a in range(0, max(len(rows), 1), cap))
     ]
-    return np.concatenate(results)[where]
+    return np.concatenate(results)
 
 
 def _line_integrals(field: ConnectionField, batch: Batch) -> np.ndarray:
@@ -311,7 +323,8 @@ def _line_integrals(field: ConnectionField, batch: Batch) -> np.ndarray:
 
     counts = batch.counts
     totals = np.zeros(len(counts), dtype=np.complex128)
-    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), _per_piece(batch, _GL_NODES, kernel))
+    rep, where = _distinct_pieces(batch)
+    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), _sampled(batch, rep, _GL_NODES, kernel)[where])
     return totals
 
 
@@ -327,6 +340,27 @@ def _ordered_products(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_propagators(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h) -> np.ndarray:
+    """RK4 step propagators P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from the
+    coefficient at the start, middle and end of each step (h may vary
+    per step)."""
+    eye = np.eye(m1.shape[-1])
+    k2 = _stacked_matmul(m2, eye + 0.5 * h * m1)
+    k3 = _stacked_matmul(m2, eye + 0.5 * h * k2)
+    k4 = _stacked_matmul(m4, eye + h * k3)
+    return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# The probe's steps on the lattice u = 0, 1/4, 1/2, 3/4, 1 (samples 0-4):
+# [0, 1/2] and [1/2, 1] at h = 1/2, whose product is P2, and [0, 1] at
+# h = 1, which is P1.
+_PROBE_SAMPLES = np.linspace(0.0, 1.0, 5)
+_PROBE_STEPS = ([0, 2, 0], [1, 3, 2], [2, 4, 4])
+_PROBE_H = np.array([0.5, 0.5, 1.0])[:, None, None]
+# Step doubling puts the error of P2 at |P1 - P2| / (2^4 - 1).
+_ROUNDING_GAP = 15.0 * np.finfo(float).eps
+
+
 def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int) -> np.ndarray:
     """Solve u' = -A(b) b' u, u(0) = 1, over each whole chain of a batch;
     returns the (chains, d, d) stack of u(1).
@@ -340,20 +374,29 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
     P_{N-1} ... P_0 of projected propagators.  Each smooth piece takes n
     steps in its local parameter (h = 1/n), and the coefficient is sampled
     once on the half-step lattice of every distinct piece in a batch.
+
+    When n > 2, every distinct piece is first integrated at 2 steps on the
+    5-sample lattice, whose samples 0, 2, 4 give its 1-step value P1 for
+    free.  A piece keeps its 2-step value P2 when max|P1 - P2| <=
+    15 eps max|P2|: step doubling puts the error of P2 at |P1 - P2| / 15,
+    so P2 is already exact to rounding, and so would its n-step value be.
+    The two legs of a difference quotient therefore differ only by
+    rounding, whichever way each is integrated.  Every other piece (a
+    non-finite probe, or a 1x1 probe propagator <= 0, included) is
+    integrated at n steps exactly as without the probe, so an
+    ``IntegrationError`` comes from the n-step pass alone.  The probe sees
+    the coefficient at its five samples only, so one that vanishes at all
+    five but not between them (degree 5 or more along the piece) passes
+    for zero.
     """
     spec = field.spec
     n = steps_per_segment
-    h = 1.0 / n
-    eye = np.eye(spec.matrix_dim)
+    positive_reals = spec.name is GroupName.MULTIPLICATIVE_REALS
 
     def kernel(pts, vels):
         m = -_connection_along(field, pts, vels)
-        m1, m2, m4 = m[:, :-1:2], m[:, 1::2], m[:, 2::2]
-        k2 = _stacked_matmul(m2, eye + 0.5 * h * m1)
-        k3 = _stacked_matmul(m2, eye + 0.5 * h * k2)
-        k4 = _stacked_matmul(m4, eye + h * k3)
-        p = eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if spec.name is GroupName.MULTIPLICATIVE_REALS and np.any(p.real <= 0):
+        p = _step_propagators(m[:, :-1:2], m[:, 1::2], m[:, 2::2], 1.0 / n)
+        if positive_reals and np.any(p.real <= 0):
             raise IntegrationError(f"RK4 step propagator left the positive reals ({n} steps per piece)")
         p = project_to_group(spec, p)
         # Pairwise ordered product within each piece, later factor on the left.
@@ -362,8 +405,28 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
             p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
         return p[:, 0]
 
+    def probe(pts, vels):
+        # P2 of each piece the probe accepts, nan for every other piece.
+        m = -_connection_along(field, pts, vels)
+        p = _step_propagators(*(m[:, k] for k in _PROBE_STEPS), _PROBE_H)
+        keep = ~(p.real <= 0).any(axis=(1, 2, 3)) if positive_reals else True
+        p = project_to_group(spec, p)
+        p2 = _stacked_matmul(p[:, 1], p[:, 0])
+        scale = np.abs(p2).max(axis=(1, 2))
+        keep &= (np.abs(p[:, 2] - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
+        return np.where(keep[:, None, None], p2, np.nan)
+
+    lattice = np.linspace(0.0, 1.0, 2 * n + 1)
+    rep, where = _distinct_pieces(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _ordered_products(_per_piece(batch, np.linspace(0.0, 1.0, 2 * n + 1), kernel), batch.counts)
+        if n <= 2:
+            p = _sampled(batch, rep, lattice, kernel)
+        else:
+            p = _sampled(batch, rep, _PROBE_SAMPLES, probe)
+            redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2)))
+            if redo.size:
+                p[redo] = _sampled(batch, rep[redo], lattice, kernel)
+        u = _ordered_products(p[where], batch.counts)
     _check_representable(u, "the transport value u(1)")
     return u
 
@@ -409,9 +472,10 @@ def _holonomy_matrices(h_map: HolonomyMap, batch: Batch) -> np.ndarray:
 def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
     """Evaluate the holonomies of many based loops as one batch.
 
-    Each distinct smooth piece of the batch is sampled and integrated once,
-    in kernel calls of a bounded number of lattice samples; a loop's value
-    does not depend on the other loops of its batch, bit for bit.
+    Each distinct smooth piece of the batch is sampled and integrated once
+    per pass, in kernel calls of a bounded number of lattice samples; a
+    loop's value does not depend on the other loops of its batch, bit for
+    bit.
     """
     loops = list(loops)
     for loop in loops:

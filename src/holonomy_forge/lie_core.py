@@ -217,12 +217,18 @@ class GroupElement:
     def validate(self):
         # Every test is written so that a nan entry fails it.
         m = self.matrix
-        det = np.linalg.det(m)
-        # Relative to the Frobenius norm (which bounds |det| via Hadamard's
+        # |det| relative to the Frobenius norm (which bounds it via Hadamard's
         # inequality), so a valid element far from the identity, such as a
-        # positive real of size 1e-130, is not mistaken for a singular one.
-        if not abs(det) > _DET_TOL * float(np.linalg.norm(m)) ** m.shape[0]:
-            raise ValueError(f"matrix is not invertible (|det| = {abs(det):.3e})")
+        # positive real of size 1e-130, is not mistaken for a singular one;
+        # both of the matrix scaled to a largest entry of 1, so that neither
+        # overflows for a valid element of size 1e195.
+        scale = float(np.abs(m).max())
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"matrix is not invertible (largest entry {scale})")
+        unit = m / scale
+        det = np.linalg.det(unit)
+        if not abs(det) > _DET_TOL * float(np.linalg.norm(unit)) ** m.shape[0]:
+            raise ValueError(f"matrix is not invertible (|det| = {abs(det):.3e} at a largest entry of 1)")
         name = self.spec.name
         if name is GroupName.MULTIPLICATIVE_REALS and not m[0, 0] > 0:
             raise ValueError("multiplicative-reals element must be positive")
@@ -231,6 +237,7 @@ class GroupElement:
         if name is GroupName.SU2:
             if not np.linalg.norm(m @ m.conj().T - np.eye(2)) <= _GROUP_TOL:
                 raise ValueError("SU(2) element is not unitary")
+            det = det * scale**2
             if not abs(det - 1.0) <= _GROUP_TOL:
                 raise ValueError(f"SU(2) element has det {det!r}")
 

@@ -583,18 +583,18 @@ def round_trip_report(
     rng = np.random.default_rng(seed)
     ident = GroupElement.identity(A_in.spec)
     span = 0.25 * (grid.hi - grid.lo)
-    max_transport = 0.0
+    transport = []
     for _ in range(transport_paths):
         start = rng.uniform(grid.lo + span, grid.hi - span, size=dim)
         p = random_polyline(rng, start, n_segments=2, radius=span)
         try:
             by_holonomy = horizontal_transport(h_map, psi, p, ident, 1.0)
             by_ode = transport_along(A_drive, p, ident, transport_steps)
-            max_transport = max(max_transport, group_distance(by_holonomy, by_ode))
+            transport.append(group_distance(by_holonomy, by_ode))
         except (ValueError, ArithmeticError) as exc:
             failures.append((start.tolist(), type(exc).__name__, str(exc)))
     return RoundTripReport(
-        grid.describe(dim), max_curv, max_gauge, max_transport, tolerances, tuple(failures)
+        grid.describe(dim), max_curv, max_gauge, float(np.max(transport, initial=0.0)), tolerances, tuple(failures)
     )
 
 

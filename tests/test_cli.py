@@ -152,6 +152,20 @@ class TestRoundtrip:
         assert report["failures"] == []
 
 
+    def test_wide_box_corners_fail_by_step_size(self, tmp_path):
+        # On [-30, 30]^2 the relating gauge value at a corner is exp(-450),
+        # whose inverse the group check used to refuse as "not invertible".
+        # The corners now fail as StepTooLarge: each frame leg carries a
+        # flux of hundreds, so the difference loops at h = 1e-4 are far
+        # from the identity.
+        code = main(["roundtrip", "--preset", "paper-sec6", "--box=-30,30", "--grid", "4", "--out", str(tmp_path)])
+        assert code == 2
+        failures = json.loads(read(tmp_path / "roundtrip_report.json"))["failures"]
+        corners = [f for f in failures if sorted(map(abs, f[0])) == [30, 30]]
+        assert len(corners) == 4
+        assert all(kind == "StepTooLarge" for _, kind, _ in corners), corners
+
+
 class TestErrors:
     def test_unknown_preset_exits_1_and_writes_nothing(self, tmp_path):
         out = tmp_path / "never"
@@ -200,6 +214,18 @@ class TestErrors:
         src = tmp_path / "conn.json"
         src.write_text('{"group": "SU2", "matrix_dim": 2, "dim": 2, "components": '
                        f'[[{{"coeff": {literal}, "exps": [0, 1], "basis": 0}}], []]}}')
+        out = tmp_path / "never"
+        assert main(["reconstruct", "--input", str(src), "--grid", "3", "--out", str(out)]) == 1
+        assert "error: malformed connection file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("basepoint", ["[NaN, 0.0]", "[0.0, -Infinity]", "[0.0]"])
+    def test_bad_basepoint_is_an_input_error(self, tmp_path, capsys, basepoint):
+        # A nan base point used to pass the frame's start check and give the
+        # input potential instead of its radial-gauge reconstruction.
+        src = tmp_path / "conn.json"
+        src.write_text('{"group": "U1", "dim": 2, "components": '
+                       f'[[{{"coeff": 1.0, "exps": [0, 1], "basis": 0}}], []], "basepoint": {basepoint}}}')
         out = tmp_path / "never"
         assert main(["reconstruct", "--input", str(src), "--grid", "3", "--out", str(out)]) == 1
         assert "error: malformed connection file" in capsys.readouterr().err

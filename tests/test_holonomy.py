@@ -307,7 +307,10 @@ def shared_piece_loops(rng):
         polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)]),
     ]
     loops += [random_polygon_loop(rng, ORIGIN, n_vertices=5, radius=0.8) for _ in range(30)]
-    return loops + [beta, alpha]
+    # Difference loops, whose length-1e-4 shift pieces the 2-step probe
+    # accepts while it sends their frame legs to the full step count.
+    shifts = [reconstruction_loop(radial_family(ORIGIN), x, x + [1e-4, 0.0]) for x in rng.uniform(-0.8, 0.8, (2, 2))]
+    return loops + shifts + [beta, alpha]
 
 
 class TestSharedPieces:
@@ -326,15 +329,19 @@ class TestSharedPieces:
         ],
         ids=lambda v: getattr(getattr(v, "name", None), "value", v),
     )
-    def test_batch_is_bitwise_single_loop_evaluation(self, spec, backend, rng):
+    def test_batch_is_bitwise_single_loop_evaluation(self, spec, backend, rng, monkeypatch):
         field = random_affine_field(spec, rng)
         if backend == "analytic":
             h_map = HolonomyMap.analytic_abelian(field, ORIGIN)
         else:
             h_map = HolonomyMap.transport(field, ORIGIN, 16)
         loops = shared_piece_loops(rng)
+        calls = count_sampled_pieces(monkeypatch)
         for loop, got in zip(loops, eval_holonomies(h_map, loops)):
             assert np.array_equal(got.matrix, eval_holonomy(h_map, loop).matrix)
+        if backend == "transport":
+            per_lattice = pieces_per_lattice(calls)
+            assert per_lattice[5] > per_lattice[33]
 
     def test_batch_spans_several_kernel_calls(self, rng, monkeypatch):
         calls = count_sampled_pieces(monkeypatch)
@@ -343,14 +350,18 @@ class TestSharedPieces:
         assert len(calls) >= 3
 
     def test_composed_loop_integrates_no_new_piece(self, rng, monkeypatch):
+        # Per lattice, since a transport map probes every piece at 2 steps
+        # before integrating the ones the probe does not accept at n.
         calls = count_sampled_pieces(monkeypatch)
         alpha = random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8)
         beta = random_polygon_loop(rng, ORIGIN, n_vertices=3, radius=0.8)
         composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
-        for h_map in (analytic_map(), HolonomyMap.transport(ydx_field(), ORIGIN, 16)):
+        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
             calls.clear()
             eval_holonomies(h_map, [alpha, beta, composed])
-            assert sum(calls) == alpha.path.n_pieces + beta.path.n_pieces
+            per_lattice = pieces_per_lattice(calls)
+            assert set(per_lattice) == lattices
+            assert all(k == alpha.path.n_pieces + beta.path.n_pieces for k in per_lattice.values())
 
     def test_reparametrized_pieces_are_shared(self, rng, monkeypatch):
         # A reparametrized loop given twice and the same reparametrization
@@ -362,10 +373,12 @@ class TestSharedPieces:
         phi = piecewise_power_map(3, 0.5)
         warped = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
         again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
-        for h_map in (analytic_map(), HolonomyMap.transport(ydx_field(), ORIGIN, 16)):
+        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
             calls.clear()
             values = eval_holonomies(h_map, [warped, again, warped])
-            assert sum(calls) == warped.path.n_pieces == 5
+            per_lattice = pieces_per_lattice(calls)
+            assert set(per_lattice) == lattices
+            assert all(k == warped.path.n_pieces == 5 for k in per_lattice.values())
             assert all(np.array_equal(v.matrix, values[0].matrix) for v in values)
 
     def test_signed_zero_twins_are_distinct_pieces(self, monkeypatch):
@@ -373,23 +386,100 @@ class TestSharedPieces:
         plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
         minus = polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)])
         eval_holonomies(analytic_map(), [plus, minus])
-        assert sum(calls) == 5
+        assert pieces_per_lattice(calls) == {32: 5}
 
 
 def count_sampled_pieces(monkeypatch) -> list:
-    """Record the number of pieces sampled by each kernel call."""
+    """Record (samples per piece, control points of the pieces) of each
+    kernel call."""
     import holonomy_forge.holonomy as holonomy
 
     calls = []
     real = holonomy.sample_pieces
 
     def counting(cubic, ctrl, tmap, u):
-        samples = real(cubic, ctrl, tmap, u)
-        calls.append(len(samples[0]))
-        return samples
+        calls.append((len(u), ctrl.copy()))
+        return real(cubic, ctrl, tmap, u)
 
     monkeypatch.setattr(holonomy, "sample_pieces", counting)
     return calls
+
+
+def pieces_per_lattice(calls) -> dict:
+    """Pieces sampled per lattice size, summed over the recorded calls."""
+    out: dict = {}
+    for samples, ctrl in calls:
+        out[samples] = out.get(samples, 0) + len(ctrl)
+    return out
+
+
+def chord_lengths(calls, samples: int) -> np.ndarray:
+    """Chord lengths of the pieces sampled on the lattice of that size."""
+    ctrl = [c for k, c in calls if k == samples]
+    return np.concatenate([np.linalg.norm(c[:, 3] - c[:, 0], axis=1) for c in ctrl]) if ctrl else np.zeros(0)
+
+
+class TestTwoStepProbe:
+    # Every distinct piece is first integrated at 2 steps on the 5-sample
+    # lattice; only a piece whose 1- and 2-step values differ by more than
+    # rounding is integrated again, on the 2n+1-sample lattice.
+    def test_shift_pieces_take_two_steps(self, monkeypatch):
+        # su2-shear's A_2 = x1 X3 is constant along a shift and vanishes
+        # along dx1, so every shift piece is exact at 2 steps; along a
+        # frame leg to a point with x1 x2 != 0 it grows linearly.
+        from holonomy_forge.reconstruction import reconstruct_potential
+
+        preset = PRESETS["su2-shear"]
+        h_map = preset.holonomy_map()
+        n = h_map.backend.steps_per_segment
+        calls = count_sampled_pieces(monkeypatch)
+        for mu in (0, 1):
+            reconstruct_potential(h_map, preset.frame(), np.array([[0.6, -0.4], [-0.3, 0.8]]), mu)
+        probed, full = chord_lengths(calls, 5), chord_lengths(calls, 2 * n + 1)
+        assert set(pieces_per_lattice(calls)) == {5, 2 * n + 1}
+        shifts, legs = probed[probed <= 1e-4], probed[probed > 0.1]
+        assert len(shifts) + len(legs) == len(probed) and len(shifts) > 0
+        assert sorted(full) == sorted(legs)
+
+    @pytest.mark.parametrize("c, at_n", [(3000.0, True), (1.0, False)])
+    def test_probe_reads_the_field(self, monkeypatch, c, at_n):
+        # A = c y dx on the positive reals around a 1e-5-wide strip of
+        # height 0.7: only the top edge sees the field, with coefficient
+        # 0.7e-5 c.  At c = 3000 its 2-step truncation is far above
+        # rounding and it takes the full n steps; at c = 1 it does not.
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(c, (0, 1), 0)], []])
+        strip = polygon_loop([(0.0, 0.0), (0.0, 0.7), (1e-5, 0.7), (1e-5, 0.0), (0.0, 0.0)])
+        calls = count_sampled_pieces(monkeypatch)
+        got = eval_holonomy(HolonomyMap.transport(field, ORIGIN, 64), strip).matrix[0, 0]
+        assert pieces_per_lattice(calls) == ({5: 4, 129: 1} if at_n else {5: 4})
+        if at_n:
+            assert chord_lengths(calls, 129)[0] == pytest.approx(1e-5)
+        exact = eval_holonomy(HolonomyMap.analytic_abelian(field, ORIGIN), strip).matrix[0, 0]
+        assert abs(got - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize(
+        "spec, terms, n",
+        [
+            # P1 = 1 - 10/6 and the second 2-step propagator are negative.
+            (MULTIPLICATIVE_REALS, [(20.0, (2,), 0), (-10.0, (1,), 0)], 4),
+            # The 1- and 2-step propagators of a 1e78 coefficient overflow;
+            # each of the 64 steps is finite and projected to unit modulus.
+            (U1, [(1e78, (0,), 0)], 64),
+        ],
+        ids=["leaves-positive-reals", "overflows"],
+    )
+    def test_failed_probe_falls_back_to_n_steps(self, monkeypatch, spec, terms, n):
+        field = ConnectionField.from_polynomial(1, spec, [terms])
+        path = straight_segment([0.0], [1.0])
+        calls = count_sampled_pieces(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transport_along(field, path, GroupElement.identity(spec), n).matrix
+        assert pieces_per_lattice(calls) == {5: 1, 2 * n + 1: 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = sequential_rk4_transport(field, path, n)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestRelativeDeterminantCheck:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ class TestInvariantEnforcement:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             GroupElement(gln(2), [[1.0, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "spec, matrix", [(MULTIPLICATIVE_REALS, [[2.707e195]]), (gln(2), np.diag([1e160, 1e160]))], ids=["real", "gl2"]
+    )
+    def test_large_valid_element_accepted(self, spec, matrix):
+        # The relative determinant test used to compute norm(m) ** n, which
+        # overflows above about 1e154 and refused these.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(GroupElement(spec, matrix).matrix, matrix)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+    def test_singular_rejected_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="not invertible"):
+            GroupElement(gln(2), scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_hermitian_su2_algebra_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ Gauss-Legendre rule integrates these polynomial pullbacks exactly.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from holonomy_forge.holonomy import ConnectionField, HolonomyMap, eval_holonomies
@@ -92,6 +92,15 @@ def test_composition_law(connection, a, b):
 
 @law_settings
 @given(connections(), vertices)
+# RK4 truncation that cancels by luck at 8 steps: the reparametrized loop's
+# defect reads 2.5e-9, 6.8e-9 and 6.3e-10 at 8, 16 and 32 steps.
+@example(
+    (
+        MULTIPLICATIVE_REALS,
+        ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(0.5, (2, 0), 0)], [(0.5, (1, 0), 0)]]),
+    ),
+    [(-0.09375, 0.25), (0.0, 0.0), (0.625, 0.0), (-0.625, 0.0)],
+)
 def test_thin_loop_law(connection, corners):
     spec, field = connection
     p = polyline([ORIGIN, *corners])
@@ -112,13 +121,17 @@ def test_thin_loop_law(connection, corners):
         # Exact up to rounding where every piece meets its exact reversal
         # in a unitary group: the reversed piece's RK4 propagator is the
         # adjoint of the forward one, so its unitary projection is the
-        # inverse.  Elsewhere only RK4 truncation remains, and halving the
-        # step shrinks it at the method's order.
+        # inverse.  Elsewhere only RK4 truncation remains: at n, 2n and 4n
+        # steps the defect must be its gap to the 16n-step value, within the
+        # 1/16 that value's own truncation can add, and the rounding floor.
+        # A luckily small defect at one step count only passes more easily.
         exact = 2 if spec.name in UNITARY else 0
         assert max(defects[:exact], default=0.0) <= 1e-12
-        finer = eval_holonomies(h_map.with_steps(2 * STEPS), loops[exact:])
-        for g, coarse in zip(finer, defects[exact:]):
-            assert group_distance(g, identity) <= coarse / 8.0 + 1e-12
+        reference = eval_holonomies(h_map.with_steps(16 * STEPS), loops[exact:])
+        for k in (1, 2, 4):
+            coarse = eval_holonomies(h_map.with_steps(k * STEPS), loops[exact:])
+            for g, ref in zip(coarse, reference):
+                assert group_distance(g, identity) <= 16.0 / 15.0 * group_distance(g, ref) + 1e-12
 
 
 @law_settings

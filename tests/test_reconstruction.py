@@ -354,6 +354,32 @@ class TestRoundTrip:
         )
         assert report.within(), report.to_json_dict()
 
+    def test_nan_transport_defect_is_reported(self, monkeypatch):
+        # The transport defects fold with np.max, which keeps a nan that
+        # Python's max(0.0, nan) drops.
+        import holonomy_forge.reconstruction as reconstruction
+
+        real, seen = reconstruction.group_distance, []
+
+        def distance(a, b):
+            seen.append(a)
+            return math.nan if len(seen) == 1 else real(a, b)
+
+        monkeypatch.setattr(reconstruction, "group_distance", distance)
+        report = round_trip_report(
+            hf.get_preset("zero-connection").connection,
+            radial_family(ORIGIN),
+            GridSpec(-1.0, 1.0, 3),
+            CFG,
+            steps_per_segment=16,
+            tolerances={"curvature": 1e-10, "gauge": 1e-10, "transport": 1e-10},
+            transport_paths=4,
+            transport_steps=8,
+        )
+        assert len(seen) == 4
+        assert math.isnan(report.max_transport_defect)
+        assert not report.failures and not report.within()
+
     def test_per_point_failures_recorded_not_raised(self):
         def exploding(x, mu):
             if np.linalg.norm(x - np.array([1.0, 1.0])) < 0.4:
