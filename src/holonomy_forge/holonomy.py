@@ -11,10 +11,11 @@ Two backends are provided:
   of its step propagators, each projected onto the group, and set
   H(loop) = u(1)^{-1}.  One vectorized kernel serves every group; a
   propagator that leaves the positive reals raises ``IntegrationError``.
-  A piece whose 1- and 2-step values agree to rounding (step doubling
-  puts the 2-step error at a fifteenth of their gap, so its value is
-  already exact to double precision) keeps its 2-step value; every
-  other piece takes the map's steps per segment.
+  A piece along which a polynomial field's coefficient has degree <= 4
+  and entries <= 1/8, and whose 1- and 2-step values agree to rounding
+  (step doubling puts the 2-step error at a fifteenth of their gap, so
+  its value is already exact to double precision), keeps its 2-step
+  value; every other piece takes the map's steps per segment.
 
 Both backends evaluate loops in batches (``eval_holonomies``): each
 distinct smooth piece of a batch (keyed on its exact control points and
@@ -109,9 +110,9 @@ _GL_WEIGHTS = 0.5 * _weights
 # piece boundaries so that the (samples, d, d) temporaries stay below about
 # 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
 # peaks 0.5 MB higher, with no gain in speed.  The transport backend's
-# 2-step probe (5 samples per piece) and its n-step pass over the pieces
-# the probe does not accept (2n+1 samples) are chunked alike, so the probe
-# adds at most ceil(5 pieces / 2048) kernel calls.
+# 2-step probe (5 samples per probed piece) and its n-step pass over the
+# pieces the probe does not accept (2n+1 samples) are chunked alike, so the
+# probe adds at most ceil(5 probed pieces / 2048) kernel calls.
 _KERNEL_SAMPLES = 2048
 
 
@@ -135,17 +136,20 @@ class ConnectionField:
     ``rule(points, mu)`` must be a pure function of an (m, dim) array of
     points returning a new (m, d, d) array of algebra matrices, which the
     integrators scale in place; ``component(x, mu)`` is the batch of one.
+    ``degree`` is the total degree of a polynomial rule, None when the rule
+    is not known to be a polynomial.
     """
 
-    def __init__(self, dim: int, spec: GroupSpec, rule):
+    def __init__(self, dim: int, spec: GroupSpec, rule, degree: int | None = None):
         self.dim = int(dim)
         self.spec = spec
         self.rule = rule
+        self.degree = degree
 
     @classmethod
     def zero(cls, dim: int, spec: GroupSpec) -> "ConnectionField":
         d = spec.matrix_dim
-        return cls(dim, spec, lambda points, mu: np.zeros((len(points), d, d), dtype=spec.dtype))
+        return cls(dim, spec, lambda points, mu: np.zeros((len(points), d, d), dtype=spec.dtype), 0)
 
     @classmethod
     def from_matrix_rule(cls, dim: int, spec: GroupSpec, matrix_rule) -> "ConnectionField":
@@ -191,7 +195,7 @@ class ConnectionField:
                 coef[:, used[mu].index(b)] += coeff * mono
             return np.dot(coef, rows[mu]).reshape(-1, d, d)
 
-        return cls(dim, spec, rule)
+        return cls(dim, spec, rule, max((sum(exps) for t in terms for _, exps, _ in t), default=0))
 
     def component(self, x, mu: int) -> AlgebraElement:
         (x,) = _as_points(x, self.dim)
@@ -359,6 +363,27 @@ _PROBE_STEPS = ([0, 2, 0], [1, 3, 2], [2, 4, 4])
 _PROBE_H = np.array([0.5, 0.5, 1.0])[:, None, None]
 # Step doubling puts the error of P2 at |P1 - P2| / (2^4 - 1).
 _ROUNDING_GAP = 15.0 * np.finfo(float).eps
+# Largest coefficient entry at a sample that the probe accepts.  For d <= 2
+# it bounds |M| over the piece by about 0.55 (five equispaced samples have
+# Lebesgue constant 2.2), where the gap of a constant coefficient m,
+# |P1 - P2| = |m^5 (1152 + 160 m + 16 m^2 + m^3)| / 147456, is its leading
+# term within 8%.  The gap vanishes again near m = -10.98, where
+# P1 = P2 = 435.7 against exp(m) = 1.7e-5.
+_PROBE_SCALE = 0.125
+
+
+def _probed(degree: int | None, batch: Batch, rows: np.ndarray) -> np.ndarray:
+    """Mask of the given rows of a batch whose coefficient -A(b) b' is a
+    polynomial of degree <= 4 in the piece's parameter, which the probe's
+    five samples fix.  A field of degree D has degree D along a line, 3D + 2
+    along a cubic or a time-mapped line, 9D + 8 along a time-mapped cubic;
+    a field of unknown degree is never probed."""
+    if degree is None:
+        return np.zeros(len(rows), dtype=bool)
+    bends = batch.cubic[rows].astype(int)
+    if batch.tmap is not None:
+        bends += ~np.isnan(batch.tmap[rows, 0])
+    return np.choose(bends, [degree, 3 * degree + 2, 9 * degree + 8]) <= 4
 
 
 def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int) -> np.ndarray:
@@ -375,19 +400,20 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
     steps in its local parameter (h = 1/n), and the coefficient is sampled
     once on the half-step lattice of every distinct piece in a batch.
 
-    When n > 2, every distinct piece is first integrated at 2 steps on the
-    5-sample lattice, whose samples 0, 2, 4 give its 1-step value P1 for
-    free.  A piece keeps its 2-step value P2 when max|P1 - P2| <=
-    15 eps max|P2|: step doubling puts the error of P2 at |P1 - P2| / 15,
-    so P2 is already exact to rounding, and so would its n-step value be.
-    The two legs of a difference quotient therefore differ only by
-    rounding, whichever way each is integrated.  Every other piece (a
-    non-finite probe, or a 1x1 probe propagator <= 0, included) is
-    integrated at n steps exactly as without the probe, so an
-    ``IntegrationError`` comes from the n-step pass alone.  The probe sees
-    the coefficient at its five samples only, so one that vanishes at all
-    five but not between them (degree 5 or more along the piece) passes
-    for zero.
+    When n > 2, every distinct piece along which the coefficient is a
+    polynomial of degree <= 4 (``_probed``; never for a field of unknown
+    degree) is first integrated at 2 steps on the 5-sample lattice, which
+    fixes that polynomial and whose samples 0, 2, 4 give its 1-step value
+    P1 for free.  A piece keeps its 2-step value P2 when its sampled
+    coefficient entries are at most ``_PROBE_SCALE``, so that the
+    estimate's leading term dominates, and max|P1 - P2| <= 15 eps max|P2|:
+    step doubling puts the error of P2 at |P1 - P2| / 15, so P2 is already
+    exact to rounding, and so would its n-step value be.  The two legs of
+    a difference quotient therefore differ only by rounding, whichever way
+    each is integrated.  Every other piece (a non-finite probe, or a 1x1
+    probe propagator <= 0, included) is integrated at n steps exactly as
+    without the probe, so an ``IntegrationError`` comes from the n-step
+    pass alone.
     """
     spec = field.spec
     n = steps_per_segment
@@ -409,7 +435,9 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
         # P2 of each piece the probe accepts, nan for every other piece.
         m = -_connection_along(field, pts, vels)
         p = _step_propagators(*(m[:, k] for k in _PROBE_STEPS), _PROBE_H)
-        keep = ~(p.real <= 0).any(axis=(1, 2, 3)) if positive_reals else True
+        keep = np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE
+        if positive_reals:
+            keep &= ~(p.real <= 0).any(axis=(1, 2, 3))
         p = project_to_group(spec, p)
         p2 = _stacked_matmul(p[:, 1], p[:, 0])
         scale = np.abs(p2).max(axis=(1, 2))
@@ -418,14 +446,17 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
 
     lattice = np.linspace(0.0, 1.0, 2 * n + 1)
     rep, where = _distinct_pieces(batch)
+    probed = np.flatnonzero(_probed(field.degree, batch, rep)) if n > 2 else rep[:0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= 2:
-            p = _sampled(batch, rep, lattice, kernel)
-        else:
-            p = _sampled(batch, rep, _PROBE_SAMPLES, probe)
+        if probed.size:
+            p2 = _sampled(batch, rep[probed], _PROBE_SAMPLES, probe)
+            p = np.full((len(rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
+            p[probed] = p2
             redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2)))
             if redo.size:
                 p[redo] = _sampled(batch, rep[redo], lattice, kernel)
+        else:
+            p = _sampled(batch, rep, lattice, kernel)
         u = _ordered_products(p[where], batch.counts)
     _check_representable(u, "the transport value u(1)")
     return u

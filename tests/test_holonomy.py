@@ -340,8 +340,8 @@ class TestSharedPieces:
         for loop, got in zip(loops, eval_holonomies(h_map, loops)):
             assert np.array_equal(got.matrix, eval_holonomy(h_map, loop).matrix)
         if backend == "transport":
-            per_lattice = pieces_per_lattice(calls)
-            assert per_lattice[5] > per_lattice[33]
+            # The shift pieces are probed and accepted at 2 steps.
+            assert chord_lengths(calls, 5).min() <= 1e-4 < chord_lengths(calls, 33).min()
 
     def test_batch_spans_several_kernel_calls(self, rng, monkeypatch):
         calls = count_sampled_pieces(monkeypatch)
@@ -366,14 +366,15 @@ class TestSharedPieces:
     def test_reparametrized_pieces_are_shared(self, rng, monkeypatch):
         # A reparametrized loop given twice and the same reparametrization
         # built again: the time map is part of the piece key, so each
-        # reparametrized piece is integrated once.
+        # reparametrized piece is integrated once.  (y dx has degree 8 along
+        # a time-mapped line, so the transport map does not probe them.)
         calls = count_sampled_pieces(monkeypatch)
         p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
         out_and_back = compose_paths(invert_path(p), p)
         phi = piecewise_power_map(3, 0.5)
         warped = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
         again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
-        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
+        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33})):
             calls.clear()
             values = eval_holonomies(h_map, [warped, again, warped])
             per_lattice = pieces_per_lattice(calls)
@@ -420,9 +421,11 @@ def chord_lengths(calls, samples: int) -> np.ndarray:
 
 
 class TestTwoStepProbe:
-    # Every distinct piece is first integrated at 2 steps on the 5-sample
-    # lattice; only a piece whose 1- and 2-step values differ by more than
-    # rounding is integrated again, on the 2n+1-sample lattice.
+    # Every distinct piece along which a polynomial field's coefficient has
+    # degree <= 4 is first integrated at 2 steps on the 5-sample lattice;
+    # only a piece whose 1- and 2-step values differ by more than rounding,
+    # or whose coefficient exceeds the probe's scale, is integrated again,
+    # on the 2n+1-sample lattice, with every piece the probe cannot fix.
     def test_shift_pieces_take_two_steps(self, monkeypatch):
         # su2-shear's A_2 = x1 X3 is constant along a shift and vanishes
         # along dx1, so every shift piece is exact at 2 steps; along a
@@ -458,28 +461,61 @@ class TestTwoStepProbe:
         assert abs(got - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize(
-        "spec, terms, n",
+        "spec, terms, n, probed",
         [
             # P1 = 1 - 10/6 and the second 2-step propagator are negative.
-            (MULTIPLICATIVE_REALS, [(20.0, (2,), 0), (-10.0, (1,), 0)], 4),
+            (MULTIPLICATIVE_REALS, [(20.0, (2,), 0), (-10.0, (1,), 0)], 4, True),
             # The 1- and 2-step propagators of a 1e78 coefficient overflow;
             # each of the 64 steps is finite and projected to unit modulus.
-            (U1, [(1e78, (0,), 0)], 64),
+            (U1, [(1e78, (0,), 0)], 64, True),
+            # 2000 x (x - 1/4) (x - 1/2)^2 (x - 3/4) (x - 1) vanishes at all
+            # five probe samples; at degree 6 it is not probed.
+            (
+                MULTIPLICATIVE_REALS,
+                [(2000.0 * c, (k,), 0) for k, c in enumerate(np.poly1d([0.25, 0.5, 0.5, 0.75, 1.0, 0.0], True).c[::-1])],
+                64,
+                False,
+            ),
+            # A constant coefficient at which the 1- and 2-step propagators
+            # agree, both 435.7 against exp(-10.98) = 1.7e-5: above the
+            # probe's scale, so their gap is not read.
+            (MULTIPLICATIVE_REALS, [(10.982425466293268, (0,), 0)], 64, True),
         ],
-        ids=["leaves-positive-reals", "overflows"],
+        ids=["leaves-positive-reals", "overflows", "aliased", "coincident"],
     )
-    def test_failed_probe_falls_back_to_n_steps(self, monkeypatch, spec, terms, n):
+    def test_unaccepted_piece_takes_n_steps(self, monkeypatch, spec, terms, n, probed):
         field = ConnectionField.from_polynomial(1, spec, [terms])
         path = straight_segment([0.0], [1.0])
         calls = count_sampled_pieces(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = transport_along(field, path, GroupElement.identity(spec), n).matrix
-        assert pieces_per_lattice(calls) == {5: 1, 2 * n + 1: 1}
+        assert pieces_per_lattice(calls) == ({5: 1, 2 * n + 1: 1} if probed else {2 * n + 1: 1})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = sequential_rk4_transport(field, path, n)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("warp", [False, True])
+    def test_pieces_of_high_degree_are_not_probed(self, monkeypatch, warp):
+        # A quadratic field has degree 2 along a line but 8 along the same
+        # line under a cubic time map.
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(1e-3, (0, 2), 0)], []])
+        loop = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
+        if warp:
+            loop = LoopAtBase(reparametrize(loop.path, power_map(2)), ORIGIN)
+        calls = count_sampled_pieces(monkeypatch)
+        eval_holonomy(HolonomyMap.transport(field, ORIGIN, 16), loop)
+        assert 5 not in pieces_per_lattice(calls) if warp else 5 in pieces_per_lattice(calls)
+
+    def test_field_of_unknown_degree_is_not_probed(self, monkeypatch):
+        # A reconstructed potential's samples each cost a reconstruction.
+        from holonomy_forge.reconstruction import PotentialField
+
+        field = PotentialField.from_connection(ydx_field()).to_connection_field()
+        calls = count_sampled_pieces(monkeypatch)
+        eval_holonomy(HolonomyMap.transport(field, ORIGIN, 16), unit_square())
+        assert set(pieces_per_lattice(calls)) == {33}
 
 
 class TestRelativeDeterminantCheck:

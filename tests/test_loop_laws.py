@@ -121,17 +121,19 @@ def test_thin_loop_law(connection, corners):
         # Exact up to rounding where every piece meets its exact reversal
         # in a unitary group: the reversed piece's RK4 propagator is the
         # adjoint of the forward one, so its unitary projection is the
-        # inverse.  Elsewhere only RK4 truncation remains: at n, 2n and 4n
-        # steps the defect must be its gap to the 16n-step value, within the
-        # 1/16 that value's own truncation can add, and the rounding floor.
-        # A luckily small defect at one step count only passes more easily.
+        # inverse.  Elsewhere only RK4 truncation remains: at k = n, 2n and
+        # 4n steps the defect must be its gap to the 16n-step value, within
+        # 1/64 of it, and the rounding floor.  With truncation of order p
+        # the gap is the defect times 1 - (k / 16n)^p, so the 4n check asks
+        # for p >= 3, like halving the step shrinking the defect 8-fold.  A
+        # luckily small defect at one step count only passes more easily.
         exact = 2 if spec.name in UNITARY else 0
         assert max(defects[:exact], default=0.0) <= 1e-12
         reference = eval_holonomies(h_map.with_steps(16 * STEPS), loops[exact:])
         for k in (1, 2, 4):
-            coarse = eval_holonomies(h_map.with_steps(k * STEPS), loops[exact:])
+            coarse = values[exact:] if k == 1 else eval_holonomies(h_map.with_steps(k * STEPS), loops[exact:])
             for g, ref in zip(coarse, reference):
-                assert group_distance(g, identity) <= 16.0 / 15.0 * group_distance(g, ref) + 1e-12
+                assert group_distance(g, identity) <= 64.0 / 63.0 * group_distance(g, ref) + 1e-12
 
 
 @law_settings
