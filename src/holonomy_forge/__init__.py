@@ -16,12 +16,9 @@ from .lie_core import (
     GroupName,
     GroupSpec,
     SpecMismatch,
-    algebra_element_from_json,
-    element_to_json,
     exp_map,
     gln,
     group_distance,
-    group_element_from_json,
     log_map,
     project_to_algebra,
     project_to_group,
@@ -33,17 +30,11 @@ from .path_algebra import (
     NotMonotone,
     PathFamily,
     PathNd,
-    ReparametrizedPath,
-    Segment,
     axis_dogleg_family,
     compose_paths,
     constant_path,
     contract,
     invert_path,
-    loop_from_json,
-    loop_to_json,
-    path_from_json,
-    path_to_json,
     piecewise_power_map,
     power_map,
     radial_family,

@@ -112,6 +112,14 @@ _GROUPS = {
 }
 
 
+def _checked(value, kind=float, least=None):
+    """A JSON number, or with ``kind=int`` an integer of at least ``least``;
+    1.5, true or "2" raise ``ValueError`` rather than being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or (least is not None and value < least):
+        raise ValueError(f"expected a {kind.__name__} >= {least}, got {value!r}")
+    return kind(value)
+
+
 def _load_custom(path: str) -> Preset:
     """Restricted connection input: polynomial coefficients per component."""
     try:
@@ -123,20 +131,25 @@ def _load_custom(path: str) -> Preset:
         group = data["group"]
         if group not in _GROUPS:
             raise _InputError(f"unknown group {group!r}")
-        spec: GroupSpec = _GROUPS[group](int(data.get("matrix_dim", 1)))
-        dim = int(data["dim"])
+        spec: GroupSpec = _GROUPS[group](_checked(data.get("matrix_dim", 1), int, 1))
+        dim = _checked(data["dim"], int, 1)
         components = [
-            [(float(t["coeff"]), tuple(int(e) for e in t["exps"]), int(t["basis"])) for t in comp]
+            [(_checked(t["coeff"]), tuple(_checked(e, int, 0) for e in t["exps"]), _checked(t["basis"], int, 0))
+             for t in comp]
             for comp in data["components"]
         ]
         if len(components) != dim:
             raise _InputError("components must list one term set per direction")
         connection = ConnectionField.from_polynomial(dim, spec, components)
         backend = data.get("backend", "analytic" if spec.is_abelian else "transport")
+        if backend not in ("analytic", "transport"):
+            raise ValueError(f"backend must be 'analytic' or 'transport', got {backend!r}")
         if backend == "analytic" and not spec.is_abelian:
             raise _InputError("analytic backend requires an abelian group")
-        box = data.get("box", [-1.0, 1.0])
-        basepoint = tuple(float(v) for v in data.get("basepoint", [0.0] * dim))
+        box = tuple(_checked(v) for v in data.get("box", [-1.0, 1.0]))
+        if len(box) != 2:
+            raise ValueError(f"box must be two numbers lo, hi, got {list(box)}")
+        basepoint = tuple(_checked(v) for v in data.get("basepoint", [0.0] * dim))
         if len(basepoint) != dim or not np.isfinite(basepoint).all():
             raise ValueError(f"basepoint must be {dim} finite numbers, got {list(basepoint)}")
         return Preset(
@@ -147,10 +160,10 @@ def _load_custom(path: str) -> Preset:
             basepoint=basepoint,
             connection=connection,
             backend=backend,
-            default_steps=int(data.get("steps", 64)),
-            box=(float(box[0]), float(box[1])),
+            default_steps=_checked(data.get("steps", 64), int, 1),
+            box=box,
             closed_form=None,
-            tolerances=dict(data.get("tolerances", {})),
+            tolerances={k: _checked(v) for k, v in dict(data.get("tolerances", {})).items()},
             axiom3_anchor=None,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -47,9 +47,6 @@ __all__ = [
     "project_to_algebra",
     "su2_basis",
     "algebra_basis",
-    "element_to_json",
-    "group_element_from_json",
-    "algebra_element_from_json",
 ]
 
 _DET_TOL = 1e-12
@@ -111,18 +108,6 @@ class GroupSpec:
     @property
     def is_abelian(self) -> bool:
         return self.matrix_dim == 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name.value,
-            "matrix_dim": self.matrix_dim,
-            "scalar_field": self.scalar_field,
-            "algebra_dim": self.algebra_dim,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GroupSpec":
-        return cls(GroupName(d["name"]), d["matrix_dim"], d["scalar_field"], d["algebra_dim"])
 
 
 MULTIPLICATIVE_REALS = GroupSpec(GroupName.MULTIPLICATIVE_REALS, 1, "real", 1)
@@ -435,32 +420,3 @@ def algebra_basis(spec: GroupSpec) -> list[np.ndarray]:
             e[i, j] = 1.0
             basis.append(e)
     return basis
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(m, dtype=np.complex128).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
-def _pairs_to_matrix(spec: GroupSpec, pairs) -> np.ndarray:
-    d = spec.matrix_dim
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != d * d:
-        raise ValueError(f"expected {d * d} entries, got {flat.size}")
-    m = flat.reshape(d, d)
-    return np.real(m) if spec.scalar_field == "real" else m
-
-
-def element_to_json(el: GroupElement | AlgebraElement) -> dict:
-    """Serialize an element as spec metadata plus row-major (re, im) pairs."""
-    return {"spec": el.spec.to_json_dict(), "matrix": _matrix_to_pairs(el.matrix)}
-
-
-def group_element_from_json(d: dict) -> GroupElement:
-    spec = GroupSpec.from_json_dict(d["spec"])
-    return GroupElement(spec, _pairs_to_matrix(spec, d["matrix"]))
-
-
-def algebra_element_from_json(d: dict) -> AlgebraElement:
-    spec = GroupSpec.from_json_dict(d["spec"])
-    return AlgebraElement(spec, _pairs_to_matrix(spec, d["matrix"]))

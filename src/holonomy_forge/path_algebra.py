@@ -8,10 +8,8 @@ reference-path families, thin reduction and reparametrization.
 The one path type, ``PathNd``, holds a segment table (``segment_table``)
 and breakpoints.  Composition concatenates rows, inversion reverses them,
 contraction splits the last by de Casteljau and thin reduction keeps what
-``thin_keep`` keeps; ``Segment`` is a constructor and view for the public
-API and the JSON form.  ``reparametrize`` returns a table path whose rows
-also carry a time map (``ReparametrizedPath``), which evaluates exactly
-but takes no further algebra.
+``thin_keep`` keeps.  ``reparametrize`` returns a path whose rows also
+carry a time map, which evaluates exactly but takes no further algebra.
 
 A reference frame (``PathFamily``) is a vectorized ``table_rule`` giving
 the segment tables of the paths to many targets at once;
@@ -25,21 +23,20 @@ are parametrization-independent, so the choice is unobservable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .segment_table import Batch, bezier_points, bezier_velocities, table_batch, table_rows, thin_keep, time_map
+from .segment_table import Batch, bezier_points, bezier_velocities, table_batch, thin_keep, time_map
 
 __all__ = [
     "EndpointMismatch",
     "NotMonotone",
-    "Segment",
     "PathNd",
     "LoopAtBase",
     "PathFamily",
-    "ReparametrizedPath",
     "constant_path",
     "compose_paths",
     "invert_path",
@@ -55,10 +52,6 @@ __all__ = [
     "piecewise_power_map",
     "random_polygon_loop",
     "random_polyline",
-    "path_to_json",
-    "path_from_json",
-    "loop_to_json",
-    "loop_from_json",
 ]
 
 _CONT_TOL = 1e-12
@@ -72,92 +65,57 @@ class NotMonotone(ValueError):
     """Time map for reparametrization is not monotone on [0, 1]."""
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """A line (2 control points) or cubic Bezier (4) in R^n."""
-
-    kind: str
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("control points must be a 2-d array")
-        expected = {"line": 2, "cubic": 4}.get(self.kind)
-        if expected is None:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if pts.shape[0] != expected:
-            raise ValueError(f"{self.kind} segment needs {expected} control points")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def point(self, u):
-        return bezier_points(self.kind == "cubic", table_rows(self.kind, self.points), np.asarray(u, dtype=float))
-
-    def velocity(self, u):
-        return bezier_velocities(self.kind == "cubic", table_rows(self.kind, self.points), np.asarray(u, dtype=float))
-
-    def is_degenerate(self, tol: float | None = None) -> bool:
-        tol = _CONT_TOL * (1.0 + np.abs(self.points).max()) if tol is None else tol
-        return bool(np.max(np.abs(self.points - self.points[0])) <= tol)
-
-
 class PathNd:
-    """A continuous chain of smooth pieces parametrized over [0, 1]: kind
-    flags ``cubic`` (s,), control points ``ctrl`` (s, 4, dim),
-    ``breakpoints`` (s + 1,) and, on a ``ReparametrizedPath`` only, time
-    maps ``tmap`` (s, 4).  Built from ``Segment`` objects or by an
-    operation, a path is checked for breakpoints, dimensions and
-    continuity."""
+    """A continuous chain of smooth pieces parametrized over [0, 1], given
+    by its segment table: kind flags ``cubic`` (s,), control points
+    ``ctrl`` (s, 4, dim), a line p0 -> p1 stored as [p0, p0, p1, p1],
+    ``breakpoints`` (s + 1,) and optionally time maps ``tmap`` (s, 4), the
+    Bezier ordinates of a cubic from each piece's local parameter to its
+    segment's.  The table is checked for shapes, finite values,
+    breakpoints and continuity; a bad one raises ``ValueError``."""
 
     __slots__ = ("dim", "cubic", "ctrl", "tmap", "breakpoints")
 
-    def __init__(self, dim: int, segments, breakpoints):
-        segs = tuple(segments)
-        if any(s.dim != dim for s in segs):
-            raise ValueError("segment dimension mismatch")
-        ctrl = np.array([table_rows(s.kind, s.points) for s in segs]).reshape(-1, 4, dim)
-        self._fill(np.array([s.kind == "cubic" for s in segs], dtype=bool), ctrl, np.array(breakpoints, dtype=float))
-
-    @classmethod
-    def from_segments(cls, segments, breakpoints=None) -> "PathNd":
-        segments = list(segments)
-        if breakpoints is None:
-            breakpoints = np.linspace(0.0, 1.0, len(segments) + 1)
-        return cls(segments[0].dim, tuple(segments), np.asarray(breakpoints, dtype=float))
-
-    def _fill(self, cubic: np.ndarray, ctrl: np.ndarray, bp: np.ndarray):
-        """Check a segment table and its breakpoints, then hold them."""
-        if not len(cubic):
+    def __init__(self, cubic, ctrl, breakpoints, tmap=None):
+        cubic, ctrl = np.asarray(cubic, dtype=bool), np.asarray(ctrl, dtype=float)
+        tmap = None if tmap is None else np.asarray(tmap, dtype=float)
+        bp = np.array(breakpoints, dtype=float)
+        s = len(cubic) if cubic.ndim == 1 else -1
+        if ctrl.ndim != 3 or ctrl.shape[:2] != (s, 4) or not ctrl.shape[2]:
+            raise ValueError(f"a table needs flags (s,) and controls (s, 4, dim), not {cubic.shape}, {ctrl.shape}")
+        if tmap is not None and tmap.shape != (s, 4):
+            raise ValueError(f"time maps must have shape ({s}, 4), got {tmap.shape}")
+        if not s:
             raise ValueError("a path needs at least one segment")
-        if bp.shape != (len(cubic) + 1,):
+        scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))  # not finite if a control point is not
+        if not math.isfinite(scale.max()) or not (tmap is None or np.isfinite(tmap).all()):
+            raise ValueError("control points and time maps must be finite")
+        if bp.shape != (s + 1,):
             raise ValueError("breakpoints must have one more entry than segments")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if (bp[1:] <= bp[:-1]).any():
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))
-        d = ctrl[:-1, 3] - ctrl[1:, 0]
+        if tmap is None:
+            d = ctrl[:-1, 3] - ctrl[1:, 0]
+        else:
+            # Rows of one segment repeat its control points, so compare the
+            # evaluated ends of adjacent pieces, to within what moving the
+            # junction by the tolerance in the global parameter can move
+            # them (reparametrize merges breakpoints closer than that).  A
+            # piece moves at most 3 * 2 max|ctrl| * 3 max|time step| / span.
+            ends = bezier_points(cubic[:, None], ctrl[:, None], tmap[:, ::3])
+            d = ends[:-1, 1] - ends[1:, 0]
+            scale = scale * (1.0 + 18.0 * np.abs(np.diff(tmap, axis=1)).max(axis=1) / np.diff(bp))
         gap = np.sqrt((d * d).sum(axis=1))
         bad = gap > _CONT_TOL * np.maximum(scale[:-1], scale[1:])
         if bad.any():
             raise ValueError(f"adjacent segments are discontinuous (gap {gap[bad][0]:.3e})")
         bp.setflags(write=False)
-        self.dim, self.cubic, self.ctrl, self.tmap, self.breakpoints = ctrl.shape[-1], cubic, ctrl, None, bp
-
-    @property
-    def segments(self) -> tuple:
-        """The rows as ``Segment`` objects, built on each access."""
-        if self.tmap is not None:
-            raise TypeError("a reparametrized path has no segments")
-        return tuple(Segment("cubic", t) if c else Segment("line", t[[0, 3]]) for c, t in zip(self.cubic, self.ctrl))
+        self.dim, self.cubic, self.ctrl, self.tmap, self.breakpoints = ctrl.shape[2], cubic, ctrl, tmap, bp
 
     def _local(self, i):
-        """Segment index, local parameter and span of global parameters."""
+        """Row index, local parameter and span of global parameters."""
         bp = self.breakpoints
         i = np.clip(np.asarray(i, dtype=float), 0.0, 1.0)
         idx = np.clip(np.searchsorted(bp, i, side="right") - 1, 0, len(self.cubic) - 1)
@@ -198,13 +156,6 @@ class PathNd:
         return bool(np.all(np.abs(ctrl - ctrl[:, :1]).max(axis=(1, 2)) <= tol))
 
 
-def _table_path(cubic: np.ndarray, ctrl: np.ndarray, breakpoints: np.ndarray) -> PathNd:
-    """A path from its segment table, with the checks of ``PathNd``."""
-    p = object.__new__(PathNd)
-    p._fill(cubic, ctrl, breakpoints)
-    return p
-
-
 def _segment_backed(*paths, what: str):
     """Operations other than evaluation need paths without a time map."""
     for p in paths:
@@ -241,6 +192,23 @@ def _preimage(phi: PathNd, target: float) -> float | None:
     return a + hi * (b - a)
 
 
+def _time_breakpoints(p: PathNd, phi: PathNd) -> np.ndarray:
+    """Breakpoints of p(phi(i)): the union of the map's breakpoints and the
+    preimages of the base path's breakpoints, each within 1e-12 of the one
+    before it dropped and the last one 1."""
+    bps = set(float(b) for b in phi.breakpoints)
+    for b in p.breakpoints[1:-1]:
+        t = _preimage(phi, float(b))
+        if t is not None:
+            bps.add(t)
+    merged = [0.0]
+    for b in sorted(bps):
+        if b - merged[-1] > 1e-12:
+            merged.append(b)
+    merged[-1] = 1.0
+    return np.array(merged)
+
+
 def _restrict(y: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Bezier ordinates (m, 4) of cubics restricted to [s0, s1] (each (m,))
     and reparametrized back to [0, 1].  Ordinate k is the blossom at s0
@@ -251,44 +219,6 @@ def _restrict(y: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     for level in range(3):
         c = c[..., :-1] + t[..., level, None] * (c[..., 1:] - c[..., :-1])
     return c[..., 0]
-
-
-class ReparametrizedPath(PathNd):
-    """The path p(phi(i)) of a path and a monotone time map, as a table path.
-
-    Breakpoints are the union of the map's breakpoints and the preimages
-    of the base path's breakpoints, so each piece is one base segment's
-    row plus one time-map piece (a line raised to degree 3), restricted by
-    de Casteljau and mapped into the segment's local parameter.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, path: PathNd, phi: PathNd):
-        _segment_backed(path, phi, what="reparametrization")
-        bps = set(float(b) for b in phi.breakpoints)
-        for b in path.breakpoints[1:-1]:
-            t = _preimage(phi, float(b))
-            if t is not None:
-                bps.add(t)
-        merged = [0.0]
-        for b in sorted(bps):
-            if b - merged[-1] > 1e-12:
-                merged.append(b)
-        merged[-1] = 1.0
-        bp = np.array(merged)
-        lo, hi = bp[:-1], bp[1:]
-        # The time-map piece under each piece, as cubic ordinates.
-        k = np.clip(np.searchsorted(phi.breakpoints, 0.5 * (lo + hi), side="right") - 1, 0, phi.n_pieces - 1)
-        fa, fb = phi.breakpoints[k], phi.breakpoints[k + 1]
-        y = phi.ctrl[k, :, 0]
-        line = np.stack([y[:, 0], (2.0 * y[:, 0] + y[:, 3]) / 3.0, (y[:, 0] + 2.0 * y[:, 3]) / 3.0, y[:, 3]], axis=1)
-        y = _restrict(np.where(phi.cubic[k, None], y, line), (lo - fa) / (fb - fa), (hi - fa) / (fb - fa))
-        # The base segment each piece runs along, and its local parameter.
-        j = np.clip(np.searchsorted(path.breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, path.n_pieces - 1)
-        ba, bb = path.breakpoints[j, None], path.breakpoints[j + 1, None]
-        self.dim, self.cubic, self.ctrl, self.breakpoints = path.dim, path.cubic[j], path.ctrl[j], bp
-        self.tmap = (y - ba) / (bb - ba)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +264,7 @@ class PathFamily:
             raise ValueError("basepoint dimension mismatch")
 
     def tables(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Segment tables of the paths to one target or an (m, dim) array
+        """The segment tables of the paths to one target or an (m, dim) array
         of them: kind flags (m, s) and control points (m, s, 4, dim).  A
         target that is not finite raises ``ValueError``.
         """
@@ -351,7 +281,7 @@ class PathFamily:
 
     def __getitem__(self, x) -> PathNd:
         (cubic,), (ctrl,) = self.tables(x)
-        return _table_path(cubic, ctrl, np.linspace(0.0, 1.0, len(cubic) + 1))
+        return PathNd(cubic, ctrl, np.linspace(0.0, 1.0, len(cubic) + 1))
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -367,7 +297,7 @@ def _polyline(vertices: np.ndarray) -> PathNd:
     """The chain of straight segments through an (n + 1, dim) array of
     vertices, with uniform breakpoints."""
     a, b = vertices[:-1], vertices[1:]
-    return _table_path(np.zeros(len(a), dtype=bool), np.stack([a, a, b, b], axis=1), np.linspace(0.0, 1.0, len(a) + 1))
+    return PathNd(np.zeros(len(a), dtype=bool), np.stack([a, a, b, b], axis=1), np.linspace(0.0, 1.0, len(a) + 1))
 
 
 def constant_path(x) -> PathNd:
@@ -393,7 +323,7 @@ def compose_paths(alpha: PathNd, beta: PathNd) -> PathNd:
     if gap > 1e-10 * (1.0 + max(np.max(np.abs(beta.end)), np.max(np.abs(alpha.start)))):
         raise EndpointMismatch(f"beta ends {gap:.3e} away from where alpha starts")
     bp = np.concatenate([0.5 * beta.breakpoints, 0.5 + 0.5 * alpha.breakpoints[1:]])
-    return _table_path(np.concatenate([beta.cubic, alpha.cubic]), np.concatenate([beta.ctrl, alpha.ctrl]), bp)
+    return PathNd(np.concatenate([beta.cubic, alpha.cubic]), np.concatenate([beta.ctrl, alpha.ctrl]), bp)
 
 
 def invert_path(p: PathNd) -> PathNd:
@@ -401,7 +331,7 @@ def invert_path(p: PathNd) -> PathNd:
     _segment_backed(p, what="inversion")
     bp = 1.0 - p.breakpoints[::-1]
     bp[0], bp[-1] = 0.0, 1.0
-    return _table_path(p.cubic[::-1], p.ctrl[::-1, ::-1], bp)
+    return PathNd(p.cubic[::-1], p.ctrl[::-1, ::-1], bp)
 
 
 def contract(p: PathNd, i: float) -> PathNd:
@@ -428,7 +358,7 @@ def contract(p: PathNd, i: float) -> PathNd:
             ctrl[-1] = [p0, c1, c12, c12 + u * (c23 - c12)]
         else:
             ctrl[-1, 2:] = bezier_points(False, ctrl[-1], u)
-    return _table_path(cubic, ctrl, np.append(bp[:m] / i, 1.0))
+    return PathNd(cubic, ctrl, np.append(bp[:m] / i, 1.0))
 
 
 def radial_family(basepoint) -> PathFamily:
@@ -470,7 +400,7 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     inner = np.append(0.5 * out.breakpoints, 1.0)
     reverse = 1.0 - back.breakpoints[::-1]
     bp = np.concatenate([0.5 * inner, 0.5 + 0.5 * reverse[1:]])
-    return LoopAtBase(_table_path(cubic, ctrl, bp), psi.basepoint)
+    return LoopAtBase(PathNd(cubic, ctrl, bp), psi.basepoint)
 
 
 def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
@@ -512,7 +442,7 @@ def thin_reduce(p: PathNd) -> PathNd:
     spans = np.diff(p.breakpoints)[keep]
     bp = np.concatenate([[0.0], np.cumsum(spans)]) / spans.sum()
     bp[-1] = 1.0
-    return _table_path(p.cubic[keep], p.ctrl[keep], bp)
+    return PathNd(p.cubic[keep], p.ctrl[keep], bp)
 
 
 def power_map(k: int) -> PathNd:
@@ -521,7 +451,7 @@ def power_map(k: int) -> PathNd:
     if k not in controls:
         raise ValueError("only powers 1..3 are exactly representable")
     ctrl = np.array(controls[k])[None, :, None] / 3.0
-    return _table_path(np.ones(1, dtype=bool), ctrl, np.array([0.0, 1.0]))
+    return PathNd(np.ones(1, dtype=bool), ctrl, np.array([0.0, 1.0]))
 
 
 def piecewise_power_map(k: int, split: float = 0.5) -> PathNd:
@@ -536,7 +466,7 @@ def piecewise_power_map(k: int, split: float = 0.5) -> PathNd:
     else:
         raise ValueError("only powers 2 and 3 are supported")
     tail = [s**k, s**k, 1.0, 1.0]
-    return _table_path(np.array([True, False]), np.array([head, tail])[..., None], np.array([0.0, s, 1.0]))
+    return PathNd(np.array([True, False]), np.array([head, tail])[..., None], np.array([0.0, s, 1.0]))
 
 
 def reparametrize(p, phi: PathNd):
@@ -544,7 +474,7 @@ def reparametrize(p, phi: PathNd):
 
     phi must run from 0 to 1 and be nondecreasing; violations raise
     ``NotMonotone``.  The identity map returns the path unchanged; any
-    other returns a ``ReparametrizedPath``.
+    other returns the path p(phi(i)) as a ``PathNd`` with time maps.
     """
     if phi.dim != 1:
         raise NotMonotone("time map must be one-dimensional")
@@ -562,7 +492,24 @@ def reparametrize(p, phi: PathNd):
         raise NotMonotone("time map must be nondecreasing")
     if phi.n_pieces == 1 and not phi.cubic[0] and np.allclose(phi.ctrl[0, [0, 3]], [[0.0], [1.0]]):
         return p
-    return ReparametrizedPath(p, phi)
+    _segment_backed(p, phi, what="reparametrization")
+    # Each piece is one base segment's row plus one time-map piece (a line
+    # raised to degree 3), restricted by de Casteljau and mapped into the
+    # segment's local parameter.  A base segment too short for the merged
+    # breakpoints to resolve falls inside a piece, and the table then
+    # fails its continuity check.
+    bp = _time_breakpoints(p, phi)
+    lo, hi = bp[:-1], bp[1:]
+    # The time-map piece under each piece, as cubic ordinates.
+    k = np.clip(np.searchsorted(phi.breakpoints, 0.5 * (lo + hi), side="right") - 1, 0, phi.n_pieces - 1)
+    fa, fb = phi.breakpoints[k], phi.breakpoints[k + 1]
+    y = phi.ctrl[k, :, 0]
+    line = np.stack([y[:, 0], (2.0 * y[:, 0] + y[:, 3]) / 3.0, (y[:, 0] + 2.0 * y[:, 3]) / 3.0, y[:, 3]], axis=1)
+    y = _restrict(np.where(phi.cubic[k, None], y, line), (lo - fa) / (fb - fa), (hi - fa) / (fb - fa))
+    # The base segment each piece runs along, and its local parameter.
+    j = np.clip(np.searchsorted(p.breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, p.n_pieces - 1)
+    ba, bb = p.breakpoints[j, None], p.breakpoints[j + 1, None]
+    return PathNd(p.cubic[j], p.ctrl[j], bp, (y - ba) / (bb - ba))
 
 
 def random_polygon_loop(rng: np.random.Generator, basepoint, n_vertices: int = 4, radius: float = 0.75) -> LoopAtBase:
@@ -577,33 +524,3 @@ def random_polyline(rng: np.random.Generator, start, n_segments: int = 2, radius
     start = np.asarray(start, dtype=float)
     steps = rng.uniform(-radius, radius, size=(n_segments, start.size))
     return _polyline(np.cumsum(np.concatenate([start[None], steps]), axis=0))
-
-
-def path_to_json(p: PathNd) -> dict:
-    """Wire form {"dim", "segments": [{"kind", "points"}]}.
-
-    Breakpoints are not carried; loading assigns uniform ones, which is a
-    pure reparametrization and therefore holonomy-invariant.
-    """
-    return {
-        "dim": p.dim,
-        "segments": [{"kind": s.kind, "points": s.points.tolist()} for s in p.segments],
-    }
-
-
-def path_from_json(d: dict) -> PathNd:
-    segs = [Segment(s["kind"], np.array(s["points"], dtype=float)) for s in d["segments"]]
-    p = PathNd.from_segments(segs)
-    if p.dim != d["dim"]:
-        raise ValueError("declared dimension does not match control points")
-    return p
-
-
-def loop_to_json(loop: LoopAtBase) -> dict:
-    d = path_to_json(loop.path)
-    d["basepoint"] = np.asarray(loop.basepoint).tolist()
-    return d
-
-
-def loop_from_json(d: dict) -> LoopAtBase:
-    return LoopAtBase(path_from_json(d), np.array(d["basepoint"], dtype=float))

@@ -1,4 +1,4 @@
-"""Segment tables: the flat form of line and cubic chains that samplers read.
+"""Flat segment tables: the form of line and cubic chains that samplers read.
 
 A chain of s segments is a pair (cubic, ctrl): kind flags of shape (s,)
 and control points of shape (s, 4, dim), a line p0 -> p1 stored as
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Batch",
-    "table_rows",
     "bezier_points",
     "bezier_velocities",
     "time_map",
@@ -28,11 +27,6 @@ __all__ = [
     "stack_tables",
     "sample_pieces",
 ]
-
-
-def table_rows(kind: str, points: np.ndarray) -> np.ndarray:
-    """The four table rows of a segment given by its kind and control points."""
-    return points if kind == "cubic" else points[[0, 0, 1, 1]]
 
 
 def bezier_points(cubic, ctrl, u) -> np.ndarray:
@@ -74,7 +68,7 @@ def bezier_velocities(cubic, ctrl, u) -> np.ndarray:
 
 
 def time_map(tmap: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Segment parameters and their derivatives d/du at local parameters u
+    """The segments' parameters and their derivatives d/du at local parameters u
     of pieces with time-map ordinates ``tmap`` (..., 4), u broadcasting
     against (...).  A row of NaN marks a piece without a time map, which
     gets u and 1 exactly."""

@@ -5,9 +5,11 @@ area formulas, exact per-edge integrals, one loop at a time) and shares
 no code with the library's own evaluation paths beyond building paths.
 The exceptions are ``serial_audit``, the audit written as the loop over
 single-law checkers that the batched ``audit_axioms`` must reproduce, and
-the path operations on tuples of ``Segment`` objects (``segment_compose``
-and its siblings, ``LazyReparametrizedPath``), the object forms of the
-table operations in ``path_algebra``.
+the path operations one segment at a time (``segment_compose`` and its
+siblings on lists of rows ``(cubic flag, 4 control points)``, and
+``LazyReparametrization``), the reference forms of the table operations
+in ``path_algebra``.  These build their results with the ``PathNd``
+constructor and nothing else of the table code they check.
 """
 
 import cmath
@@ -19,7 +21,6 @@ from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, che
 from holonomy_forge.path_algebra import (
     LoopAtBase,
     PathNd,
-    Segment,
     _preimage,
     compose_paths,
     constant_path,
@@ -50,59 +51,67 @@ def taylor_expm(m, terms: int = 20) -> np.ndarray:
     return out
 
 
-def _reversed(s: Segment) -> Segment:
-    return Segment(s.kind, s.points[::-1])
+def _rows(p) -> list:
+    """The rows of a path's segment table as (cubic flag, control points)."""
+    return list(zip(p.cubic.tolist(), p.ctrl))
 
 
-def _split_left(s: Segment, u: float) -> Segment:
-    """The restriction of a segment to [0, u], reparametrized back to [0, 1]."""
-    p = s.points
-    if s.kind == "line":
-        return Segment("line", np.stack([p[0], s.point(u)]))
+def _path(rows, breakpoints):
+    """The path of a list of rows and its breakpoints."""
+    cubic = np.array([c for c, _ in rows], dtype=bool)
+    return PathNd(cubic, np.stack([t for _, t in rows]), breakpoints)
+
+
+def _split_left(row, u: float):
+    """The restriction of a row to [0, u], reparametrized back to [0, 1]."""
+    cubic, p = row
+    if not cubic:
+        q = (1.0 - u) * p[0] + u * p[3]
+        return cubic, np.stack([p[0], p[1], q, q])
     a = p[0] + u * (p[1] - p[0])
     b = p[1] + u * (p[2] - p[1])
     c = p[2] + u * (p[3] - p[2])
     ab = a + u * (b - a)
     bc = b + u * (c - b)
-    return Segment("cubic", np.stack([p[0], a, ab, ab + u * (bc - ab)]))
+    return cubic, np.stack([p[0], a, ab, ab + u * (bc - ab)])
 
 
 def segment_compose(alpha, beta):
-    """``compose_paths`` on segment tuples: beta, then alpha."""
+    """``compose_paths`` one row at a time: beta, then alpha."""
     bp = np.concatenate([0.5 * beta.breakpoints, 0.5 + 0.5 * alpha.breakpoints[1:]])
-    return PathNd(alpha.dim, tuple(beta.segments) + tuple(alpha.segments), bp)
+    return _path(_rows(beta) + _rows(alpha), bp)
 
 
 def segment_invert(p):
-    """``invert_path`` on segment tuples."""
-    segs = tuple(_reversed(s) for s in reversed(p.segments))
+    """``invert_path`` one row at a time."""
+    rows = [(c, t[::-1]) for c, t in reversed(_rows(p))]
     bp = 1.0 - p.breakpoints[::-1]
     bp[0], bp[-1] = 0.0, 1.0
-    return PathNd(p.dim, segs, bp)
+    return _path(rows, bp)
 
 
 def segment_contract(p, i: float):
-    """``contract`` on segment tuples, one segment at a time."""
+    """``contract`` one row at a time."""
     i = min(max(float(i), 0.0), 1.0)
     if i == 0.0:
         return constant_path(p.point(0.0))
     if i == 1.0:
-        return PathNd(p.dim, p.segments, p.breakpoints)
+        return _path(_rows(p), p.breakpoints)
     bp = p.breakpoints
-    segs, new_bp = [], [0.0]
-    for s, seg in enumerate(p.segments):
+    rows, new_bp = [], [0.0]
+    for s, row in enumerate(_rows(p)):
         a, b = bp[s], bp[s + 1]
         if b <= i:
-            segs.append(seg)
+            rows.append(row)
             new_bp.append(b / i)
             if b == i:
                 break
         else:
-            segs.append(_split_left(seg, (i - a) / (b - a)))
+            rows.append(_split_left(row, (i - a) / (b - a)))
             new_bp.append(1.0)
             break
     new_bp[-1] = 1.0
-    return PathNd(p.dim, tuple(segs), np.array(new_bp))
+    return _path(rows, np.array(new_bp))
 
 
 def _scale(points) -> float:
@@ -110,29 +119,29 @@ def _scale(points) -> float:
 
 
 def segment_thin_reduce(p, tol: float = 1e-12):
-    """``thin_reduce`` on segment tuples: drop degenerate segments, then
-    cancel each segment against an exact reversal of the one before it
-    with a stack, which reaches the fixed point."""
+    """``thin_reduce`` one row at a time: drop zero-length rows, then
+    cancel each row against an exact reversal of the one before it with a
+    stack, which reaches the fixed point."""
     stack = []
-    for seg, span in zip(p.segments, np.diff(p.breakpoints)):
-        if seg.is_degenerate():
+    for (cubic, t), span in zip(_rows(p), np.diff(p.breakpoints)):
+        if np.max(np.abs(t - t[0])) <= tol * _scale(t):
             continue
         if stack:
-            top = stack[-1][0]
-            gap = np.max(np.abs(top.points - seg.points[::-1])) if top.kind == seg.kind else np.inf
-            if gap <= tol * max(_scale(top.points), _scale(seg.points)):
+            (top_cubic, top), _ = stack[-1]
+            gap = np.max(np.abs(top - t[::-1])) if top_cubic == cubic else np.inf
+            if gap <= tol * max(_scale(top), _scale(t)):
                 stack.pop()
                 continue
-        stack.append((seg, span))
+        stack.append(((cubic, t), span))
     if not stack:
         return constant_path(p.point(0.0))
     spans = np.array([span for _, span in stack])
     bp = np.concatenate([[0.0], np.cumsum(spans)]) / spans.sum()
     bp[-1] = 1.0
-    return PathNd(p.dim, tuple(seg for seg, _ in stack), bp)
+    return _path([row for row, _ in stack], bp)
 
 
-class LazyReparametrizedPath:
+class LazyReparametrization:
     """``reparametrize`` as a lazy composition p(phi(i)): points and
     velocities go through the base path and the time map at global
     parameters, and velocity abscissae at the ends of each piece sit
@@ -241,11 +250,8 @@ def polyline_ydx_integral(vertices) -> float:
 def polyline_vertices(path_or_loop) -> np.ndarray:
     """Vertex chain of a piecewise-line path."""
     path = getattr(path_or_loop, "path", path_or_loop)
-    pts = [path.segments[0].points[0]]
-    for s in path.segments:
-        assert s.kind == "line", "oracle only handles piecewise-line paths"
-        pts.append(s.points[-1])
-    return np.asarray(pts)
+    assert not path.cubic.any(), "oracle only handles piecewise-line paths"
+    return np.concatenate([path.ctrl[:1, 0], path.ctrl[:, 3]])
 
 
 def sequential_rk4_transport(field, path, steps: int) -> np.ndarray:

@@ -41,3 +41,14 @@ def random_affine_field(spec, rng, scale=0.6):
         for _ in range(2)
     ]
     return ConnectionField.from_polynomial(2, spec, components)
+
+
+def polyline(vertices, breakpoints=None):
+    """The chain of straight segments through a sequence of vertices, built
+    with the table constructor, with uniform breakpoints unless given."""
+    from holonomy_forge.path_algebra import PathNd
+
+    v = np.asarray(vertices, dtype=float)
+    a, b = v[:-1], v[1:]
+    bp = np.linspace(0.0, 1.0, len(a) + 1) if breakpoints is None else breakpoints
+    return PathNd(np.zeros(len(a), dtype=bool), np.stack([a, a, b, b], axis=1), bp)

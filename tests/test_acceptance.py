@@ -19,8 +19,6 @@ from holonomy_forge.holonomy import (
 )
 from holonomy_forge.path_algebra import (
     LoopAtBase,
-    PathNd,
-    Segment,
     axis_dogleg_family,
     reconstruction_loop,
 )
@@ -38,7 +36,7 @@ from holonomy_forge.reconstruction import (
 )
 
 from _oracles import polyline_vertices, polyline_ydx_integral, shoelace_area
-from conftest import record_criterion
+from conftest import polyline, record_criterion
 
 ORIGIN = np.zeros(2)
 CFG = FdConfig()
@@ -52,9 +50,7 @@ AXIOM3_REFERENCE = {
 
 
 def unit_square_loop() -> LoopAtBase:
-    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
-    segs = [Segment("line", np.array([a, b], float)) for a, b in zip(verts[:-1], verts[1:])]
-    return LoopAtBase(PathNd.from_segments(segs), ORIGIN)
+    return LoopAtBase(polyline([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]), ORIGIN)
 
 
 def test_criterion_1_sec6_potential_on_grid():

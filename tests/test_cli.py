@@ -335,6 +335,35 @@ class TestErrors:
         assert main([command, "--preset", "su2-shear", "--grid", "3", flag, value, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("reconstruct", {"components": [[{"coeff": 1.0, "exps": [0, 1.5], "basis": 0}], []]}),
+            ("reconstruct", {"components": [[{"coeff": 1.0, "exps": [0, 1], "basis": 0.7}], []]}),
+            ("reconstruct", {"dim": 2.9}),
+            ("reconstruct", {"group": "GLn", "matrix_dim": 2.9}),
+            ("reconstruct", {"backend": "transport", "steps": 8.5}),
+            ("reconstruct", {"backend": "transport", "steps": 0}),
+            ("reconstruct", {"backend": "bogus"}),
+            ("reconstruct", {"box": [1.0]}),
+            ("roundtrip", {"tolerances": {"curvature": "tiny"}}),
+            ("audit", {"tolerances": {"axiom1": "tiny"}}),
+        ],
+        ids=["float-exponent", "float-basis", "float-dim", "float-matrix-dim", "float-steps", "zero-steps",
+             "unknown-backend", "one-number-box", "string-tolerance", "string-axiom-tolerance"],
+    )
+    def test_connection_file_values_are_checked(self, tmp_path, capsys, command, change):
+        # Each value used to be truncated, accepted as given or left to fail
+        # later as a traceback or a numerical error (exit 2).
+        conn = {"group": "U1", "dim": 2, "components": [[{"coeff": 1.0, "exps": [0, 1], "basis": 0}], []], **change}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        out = tmp_path / "never"
+        samples = ["--samples", "2"] if command == "audit" else []
+        assert main([command, "--input", str(src), "--grid", "3", *samples, "--out", str(out)]) == 1
+        assert "error: malformed connection file" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _IMPORT_GUARD = """
 import json, sys

@@ -25,8 +25,6 @@ from holonomy_forge.holonomy import (
 )
 from holonomy_forge.path_algebra import (
     LoopAtBase,
-    PathNd,
-    Segment,
     axis_dogleg_family,
     compose_paths,
     constant_path,
@@ -52,7 +50,7 @@ from _oracles import (
     serial_audit,
     shoelace_area,
 )
-from conftest import random_affine_field
+from conftest import polyline, random_affine_field
 
 ORIGIN = np.zeros(2)
 
@@ -66,9 +64,7 @@ def analytic_map() -> HolonomyMap:
 
 
 def polygon_loop(vertices) -> LoopAtBase:
-    chain = [np.asarray(v, float) for v in vertices]
-    segs = [Segment("line", np.stack([a, b])) for a, b in zip(chain[:-1], chain[1:])]
-    return LoopAtBase(PathNd.from_segments(segs), chain[0])
+    return LoopAtBase(polyline(vertices), np.asarray(vertices[0], dtype=float))
 
 
 def unit_square() -> LoopAtBase:
@@ -159,14 +155,13 @@ class TestEvalTransport:
 
 
 def kernel_test_paths(rng):
-    """Polygon loops plus the special shapes: a lazily reparametrized
+    """Polygon loops plus the special shapes: a reparametrized
     out-and-back, a path with a zero-length piece, and a single piece."""
     paths = [random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8).path for _ in range(3)]
     p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
     paths.append(reparametrize(compose_paths(invert_path(p), p), piecewise_power_map(3, 0.5)))
     a, b = rng.uniform(-0.8, 0.8, size=(2, 2))
-    segs = [Segment("line", np.stack(pair)) for pair in ((ORIGIN, a), (a, a), (a, b))]
-    paths.append(PathNd.from_segments(segs))
+    paths.append(polyline([ORIGIN, a, a, b]))
     paths.append(straight_segment(a, b))
     return paths
 
@@ -190,8 +185,7 @@ class TestTransportKernel:
         # nudge of 1e-12 of the span is below one ulp.
         field = hf.get_preset("su2-twist").connection
         verts = [ORIGIN, np.array([0.6, 0.1]), np.array([0.2, 0.7]), ORIGIN]
-        segs = [Segment("line", np.stack(pair)) for pair in zip(verts[:-1], verts[1:])]
-        path = PathNd.from_segments(segs, [0.0, 0.99995, 0.99999, 1.0])
+        path = polyline(verts, [0.0, 0.99995, 0.99999, 1.0])
         got = _transport_products(field, stack_tables([path]), 16)[0]
         assert np.linalg.norm(got - sequential_rk4_transport(field, path, 16)) <= 1e-12
 
@@ -812,17 +806,6 @@ class TestAudit:
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
             audit_axioms(analytic_map(), samples=0, seed=0, tolerances=(1.0, 1.0, 1.0))
-
-    def test_builds_and_evaluates_its_loops_as_tables(self, monkeypatch):
-        # Every loop of the audit is built and sampled from segment tables:
-        # no Segment object is made on the way.
-        h_map = hf.get_preset("su2-twist").holonomy_map()
-
-        def refuse(self):
-            raise AssertionError("a Segment object was built")
-
-        monkeypatch.setattr(Segment, "__post_init__", refuse)
-        assert audit_axioms(h_map, samples=4, seed=3, tolerances=(1e-6, 1e-8, 10.0)).all_passed
 
     def test_report_json_keys(self):
         report = AxiomReport(1e-12, 2e-12, 0.1, 7, (True, True, False))

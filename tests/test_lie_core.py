@@ -16,12 +16,9 @@ from holonomy_forge.lie_core import (
     GroupSpec,
     GroupName,
     SpecMismatch,
-    algebra_element_from_json,
-    element_to_json,
     exp_map,
     gln,
     group_distance,
-    group_element_from_json,
     log_map,
     su2_basis,
 )
@@ -286,21 +283,3 @@ class TestBracket:
         x = random_algebra(U1, rng)
         y = random_algebra(U1, rng)
         assert x.bracket(y).norm() == 0.0
-
-
-class TestSerialization:
-    def test_exact_field_names_and_pairs(self):
-        g = GroupElement(SU2, np.array([[0, 1j], [1j, 0]]))
-        d = element_to_json(g)
-        assert set(d.keys()) == {"spec", "matrix"}
-        assert d["matrix"] == [[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
-        assert d["spec"]["name"] == "SU2"
-
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name.value)
-    def test_round_trip(self, spec, rng):
-        g = exp_map(random_algebra(spec, rng, norm=0.3))
-        g2 = group_element_from_json(element_to_json(g))
-        assert group_distance(g, g2) == 0.0
-        x = random_algebra(spec, rng, norm=0.3)
-        x2 = algebra_element_from_json(element_to_json(x))
-        assert np.linalg.norm(x.matrix - x2.matrix) == 0.0

@@ -17,8 +17,6 @@ from holonomy_forge.holonomy import ConnectionField, HolonomyMap, eval_holonomie
 from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupElement, algebra_basis, gln, group_distance
 from holonomy_forge.path_algebra import (
     LoopAtBase,
-    PathNd,
-    Segment,
     compose_paths,
     invert_path,
     piecewise_power_map,
@@ -27,6 +25,7 @@ from holonomy_forge.path_algebra import (
 )
 
 from _oracles import sequential_rk4_transport
+from conftest import polyline
 
 ORIGIN = np.zeros(2)
 STEPS = 8
@@ -53,11 +52,6 @@ def connections(draw):
         [(draw(coefficients), exps, b) for b in range(n_basis) for exps in MONOMIALS] for _ in range(2)
     ]
     return spec, ConnectionField.from_polynomial(2, spec, components)
-
-
-def polyline(points) -> PathNd:
-    chain = [np.asarray(p, dtype=float) for p in points]
-    return PathNd.from_segments([Segment("line", np.stack([a, b])) for a, b in zip(chain[:-1], chain[1:])])
 
 
 def polygon_loop(corners) -> LoopAtBase:

@@ -11,17 +11,12 @@ from holonomy_forge.path_algebra import (
     NotMonotone,
     PathFamily,
     PathNd,
-    ReparametrizedPath,
-    Segment,
+    _time_breakpoints,
     axis_dogleg_family,
     compose_paths,
     constant_path,
     contract,
     invert_path,
-    loop_from_json,
-    loop_to_json,
-    path_from_json,
-    path_to_json,
     piecewise_power_map,
     power_map,
     radial_family,
@@ -33,10 +28,10 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from holonomy_forge.segment_table import sample_pieces
+from holonomy_forge.segment_table import bezier_points, bezier_velocities, sample_pieces
 
 from _oracles import (
-    LazyReparametrizedPath,
+    LazyReparametrization,
     brentq_breakpoints,
     polyline_vertices,
     segment_compose,
@@ -45,43 +40,55 @@ from _oracles import (
     segment_thin_reduce,
     shoelace_area,
 )
+from conftest import polyline
 
 
 def random_cubic_path(rng, dim=2, n_segments=3):
-    segs = []
-    prev = rng.normal(size=dim)
-    for _ in range(n_segments):
-        pts = [prev]
-        for _ in range(3):
-            pts.append(pts[-1] + 0.5 * rng.normal(size=dim))
-        segs.append(Segment("cubic", np.stack(pts)))
-        prev = pts[-1]
-    return PathNd.from_segments(segs)
+    pts = [rng.normal(size=dim)]
+    for _ in range(3 * n_segments):
+        pts.append(pts[-1] + 0.5 * rng.normal(size=dim))
+    ctrl = np.stack([pts[3 * k : 3 * k + 4] for k in range(n_segments)])
+    return PathNd(np.ones(n_segments, dtype=bool), ctrl, np.linspace(0.0, 1.0, n_segments + 1))
 
 
 class TestSegment:
+    # One row of a segment table, evaluated by bezier_points and
+    # bezier_velocities.
     def test_line_endpoints_exact(self):
-        s = Segment("line", np.array([[0.0, 1.0], [2.0, -3.0]]))
-        assert np.array_equal(s.point(0.0), [0.0, 1.0])
-        assert np.array_equal(s.point(1.0), [2.0, -3.0])
+        a, b = np.array([0.0, 1.0]), np.array([2.0, -3.0])
+        row = np.stack([a, a, b, b])
+        assert np.array_equal(bezier_points(False, row, 0.0), a)
+        assert np.array_equal(bezier_points(False, row, 1.0), b)
 
     def test_cubic_endpoints_exact(self, rng):
-        pts = rng.normal(size=(4, 3))
-        s = Segment("cubic", pts)
-        assert np.array_equal(s.point(0.0), pts[0])
-        assert np.array_equal(s.point(1.0), pts[3])
+        row = rng.normal(size=(4, 3))
+        assert np.array_equal(bezier_points(True, row, 0.0), row[0])
+        assert np.array_equal(bezier_points(True, row, 1.0), row[3])
 
     def test_cubic_velocity_matches_difference_quotient(self, rng):
-        s = Segment("cubic", rng.normal(size=(4, 2)))
+        row = rng.normal(size=(4, 2))
         for u in (0.2, 0.5, 0.9):
-            fd = (s.point(u + 1e-7) - s.point(u - 1e-7)) / 2e-7
-            assert np.linalg.norm(s.velocity(u) - fd) < 1e-6
+            fd = (bezier_points(True, row, u + 1e-7) - bezier_points(True, row, u - 1e-7)) / 2e-7
+            assert np.linalg.norm(bezier_velocities(True, row, u) - fd) < 1e-6
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            Segment("line", np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            Segment("arc", np.zeros((2, 2)))
+        # The table constructor takes flags (s,), control points (s, 4, dim)
+        # and time maps (s, 4), and nothing else.
+        bp = [0.0, 1.0]
+        line = np.zeros((1, 4, 2))
+        for cubic, ctrl in [
+            ([False], np.zeros((1, 2, 2))),  # a line given by its two ends
+            ([False], np.zeros((1, 3, 2))),
+            ([False], np.zeros((4, 2))),
+            ([False], np.zeros((1, 4, 0))),
+            ([False, False], line),
+            ([[False]], line),
+        ]:
+            with pytest.raises(ValueError, match="a table needs"):
+                PathNd(cubic, ctrl, bp)
+        for tmap in (np.zeros(4), np.zeros((1, 3)), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="time maps must have shape"):
+                PathNd([False], line, bp, tmap)
 
 
 class TestCompose:
@@ -127,9 +134,7 @@ class TestInvert:
     def test_involution_is_structural_identity(self, rng):
         p = random_cubic_path(rng)
         q = invert_path(invert_path(p))
-        assert len(q.segments) == len(p.segments)
-        for s, t in zip(p.segments, q.segments):
-            assert np.array_equal(s.points, t.points)
+        assert np.array_equal(q.cubic, p.cubic) and np.array_equal(q.ctrl, p.ctrl)
         assert np.allclose(q.breakpoints, p.breakpoints, atol=1e-15)
 
     def test_reflects_parametrization(self, rng):
@@ -215,33 +220,24 @@ class TestReconstructionLoop:
         psi = radial_family([0.0, 0.0])
         a = thin_reduce(reconstruction_loop(psi, [1.0, 0.2], [0.5, 0.9]).path)
         b = thin_reduce(invert_path(reconstruction_loop(psi, [0.5, 0.9], [1.0, 0.2]).path))
-        assert len(a.segments) == len(b.segments)
-        for s, t in zip(a.segments, b.segments):
-            assert np.allclose(s.points, t.points, atol=1e-12)
+        assert np.array_equal(a.cubic, b.cubic)
+        assert np.allclose(a.ctrl, b.ctrl, atol=1e-12)
 
 
 class TestThinReduce:
     def test_spur_removed(self):
         sq = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
         spur_tip = (2.0, 2.0)
-        chain = sq[:2] + [spur_tip, sq[1]] + sq[2:]
-        segs = [Segment("line", np.array([a, b])) for a, b in zip(chain[:-1], chain[1:])]
-        with_spur = PathNd.from_segments(segs)
-        reduced = thin_reduce(with_spur)
-        assert len(reduced.segments) == 4
-        plain = polyline_vertices(PathNd.from_segments(
-            [Segment("line", np.array([a, b])) for a, b in zip(sq[:-1], sq[1:])]
-        ))
-        assert np.allclose(polyline_vertices(reduced), plain, atol=1e-15)
+        reduced = thin_reduce(polyline(sq[:2] + [spur_tip, sq[1]] + sq[2:]))
+        assert reduced.n_pieces == 4
+        assert np.allclose(polyline_vertices(reduced), sq, atol=1e-15)
 
     def test_fixed_point_on_reduced_path(self):
         a = straight_segment([0.0, 0.0], [1.0, 0.0])
         b = straight_segment([1.0, 0.0], [1.0, 1.0])
         l_path = compose_paths(b, a)
         r = thin_reduce(l_path)
-        assert len(r.segments) == 2
-        for s, t in zip(l_path.segments, r.segments):
-            assert np.array_equal(s.points, t.points)
+        assert np.array_equal(r.cubic, l_path.cubic) and np.array_equal(r.ctrl, l_path.ctrl)
 
     def test_nested_cancellation(self, rng):
         p = random_cubic_path(rng, n_segments=2)
@@ -253,8 +249,7 @@ class TestThinReduce:
 class TestReparametrize:
     def test_identity_returns_same_path(self):
         p = straight_segment([0.0, 0.0], [1.0, 1.0])
-        phi = PathNd.from_segments([Segment("line", np.array([[0.0], [1.0]]))])
-        assert reparametrize(p, phi) is p
+        assert reparametrize(p, polyline([[0.0], [1.0]])) is p
 
     def test_square_map_on_line(self):
         p = straight_segment([0.0, 0.0], [1.0, 0.0])
@@ -282,7 +277,7 @@ class TestReparametrize:
 
     def test_decreasing_map_rejected(self):
         p = straight_segment([0.0, 0.0], [1.0, 0.0])
-        dip = PathNd.from_segments([Segment("cubic", np.array([[0.0], [1.5], [-0.5], [1.0]]))])
+        dip = PathNd([True], [[[0.0], [1.5], [-0.5], [1.0]]], [0.0, 1.0])
         with pytest.raises(NotMonotone):
             reparametrize(p, dip)
 
@@ -291,7 +286,7 @@ class TestReparametrize:
         # it reads +4.6e-5.
         p = straight_segment([0.0, 0.0], [1.0, 0.0])
         y = [0.0, 1.0077816275561928, 0.007842657252058238, 1.0]
-        dip = PathNd.from_segments([Segment("cubic", np.array(y)[:, None])])
+        dip = PathNd([True], np.array(y)[None, :, None], [0.0, 1.0])
         with pytest.raises(NotMonotone):
             reparametrize(p, dip)
         for phi in (*map(power_map, (1, 2, 3)), piecewise_power_map(2), piecewise_power_map(3, 0.3)):
@@ -299,7 +294,7 @@ class TestReparametrize:
 
     def test_wrong_endpoints_rejected(self):
         p = straight_segment([0.0, 0.0], [1.0, 0.0])
-        phi = PathNd.from_segments([Segment("line", np.array([[0.0], [0.5]]))])
+        phi = polyline([[0.0], [0.5]])
         with pytest.raises(NotMonotone):
             reparametrize(p, phi)
 
@@ -307,15 +302,14 @@ class TestReparametrize:
 def flat_time_map(level: float) -> PathNd:
     """A time map that rises along a cubic to ``level``, stays there, then
     rises along a line to 1."""
-    rise = Segment("cubic", np.array([[0.0], [0.0], [0.5 * level], [level]]))
-    flat = Segment("line", np.array([[level], [level]]))
-    tail = Segment("line", np.array([[level], [1.0]]))
-    return PathNd(1, (rise, flat, tail), np.array([0.0, 0.3, 0.7, 1.0]))
+    rise = [0.0, 0.0, 0.5 * level, level]
+    flat = [level] * 4
+    tail = [level, level, 1.0, 1.0]
+    return PathNd([True, False, False], np.array([rise, flat, tail])[..., None], [0.0, 0.3, 0.7, 1.0])
 
 
 def polyline_1d(breakpoints) -> PathNd:
-    segs = [Segment("line", np.array([[float(k)], [k + 1.0]])) for k in range(len(breakpoints) - 1)]
-    return PathNd(1, tuple(segs), np.asarray(breakpoints, dtype=float))
+    return polyline(np.arange(len(breakpoints), dtype=float)[:, None], breakpoints)
 
 
 _time_map = st.one_of(
@@ -334,10 +328,10 @@ def test_breakpoints_match_brentq_property(phi, inner):
     to within brentq's own tolerance, 1e-15 + 4 eps |t|.  A breakpoint at
     the level of a flat piece has a whole interval of preimages, of which
     brentq returns any one (see TestBreakpoints)."""
-    flat_levels = {float(s.points[0, 0]) for s in phi.segments if s.is_degenerate(0.0)}
+    flat_levels = {float(t[0, 0]) for t in phi.ctrl if np.all(t == t[0])}
     assume(not flat_levels & set(inner))
     path = polyline_1d([0.0, *sorted(inner), 1.0])
-    bps = ReparametrizedPath(path, phi).breakpoints
+    bps = _time_breakpoints(path, phi)
     expected = brentq_breakpoints(path, phi)
     assert bps.shape == expected.shape
     assert np.all(np.abs(bps - expected) <= 1e-15 + 4 * np.finfo(float).eps * np.abs(expected))
@@ -353,20 +347,22 @@ def segment_paths(draw):
     exactly and some have zero length."""
     dim = draw(st.integers(1, 3))
     point = st.lists(_ordinate, min_size=dim, max_size=dim).map(np.array)
-    cur, segs = draw(point), []
+    cur, rows = draw(point), []
     for step in draw(st.lists(st.sampled_from(["line", "cubic", "back", "still"]), min_size=1, max_size=7)):
-        if step == "back" and segs:
-            seg = Segment(segs[-1].kind, segs[-1].points[::-1])
+        if step == "back" and rows:
+            row = (rows[-1][0], rows[-1][1][::-1])
         elif step == "still":
-            seg = Segment("line", np.stack([cur, cur]))
+            row = (False, np.stack([cur] * 4))
         elif step == "cubic":
-            seg = Segment("cubic", np.stack([cur, draw(point), draw(point), draw(point)]))
+            row = (True, np.stack([cur, draw(point), draw(point), draw(point)]))
         else:
-            seg = Segment("line", np.stack([cur, draw(point)]))
-        segs.append(seg)
-        cur = seg.points[-1]
-    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=len(segs) - 1, max_size=len(segs) - 1, unique=True))
-    return PathNd(dim, tuple(segs), np.array([0.0, *sorted(cuts), 1.0]))
+            end = draw(point)
+            row = (False, np.stack([cur, cur, end, end]))
+        rows.append(row)
+        cur = row[1][3]
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=len(rows) - 1, max_size=len(rows) - 1, unique=True))
+    cubic, ctrl = zip(*rows)
+    return PathNd(list(cubic), np.stack(ctrl), [0.0, *sorted(cuts), 1.0])
 
 
 def assert_same_outcome(op, oracle, *args):
@@ -387,9 +383,9 @@ def assert_same_outcome(op, oracle, *args):
 @settings(max_examples=200, deadline=None)
 @given(p=segment_paths(), data=st.data())
 def test_table_operations_match_segment_oracles_property(p, data):
-    """The row operations on segment tables reproduce the operations on
-    tuples of ``Segment`` objects bit for bit."""
-    assert_same_outcome(lambda q: PathNd(q.dim, q.segments, q.breakpoints), lambda q: q, p)
+    """The row operations on segment tables reproduce the operations one
+    segment at a time bit for bit."""
+    assert_same_outcome(lambda q: PathNd(q.cubic, q.ctrl, q.breakpoints), lambda q: q, p)
     assert_same_outcome(invert_path, segment_invert, p)
     try:
         back = invert_path(p)
@@ -413,10 +409,21 @@ def test_reparametrized_table_matches_lazy_oracle_property(p, phi, inner):
     round it at eps / (span of j): the bound is 32 eps of the sample scale
     over the smallest base span.  Velocities are compared at interior abscissae: at
     a piece end the lazy sampler moved 1e-12 of the span inside, which can
-    round to no move at all and sample the neighbouring piece."""
-    r = reparametrize(p, phi)
-    lazy = LazyReparametrizedPath(p, phi)
-    assert isinstance(r, ReparametrizedPath) and r.breakpoints.tobytes() == lazy.breakpoints.tobytes()
+    round to no move at all and sample the neighbouring piece.
+
+    Breakpoints closer than 1e-12 are merged, so a base segment whose span
+    is below 1e-11 (1e-12 times the steepest slope of these maps, under
+    5) can fall inside one piece, which no row follows: such a path may
+    be refused, and no other is."""
+    lazy = LazyReparametrization(p, phi)
+    try:
+        r = reparametrize(p, phi)
+    except ValueError as exc:
+        assert "discontinuous" in str(exc)
+        short = np.diff(p.breakpoints) < 1e-11
+        assert (short & (np.abs(p.ctrl[:, 3] - p.ctrl[:, 0]).max(axis=1) > 0)).any()
+        return
+    assert r.tmap is not None and r.breakpoints.tobytes() == lazy.breakpoints.tobytes()
     u = np.array([0.0, *inner, 1.0])
     pts, vels = sample_pieces(r.cubic, r.ctrl, r.tmap, u)
     lazy_pts, lazy_vels = lazy.piece_samples(u)
@@ -436,8 +443,15 @@ class TestTimeMappedPaths:
         for op in (invert_path, thin_reduce, lambda q: contract(q, 0.5), lambda q: reparametrize(q, power_map(3))):
             with pytest.raises(TypeError, match="needs segment-backed paths"):
                 op(r)
-        with pytest.raises(TypeError):
-            path_to_json(r)
+
+    def test_segment_inside_one_piece_refused(self):
+        # The preimages of 0.01 and the next float merge, so the segment
+        # from 0 to 1 between them lies inside one piece: the table would
+        # jump by 1 there.
+        ctrl = np.array([[0.0] * 4, [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [0.0] * 4])[..., None]
+        p = PathNd(np.zeros(4, dtype=bool), ctrl, [0.0, 0.01, np.nextafter(0.01, 1.0), 0.5, 1.0])
+        with pytest.raises(ValueError, match="discontinuous"):
+            reparametrize(p, power_map(1))
 
     def test_ends_and_samples_of_a_flat_piece(self):
         # The flat piece of the time map sits at a base breakpoint: it stays
@@ -456,29 +470,47 @@ class TestBreakpoints:
         # at the level maps to the flat piece's start, a breakpoint already.
         phi = flat_time_map(0.5)
         with np.errstate(all="raise"):
-            bps = ReparametrizedPath(polyline_1d([0.0, 0.25, 0.5, 0.75, 1.0]), phi).breakpoints
+            bps = reparametrize(polyline_1d([0.0, 0.25, 0.5, 0.75, 1.0]), phi).breakpoints
         assert bps[[0, 2, 3, 5]].tolist() == [0.0, 0.3, 0.7, 1.0] and len(bps) == 6
         np.testing.assert_allclose(phi.point(bps[[1, 4]])[:, 0], [0.25, 0.75], rtol=0, atol=1e-15)
 
     def test_line_piece_inverts_in_closed_form(self):
-        bps = ReparametrizedPath(polyline_1d([0.0, 0.5, 1.0]), piecewise_power_map(2, 0.5)).breakpoints
+        bps = reparametrize(polyline_1d([0.0, 0.5, 1.0]), piecewise_power_map(2, 0.5)).breakpoints
         # phi(t) = 0.25 + 1.5 (t - 0.5) on the tail, so phi(2/3) = 0.5.
         assert abs(bps[2] - 2.0 / 3.0) <= 1e-15 and bps.tolist()[:2] == [0.0, 0.5]
 
 
 class TestValidation:
     def test_discontinuous_chain_rejected(self):
-        segs = [
-            Segment("line", np.array([[0.0, 0.0], [1.0, 0.0]])),
-            Segment("line", np.array([[2.0, 0.0], [3.0, 0.0]])),
-        ]
-        with pytest.raises(ValueError):
-            PathNd.from_segments(segs)
+        ctrl = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 3.0, 3.0]])[..., None]
+        with pytest.raises(ValueError, match="discontinuous"):
+            PathNd([False, False], ctrl, [0.0, 0.5, 1.0])
 
     def test_bad_breakpoints_rejected(self):
-        seg = Segment("line", np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            PathNd(1, (seg,), np.array([0.0, 0.5]))
+        ctrl = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])[..., None]
+        for bp in ([0.0, 0.5, 0.9], [0.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, 1.0], [0.0, 0.7, 0.2, 1.0]):
+            with pytest.raises(ValueError, match="breakpoints"):
+                PathNd([False, False], ctrl, bp)
+
+    def test_non_finite_values_rejected(self):
+        # A nan control point passes the continuity test (nan > tol is
+        # False); a loop through it used to fail only at its holonomy.
+        line = np.array([[[0.0], [0.0], [1.0], [1.0]]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                straight_segment([bad, 0.0], [1.0, 0.0])
+            with pytest.raises(ValueError, match="must be finite"):
+                PathNd([False], line, [0.0, 1.0], [[0.0, 0.3, bad, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            random_polygon_loop(np.random.default_rng(0), [np.nan, 0.0])
+
+    def test_time_mapped_pieces_checked_at_their_ends(self):
+        # Pieces of one segment repeat its control points; their ends are
+        # where the time maps put them.
+        line = np.array([[[0.0], [0.0], [1.0], [1.0]]] * 2)
+        PathNd([False, False], line, [0.0, 0.5, 1.0], [[0.0, 0.1, 0.2, 0.5], [0.5, 0.6, 0.9, 1.0]])
+        with pytest.raises(ValueError, match="discontinuous"):
+            PathNd([False, False], line, [0.0, 0.5, 1.0], [[0.0, 0.1, 0.2, 0.5], [0.6, 0.7, 0.9, 1.0]])
 
     def test_loop_must_close(self):
         with pytest.raises(ValueError):
@@ -500,9 +532,10 @@ class TestValidation:
             contract(p, 0.37),
             thin_reduce(compose_paths(invert_path(p), p)),
             compose_paths(invert_path(q), q),
+            reparametrize(compose_paths(invert_path(p), p), piecewise_power_map(3, 0.5)),
         ]
         for out in outputs:
-            PathNd(out.dim, out.segments, out.breakpoints)  # re-validates
+            PathNd(out.cubic, out.ctrl, out.breakpoints, out.tmap)  # re-validates
 
 
 class TestDogleg:
@@ -511,28 +544,6 @@ class TestDogleg:
         p = fam[[2.0, 3.0]]
         assert np.allclose(p.point(0.5), [2.0, 0.0], atol=1e-12)
         assert np.allclose(p.point(1.0), [2.0, 3.0], atol=1e-15)
-
-
-class TestSerialization:
-    def test_schema_keys(self):
-        p = straight_segment([0.0, 0.0], [1.0, 2.0])
-        d = path_to_json(p)
-        assert set(d.keys()) == {"dim", "segments"}
-        assert set(d["segments"][0].keys()) == {"kind", "points"}
-        loop = LoopAtBase(compose_paths(invert_path(p), p), np.zeros(2))
-        dl = loop_to_json(loop)
-        assert set(dl.keys()) == {"dim", "segments", "basepoint"}
-
-    def test_round_trip_pointwise(self, rng):
-        p = random_cubic_path(rng)
-        q = path_from_json(path_to_json(p))
-        for s, t in zip(p.segments, q.segments):
-            assert np.allclose(s.points, t.points, atol=0)
-
-    def test_loop_round_trip(self, rng):
-        loop = random_polygon_loop(rng, np.zeros(2))
-        back = loop_from_json(loop_to_json(loop))
-        assert np.array_equal(back.basepoint, loop.basepoint)
 
 
 @settings(max_examples=25, deadline=None)
