@@ -112,6 +112,10 @@ _GROUPS = {
 }
 
 
+# The gates a connection file may set, as the presets name them.
+_TOLERANCE_NAMES = ("reconstruct", "axiom1", "axiom2", "axiom3", "curvature", "gauge", "transport")
+
+
 def _checked(value, kind=float, least=None):
     """A JSON number, or with ``kind=int`` an integer of at least ``least``;
     1.5, true or "2" raise ``ValueError`` rather than being converted."""
@@ -146,6 +150,10 @@ def _load_custom(path: str) -> Preset:
             raise ValueError(f"backend must be 'analytic' or 'transport', got {backend!r}")
         if backend == "analytic" and not spec.is_abelian:
             raise _InputError("analytic backend requires an abelian group")
+        tolerances = {k: _checked(v) for k, v in dict(data.get("tolerances", {})).items()}
+        unknown = sorted(set(tolerances) - set(_TOLERANCE_NAMES))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown}; the names are {list(_TOLERANCE_NAMES)}")
         box = tuple(_checked(v) for v in data.get("box", [-1.0, 1.0]))
         if len(box) != 2:
             raise ValueError(f"box must be two numbers lo, hi, got {list(box)}")
@@ -163,7 +171,7 @@ def _load_custom(path: str) -> Preset:
             default_steps=_checked(data.get("steps", 64), int, 1),
             box=box,
             closed_form=None,
-            tolerances={k: _checked(v) for k, v in dict(data.get("tolerances", {})).items()},
+            tolerances=tolerances,
             axiom3_anchor=None,
         )
     except (KeyError, TypeError, ValueError) as exc:

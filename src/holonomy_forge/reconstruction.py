@@ -13,10 +13,10 @@ takes many points of one direction at once and sends all their difference
 loops through the holonomy kernel as one batch; ``PotentialField``
 memoizes the values and hands its batch method on as a connection rule.
 
-The same difference quotient, applied to a general trivialized curve (a
-moving reference path chi[i] plus a moving fiber value g(i)), evaluates
-the connection 1-form on arbitrary tangent vectors; horizontality and
-frame covariance are then checkable properties rather than axioms.
+The same difference quotient, applied to a curve over the frame (a foot
+point p(i) on a base curve plus a fiber value g(i)), evaluates the
+connection 1-form on arbitrary tangent vectors; horizontality and frame
+covariance are then checkable properties rather than axioms.
 
 Curvature F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] serves as the
 computable gauge-covariant comparator between an input connection and its
@@ -109,14 +109,26 @@ class FdConfig:
     def __post_init__(self):
         if not 0.0 < self.h < 0.1:
             raise ValueError("h must lie in (0, 0.1)")
-        if self.curvature_h < self.h:
-            raise ValueError("curvature_h must be at least h")
+        if not self.h <= self.curvature_h < np.inf:
+            raise ValueError("curvature_h must be finite and at least h")
 
 
-def _thin_loop(path: PathNd, basepoint) -> LoopAtBase:
-    # Reduction keeps integrators away from degenerate zero-length pieces
-    # (e.g. the constant frame path at the base point itself).
-    return LoopAtBase(thin_reduce(path), basepoint)
+def _steps(dim: int, mu: int, h: float, richardson: bool = False) -> np.ndarray:
+    """The difference scheme's steps +h, -h and, with Richardson, +h/2, -h/2
+    along axis mu of R^dim, as a (k, dim) array; ``ValueError`` unless mu
+    is an axis."""
+    if not 0 <= mu < dim:
+        raise ValueError(f"direction {mu} is not an axis of R^{dim}")
+    return np.multiply.outer([h, -h, h / 2.0, -h / 2.0][: 4 if richardson else 2], np.eye(dim)[mu])
+
+
+def _central(values, h: float, richardson: bool):
+    """Central difference of values taken at the steps of ``_steps`` (first
+    axis), Richardson-extrapolated when configured."""
+    d = (values[0] - values[1]) / (2.0 * h)
+    if richardson:
+        d = (4.0 * ((values[2] - values[3]) / (2.0 * (h / 2.0))) - d) / 3.0
+    return d
 
 
 def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
@@ -154,21 +166,15 @@ def reconstruct_potential(
     xs = np.atleast_2d(x)
     spec = h_map.spec
     _check_based(h_map, psi.dim, psi.basepoint)
-    step = np.zeros(xs.shape[1])
-    step[mu] = 1.0
-    hs = (cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)
-    shifts = np.array([sign * h * step for h in hs for sign in (+1.0, -1.0)])
+    shifts = _steps(xs.shape[1], mu, cfg.h, cfg.richardson)
     xs_rep = np.repeat(xs, len(shifts), axis=0)
     ys = (xs[:, None, :] + shifts).reshape(-1, xs.shape[1])
     blocks = []
     for k in range(0, len(ys), _LOOPS_PER_BLOCK):
         chains = reconstruction_chains(psi, xs_rep[k : k + _LOOPS_PER_BLOCK], ys[k : k + _LOOPS_PER_BLOCK])
         blocks.append(_logs_for_difference(spec, _holonomy_matrices(h_map, chains)))
-    logs = np.concatenate(blocks)
-    logs = logs.reshape((len(xs), len(shifts)) + logs.shape[1:])
-    d = (logs[:, 0] - logs[:, 1]) / (2.0 * cfg.h)
-    if cfg.richardson:
-        d = (4.0 * ((logs[:, 2] - logs[:, 3]) / (2.0 * hs[1])) - d) / 3.0
+    logs = np.concatenate(blocks).reshape((len(xs), len(shifts)) + blocks[0].shape[1:])
+    d = _central(logs.swapaxes(0, 1), cfg.h, cfg.richardson)
     out = [AlgebraElement(spec, a) for a in project_to_algebra(spec, d)]
     return out if x.ndim == 2 else out[0]
 
@@ -239,85 +245,70 @@ class PotentialField:
         return ConnectionField(self.dim, self.spec, self.matrices)
 
 
+def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBase]:
+    """The based loops psi[p(i)]^{-1} o K(p,i) o K(p,j)^{-1} o psi[p(j)],
+    thin-reduced, for each i of ``params``; K(p, t) is p contracted to
+    [0, t].  The legs K(p, 0) and those of a constant p have zero length
+    and are left out."""
+    ts = [j, *params]
+    cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
+    moving = not p.is_constant()
+    # The leg of each parameter t: out along psi[p(t)], back along p to p(0).
+    legs = []
+    for t, c, x in zip(ts, cubic, ctrl):
+        if moving and t:
+            k = contract(p, t)
+            c, x = np.concatenate([c, k.cubic[::-1]]), np.concatenate([x, k.ctrl[::-1, ::-1]])
+        legs.append((c, x))
+    (cj, xj), loops = legs[0], []
+    for c, x in legs[1:]:
+        rows, points = np.concatenate([cj, c[::-1]]), np.concatenate([xj, x[::-1, ::-1]])
+        path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
+        loops.append(LoopAtBase(path, psi.basepoint))
+    return loops
+
+
 @dataclass(frozen=True, eq=False)
 class TrivializedCurve:
-    """A curve in the trivialized bundle: moving reference path + fiber value.
+    """A curve in the bundle trivialized by the frame psi: the foot point
+    p(i) = ``base_curve``(i), reached along psi[p(i)], and the fiber value
+    ``g(i)``.  The parameter interval must sit inside [0, 1] unless the
+    base curve is constant (vertical curves)."""
 
-    ``chi(i)`` is a path from the base point to the moving foot point
-    p(i) = chi(i)(1); ``g(i)`` the fiber value; ``base_curve`` realizes p
-    as an explicit path so contractions of it can be formed.  The
-    parameter interval must sit inside [0, 1] unless the foot point never
-    moves (vertical curves), where contraction is trivial.
-    """
-
-    interval: tuple[float, float]
-    chi: Callable[[float], PathNd]
-    g: Callable[[float], GroupElement]
+    psi: PathFamily
     base_curve: PathNd
+    g: Callable[[float], GroupElement]
+    interval: tuple[float, float]
 
     def __post_init__(self):
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("empty parameter interval")
-        vertical = self.base_curve.is_constant()
-        if not vertical and (lo < 0.0 or hi > 1.0):
+        if not self.base_curve.is_constant() and (lo < 0.0 or hi > 1.0):
             raise ValueError("moving curves need a parameter interval inside [0, 1]")
-        anchor = self.chi(lo).point(0.0)
-        for i in np.linspace(lo, hi, 5):
-            ref_path = self.chi(float(i))
-            if np.linalg.norm(ref_path.point(0.0) - anchor) > 1e-10 * (1.0 + np.max(np.abs(anchor))):
-                raise ValueError("all chi(i) must start at the same base point")
-            foot = ref_path.point(1.0)
-            ref = self.base_curve.point(0.0 if vertical else float(i))
-            if np.linalg.norm(foot - ref) > 1e-10 * (1.0 + np.max(np.abs(ref))):
-                raise ValueError("chi(i) must end at the base curve point p(i)")
-
-    @property
-    def basepoint(self) -> np.ndarray:
-        return self.chi(self.interval[0]).point(0.0)
-
-    def loop_between(self, j: float, i: float) -> LoopAtBase:
-        """The based loop chi(i)^{-1} o K(p,i) o K(p,j)^{-1} o chi(j)."""
-        if self.base_curve.is_constant():
-            ki = kj = self.base_curve
-        else:
-            ki, kj = contract(self.base_curve, i), contract(self.base_curve, j)
-        path = compose_paths(invert_path(kj), self.chi(j))
-        path = compose_paths(ki, path)
-        path = compose_paths(invert_path(self.chi(i)), path)
-        return _thin_loop(path, self.basepoint)
 
     @classmethod
     def vertical(cls, psi: PathFamily, x, g_of_i, halfwidth: float = 0.25) -> "TrivializedCurve":
         """Curve moving only in the fiber over a fixed point."""
-        x = np.asarray(x, dtype=float)
-        ref = psi[x]
-        return cls((-halfwidth, halfwidth), lambda i: ref, g_of_i, constant_path(x))
+        return cls(psi, constant_path(np.asarray(x, dtype=float)), g_of_i, (-halfwidth, halfwidth))
 
     @classmethod
     def coordinate_shift(cls, psi: PathFamily, x, mu: int, spec: GroupSpec, span: float = 1.0) -> "TrivializedCurve":
         """Straight motion through x along axis mu with constant fiber value;
         the midpoint parameter 1/2 corresponds to x itself."""
         x = np.asarray(x, dtype=float)
-        step = np.zeros_like(x)
-        step[mu] = span
-        base = straight_segment(x - 0.5 * step, x + 0.5 * step)
+        hi, lo = x + _steps(x.size, mu, 0.5 * span)
         ident = GroupElement.identity(spec)
-        return cls((0.0, 1.0), lambda i: psi[base.point(i)], lambda i: ident, base)
+        return cls(psi, straight_segment(lo, hi), lambda i: ident, (0.0, 1.0))
 
     @classmethod
     def horizontal_lift(cls, h_map: HolonomyMap, psi: PathFamily, p: PathNd, g0: GroupElement) -> "TrivializedCurve":
         """The lift of p obtained by holonomy-only transport of g0."""
-        return cls(
-            (0.0, 1.0),
-            lambda i: psi[p.point(i)],
-            lambda i: horizontal_transport(h_map, psi, p, g0, i),
-            p,
-        )
+        return cls(psi, p, lambda i: horizontal_transport(h_map, psi, p, g0, i), (0.0, 1.0))
 
     def right_translated(self, g0: GroupElement) -> "TrivializedCurve":
         """Same curve with fiber values multiplied by g0 on the right."""
-        return TrivializedCurve(self.interval, self.chi, lambda i: self.g(i) @ g0, self.base_curve)
+        return TrivializedCurve(self.psi, self.base_curve, lambda i: self.g(i) @ g0, self.interval)
 
 
 def connection_form_action(
@@ -325,9 +316,10 @@ def connection_form_action(
 ) -> AlgebraElement:
     """Connection 1-form applied to the tangent of a trivialized curve at j.
 
-    Central difference over i of log( g(j)^{-1} H(loop(j, i)) g(i) ); the
-    argument is the identity at i = j, so the quotient lands in the
-    algebra.
+    Central difference over i of log( g(j)^{-1} H(loop(j, i)) g(i) ), the
+    loop that of ``_frame_loops``; the argument is the identity at i = j,
+    so the quotient lands in the algebra.  The 2 or 4 loops of the scheme
+    are evaluated as one holonomy batch.
     """
     lo, hi = curve.interval
     if not lo < j < hi:
@@ -336,33 +328,22 @@ def connection_form_action(
         raise StepTooLarge("cfg.h exceeds the distance from j to the interval ends")
     spec = h_map.spec
     gj_inv = curve.g(j).inverse().matrix
-
-    def value(i: float) -> np.ndarray:
-        hol = eval_holonomy(h_map, curve.loop_between(j, i))
-        m = gj_inv @ hol.matrix @ curve.g(i).matrix
-        return _logs_for_difference(spec, GroupElement(spec, project_to_group(spec, m)).matrix[None])[0]
-
-    def difference(h: float) -> np.ndarray:
-        return (value(j + h) - value(j - h)) / (2.0 * h)
-
-    d = difference(cfg.h)
-    if cfg.richardson:
-        d = (4.0 * difference(cfg.h / 2.0) - d) / 3.0
-    return AlgebraElement(spec, project_to_algebra(spec, d))
+    ts = j + _steps(1, 0, cfg.h, cfg.richardson)[:, 0]
+    hols = eval_holonomies(h_map, _frame_loops(curve.psi, curve.base_curve, j, ts))
+    values = [project_to_group(spec, gj_inv @ u.matrix @ curve.g(i).matrix) for u, i in zip(hols, ts)]
+    logs = _logs_for_difference(spec, np.stack([GroupElement(spec, m).matrix for m in values]))
+    return AlgebraElement(spec, project_to_algebra(spec, _central(logs, cfg.h, cfg.richardson)))
 
 
-def horizontal_transport(
-    h_map: HolonomyMap, psi: PathFamily, p: PathNd, g0: GroupElement, i: float
-) -> GroupElement:
+def horizontal_transport(h_map: HolonomyMap, psi: PathFamily, p: PathNd, g0: GroupElement, i: float) -> GroupElement:
     """Parallel transport of g0 along p expressed purely through holonomies.
 
-    The transported value is H( (K(p,i) o psi[p(0)])^{-1} o psi[p(i)] ) g0;
-    at i = 0 the loop is thin, so the initial value comes out exactly.
+    The transported value is H(loop) g0 with the loop of ``_frame_loops``
+    from i to 0, psi[p(0)]^{-1} o K(p,i)^{-1} o psi[p(i)]; at i = 0 the
+    loop is thin, so the initial value comes out exactly.
     """
-    reach = compose_paths(contract(p, i), psi[p.point(0.0)])
-    loop = compose_paths(invert_path(reach), psi[p.point(float(i))])
-    hol = eval_holonomy(h_map, _thin_loop(loop, psi.basepoint))
-    return hol @ g0
+    (loop,) = _frame_loops(psi, p, float(i), [0.0])
+    return eval_holonomy(h_map, loop) @ g0
 
 
 def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x):
@@ -377,8 +358,8 @@ def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x
     if np.linalg.norm(psi.basepoint - psi2.basepoint) > 1e-12 * (1.0 + np.max(np.abs(psi.basepoint))):
         raise BasepointMismatch("frames must share a base point")
     x = np.asarray(x, dtype=float)
-    loops = [_thin_loop(compose_paths(invert_path(psi2[y]), psi[y]), psi.basepoint) for y in np.atleast_2d(x)]
-    out = eval_holonomies(h_map, loops)
+    loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in np.atleast_2d(x)]
+    out = eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
     return out if x.ndim == 2 else out[0]
 
 
@@ -395,21 +376,12 @@ def gauge_transform_potential(
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
-    step = np.eye(xs.shape[1])[mu]
-    hs = (cfg.h, cfg.h / 2.0) if cfg.richardson else (cfg.h,)
-    gs = gfield(np.concatenate([xs, *(xs + sign * h * step for h in hs for sign in (+1.0, -1.0))]))
+    gs = gfield(np.concatenate([xs, *(xs + s for s in _steps(xs.shape[1], mu, cfg.h, cfg.richardson))]))
     g_inv = np.stack([g.inverse().matrix for g in gs[: len(xs)]])
     g = np.stack([g.matrix for g in gs]).reshape((-1,) + g_inv.shape)
-
-    def dg(k: int) -> np.ndarray:
-        plus, minus = g[2 * k + 1], g[2 * k + 2]
-        if np.any(np.linalg.norm(plus - minus, axis=(-2, -1)) > 1.0):
-            raise StepTooLarge("gauge field varies too fast at the difference scale")
-        return (plus - minus) / (2.0 * hs[k])
-
-    d = dg(0)
-    if cfg.richardson:
-        d = (4.0 * dg(1) - d) / 3.0
+    if np.any(np.linalg.norm(g[1::2] - g[2::2], axis=(-2, -1)) > 1.0):
+        raise StepTooLarge("gauge field varies too fast at the difference scale")
+    d = _central(g[1:], cfg.h, cfg.richardson)
     out = g_inv @ A.matrices(xs, mu) @ g[0] + g_inv @ d
     out = [AlgebraElement(A.spec, a) for a in project_to_algebra(A.spec, out)]
     return out if x.ndim == 2 else out[0]
@@ -427,16 +399,10 @@ def curvature(A: PotentialField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
     ch = cfg.curvature_h
-    e = np.eye(xs.shape[1])
-
-    def stencil(a: int, b: int):
-        # d_a A_b and A_b at the points, from A_b at x + ch e_a, x - ch e_a, x.
-        plus, minus, mid = np.split(A.matrices(np.concatenate([xs + ch * e[a], xs - ch * e[a], xs]), b), 3)
-        return (plus - minus) / (2.0 * ch), mid
-
-    d_mu_a_nu, a_nu = stencil(mu, nu)
-    d_nu_a_mu, a_mu = stencil(nu, mu)
-    f = d_mu_a_nu - d_nu_a_mu + a_mu @ a_nu - a_nu @ a_mu
+    # A_nu at x + ch e_mu, x - ch e_mu and x, then A_mu likewise along nu.
+    around = [np.concatenate([*(xs + _steps(xs.shape[1], a, ch)[:, None]), xs]) for a in (mu, nu)]
+    (*nu_along_mu, a_nu), (*mu_along_nu, a_mu) = (np.split(A.matrices(pts, b), 3) for pts, b in zip(around, (nu, mu)))
+    f = _central(nu_along_mu, ch, False) - _central(mu_along_nu, ch, False) + a_mu @ a_nu - a_nu @ a_mu
     out = [AlgebraElement(A.spec, m) for m in project_to_algebra(A.spec, f)]
     return out if x.ndim == 2 else out[0]
 

@@ -9,7 +9,10 @@ the path operations one segment at a time (``segment_compose`` and its
 siblings on lists of rows ``(cubic flag, 4 control points)``, and
 ``LazyReparametrization``), the reference forms of the table operations
 in ``path_algebra``.  These build their results with the ``PathNd``
-constructor and nothing else of the table code they check.
+constructor and nothing else of the table code they check.  The
+connection 1-form and holonomy-only transport have per-loop reference
+forms too (``reference_connection_form``, ``reference_horizontal_transport``):
+each loop composed leg by leg, its holonomy evaluated alone.
 """
 
 import cmath
@@ -17,13 +20,15 @@ import cmath
 import numpy as np
 import scipy.linalg
 
-from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, check_axiom3
+from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, check_axiom3, eval_holonomy
+from holonomy_forge.lie_core import GroupElement, log_map, project_to_algebra, project_to_group
 from holonomy_forge.path_algebra import (
     LoopAtBase,
     PathNd,
     _preimage,
     compose_paths,
     constant_path,
+    contract,
     invert_path,
     piecewise_power_map,
     radial_family,
@@ -328,6 +333,51 @@ def reference_potential(field, psi, x, mu: int, h: float, richardson: bool, step
     if richardson:
         d = (4.0 * difference(h / 2.0) - d) / 3.0
     return d
+
+
+def reference_loop_between(curve, j: float, i: float) -> LoopAtBase:
+    """The based loop chi(i)^{-1} o K(p,i) o K(p,j)^{-1} o chi(j) of a
+    trivialized curve, composed leg by leg and thin-reduced: chi(t) is the
+    frame path to p(t), the frame path to the fixed foot point on a
+    vertical curve, whose legs K are its constant base curve."""
+    p, psi = curve.base_curve, curve.psi
+    if p.is_constant():
+        chi, ki, kj = (lambda t: psi[p.start]), p, p
+    else:
+        chi, ki, kj = (lambda t: psi[p.point(t)]), contract(p, i), contract(p, j)
+    path = compose_paths(invert_path(kj), chi(j))
+    path = compose_paths(ki, path)
+    path = compose_paths(invert_path(chi(i)), path)
+    return LoopAtBase(thin_reduce(path), psi.basepoint)
+
+
+def reference_connection_form(h_map, curve, j: float, h: float, richardson: bool) -> np.ndarray:
+    """The connection 1-form on the tangent of a curve at j, one loop and one
+    holonomy at a time: central differences over i of
+    log( (g(j)^{-1} H(loop(j, i))) g(i) ), with the Richardson step."""
+    spec = h_map.spec
+    gj_inv = curve.g(j).inverse().matrix
+
+    def value(i):
+        hol = eval_holonomy(h_map, reference_loop_between(curve, j, i))
+        m = GroupElement(spec, project_to_group(spec, gj_inv @ hol.matrix @ curve.g(i).matrix)).matrix
+        return log_map(m[None], spec)[0]
+
+    def difference(hh):
+        return (value(j + hh) - value(j - hh)) / (2.0 * hh)
+
+    d = difference(h)
+    if richardson:
+        d = (4.0 * difference(h / 2.0) - d) / 3.0
+    return project_to_algebra(spec, d)
+
+
+def reference_horizontal_transport(h_map, psi, p, g0, i: float):
+    """Holonomy-only transport of g0 along p to p(i): H(loop) g0 with the
+    loop (K(p,i) o psi[p(0)])^{-1} o psi[p(i)], composed leg by leg."""
+    reach = compose_paths(contract(p, i), psi[p.point(0.0)])
+    loop = compose_paths(invert_path(reach), psi[p.point(float(i))])
+    return eval_holonomy(h_map, LoopAtBase(thin_reduce(loop), psi.basepoint)) @ g0
 
 
 def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):

@@ -348,9 +348,13 @@ class TestErrors:
             ("reconstruct", {"box": [1.0]}),
             ("roundtrip", {"tolerances": {"curvature": "tiny"}}),
             ("audit", {"tolerances": {"axiom1": "tiny"}}),
+            ("roundtrip", {"tolerances": {"curvatur": 1e-30}}),
+            ("audit", {"tolerances": {"axiom_1": 1e-30}}),
+            ("reconstruct", {"tolerances": {"reconstruction": 1e-30}}),
         ],
         ids=["float-exponent", "float-basis", "float-dim", "float-matrix-dim", "float-steps", "zero-steps",
-             "unknown-backend", "one-number-box", "string-tolerance", "string-axiom-tolerance"],
+             "unknown-backend", "one-number-box", "string-tolerance", "string-axiom-tolerance",
+             "misspelt-roundtrip-tolerance", "misspelt-audit-tolerance", "misspelt-reconstruct-tolerance"],
     )
     def test_connection_file_values_are_checked(self, tmp_path, capsys, command, change):
         # Each value used to be truncated, accepted as given or left to fail

@@ -41,7 +41,7 @@ from holonomy_forge.reconstruction import (
     transition_function,
 )
 
-from _oracles import reference_potential
+from _oracles import reference_connection_form, reference_horizontal_transport, reference_potential
 from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
@@ -63,6 +63,9 @@ class TestFdConfig:
             FdConfig(h=0.5)
         with pytest.raises(ValueError):
             FdConfig(h=1e-3, curvature_h=1e-4)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FdConfig(curvature_h=bad)
 
 
 class TestReconstructPotential:
@@ -160,6 +163,91 @@ class TestConnectionFormAction:
         curve = TrivializedCurve.coordinate_shift(psi, np.array([0.5, 0.5]), 0, spec6.spec)
         with pytest.raises(ValueError):
             connection_form_action(h_map, curve, 0.0, CFG)
+
+
+class TestFrameLoops:
+    # The connection form's loops are built by one builder and evaluated as
+    # one batch; every value equals, bit for bit, the one computed loop by
+    # loop from legs composed one at a time.
+    P = compose_paths(straight_segment([1.0, 0.3], [0.4, 1.1]), straight_segment([0.2, -0.5], [1.0, 0.3]))
+
+    @staticmethod
+    def curves(name):
+        """(curve, reference curve, j) on a preset: vertical, right-translated
+        and horizontal-lift curves; the reference lift transports per loop."""
+        p = hf.get_preset(name)
+        h_map, psi = p.holonomy_map(), p.frame()
+        if p.spec is SU2:
+            x1, x2, x3 = (b.matrix for b in su2_basis())
+            g = lambda i: GroupElement(SU2, scipy.linalg.expm(0.3 * i * x1 + 0.1 * i * x3))
+            g0 = GroupElement(SU2, scipy.linalg.expm(0.7 * x2))
+        else:
+            g = lambda i: GroupElement(MULTIPLICATIVE_REALS, [[2.0 + i]])
+            g0 = GroupElement(MULTIPLICATIVE_REALS, [[3.7]])
+        vert = TrivializedCurve.vertical(psi, [0.4, 0.3], g)
+        lift = TrivializedCurve.horizontal_lift(h_map, psi, TestFrameLoops.P, g0)
+        ref_lift = TrivializedCurve(
+            psi, TestFrameLoops.P, lambda i: reference_horizontal_transport(h_map, psi, TestFrameLoops.P, g0, i), (0, 1)
+        )
+        cases = [(vert, vert, 0.2), (vert.right_translated(g0), vert.right_translated(g0), 0.0)]
+        cases += [(lift, ref_lift, 0.3), (lift, ref_lift, 0.5)]
+        cases.append((lift.right_translated(g0), ref_lift.right_translated(g0), 0.5))
+        return h_map, psi, p.spec, cases
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_curves_match_per_loop_reference(self, name, richardson):
+        h_map, psi, spec, cases = self.curves(name)
+        cfg = FdConfig(richardson=richardson)
+        for x in GridSpec(-1.0, 1.0, 3).nodes(2):
+            for mu in (0, 1):
+                shift = TrivializedCurve.coordinate_shift(psi, x, mu, spec)
+                cases.append((shift, shift, 0.5))
+        for curve, ref, j in cases:
+            got = connection_form_action(h_map, curve, j, cfg).matrix
+            assert np.array_equal(got, reference_connection_form(h_map, ref, j, cfg.h, richardson)), (curve, j)
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    def test_horizontal_transport_matches_per_loop_reference(self, name):
+        p = hf.get_preset(name)
+        h_map, psi = p.holonomy_map(), p.frame()
+        g0 = GroupElement.identity(p.spec)
+        for i in (0.0, 0.25, 0.5, 1.0):
+            got = horizontal_transport(h_map, psi, self.P, g0, i).matrix
+            assert np.array_equal(got, reference_horizontal_transport(h_map, psi, self.P, g0, i).matrix), i
+
+    @pytest.mark.parametrize("richardson, loops", [(True, 4), (False, 2)])
+    def test_one_holonomy_batch_per_form(self, sec6, monkeypatch, richardson, loops):
+        from holonomy_forge import reconstruction
+
+        h_map, psi, spec6 = sec6
+        batches, real = [], reconstruction.eval_holonomies
+        monkeypatch.setattr(reconstruction, "eval_holonomies", lambda h, ls: batches.append(len(ls)) or real(h, ls))
+        curve = TrivializedCurve.coordinate_shift(psi, [0.5, -0.2], 1, spec6.spec)
+        connection_form_action(h_map, curve, 0.5, FdConfig(richardson=richardson))
+        assert batches == [loops]
+
+
+class TestDirectionIndex:
+    # A direction outside range(dim) used to index the last axis (-1) or
+    # raise a bare IndexError (dim).
+    @pytest.mark.parametrize("mu", [-1, 2])
+    def test_direction_outside_the_axes_rejected(self, sec6, mu):
+        h_map, psi, spec6 = sec6
+        x = np.array([1.0, 2.0])
+        closed = PotentialField.from_connection(spec6.connection)
+        ident = lambda pts: [GroupElement.identity(MULTIPLICATIVE_REALS)] * len(pts)
+        calls = [
+            lambda: reconstruct_potential(h_map, psi, x, mu, CFG),
+            lambda: gauge_transform_potential(closed, ident, x, mu, CFG),
+            lambda: curvature(closed, x, 0, mu, CFG),
+            lambda: curvature(closed, x, mu, 0, CFG),
+            lambda: TrivializedCurve.coordinate_shift(psi, x, mu, spec6.spec),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not an axis"):
+                call()
+        assert closed._memo == {}
 
 
 class TestHorizontalTransport:
