@@ -14,9 +14,9 @@ import numpy as np
 import holonomy_forge as hf
 from holonomy_forge import (
     FdConfig,
-    PotentialField,
     axis_dogleg_family,
     gauge_transform_potential,
+    reconstructed_connection,
     transition_function,
 )
 
@@ -26,13 +26,14 @@ radial = preset.frame()
 dogleg = axis_dogleg_family(np.zeros(2))
 cfg = FdConfig()
 
-a_rad = PotentialField.from_holonomy(h_map, radial, cfg)
-a_dog = PotentialField.from_holonomy(h_map, dogleg, cfg)
+a_rad = reconstructed_connection(h_map, radial, cfg)
+a_dog = reconstructed_connection(h_map, dogleg, cfg)
 
 x = np.array([1.0, 1.0])
 print(f"At x = {x}:")
-print(f"  radial frame potential: ({a_rad.matrix(x, 0)[0, 0]:+.6f}, {a_rad.matrix(x, 1)[0, 0]:+.6f})")
-print(f"  dogleg frame potential: ({a_dog.matrix(x, 0)[0, 0]:+.6f}, {a_dog.matrix(x, 1)[0, 0]:+.6f})")
+rad, dog = ([a.component(x, mu).matrix[0, 0] for mu in (0, 1)] for a in (a_rad, a_dog))
+print(f"  radial frame potential: ({rad[0]:+.6f}, {rad[1]:+.6f})")
+print(f"  dogleg frame potential: ({dog[0]:+.6f}, {dog[1]:+.6f})")
 
 t = transition_function(h_map, dogleg, radial, x).matrix[0, 0]
 print(f"\nTransition value dogleg -> radial at (1,1): {t:.9f}")
@@ -46,5 +47,5 @@ for point in ([1.0, 1.0], [-0.7, 0.4]):
     point = np.array(point)
     for mu in (0, 1):
         transformed = gauge_transform_potential(a_rad, relating, point, mu, cfg).matrix[0, 0]
-        direct = a_dog.matrix(point, mu)[0, 0]
+        direct = a_dog.component(point, mu).matrix[0, 0]
         print(f"  x = {point}, direction {mu}: transformed {transformed:+.8f}, direct {direct:+.8f}")

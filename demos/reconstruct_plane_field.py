@@ -13,10 +13,10 @@ import holonomy_forge as hf
 from holonomy_forge import (
     FdConfig,
     GroupElement,
-    PotentialField,
     TrivializedCurve,
     connection_form_action,
     curvature,
+    reconstructed_connection,
 )
 
 preset = hf.get_preset("paper-sec6")
@@ -25,11 +25,11 @@ psi = preset.frame()
 cfg = FdConfig()
 
 print("Reconstructed potential vs closed form (y/2, -x/2):")
-pf = PotentialField.from_holonomy(h_map, psi, cfg)
+A = reconstructed_connection(h_map, psi, cfg)
 for x in ([1.0, 2.0], [0.5, -0.5], [-1.5, 0.25]):
     x = np.array(x)
-    a1 = pf.matrix(x, 0)[0, 0]
-    a2 = pf.matrix(x, 1)[0, 0]
+    a1 = A.component(x, 0).matrix[0, 0]
+    a2 = A.component(x, 1).matrix[0, 0]
     print(
         f"  x = {x}:  A_1 = {a1:+.9f} (expect {x[1] / 2:+.4f}),"
         f"  A_2 = {a2:+.9f} (expect {-x[0] / 2:+.4f})"
@@ -45,7 +45,7 @@ for z in (2.0, 1.0, 0.5):
 
 print("\nCurvature of the reconstruction (the input field strength is -1):")
 for x in ([0.5, 0.5], [-1.0, 1.0]):
-    f = curvature(pf, np.array(x), 0, 1, cfg).matrix[0, 0]
+    f = curvature(A, np.array(x), 0, 1, cfg).matrix[0, 0]
     print(f"  F_12{tuple(x)} = {f:+.8f}")
 
 print("\nThe reconstructed 1-form differs from y dx, but only by a gauge")

@@ -14,10 +14,10 @@ from holonomy_forge import (
     FdConfig,
     GridSpec,
     GroupElement,
-    PotentialField,
     group_distance,
     horizontal_transport,
     random_polyline,
+    reconstructed_connection,
     round_trip_report,
     transport_along,
 )
@@ -28,11 +28,11 @@ cfg = FdConfig()
 
 print("Reconstruction at sample points (closed form: -x2/2 * X3, x1/2 * X3):")
 h_map = preset.holonomy_map(128)
-pf = PotentialField.from_holonomy(h_map, psi, cfg)
+A = reconstructed_connection(h_map, psi, cfg)
 for x in ([0.5, 0.5], [0.8, -0.3]):
     x = np.array(x)
     for mu in (0, 1):
-        err = np.linalg.norm(pf.matrix(x, mu) - preset.closed_form(x, mu))
+        err = np.linalg.norm(A.component(x, mu).matrix - preset.closed_form(x, mu))
         print(f"  x = {x}, direction {mu}: |reconstructed - closed form| = {err:.2e}")
 
 print("\nHolonomy-only transport vs transport equation in the reconstruction:")
@@ -41,7 +41,7 @@ ident = GroupElement.identity(preset.spec)
 for k in range(3):
     p = random_polyline(rng, rng.uniform(-0.4, 0.4, size=2), n_segments=2, radius=0.4)
     lhs = horizontal_transport(h_map, psi, p, ident, 1.0)
-    rhs = transport_along(pf.to_connection_field(), p, ident, 16)
+    rhs = transport_along(A, p, ident, 16)
     print(f"  sample path {k}: agreement {group_distance(lhs, rhs):.2e}")
 
 print("\nFull round-trip report on a 3x3 grid (128 transport steps):")

@@ -63,7 +63,6 @@ from .holonomy import (
 from .reconstruction import (
     FdConfig,
     GridSpec,
-    PotentialField,
     RoundTripReport,
     StepTooLarge,
     TrivializedCurve,
@@ -73,6 +72,7 @@ from .reconstruction import (
     horizontal_transport,
     potential_grid_csv,
     reconstruct_potential,
+    reconstructed_connection,
     round_trip_report,
     transition_function,
 )

@@ -25,8 +25,8 @@ from .presets import Preset, get_preset, iter_presets
 from .reconstruction import (
     FdConfig,
     GridSpec,
-    PotentialField,
     potential_grid_csv,
+    reconstructed_connection,
     round_trip_report,
 )
 
@@ -200,9 +200,10 @@ def _grid_from(args, preset: Preset) -> GridSpec:
             lo, hi = (float(v) for v in args.box.split(","))
         except ValueError as exc:
             raise _InputError(f"--box expects lo,hi, got {args.box!r}") from exc
-    if not -np.inf < lo < hi < np.inf:
-        raise _InputError(f"the box must be finite with lo < hi, got {lo!r},{hi!r}")
-    return GridSpec(lo, hi, args.grid)
+    try:
+        return GridSpec(lo, hi, args.grid)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _fd_config(args) -> FdConfig:
@@ -238,7 +239,7 @@ def _cmd_reconstruct(args) -> int:
     cfg = _fd_config(args)
     steps = _steps(args, preset)
     h_map = preset.holonomy_map(steps)
-    pf = PotentialField.from_holonomy(h_map, preset.frame(), cfg)
+    A = reconstructed_connection(h_map, preset.frame(), cfg)
     nodes = grid.nodes(preset.dim)
     max_err = None
     if preset.closed_form is not None:
@@ -246,7 +247,7 @@ def _cmd_reconstruct(args) -> int:
         errs = [
             float(np.linalg.norm(m - np.asarray(preset.closed_form(x, mu))))
             for mu in range(preset.dim)
-            for x, m in zip(nodes, pf.matrices(nodes, mu))
+            for x, m in zip(nodes, A.rule(nodes, mu))
         ]
         max_err = float(np.max(errs, initial=0.0))
     tol = preset.tolerances.get("reconstruct")
@@ -261,7 +262,7 @@ def _cmd_reconstruct(args) -> int:
         "tolerance": tol,
         "pass": bool(ok),
     }
-    _write_atomic(args.out, "potential.csv", potential_grid_csv(pf, grid))
+    _write_atomic(args.out, "potential.csv", potential_grid_csv(A, grid))
     _write_atomic(args.out, "reconstruct_summary.json", _json_text(summary) + "\n")
     if not ok:
         print(f"reconstruct: defect {max_err:.3e} is not finite or exceeds tolerance {tol}", file=sys.stderr)

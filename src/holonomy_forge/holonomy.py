@@ -199,6 +199,8 @@ class ConnectionField:
 
     def component(self, x, mu: int) -> AlgebraElement:
         (x,) = _as_points(x, self.dim)
+        if not 0 <= mu < self.dim:
+            raise ValueError(f"direction {mu} is not an axis of R^{self.dim}")
         return AlgebraElement.from_matrix(self.spec, self.rule(x[None, :], mu)[0])
 
 
@@ -223,6 +225,8 @@ class HolonomyMap:
 
     def __post_init__(self):
         bp = np.array(self.basepoint, dtype=float)
+        if bp.shape != (self.field.dim,):
+            raise DimMismatch(f"base point of shape {bp.shape} for a field on R^{self.field.dim}")
         bp.setflags(write=False)
         object.__setattr__(self, "basepoint", bp)
 
@@ -234,9 +238,8 @@ class HolonomyMap:
 
     @classmethod
     def transport(cls, field: ConnectionField, basepoint, steps_per_segment: int = 64) -> "HolonomyMap":
-        if steps_per_segment < 1:
-            raise ValueError("steps_per_segment must be positive")
-        return cls(field.spec, np.asarray(basepoint, dtype=float), _TransportBackend(field, int(steps_per_segment)))
+        steps = _check_steps(steps_per_segment)
+        return cls(field.spec, np.asarray(basepoint, dtype=float), _TransportBackend(field, steps))
 
     @property
     def field(self) -> ConnectionField:
@@ -462,6 +465,15 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
     return u
 
 
+def _check_steps(steps_per_segment) -> int:
+    """The steps per piece of a transport; ``ValueError`` unless it is an
+    integer (Python or numpy) of at least 1."""
+    n = steps_per_segment
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"steps per segment must be an integer of at least 1, got {n!r}")
+    return int(n)
+
+
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
     if dim != h_map.field.dim:
         raise DimMismatch(f"loop dimension {dim} != field dimension {h_map.field.dim}")
@@ -528,7 +540,10 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     With the lift convention used here the endpoint value is u(1) g0,
     so transport around a closed loop returns H(loop)^{-1} g0.
     """
-    u = _transport_products(field, stack_tables([path]), steps_per_segment)[0]
+    steps = _check_steps(steps_per_segment)
+    if path.dim != field.dim:
+        raise DimMismatch(f"path dimension {path.dim} != field dimension {field.dim}")
+    u = _transport_products(field, stack_tables([path]), steps)[0]
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 

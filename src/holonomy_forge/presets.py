@@ -219,7 +219,9 @@ _register(
             2, MULTIPLICATIVE_REALS, [[(1.0, (4, 1), 0)], []]
         ),
         backend="analytic",
-        default_steps=64,
+        # Read only by the round trip's transport map: its RK4 gauge defect
+        # is 6.8e-5 at 64 steps, 4.0e-6 at 128 and 2.5e-7 at 256.
+        default_steps=256,
         box=(-1.5, 1.5),
         closed_form=lambda x, mu: (
             np.array([[x[0] ** 4 * x[1] / 6.0]]) if mu == 0 else np.array([[-x[0] ** 5 / 6.0]])

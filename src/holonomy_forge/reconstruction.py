@@ -10,8 +10,8 @@ Derivatives are taken as central differences with one optional Richardson
 extrapolation step (h and h/2), giving observed order ~4; the error
 budget is explicit and owned by ``FdConfig``.  ``reconstruct_potential``
 takes many points of one direction at once and sends all their difference
-loops through the holonomy kernel as one batch; ``PotentialField``
-memoizes the values and hands its batch method on as a connection rule.
+loops through the holonomy kernel as one batch; ``reconstructed_connection``
+is the recovered connection, a ``ConnectionField`` whose rule memoizes them.
 
 The same difference quotient, applied to a curve over the frame (a foot
 point p(i) on a base curve plus a fiber value g(i)), evaluates the
@@ -46,6 +46,7 @@ from .holonomy import (
     ConnectionField,
     HolonomyMap,
     _check_based,
+    _check_steps,
     _holonomy_matrices,
     _line_integrals,
     _transport_products,
@@ -72,11 +73,11 @@ from .segment_table import table_batch
 __all__ = [
     "StepTooLarge",
     "FdConfig",
-    "PotentialField",
     "TrivializedCurve",
     "GridSpec",
     "RoundTripReport",
     "reconstruct_potential",
+    "reconstructed_connection",
     "connection_form_action",
     "horizontal_transport",
     "transition_function",
@@ -179,70 +180,30 @@ def reconstruct_potential(
     return out if x.ndim == 2 else out[0]
 
 
-class PotentialField:
-    """A gauge potential evaluatable at (point, direction).
+def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig()) -> ConnectionField:
+    """The connection recovered from a holonomy map in the frame psi.
 
-    Either wraps a closed-form connection or reconstructs lazily from a
-    holonomy map and frame, memoizing per (point, direction).
-    ``evaluator(points, mu)`` takes an (m, dim) array of points and returns
-    m values; a single point is a batch of one.
+    Its rule calls ``reconstruct_potential`` once per batch, on the points
+    it has not seen, and memoizes the values per (point, direction).  If
+    the batch raises, those points are evaluated again one at a time, so
+    the error raised and the values memoized are those of single-point
+    calls in order.  Its degree is unknown (None).
     """
+    memo: dict = {}
 
-    def __init__(self, dim: int, spec: GroupSpec, evaluator, label: str = ""):
-        self.dim = dim
-        self.spec = spec
-        self._evaluator = evaluator
-        self.label = label
-        self._memo: dict = {}
-
-    @classmethod
-    def from_connection(cls, field: ConnectionField) -> "PotentialField":
-        # Point by point: the rule's product over many rows need not round
-        # like its batch of one, which ``component`` evaluates.
-        return cls(field.dim, field.spec, lambda xs, mu: [field.component(x, mu) for x in xs], "closed-form")
-
-    @classmethod
-    def from_holonomy(
-        cls, h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig()
-    ) -> "PotentialField":
-        return cls(
-            h_map.field.dim, h_map.spec, lambda xs, mu: reconstruct_potential(h_map, psi, xs, mu, cfg), "reconstructed"
-        )
-
-    def __call__(self, x, mu: int) -> AlgebraElement:
-        (x,) = _as_points(x, self.dim)
-        key = (x.tobytes(), mu)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._evaluator(x[None], mu)[0]
-            self._memo[key] = hit
-        return hit
-
-    def matrix(self, x, mu: int) -> np.ndarray:
-        return self(x, mu).matrix
-
-    def matrices(self, points, mu: int) -> np.ndarray:
-        """Values at an (m, dim) array of points for one direction, as an
-        (m, d, d) array, memoized like single-point calls.
-
-        The points not yet memoized are evaluated in one batch.  If the
-        batch raises, they are evaluated again one at a time, so the error
-        raised and the values memoized are those of single-point calls in
-        order.
-        """
-        pts = np.ascontiguousarray(_as_points(points, self.dim))
+    def rule(points, mu):
+        pts = np.asarray(points, dtype=float)
         keys = [(x.tobytes(), mu) for x in pts]
-        missing = {key: x for key, x in zip(keys, pts) if key not in self._memo}
+        missing = {key: x for key, x in zip(keys, pts) if key not in memo}
         if missing:
             try:
-                self._memo.update(zip(missing, self._evaluator(np.array(list(missing.values())), mu)))
+                memo.update(zip(missing, reconstruct_potential(h_map, psi, np.array(list(missing.values())), mu, cfg)))
             except (ValueError, ArithmeticError):
-                for x in missing.values():
-                    self(x, mu)
-        return np.stack([self._memo[key].matrix for key in keys])
+                for key, x in missing.items():
+                    memo[key] = reconstruct_potential(h_map, psi, x[None], mu, cfg)[0]
+        return np.stack([memo[key].matrix for key in keys])
 
-    def to_connection_field(self) -> ConnectionField:
-        return ConnectionField(self.dim, self.spec, self.matrices)
+    return ConnectionField(h_map.field.dim, h_map.spec, rule)
 
 
 def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBase]:
@@ -364,7 +325,7 @@ def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x
 
 
 def gauge_transform_potential(
-    A: PotentialField, gfield: Callable[[np.ndarray], list], x, mu: int, cfg: FdConfig = FdConfig()
+    A: ConnectionField, gfield: Callable[[np.ndarray], list], x, mu: int, cfg: FdConfig = FdConfig()
 ):
     """Transform a potential by a group-valued field:
     g^{-1} A_mu g + g^{-1} d_mu g, the derivative by central difference.
@@ -375,33 +336,33 @@ def gauge_transform_potential(
     list; ``StepTooLarge`` if the field varies too fast at any point.
     """
     x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    xs = _as_points(x, A.dim)
     gs = gfield(np.concatenate([xs, *(xs + s for s in _steps(xs.shape[1], mu, cfg.h, cfg.richardson))]))
     g_inv = np.stack([g.inverse().matrix for g in gs[: len(xs)]])
     g = np.stack([g.matrix for g in gs]).reshape((-1,) + g_inv.shape)
     if np.any(np.linalg.norm(g[1::2] - g[2::2], axis=(-2, -1)) > 1.0):
         raise StepTooLarge("gauge field varies too fast at the difference scale")
     d = _central(g[1:], cfg.h, cfg.richardson)
-    out = g_inv @ A.matrices(xs, mu) @ g[0] + g_inv @ d
+    out = g_inv @ A.rule(xs, mu) @ g[0] + g_inv @ d
     out = [AlgebraElement(A.spec, a) for a in project_to_algebra(A.spec, out)]
     return out if x.ndim == 2 else out[0]
 
 
-def curvature(A: PotentialField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()):
+def curvature(A: ConnectionField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()):
     """Field strength F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
     Central differences with step ``cfg.curvature_h``; the formula is
     literally antisymmetric, so swapping (mu, nu) negates the value
     exactly.  ``x`` is one point, giving an ``AlgebraElement``, or an
-    (m, dim) array, giving a list; A is evaluated in one ``matrices`` call
-    per direction.
+    (m, dim) array, giving a list; A is evaluated in one ``rule`` call per
+    direction.
     """
     x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    xs = _as_points(x, A.dim)
     ch = cfg.curvature_h
     # A_nu at x + ch e_mu, x - ch e_mu and x, then A_mu likewise along nu.
     around = [np.concatenate([*(xs + _steps(xs.shape[1], a, ch)[:, None]), xs]) for a in (mu, nu)]
-    (*nu_along_mu, a_nu), (*mu_along_nu, a_mu) = (np.split(A.matrices(pts, b), 3) for pts, b in zip(around, (nu, mu)))
+    (*nu_along_mu, a_nu), (*mu_along_nu, a_mu) = (np.split(A.rule(pts, b), 3) for pts, b in zip(around, (nu, mu)))
     f = _central(nu_along_mu, ch, False) - _central(mu_along_nu, ch, False) + a_mu @ a_nu - a_nu @ a_mu
     out = [AlgebraElement(A.spec, m) for m in project_to_algebra(A.spec, f)]
     return out if x.ndim == 2 else out[0]
@@ -418,8 +379,8 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
-        if not self.lo < self.hi:
-            raise ValueError("empty box")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError(f"the box must be finite with lo < hi, got {self.lo!r},{self.hi!r}")
 
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.resolution)
@@ -506,9 +467,9 @@ def round_trip_report(
     """
     tolerances = dict(tolerances or {})
     dim = A_in.dim
+    _check_steps(transport_steps)  # raised here, not recorded as a failure of every sample path
     h_map = HolonomyMap.transport(A_in, psi.basepoint, steps_per_segment)
-    A_rec = PotentialField.from_holonomy(h_map, psi, cfg)
-    A_in_pf = PotentialField.from_connection(A_in)
+    A_rec = reconstructed_connection(h_map, psi, cfg)
     gfield = _relating_gauge_field(A_in, psi, steps_per_segment)
     nodes = grid.nodes(dim)
     failures: list[tuple] = []
@@ -520,11 +481,11 @@ def round_trip_report(
         curv = gauge = np.zeros(len(xs))
         for mu in range(dim):
             for nu in range(mu + 1, dim):
-                rows = zip(curvature(A_rec, xs, mu, nu, cfg), curvature(A_in_pf, xs, mu, nu, cfg), g_inv, gs)
+                rows = zip(curvature(A_rec, xs, mu, nu, cfg), curvature(A_in, xs, mu, nu, cfg), g_inv, gs)
                 curv = np.maximum(curv, [np.linalg.norm(r.matrix - gi @ i.matrix @ g.matrix) for r, i, gi, g in rows])
         for mu in range(dim):
-            expected = gauge_transform_potential(A_in_pf, gfield, xs, mu, cfg)
-            gauge = np.maximum(gauge, [np.linalg.norm(a - e.matrix) for a, e in zip(A_rec.matrices(xs, mu), expected)])
+            expected = gauge_transform_potential(A_in, gfield, xs, mu, cfg)
+            gauge = np.maximum(gauge, [np.linalg.norm(a - e.matrix) for a, e in zip(A_rec.rule(xs, mu), expected)])
         return curv, gauge
 
     # All nodes in one batch; only if that raises, node by node, so that
@@ -543,9 +504,7 @@ def round_trip_report(
     # Transport cross-check on sample paths; the reconstruction used to
     # drive the transport equation skips Richardson (its h^2 bias is far
     # below the comparison tolerance and it halves the holonomy count).
-    A_drive = PotentialField.from_holonomy(
-        h_map, psi, FdConfig(h=cfg.h, richardson=False, curvature_h=cfg.curvature_h)
-    ).to_connection_field()
+    A_drive = reconstructed_connection(h_map, psi, FdConfig(h=cfg.h, richardson=False, curvature_h=cfg.curvature_h))
     rng = np.random.default_rng(seed)
     ident = GroupElement.identity(A_in.spec)
     span = 0.25 * (grid.hi - grid.lo)
@@ -564,21 +523,21 @@ def round_trip_report(
     )
 
 
-def potential_grid_csv(pf: PotentialField, grid: GridSpec) -> str:
+def potential_grid_csv(A: ConnectionField, grid: GridSpec) -> str:
     """CSV dump of a potential over a grid.
 
     Header ``x1,..,xn,mu,re_0_0,im_0_0,..`` with row-major matrix entries;
     floats carry 17 significant digits.
     """
-    dim = pf.dim
-    d = pf.spec.matrix_dim
+    dim = A.dim
+    d = A.spec.matrix_dim
     cols = [f"x{k + 1}" for k in range(dim)] + ["mu"]
     for r in range(d):
         for c in range(d):
             cols += [f"re_{r}_{c}", f"im_{r}_{c}"]
     lines = [",".join(cols)]
     nodes = grid.nodes(dim)
-    values = [pf.matrices(nodes, mu) for mu in range(dim)]
+    values = [A.rule(nodes, mu) for mu in range(dim)]
     for k, x in enumerate(nodes):
         for mu in range(dim):
             m = np.asarray(values[mu][k], dtype=complex).reshape(-1)

@@ -25,12 +25,12 @@ from holonomy_forge.path_algebra import (
 from holonomy_forge.reconstruction import (
     FdConfig,
     GridSpec,
-    PotentialField,
     TrivializedCurve,
     connection_form_action,
     curvature,
     gauge_transform_potential,
     reconstruct_potential,
+    reconstructed_connection,
     round_trip_report,
     transition_function,
 )
@@ -57,11 +57,11 @@ def test_criterion_1_sec6_potential_on_grid():
     start = time.monotonic()
     preset = hf.get_preset("paper-sec6")
     h_map, psi = preset.holonomy_map(), preset.frame()
-    pf = PotentialField.from_holonomy(h_map, psi, CFG)
+    A = reconstructed_connection(h_map, psi, CFG)
     worst = 0.0
     for x in GridSpec(-2.0, 2.0, 9).nodes(2):
-        worst = max(worst, abs(pf.matrix(x, 0)[0, 0] - x[1] / 2.0))
-        worst = max(worst, abs(pf.matrix(x, 1)[0, 0] + x[0] / 2.0))
+        worst = max(worst, abs(A.component(x, 0).matrix[0, 0] - x[1] / 2.0))
+        worst = max(worst, abs(A.component(x, 1).matrix[0, 0] + x[0] / 2.0))
     elapsed = time.monotonic() - start
     record_criterion(
         1,
@@ -89,8 +89,8 @@ def test_criterion_2_vertical_component():
 def test_criterion_3_gauge_equivalence_by_curvature():
     preset = hf.get_preset("paper-sec6")
     h_map, psi = preset.holonomy_map(), preset.frame()
-    a_rec = PotentialField.from_holonomy(h_map, psi, CFG)
-    a_in = PotentialField.from_connection(preset.connection)
+    a_rec = reconstructed_connection(h_map, psi, CFG)
+    a_in = preset.connection
     worst = 0.0
     for x in GridSpec(-2.0, 2.0, 9).nodes(2):
         f_rec = curvature(a_rec, x, 0, 1, CFG).matrix[0, 0]
@@ -206,14 +206,14 @@ def test_criterion_7_frame_covariance():
     h_map, psi = preset.holonomy_map(), preset.frame()
     dogleg = axis_dogleg_family(ORIGIN)
     t_value = transition_function(h_map, dogleg, psi, [1.0, 1.0]).matrix[0, 0]
-    a_rad = PotentialField.from_holonomy(h_map, psi, CFG)
-    a_dog = PotentialField.from_holonomy(h_map, dogleg, CFG)
+    a_rad = reconstructed_connection(h_map, psi, CFG)
+    a_dog = reconstructed_connection(h_map, dogleg, CFG)
     relating = lambda x: transition_function(h_map, psi, dogleg, x)
     worst = 0.0
     for x in GridSpec(-1.5, 1.5, 4).nodes(2):
         for mu in (0, 1):
             expected = gauge_transform_potential(a_rad, relating, x, mu, CFG).matrix
-            worst = max(worst, float(np.linalg.norm(a_dog.matrix(x, mu) - expected)))
+            worst = max(worst, float(np.linalg.norm(a_dog.component(x, mu).matrix - expected)))
     ok = worst <= 1e-5 and abs(t_value - math.exp(-0.5)) <= 1e-9
     record_criterion(
         7,

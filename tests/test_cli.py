@@ -9,6 +9,7 @@ import pytest
 
 import holonomy_forge
 from holonomy_forge.cli import main
+from holonomy_forge.presets import iter_presets
 
 
 def read(path):
@@ -164,6 +165,14 @@ class TestRoundtrip:
         corners = [f for f in failures if sorted(map(abs, f[0])) == [30, 30]]
         assert len(corners) == 4
         assert all(kind == "StepTooLarge" for _, kind, _ in corners), corners
+
+
+@pytest.mark.parametrize("preset", [p.name for p in iter_presets()])
+def test_roundtrip_passes_at_every_preset_default(tmp_path, preset):
+    # abelian-quartic exited 2 here at 64 steps: RK4 truncation put its
+    # gauge defect at 6.8e-5 against a gate of 1e-5.
+    assert main(["roundtrip", "--preset", preset, "--grid", "3", "--out", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / "roundtrip_report.json"))["failures"] == []
 
 
 class TestErrors:

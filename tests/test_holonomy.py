@@ -503,10 +503,9 @@ class TestTwoStepProbe:
         assert 5 not in pieces_per_lattice(calls) if warp else 5 in pieces_per_lattice(calls)
 
     def test_field_of_unknown_degree_is_not_probed(self, monkeypatch):
-        # A reconstructed potential's samples each cost a reconstruction.
-        from holonomy_forge.reconstruction import PotentialField
-
-        field = PotentialField.from_connection(ydx_field()).to_connection_field()
+        # A reconstructed connection's samples each cost a reconstruction,
+        # and its degree is unknown; so is that of this copy of y dx.
+        field = ConnectionField(2, ydx_field().spec, ydx_field().rule)
         calls = count_sampled_pieces(monkeypatch)
         eval_holonomy(HolonomyMap.transport(field, ORIGIN, 16), unit_square())
         assert set(pieces_per_lattice(calls)) == {33}
@@ -770,6 +769,37 @@ class TestPinning:
         h_map = HolonomyMap.analytic_abelian(field3, np.zeros(3))
         with pytest.raises(DimMismatch):
             eval_holonomy(h_map, unit_square())
+
+
+class TestTransportArguments:
+    # Step counts of 0, -2 or 2.7 used to raise ZeroDivisionError, numpy's
+    # sample-count error or TypeError, or (HolonomyMap.transport) run 2.7 as
+    # 2 steps; a 3-d path or base point on a 2-d field failed inside numpy.
+    @pytest.mark.parametrize("entry", ["transport_along", "HolonomyMap.transport"])
+    @pytest.mark.parametrize(
+        "steps, dim, error",
+        [
+            (0, 2, ValueError),
+            (-2, 2, ValueError),
+            (2.7, 2, ValueError),
+            (4.0, 2, ValueError),
+            (True, 2, ValueError),
+            (4, 3, DimMismatch),
+            (np.int64(4), 2, None),
+        ],
+    )
+    def test_step_count_and_dimension_checked_where_transport_starts(self, entry, steps, dim, error):
+        field, ident = ydx_field(), GroupElement.identity(MULTIPLICATIVE_REALS)
+        if entry == "transport_along":
+            run = lambda: transport_along(field, straight_segment(np.zeros(dim), np.full(dim, 0.5)), ident, steps)
+        else:
+            run = lambda: HolonomyMap.transport(field, np.zeros(dim), steps)
+        if error is None:
+            run()
+            return
+        with pytest.raises(error) as info:
+            run()
+        assert isinstance(info.value, DimMismatch) == (error is DimMismatch)
 
 
 class TestAssociativity:

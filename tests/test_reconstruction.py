@@ -26,7 +26,6 @@ from holonomy_forge.path_algebra import (
 from holonomy_forge.reconstruction import (
     FdConfig,
     GridSpec,
-    PotentialField,
     RoundTripReport,
     StepTooLarge,
     _relating_gauge_field,
@@ -37,6 +36,7 @@ from holonomy_forge.reconstruction import (
     horizontal_transport,
     potential_grid_csv,
     reconstruct_potential,
+    reconstructed_connection,
     round_trip_report,
     transition_function,
 )
@@ -54,6 +54,22 @@ def sec6():
     return p.holonomy_map(), p.frame(), p
 
 
+def count_reconstructions(monkeypatch) -> list:
+    """Count the reconstructions that connection rules make: the returned
+    list gets the number of points of each ``reconstruct_potential`` call
+    (calls made under the name imported here are not counted)."""
+    from holonomy_forge import reconstruction
+
+    real, calls = reconstruction.reconstruct_potential, []
+
+    def counting(h_map, psi, x, mu, cfg=CFG):
+        calls.append(len(np.atleast_2d(x)))
+        return real(h_map, psi, x, mu, cfg)
+
+    monkeypatch.setattr(reconstruction, "reconstruct_potential", counting)
+    return calls
+
+
 class TestFdConfig:
     def test_defaults(self):
         assert CFG.h == 1e-4 and CFG.richardson and CFG.curvature_h == 1e-3
@@ -66,6 +82,14 @@ class TestFdConfig:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 FdConfig(curvature_h=bad)
+
+
+class TestGridSpec:
+    # An infinite end used to give nan nodes with a RuntimeWarning.
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_box_must_be_finite_and_non_empty(self, lo, hi):
+        with pytest.raises(ValueError, match="the box must be finite with lo < hi"):
+            GridSpec(lo, hi, 3)
 
 
 class TestReconstructPotential:
@@ -232,22 +256,25 @@ class TestDirectionIndex:
     # A direction outside range(dim) used to index the last axis (-1) or
     # raise a bare IndexError (dim).
     @pytest.mark.parametrize("mu", [-1, 2])
-    def test_direction_outside_the_axes_rejected(self, sec6, mu):
+    def test_direction_outside_the_axes_rejected(self, sec6, mu, monkeypatch):
         h_map, psi, spec6 = sec6
         x = np.array([1.0, 2.0])
-        closed = PotentialField.from_connection(spec6.connection)
+        rec = reconstructed_connection(h_map, psi, CFG)
+        reconstructions = count_reconstructions(monkeypatch)
         ident = lambda pts: [GroupElement.identity(MULTIPLICATIVE_REALS)] * len(pts)
-        calls = [
-            lambda: reconstruct_potential(h_map, psi, x, mu, CFG),
-            lambda: gauge_transform_potential(closed, ident, x, mu, CFG),
-            lambda: curvature(closed, x, 0, mu, CFG),
-            lambda: curvature(closed, x, mu, 0, CFG),
-            lambda: TrivializedCurve.coordinate_shift(psi, x, mu, spec6.spec),
-        ]
+        calls = [lambda: reconstruct_potential(h_map, psi, x, mu, CFG)]
+        calls += [lambda: TrivializedCurve.coordinate_shift(psi, x, mu, spec6.spec)]
+        for field in (spec6.connection, rec):
+            calls += [
+                lambda a=field: a.component(x, mu),
+                lambda a=field: gauge_transform_potential(a, ident, x, mu, CFG),
+                lambda a=field: curvature(a, x, 0, mu, CFG),
+                lambda a=field: curvature(a, x, mu, 0, CFG),
+            ]
         for call in calls:
             with pytest.raises(ValueError, match="not an axis"):
                 call()
-        assert closed._memo == {}
+        assert reconstructions == []
 
 
 class TestHorizontalTransport:
@@ -276,7 +303,7 @@ class TestHorizontalTransport:
 
     def test_agrees_with_ode_transport_in_reconstructed_potential(self, sec6):
         h_map, psi, _ = sec6
-        a_rec = PotentialField.from_holonomy(h_map, psi, CFG).to_connection_field()
+        a_rec = reconstructed_connection(h_map, psi, CFG)
         g0 = GroupElement.identity(MULTIPLICATIVE_REALS)
         p = compose_paths(
             straight_segment([1.0, 0.3], [0.4, 1.1]), straight_segment([0.2, -0.5], [1.0, 0.3])
@@ -319,16 +346,16 @@ class TestTransitionFunction:
 class TestGaugeTransform:
     def test_identity_field_returns_potential(self, sec6):
         h_map, psi, _ = sec6
-        a = PotentialField.from_holonomy(h_map, psi, CFG)
+        a = reconstructed_connection(h_map, psi, CFG)
         ident = GroupElement.identity(MULTIPLICATIVE_REALS)
         x = np.array([0.9, 0.4])
         for mu in (0, 1):
             got = gauge_transform_potential(a, lambda pts: [ident] * len(pts), x, mu, CFG)
-            assert np.linalg.norm(got.matrix - a.matrix(x, mu)) <= 1e-12
+            assert np.linalg.norm(got.matrix - a.component(x, mu).matrix) <= 1e-12
 
     def test_pure_gauge_from_zero_potential(self):
         # with A = 0 and g = exp(f), the transform is the gradient of f
-        zero = PotentialField.from_connection(ConnectionField.zero(2, MULTIPLICATIVE_REALS))
+        zero = ConnectionField.zero(2, MULTIPLICATIVE_REALS)
         calls = []
 
         def gfield(pts):
@@ -344,7 +371,7 @@ class TestGaugeTransform:
         assert calls == [(5, 2), (5, 2)]
 
     def test_fast_varying_gauge_field_rejected(self):
-        zero = PotentialField.from_connection(ConnectionField.zero(2, MULTIPLICATIVE_REALS))
+        zero = ConnectionField.zero(2, MULTIPLICATIVE_REALS)
         steep = lambda pts: [GroupElement(MULTIPLICATIVE_REALS, [[1.0 + 1e5 * abs(x[0])]]) for x in pts]
         with pytest.raises(StepTooLarge):
             gauge_transform_potential(zero, steep, np.array([0.5, 0.0]), 0, CFG)
@@ -352,26 +379,26 @@ class TestGaugeTransform:
     def test_frame_covariance_radial_vs_dogleg(self, sec6):
         h_map, psi, _ = sec6
         dogleg = axis_dogleg_family(ORIGIN)
-        a_rad = PotentialField.from_holonomy(h_map, psi, CFG)
-        a_dog = PotentialField.from_holonomy(h_map, dogleg, CFG)
+        a_rad = reconstructed_connection(h_map, psi, CFG)
+        a_dog = reconstructed_connection(h_map, dogleg, CFG)
         relating = lambda x: transition_function(h_map, psi, dogleg, x)
         for x in ([0.5, 0.5], [1.0, -0.7], [-1.3, 0.8]):
             x = np.array(x)
             for mu in (0, 1):
                 expected = gauge_transform_potential(a_rad, relating, x, mu, CFG).matrix
-                assert np.linalg.norm(a_dog.matrix(x, mu) - expected) <= 1e-5
+                assert np.linalg.norm(a_dog.component(x, mu).matrix - expected) <= 1e-5
 
 
 class TestCurvature:
     def test_closed_form_ydx(self):
-        a = PotentialField.from_connection(hf.get_preset("paper-sec6").connection)
+        a = hf.get_preset("paper-sec6").connection
         f = curvature(a, np.array([0.4, -0.9]), 0, 1, CFG).matrix[0, 0]
         assert abs(f - (-1.0)) <= 1e-9
 
     def test_reconstructed_matches_input(self, sec6):
         h_map, psi, _ = sec6
-        a_rec = PotentialField.from_holonomy(h_map, psi, CFG)
-        a_in = PotentialField.from_connection(hf.get_preset("paper-sec6").connection)
+        a_rec = reconstructed_connection(h_map, psi, CFG)
+        a_in = hf.get_preset("paper-sec6").connection
         for x in ([0.5, 0.5], [-1.0, 1.0]):
             f_rec = curvature(a_rec, np.array(x), 0, 1, CFG).matrix[0, 0]
             f_in = curvature(a_in, np.array(x), 0, 1, CFG).matrix[0, 0]
@@ -382,12 +409,12 @@ class TestCurvature:
         const = ConnectionField.from_polynomial(
             2, MULTIPLICATIVE_REALS, [[(0.7, (0, 0), 0)], [(1.3, (0, 0), 0)]]
         )
-        a = PotentialField.from_connection(const)
+        a = const
         assert curvature(a, np.array([0.2, 0.4]), 0, 1, CFG).norm() <= 1e-12
 
     def test_antisymmetry_exact(self, sec6):
         h_map, psi, _ = sec6
-        a = PotentialField.from_holonomy(h_map, psi, CFG)
+        a = reconstructed_connection(h_map, psi, CFG)
         x = np.array([0.8, 0.3])
         f01 = curvature(a, x, 0, 1, CFG).matrix
         f10 = curvature(a, x, 1, 0, CFG).matrix
@@ -395,7 +422,7 @@ class TestCurvature:
 
     def test_su2_shear_field_strength(self):
         sh = hf.get_preset("su2-shear")
-        a = PotentialField.from_connection(sh.connection)
+        a = sh.connection
         f = curvature(a, np.array([0.4, -0.2]), 0, 1, CFG).matrix
         assert np.linalg.norm(f - su2_basis()[2].matrix) <= 1e-9
 
@@ -405,7 +432,7 @@ class TestCurvature:
         field = ConnectionField.from_polynomial(
             2, SU2, [[(1.0, (0, 0), 0)], [(1.0, (1, 0), 2)]]
         )
-        a = PotentialField.from_connection(field)
+        a = field
         pt = np.array([0.6, 0.1])
         f = curvature(a, pt, 0, 1, CFG).matrix
         assert np.linalg.norm(f - (x3b + pt[0] * x2b)) <= 1e-9
@@ -468,6 +495,15 @@ class TestRoundTrip:
         assert math.isnan(report.max_transport_defect)
         assert not report.failures and not report.within()
 
+    @pytest.mark.parametrize("steps", [0, -2, 2.7])
+    def test_bad_transport_step_count_raises(self, steps):
+        # 0 and -2 used to come out as a failure of every sample path.
+        with pytest.raises(ValueError, match="steps per segment"):
+            round_trip_report(
+                hf.get_preset("zero-connection").connection, radial_family(ORIGIN), GridSpec(-1.0, 1.0, 2), CFG,
+                transport_steps=steps,
+            )
+
     def test_per_point_failures_recorded_not_raised(self):
         def exploding(x, mu):
             if np.linalg.norm(x - np.array([1.0, 1.0])) < 0.4:
@@ -500,52 +536,75 @@ class TestRoundTrip:
 
 
 class TestPotentialField:
-    def test_memoization(self, sec6):
+    # The reconstructed potential field: the ConnectionField returned by
+    # reconstructed_connection, whose rule memoizes reconstruct_potential.
+    def test_evaluator_receives_point_arrays(self, sec6, monkeypatch):
+        # One reconstruction per batch, of the points not yet memoized.
         h_map, psi, _ = sec6
-        calls = []
+        calls = count_reconstructions(monkeypatch)
+        A = reconstructed_connection(h_map, psi, CFG)
+        xs = np.array(GridSpec(-1.0, 1.0, 3).nodes(2))
+        A.rule(xs, 0)
+        assert calls == [9]
+        A.component(np.array([0.3, 0.4]), 1)
+        assert calls == [9, 1]
+        A.rule(np.concatenate([xs, [[0.3, 0.4]]]), 0)
+        A.rule(np.concatenate([xs[:2], [[0.3, 0.4]]]), 1)
+        assert calls == [9, 1, 1, 2]
 
-        def counting(xs, mu):
-            calls.append((xs.tolist(), mu))
-            return reconstruct_potential(h_map, psi, xs, mu, CFG)
-
-        pf = PotentialField(2, MULTIPLICATIVE_REALS, counting)
+    def test_memoization(self, sec6, monkeypatch):
+        # Repeated points, in one batch or across calls, hit the memo.
+        h_map, psi, _ = sec6
+        calls = count_reconstructions(monkeypatch)
+        A = reconstructed_connection(h_map, psi, CFG)
         x = np.array([0.5, 0.25])
-        pf(x, 0)
-        pf(x, 0)
-        pf(np.array([0.5, 0.25]), 0)
-        assert len(calls) == 1
+        A.component(x, 0)
+        A.component(x, 0)
+        A.component(np.array([0.5, 0.25]), 0)
+        values = A.rule(np.array([x, x, [0.5, 0.25]]), 0)
+        assert calls == [1]
+        assert np.array_equal(values[0], values[2])
+
+    def test_rule_is_a_connection_rule_of_unknown_degree(self, sec6):
+        # Each call returns a new array (the integrators scale it in place),
+        # and a single-point read is the row of the rule, bit for bit.
+        h_map, psi, _ = sec6
+        A = reconstructed_connection(h_map, psi, CFG)
+        assert A.degree is None and (A.dim, A.spec) == (2, MULTIPLICATIVE_REALS)
+        xs = np.array([[0.7, 0.2], [-0.4, 0.9]])
+        first = A.rule(xs, 1)
+        first *= 0.0
+        again = A.rule(xs, 1)
+        for x, row in zip(xs, again):
+            assert row[0, 0] != 0.0
+            assert np.array_equal(A.component(x, 1).matrix, row)
 
     @pytest.mark.parametrize("x", [[0.5, 0.2, 9.0], [0.5], [[0.5, 0.2, 9.0]]])
-    def test_point_of_the_wrong_length_rejected(self, x):
-        pf = PotentialField.from_connection(hf.get_preset("su2-shear").connection)
-        with pytest.raises(ValueError, match="expected a point of R\\^2"):
-            pf(np.array(x), 0)
-
-    def test_evaluator_receives_point_arrays(self, sec6):
+    def test_point_of_the_wrong_length_rejected(self, sec6, x, monkeypatch):
         h_map, psi, _ = sec6
-        shapes = []
-
-        def recording(xs, mu):
-            shapes.append(xs.shape)
-            return reconstruct_potential(h_map, psi, xs, mu, CFG)
-
-        pf = PotentialField(2, MULTIPLICATIVE_REALS, recording)
-        xs = np.array(GridSpec(-1.0, 1.0, 3).nodes(2))
-        pf.matrices(xs, 0)
-        assert shapes == [(9, 2)]
-        pf(np.array([0.3, 0.4]), 1)
-        assert shapes == [(9, 2), (1, 2)]
-        pf.matrices(np.concatenate([xs, [[0.3, 0.4]]]), 0)
-        pf.matrices(np.concatenate([xs[:2], [[0.3, 0.4]]]), 1)
-        assert shapes == [(9, 2), (1, 2), (1, 2), (2, 2)]
+        calls = count_reconstructions(monkeypatch)
+        with pytest.raises(ValueError, match="expected a point of R\\^2"):
+            reconstructed_connection(h_map, psi, CFG).component(np.array(x), 0)
+        assert calls == []
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 1, 2)])
-    def test_points_of_the_wrong_dimension_raise(self, sec6, shape):
+    def test_points_of_the_wrong_dimension_raise(self, sec6, shape, monkeypatch):
+        # The public entry points check shapes before anything is evaluated.
         h_map, psi, _ = sec6
-        for pf in (PotentialField.from_holonomy(h_map, psi, CFG), PotentialField.from_connection(h_map.field)):
-            with pytest.raises(ValueError, match="shape"):
-                pf.matrices(np.zeros(shape), 0)
-            assert pf._memo == {}
+        reconstructions = count_reconstructions(monkeypatch)
+        samples, gauge_calls = [], []
+        sampled = lambda pts, mu: samples.append(pts) or h_map.field.rule(pts, mu)
+        closed = ConnectionField(2, MULTIPLICATIVE_REALS, sampled)
+        gfield = lambda pts: gauge_calls.append(pts) or [GroupElement.identity(MULTIPLICATIVE_REALS)] * len(pts)
+        for A in (reconstructed_connection(h_map, psi, CFG), closed):
+            for call in (
+                lambda: A.component(np.zeros(shape), 0),
+                lambda: curvature(A, np.zeros(shape), 0, 1, CFG),
+                lambda: gauge_transform_potential(A, gfield, np.zeros(shape), 0, CFG),
+            ):
+                with pytest.raises(ValueError, match="shape"):
+                    call()
+        assert reconstructions == samples == gauge_calls == []
 
     @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0]])
     def test_non_finite_frame_target_raises(self, bad):
@@ -555,13 +614,11 @@ class TestPotentialField:
 
     def test_invariants_of_reconstructed_values(self, sec6):
         h_map, psi, _ = sec6
-        pf = PotentialField.from_holonomy(h_map, psi, CFG)
-        pf(np.array([0.7, 0.2]), 0).validate()
+        reconstructed_connection(h_map, psi, CFG).component(np.array([0.7, 0.2]), 0).validate()
 
     def test_csv_header_and_precision(self, sec6):
         h_map, psi, _ = sec6
-        pf = PotentialField.from_holonomy(h_map, psi, CFG)
-        text = potential_grid_csv(pf, GridSpec(-1.0, 1.0, 2))
+        text = potential_grid_csv(reconstructed_connection(h_map, psi, CFG), GridSpec(-1.0, 1.0, 2))
         lines = text.strip().split("\n")
         assert lines[0] == "x1,x2,mu,re_0_0,im_0_0"
         assert len(lines) == 1 + 4 * 2
@@ -595,7 +652,7 @@ class TestArrayForms:
     def setting(name):
         p = hf.get_preset(name)
         h_map = p.holonomy_map()
-        return p, h_map, lambda: PotentialField.from_holonomy(h_map, p.frame(), CFG)
+        return p, h_map, lambda: reconstructed_connection(h_map, p.frame(), CFG)
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
     def test_curvature(self, name):
@@ -622,10 +679,11 @@ class TestArrayForms:
     def test_round_trip_checks_all_nodes_in_one_batch(self, monkeypatch):
         # A failure-free round trip makes one curvature call per pair of
         # directions and potential, one gauge transform per direction, and
-        # no single-point PotentialField calls.
+        # no single-point fallback reconstructions: every reconstruction
+        # is of more than one point.
         from holonomy_forge import reconstruction
 
-        counts = {"call": 0, "curvature": 0, "gauge_transform_potential": 0}
+        counts = {"curvature": 0, "gauge_transform_potential": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -634,9 +692,9 @@ class TestArrayForms:
 
             return wrapped
 
-        monkeypatch.setattr(PotentialField, "__call__", counting("call", PotentialField.__call__))
-        for key in ("curvature", "gauge_transform_potential"):
+        for key in counts:
             monkeypatch.setattr(reconstruction, key, counting(key, getattr(reconstruction, key)))
+        reconstructions = count_reconstructions(monkeypatch)
         field = ConnectionField.from_polynomial(
             3, MULTIPLICATIVE_REALS, [[(1.0, (0, 1, 0), 0)], [(0.5, (0, 0, 1), 0)], [(-0.3, (1, 0, 0), 0)]]
         )
@@ -645,7 +703,8 @@ class TestArrayForms:
             steps_per_segment=8, transport_paths=2, transport_steps=4,
         )
         assert not report.failures
-        assert counts == {"call": 0, "curvature": 2 * 3, "gauge_transform_potential": 3}
+        assert counts == {"curvature": 2 * 3, "gauge_transform_potential": 3}
+        assert reconstructions and min(reconstructions) > 1
 
 
 class TestBatchedReconstruction:
@@ -702,7 +761,7 @@ class TestBatchedReconstruction:
         with pytest.raises(ValueError, match=message):
             reconstruct_potential(sec6[0], psi, points, 0, CFG)
         with pytest.raises(ValueError, match=message):
-            PotentialField.from_holonomy(sec6[0], psi, CFG).matrices(points, 1)
+            reconstructed_connection(sec6[0], psi, CFG).rule(points, 1)
 
     @pytest.mark.parametrize("frame", [radial_family, axis_dogleg_family])
     def test_frame_paths_are_not_fetched_one_by_one(self, sec6, frame, monkeypatch):
@@ -734,23 +793,25 @@ class TestBatchedReconstruction:
         with pytest.raises(IntegrationError):
             reconstruct_potential(h_map, radial_family(ORIGIN), [[0.5, 0.5], [1.0, 0.0]], 1, CFG)
 
-    def test_memo_hits_match_single_point_calls(self, sec6):
+    def test_memo_hits_match_single_point_calls(self, sec6, monkeypatch):
+        # Batch and single-point reads key the memo alike: once one way has
+        # read every point, the other reconstructs nothing more.
         h_map, psi, _ = sec6
         xs = np.array(GridSpec(-1.0, 1.0, 3).nodes(2))
         xs = np.concatenate([xs, xs[::2]])  # repeated points
-        batched = PotentialField.from_holonomy(h_map, psi, CFG)
-        single = PotentialField.from_holonomy(h_map, psi, CFG)
+        batched = reconstructed_connection(h_map, psi, CFG)
+        single = reconstructed_connection(h_map, psi, CFG)
+        calls = count_reconstructions(monkeypatch)
         for mu in (0, 1):
-            values = batched.matrices(xs, mu)
+            values = batched.rule(xs, mu)
             assert values.shape == (len(xs), 1, 1)
             for x, v in zip(xs, values):
-                assert np.array_equal(single.matrix(x, mu), v)
-        assert batched._memo.keys() == single._memo.keys()
-        size = len(batched._memo)
+                assert np.array_equal(single.component(x, mu).matrix, v)
+        assert calls == 2 * ([9] + [1] * 9)
         for x in xs:
-            batched(x, 0)
-        single.matrices(xs, 1)
-        assert len(batched._memo) == len(single._memo) == size
+            batched.component(x, 0)
+        single.rule(xs, 1)
+        assert len(calls) == 20
 
     def test_round_trip_failures_match_serial_evaluation(self, monkeypatch):
         def region_field(x, mu):
@@ -777,9 +838,16 @@ class TestBatchedReconstruction:
             ]
 
         batched = reports()
-        monkeypatch.setattr(
-            PotentialField, "matrices", lambda self, pts, mu: np.stack([self.matrix(x, mu) for x in pts])
-        )
+        from holonomy_forge import reconstruction
+
+        real = reconstruction.reconstructed_connection
+
+        def serial_connection(h_map, psi, cfg):
+            # The same reconstruction, its rule read one point at a time.
+            A = real(h_map, psi, cfg)
+            return ConnectionField(A.dim, A.spec, lambda pts, mu: np.stack([A.rule(x[None], mu)[0] for x in pts]))
+
+        monkeypatch.setattr(reconstruction, "reconstructed_connection", serial_connection)
         serial = reports()
         assert all(r["failures"] for r in batched)
         assert batched == serial
