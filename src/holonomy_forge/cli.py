@@ -54,7 +54,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid", type=int, default=grid_default, metavar="N")
         p.add_argument("--box", metavar="lo,hi", help="per-axis domain box")
         p.add_argument("--fd-h", type=float, dest="fd_h", metavar="X", help="difference step")
-        p.add_argument("--steps", type=int, metavar="N", help="transport steps per segment")
+        p.add_argument(
+            "--steps",
+            type=int,
+            metavar="N",
+            help="transport steps per segment; without it, reconstruct on a transport preset with a "
+            "reconstruct tolerance takes per point the fewest steps, up to the preset's default, "
+            "whose step-doubling estimate is within a tenth of that tolerance",
+        )
         p.add_argument("--seed", type=int, default=0, metavar="N")
         p.add_argument("--out", default=".", metavar="DIR")
 
@@ -239,7 +246,11 @@ def _cmd_reconstruct(args) -> int:
     cfg = _fd_config(args)
     steps = _steps(args, preset)
     h_map = preset.holonomy_map(steps)
-    A = reconstructed_connection(h_map, preset.frame(), cfg)
+    tol = preset.tolerances.get("reconstruct")
+    # Error control spends a tenth of the gate on integration; --steps fixes the count.
+    controlled = tol is not None and preset.backend == "transport" and args.steps is None
+    record: dict = {}
+    A = reconstructed_connection(h_map, preset.frame(), cfg, tol / 10.0 if controlled else None, record)
     nodes = grid.nodes(preset.dim)
     max_err = None
     if preset.closed_form is not None:
@@ -250,15 +261,15 @@ def _cmd_reconstruct(args) -> int:
             for x, m in zip(nodes, A.rule(nodes, mu))
         ]
         max_err = float(np.max(errs, initial=0.0))
-    tol = preset.tolerances.get("reconstruct")
     ok = max_err is None or (bool(np.isfinite(max_err)) and (tol is None or max_err <= tol))
     summary = {
         "preset": preset.name,
         "grid": grid.describe(preset.dim),
         "fd_h": cfg.h,
-        "steps": None if preset.backend == "analytic" else steps,
+        "steps": None if preset.backend == "analytic" else record.get("steps", steps),
         "backend": preset.backend,
         "max_abs_error": max_err,
+        "max_integration_estimate": record.get("estimate"),
         "tolerance": tol,
         "pass": bool(ok),
     }

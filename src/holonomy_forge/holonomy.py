@@ -15,7 +15,11 @@ Two backends are provided:
   and entries <= 1/8, and whose 1- and 2-step values agree to rounding
   (step doubling puts the 2-step error at a fifteenth of their gap, so
   its value is already exact to double precision), keeps its 2-step
-  value; every other piece takes the map's steps per segment.
+  value; every other piece takes the map's steps per segment.  On
+  request the kernel also returns each chain's value at half the steps,
+  read from the same samples, which step doubling (``_step_doubling``)
+  turns into a per-quantity step count for error-controlled
+  reconstructions.
 
 Both backends evaluate loops in batches (``eval_holonomies``): each
 distinct smooth piece of a batch (keyed on its exact control points and
@@ -112,7 +116,11 @@ _GL_WEIGHTS = 0.5 * _weights
 # peaks 0.5 MB higher, with no gain in speed.  The transport backend's
 # 2-step probe (5 samples per probed piece) and its n-step pass over the
 # pieces the probe does not accept (2n+1 samples) are chunked alike, so the
-# probe adds at most ceil(5 probed pieces / 2048) kernel calls.
+# probe adds at most ceil(5 probed pieces / 2048) kernel calls.  So are the
+# passes of an error-controlled reconstruction (``_step_doubling``: n = 8,
+# 16, ... up to the map's steps per segment, only for callers that pass a
+# tolerance); their n/2-step values read the same samples and only add
+# n/2 propagators per piece, built after the n-step ones, so the cap holds.
 _KERNEL_SAMPLES = 2048
 
 
@@ -199,9 +207,15 @@ class ConnectionField:
 
     def component(self, x, mu: int) -> AlgebraElement:
         (x,) = _as_points(x, self.dim)
-        if not 0 <= mu < self.dim:
-            raise ValueError(f"direction {mu} is not an axis of R^{self.dim}")
-        return AlgebraElement.from_matrix(self.spec, self.rule(x[None, :], mu)[0])
+        return AlgebraElement.from_matrix(self.spec, self.rule(x[None, :], _check_axis(mu, self.dim))[0])
+
+
+def _check_axis(mu, dim: int) -> int:
+    """Direction mu of R^dim; ``ValueError`` unless it is an integer (Python
+    or numpy, not a bool) in range(dim)."""
+    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or not 0 <= mu < dim:
+        raise ValueError(f"direction {mu} is not an axis of R^{dim}")
+    return int(mu)
 
 
 @dataclass(frozen=True)
@@ -253,6 +267,7 @@ class HolonomyMap:
         return eval_holonomy(self, loop)
 
     def with_steps(self, steps_per_segment: int) -> "HolonomyMap":
+        _check_steps(steps_per_segment)
         if isinstance(self.backend, _AnalyticAbelianBackend):
             return self
         return HolonomyMap.transport(self.field, self.basepoint, steps_per_segment)
@@ -349,8 +364,7 @@ def _ordered_products(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _step_propagators(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h) -> np.ndarray:
     """RK4 step propagators P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from the
-    coefficient at the start, middle and end of each step (h may vary
-    per step)."""
+    coefficient at the start, middle and end of each step."""
     eye = np.eye(m1.shape[-1])
     k2 = _stacked_matmul(m2, eye + 0.5 * h * m1)
     k3 = _stacked_matmul(m2, eye + 0.5 * h * k2)
@@ -358,12 +372,9 @@ def _step_propagators(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h) -> np.n
     return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# The probe's steps on the lattice u = 0, 1/4, 1/2, 3/4, 1 (samples 0-4):
-# [0, 1/2] and [1/2, 1] at h = 1/2, whose product is P2, and [0, 1] at
-# h = 1, which is P1.
+# The probe is the n = 2 pass on the lattice u = 0, 1/4, 1/2, 3/4, 1: its
+# value is P2 and its half value, from samples 0, 2, 4, is P1.
 _PROBE_SAMPLES = np.linspace(0.0, 1.0, 5)
-_PROBE_STEPS = ([0, 2, 0], [1, 3, 2], [2, 4, 4])
-_PROBE_H = np.array([0.5, 0.5, 1.0])[:, None, None]
 # Step doubling puts the error of P2 at |P1 - P2| / (2^4 - 1).
 _ROUNDING_GAP = 15.0 * np.finfo(float).eps
 # Largest coefficient entry at a sample that the probe accepts.  For d <= 2
@@ -389,9 +400,32 @@ def _probed(degree: int | None, batch: Batch, rows: np.ndarray) -> np.ndarray:
     return np.choose(bends, [degree, 3 * degree + 2, 9 * degree + 8]) <= 4
 
 
-def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int) -> np.ndarray:
+def _rk4_products(spec: GroupSpec, m: np.ndarray, n: int, half: bool):
+    """The n-step RK4 value of each piece from its coefficient on the
+    2n+1-sample half-step lattice, m of shape (pieces, 2n+1, d, d): the
+    ordered product, later step on the left, of its n projected step
+    propagators (h = 1/n), and with ``half`` also the n/2-step value from
+    lattice points 0, 2, 4, ... (h = 2/n), as a (pieces, 1 or 2, d, d)
+    stack; and the mask of pieces with a 1x1 propagator <= 0 (positive
+    reals only)."""
+    values, bad = [], np.zeros(len(m), dtype=bool)
+    for s, h in [(m, 1.0 / n), (m[:, ::2], 2.0 / n)][: 2 if half else 1]:
+        p = _step_propagators(s[:, :-1:2], s[:, 1::2], s[:, 2::2], h)
+        if spec.name is GroupName.MULTIPLICATIVE_REALS:
+            bad |= (p.real <= 0).any(axis=(1, 2, 3))
+        p = project_to_group(spec, p)
+        # Pairwise ordered product within each piece, later factor on the left.
+        while p.shape[1] > 1:
+            k = p.shape[1]
+            p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
+        values.append(p)
+    return (np.concatenate(values, axis=1) if half else values[0]), bad
+
+
+def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int, half: bool = False) -> np.ndarray:
     """Solve u' = -A(b) b' u, u(0) = 1, over each whole chain of a batch;
-    returns the (chains, d, d) stack of u(1).
+    returns the (chains, d, d) stack of u(1), or with ``half`` the
+    (2, chains, d, d) stack of u(1) at n and at n/2 steps per piece.
 
     RK4 is linear in u, so step k is u -> P_k u with the propagator
     P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = M1, K2 = M2 (I + h/2 K1),
@@ -403,48 +437,45 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
     steps in its local parameter (h = 1/n), and the coefficient is sampled
     once on the half-step lattice of every distinct piece in a batch.
 
+    The n/2-step value is read from every other point of that lattice, so
+    it costs no field sample: only n/2 more propagators and their product
+    per piece, about half the arithmetic of the n-step value.  The
+    reconstruction's step doubling (``_step_doubling``) asks for it; no
+    fixed-step caller does, and their arithmetic is unchanged by it.  A
+    1x1 propagator <= 0 of either value raises ``IntegrationError``.
+
     When n > 2, every distinct piece along which the coefficient is a
     polynomial of degree <= 4 (``_probed``; never for a field of unknown
     degree) is first integrated at 2 steps on the 5-sample lattice, which
-    fixes that polynomial and whose samples 0, 2, 4 give its 1-step value
-    P1 for free.  A piece keeps its 2-step value P2 when its sampled
-    coefficient entries are at most ``_PROBE_SCALE``, so that the
-    estimate's leading term dominates, and max|P1 - P2| <= 15 eps max|P2|:
-    step doubling puts the error of P2 at |P1 - P2| / 15, so P2 is already
-    exact to rounding, and so would its n-step value be.  The two legs of
-    a difference quotient therefore differ only by rounding, whichever way
-    each is integrated.  Every other piece (a non-finite probe, or a 1x1
-    probe propagator <= 0, included) is integrated at n steps exactly as
-    without the probe, so an ``IntegrationError`` comes from the n-step
-    pass alone.
+    fixes that polynomial: the same computation at n = 2, whose half value
+    is the 1-step value P1.  A piece keeps its 2-step value P2, as its n-
+    and n/2-step value, when its sampled coefficient entries are at most
+    ``_PROBE_SCALE``, so that the estimate's leading term dominates, and
+    max|P1 - P2| <= 15 eps max|P2|: step doubling puts the error of P2 at
+    |P1 - P2| / 15, so P2 is already exact to rounding, and so would its
+    n-step value be.  The two legs of a difference quotient therefore
+    differ only by rounding, whichever way each is integrated.  Every other
+    piece (a non-finite probe, or a 1x1 probe propagator <= 0, included) is
+    integrated at n steps exactly as without the probe, so an
+    ``IntegrationError`` comes from the n-step pass alone.
     """
     spec = field.spec
     n = steps_per_segment
-    positive_reals = spec.name is GroupName.MULTIPLICATIVE_REALS
 
     def kernel(pts, vels):
-        m = -_connection_along(field, pts, vels)
-        p = _step_propagators(m[:, :-1:2], m[:, 1::2], m[:, 2::2], 1.0 / n)
-        if positive_reals and np.any(p.real <= 0):
+        p, bad = _rk4_products(spec, -_connection_along(field, pts, vels), n, half)
+        if bad.any():
             raise IntegrationError(f"RK4 step propagator left the positive reals ({n} steps per piece)")
-        p = project_to_group(spec, p)
-        # Pairwise ordered product within each piece, later factor on the left.
-        while p.shape[1] > 1:
-            k = p.shape[1]
-            p = np.concatenate([_stacked_matmul(p[:, 1::2], p[:, :-1:2]), p[:, k - k % 2 :]], axis=1)
-        return p[:, 0]
+        return p
 
     def probe(pts, vels):
         # P2 of each piece the probe accepts, nan for every other piece.
         m = -_connection_along(field, pts, vels)
-        p = _step_propagators(*(m[:, k] for k in _PROBE_STEPS), _PROBE_H)
-        keep = np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE
-        if positive_reals:
-            keep &= ~(p.real <= 0).any(axis=(1, 2, 3))
-        p = project_to_group(spec, p)
-        p2 = _stacked_matmul(p[:, 1], p[:, 0])
+        p, bad = _rk4_products(spec, m, 2, True)
+        p2, p1 = p[:, 0], p[:, 1]
+        keep = (np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE) & ~bad
         scale = np.abs(p2).max(axis=(1, 2))
-        keep &= (np.abs(p[:, 2] - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
+        keep &= (np.abs(p1 - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
         return np.where(keep[:, None, None], p2, np.nan)
 
     lattice = np.linspace(0.0, 1.0, 2 * n + 1)
@@ -453,16 +484,17 @@ def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment:
     with np.errstate(over="ignore", invalid="ignore"):
         if probed.size:
             p2 = _sampled(batch, rep[probed], _PROBE_SAMPLES, probe)
-            p = np.full((len(rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
-            p[probed] = p2
-            redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2)))
+            p = np.full((len(rep), 2 if half else 1) + p2.shape[1:], np.nan, dtype=p2.dtype)
+            p[probed] = p2[:, None]
+            redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2, 3)))
             if redo.size:
                 p[redo] = _sampled(batch, rep[redo], lattice, kernel)
         else:
             p = _sampled(batch, rep, lattice, kernel)
-        u = _ordered_products(p[where], batch.counts)
-    _check_representable(u, "the transport value u(1)")
-    return u
+        u = [_ordered_products(p[where, k], batch.counts) for k in range(p.shape[1])]
+    for v in u:
+        _check_representable(v, "the transport value u(1)")
+    return np.stack(u) if half else u[0]
 
 
 def _check_steps(steps_per_segment) -> int:
@@ -497,19 +529,62 @@ def _check_representable(values: np.ndarray, what: str):
         raise IntegrationError(f"{what} of loop {k[0]} has entries that are not finite")
 
 
-def _holonomy_matrices(h_map: HolonomyMap, batch: Batch) -> np.ndarray:
+def _holonomy_matrices(h_map: HolonomyMap, batch: Batch, steps: int | None = None) -> np.ndarray:
     """Holonomy matrices, (chains, d, d), of a batch of closed chains at the
-    map's base point; callers have checked dimension and base point.  A
-    value a double cannot hold raises ``IntegrationError``, not a
-    RuntimeWarning."""
+    map's base point; callers have checked dimension and base point.  With
+    ``steps``, a transport map integrates at that many steps per piece
+    instead of its own, and the result is the (2, chains, d, d) stack of
+    the values at steps and at steps/2.  A value a double cannot hold
+    raises ``IntegrationError``, not a RuntimeWarning."""
     spec = h_map.spec
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(h_map.backend, _AnalyticAbelianBackend):
             h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, batch)[:, None, None]))
         else:
-            h = np.linalg.inv(_transport_products(h_map.field, batch, h_map.backend.steps_per_segment))
-    _check_representable(h, "the holonomy")
+            n = h_map.backend.steps_per_segment if steps is None else steps
+            h = np.linalg.inv(_transport_products(h_map.field, batch, n, half=steps is not None))
+    for v in h.reshape((-1,) + h.shape[-3:]):
+        _check_representable(v, "the holonomy")
     return project_to_group(spec, h)
+
+
+def _step_doubling(values, count: int, cap: int, tol: float, name, record: dict | None = None) -> np.ndarray:
+    """Error-controlled RK4 values of ``count`` quantities, each at the
+    fewest steps per piece whose step-doubling estimate meets ``tol``.
+
+    ``values(rows, n)`` returns the (2, len(rows), ...) stack of the given
+    quantities at n and at n/2 steps per piece, both from one n-step
+    lattice (``_transport_products`` with ``half``).  Passes start at
+    n = min(8, cap) and double while n <= cap.  A pass takes the estimate
+    max|V_n - V_{n/2}| / 15 (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.4) of each quantity; one whose estimate is at most tol keeps V_n,
+    and only the others run again at 2n.  One still above tol at the cap
+    raises ``IntegrationError`` naming it by ``name(k)``; a cap of 1, or
+    odd below 8, and a tol that is not a positive number raise
+    ``ValueError`` before anything is evaluated.  Returns the values; a
+    ``record`` dict keeps the largest ``steps`` and ``estimate`` taken.
+    """
+    if not tol > 0.0 or min(8, cap) % 2:
+        raise ValueError(f"step doubling needs a positive tolerance and an even first step count, got {tol!r}, {cap}")
+    out, worst = None, 0.0
+    rows, n = np.arange(count), min(8, cap)
+    while rows.size:
+        v, v_half = values(rows, n)
+        est = np.abs(v - v_half).reshape(len(rows), -1).max(axis=1, initial=0.0) / 15.0
+        if out is None:
+            out = np.empty((count,) + v.shape[1:], dtype=v.dtype)
+        done = est <= tol
+        out[rows[done]], worst = v[done], max(worst, est[done].max(initial=0.0))
+        rows, est = rows[~done], est[~done]
+        if rows.size and 2 * n > cap:
+            raise IntegrationError(
+                f"{name(rows[0])}: step-doubling estimate {est[0]:.3g} exceeds {tol:.3g} at {n} steps per piece, the cap"
+            )
+        n *= 2
+    if record is not None:
+        record["steps"] = max(record.get("steps", 0), n // 2)
+        record["estimate"] = max(record.get("estimate", 0.0), float(worst))
+    return out
 
 
 def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:

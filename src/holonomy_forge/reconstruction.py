@@ -45,10 +45,12 @@ from .holonomy import (
     BasepointMismatch,
     ConnectionField,
     HolonomyMap,
+    _check_axis,
     _check_based,
     _check_steps,
     _holonomy_matrices,
     _line_integrals,
+    _step_doubling,
     _transport_products,
     eval_holonomy,
     eval_holonomies,
@@ -118,9 +120,7 @@ def _steps(dim: int, mu: int, h: float, richardson: bool = False) -> np.ndarray:
     """The difference scheme's steps +h, -h and, with Richardson, +h/2, -h/2
     along axis mu of R^dim, as a (k, dim) array; ``ValueError`` unless mu
     is an axis."""
-    if not 0 <= mu < dim:
-        raise ValueError(f"direction {mu} is not an axis of R^{dim}")
-    return np.multiply.outer([h, -h, h / 2.0, -h / 2.0][: 4 if richardson else 2], np.eye(dim)[mu])
+    return np.multiply.outer([h, -h, h / 2.0, -h / 2.0][: 4 if richardson else 2], np.eye(dim)[_check_axis(mu, dim)])
 
 
 def _central(values, h: float, richardson: bool):
@@ -133,14 +133,14 @@ def _central(values, h: float, richardson: bool):
 
 
 def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
-    """Logarithms of a (k, d, d) stack of holonomies, guarded by the
+    """Logarithms of a (..., d, d) stack of holonomies, guarded by the
     difference-quotient trust region.
 
     Difference quotients are only meaningful for near-identity arguments,
     independent of whether the group's own logarithm happens to extend
     further (it does for the positive reals).
     """
-    dist = np.linalg.norm(hols - np.eye(spec.matrix_dim), axis=(-2, -1))
+    dist = np.linalg.norm(hols - np.eye(spec.matrix_dim), axis=(-2, -1)).ravel()
     far = np.flatnonzero(dist >= 0.5)
     if far.size:
         raise StepTooLarge(f"holonomy is {dist[far[0]]:.3g} from the identity; reduce cfg.h")
@@ -151,7 +151,7 @@ def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_potential(
-    h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig()
+    h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig(), tol=None, record=None
 ):
     """Gauge potential component A_mu(x) recovered from holonomies only.
 
@@ -162,32 +162,52 @@ def reconstruct_potential(
     flat segment tables and evaluated in batches, with no per-point work.
     Raises ``StepTooLarge`` if the holonomy of any difference loop leaves
     the logarithm trust region.
+
+    With ``tol`` on a transport map, all loops of a point share the fewest
+    steps per piece, doubled from min(8, N) up to the map's N as the cap,
+    at which the estimate |D_n - D_{n/2}| / 15 of its difference quotient
+    D is at most tol; D_{n/2} costs no field samples.  A point above tol at
+    N raises ``IntegrationError``, and ``record`` is ``_step_doubling``'s.
+    Without ``tol``, every piece takes N steps, as fixed.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
-    spec = h_map.spec
+    spec, dim = h_map.spec, xs.shape[1]
     _check_based(h_map, psi.dim, psi.basepoint)
-    shifts = _steps(xs.shape[1], mu, cfg.h, cfg.richardson)
-    xs_rep = np.repeat(xs, len(shifts), axis=0)
-    ys = (xs[:, None, :] + shifts).reshape(-1, xs.shape[1])
-    blocks = []
-    for k in range(0, len(ys), _LOOPS_PER_BLOCK):
-        chains = reconstruction_chains(psi, xs_rep[k : k + _LOOPS_PER_BLOCK], ys[k : k + _LOOPS_PER_BLOCK])
-        blocks.append(_logs_for_difference(spec, _holonomy_matrices(h_map, chains)))
-    logs = np.concatenate(blocks).reshape((len(xs), len(shifts)) + blocks[0].shape[1:])
-    d = _central(logs.swapaxes(0, 1), cfg.h, cfg.richardson)
+    shifts = _steps(dim, mu, cfg.h, cfg.richardson)
+
+    def quotients(rows, steps=None):
+        # D at the given points, (1, m, d, d), or with steps at steps and steps/2.
+        pts = xs[rows]
+        xs_rep, ys = np.repeat(pts, len(shifts), axis=0), (pts[:, None, :] + shifts).reshape(-1, dim)
+        blocks = []
+        for k in range(0, len(ys), _LOOPS_PER_BLOCK):
+            chains = reconstruction_chains(psi, xs_rep[k : k + _LOOPS_PER_BLOCK], ys[k : k + _LOOPS_PER_BLOCK])
+            logs = _logs_for_difference(spec, _holonomy_matrices(h_map, chains, steps))
+            blocks.append(logs.reshape((-1,) + logs.shape[-3:]))
+        logs = np.concatenate(blocks, axis=1).reshape((len(blocks[0]), len(rows), len(shifts)) + logs.shape[-2:])
+        return _central(np.moveaxis(logs, 2, 0), cfg.h, cfg.richardson)
+
+    if tol is None or h_map.kind != "transport":
+        d = quotients(np.arange(len(xs)))[0]
+    else:
+        name = lambda k: f"point {xs[k].tolist()}, direction {mu}"
+        d = _step_doubling(quotients, len(xs), h_map.backend.steps_per_segment, tol, name, record)
     out = [AlgebraElement(spec, a) for a in project_to_algebra(spec, d)]
     return out if x.ndim == 2 else out[0]
 
 
-def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig()) -> ConnectionField:
+def reconstructed_connection(
+    h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig(), tol=None, record=None
+) -> ConnectionField:
     """The connection recovered from a holonomy map in the frame psi.
 
-    Its rule calls ``reconstruct_potential`` once per batch, on the points
-    it has not seen, and memoizes the values per (point, direction).  If
-    the batch raises, those points are evaluated again one at a time, so
-    the error raised and the values memoized are those of single-point
-    calls in order.  Its degree is unknown (None).
+    Its rule calls ``reconstruct_potential`` (with ``tol`` and ``record``)
+    once per batch, on the points it has not seen, and memoizes the values
+    per (point, direction).  If the batch raises, those points are
+    evaluated again one at a time, so the error raised and the values
+    memoized are those of single-point calls in order.  Its degree is
+    unknown (None).
     """
     memo: dict = {}
 
@@ -196,11 +216,12 @@ def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig 
         keys = [(x.tobytes(), mu) for x in pts]
         missing = {key: x for key, x in zip(keys, pts) if key not in memo}
         if missing:
+            args = (mu, cfg, tol, record)
             try:
-                memo.update(zip(missing, reconstruct_potential(h_map, psi, np.array(list(missing.values())), mu, cfg)))
+                memo.update(zip(missing, reconstruct_potential(h_map, psi, np.array(list(missing.values())), *args)))
             except (ValueError, ArithmeticError):
                 for key, x in missing.items():
-                    memo[key] = reconstruct_potential(h_map, psi, x[None], mu, cfg)[0]
+                    memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0]
         return np.stack([memo[key].matrix for key in keys])
 
     return ConnectionField(h_map.field.dim, h_map.spec, rule)

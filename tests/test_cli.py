@@ -132,6 +132,50 @@ class TestReconstructSu2:
         ]
 
 
+    def test_error_controlled_by_default(self, tmp_path, monkeypatch):
+        # A tenth of the 1e-3 gate goes to integration, capped at the
+        # preset's 128 steps: 8 steps per piece meet it at every node.
+        from holonomy_forge import cli
+
+        calls = []
+        real = cli.reconstructed_connection
+        monkeypatch.setattr(cli, "reconstructed_connection", lambda h_map, psi, cfg, tol, record: calls.append(
+            (h_map.backend.steps_per_segment, tol)) or real(h_map, psi, cfg, tol, record))
+        code = main(["reconstruct", "--preset", "su2-shear", "--grid", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == [(128, 1e-3 / 10.0)]
+        summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
+        assert summary["steps"] == 8
+        assert 0.0 < summary["max_integration_estimate"] <= 1e-4
+        assert summary["max_abs_error"] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["--preset", "su2-shear", "--steps", "128"], 128),
+            (["--preset", "su2-twist"], 128),  # no reconstruct gate
+            (["--preset", "paper-sec6"], None),  # analytic
+        ],
+    )
+    def test_estimate_is_null_for_fixed_and_analytic_runs(self, tmp_path, argv, steps):
+        assert main(["reconstruct", *argv, "--grid", "3", "--out", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
+        assert summary["steps"] == steps
+        assert summary["max_integration_estimate"] is None
+
+    def test_gate_below_the_rounding_floor_fails_the_run(self, tmp_path, capsys):
+        conn = {"group": "SU2", "matrix_dim": 2, "dim": 2, "tolerances": {"reconstruct": 1e-14},
+                "components": [[{"coeff": 1.0, "exps": [0, 1], "basis": 0}], [{"coeff": 1.0, "exps": [1, 0], "basis": 2}]]}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--input", str(src), "--grid", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IntegrationError: point [") and "at 64 steps per piece" in err
+        assert not out.exists()
+        assert main(["reconstruct", "--input", str(src), "--grid", "3", "--steps", "64", "--out", str(out)]) == 0
+
+
 class TestRoundtrip:
     def test_abelian_ydx(self, tmp_path):
         code = main(["roundtrip", "--preset", "abelian-ydx", "--grid", "3", "--steps", "32",

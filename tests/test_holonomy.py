@@ -143,6 +143,13 @@ class TestEvalTransport:
         assert finer.backend.steps_per_segment == 64
         assert analytic_map().with_steps(64).kind == "analytic_abelian"
 
+    @pytest.mark.parametrize("steps", [0, -2, 2.7, 8.0, True, None])
+    def test_with_steps_checks_the_count_on_every_backend(self, steps):
+        # The analytic map ignores the count, but used to accept any.
+        for h_map in (analytic_map(), HolonomyMap.transport(ydx_field(), ORIGIN, 8)):
+            with pytest.raises(ValueError, match="steps per segment must be an integer"):
+                h_map.with_steps(steps)
+
     def test_backend_agreement_order(self):
         # error against the analytic backend must shrink at order >= 3.5
         reference = eval_holonomy(analytic_map(), unit_square()).matrix[0, 0]
@@ -179,6 +186,22 @@ class TestTransportKernel:
             expected = sequential_rk4_transport(field, path, 16)
             assert got.shape == (spec.matrix_dim, spec.matrix_dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 16])
+    @pytest.mark.parametrize("spec", [MULTIPLICATIVE_REALS, SU2, gln(2)], ids=lambda s: f"{s.name.value}{s.matrix_dim}")
+    def test_half_value_is_the_half_step_pass(self, spec, n, rng):
+        # The n/2-step value read from every other lattice point equals an
+        # n/2-step pass bit for bit, and the n-step value the fixed pass;
+        # the 1e-4 pieces are accepted by the 2-step probe.
+        field = random_affine_field(spec, rng, scale=0.3)
+        a = rng.uniform(-0.8, 0.8, size=2)
+        paths = [loop.path for loop in shared_piece_loops(rng)] + kernel_test_paths(rng)
+        paths += [straight_segment(a, a + [1e-4, 0.0]), straight_segment(a, a + [0.0, -1e-4])]
+        batch = stack_tables(paths)
+        both = _transport_products(field, batch, n, half=True)
+        assert both.shape == (2, len(paths), spec.matrix_dim, spec.matrix_dim)
+        assert np.array_equal(both[0], _transport_products(field, batch, n))
+        assert np.array_equal(both[1], _transport_products(field, batch, n // 2))
 
     def test_oracle_keeps_end_velocities_in_short_pieces(self):
         # Pieces of span 4e-5 and 1e-5 just below parameter 1, where a

@@ -62,9 +62,9 @@ def count_reconstructions(monkeypatch) -> list:
 
     real, calls = reconstruction.reconstruct_potential, []
 
-    def counting(h_map, psi, x, mu, cfg=CFG):
+    def counting(h_map, psi, x, *args):
         calls.append(len(np.atleast_2d(x)))
-        return real(h_map, psi, x, mu, cfg)
+        return real(h_map, psi, x, *args)
 
     monkeypatch.setattr(reconstruction, "reconstruct_potential", counting)
     return calls
@@ -254,8 +254,9 @@ class TestFrameLoops:
 
 class TestDirectionIndex:
     # A direction outside range(dim) used to index the last axis (-1) or
-    # raise a bare IndexError (dim).
-    @pytest.mark.parametrize("mu", [-1, 2])
+    # raise a bare IndexError (dim); a float one raised TypeError or
+    # numpy's IndexError, and a bool was taken for 0 or 1.
+    @pytest.mark.parametrize("mu", [-1, 2, 1.0, np.float64(1.0), True])
     def test_direction_outside_the_axes_rejected(self, sec6, mu, monkeypatch):
         h_map, psi, spec6 = sec6
         x = np.array([1.0, 2.0])
@@ -275,6 +276,8 @@ class TestDirectionIndex:
             with pytest.raises(ValueError, match="not an axis"):
                 call()
         assert reconstructions == []
+        for field in (spec6.connection, rec):
+            assert np.array_equal(field.component(x, np.int64(1)).matrix, field.component(x, 1).matrix)
 
 
 class TestHorizontalTransport:
@@ -870,3 +873,105 @@ class TestBatchedReconstruction:
         )
         assert not report.failures
         assert report.max_curvature_defect <= 1e-3
+
+
+class TestErrorControl:
+    # reconstruct_potential(..., tol): every point takes the fewest RK4
+    # steps per piece, doubled from 8 up to the map's steps as the cap,
+    # whose step-doubling estimate |D_n - D_{n/2}| / 15 is at most tol.
+    NODES = GridSpec(-1.0, 1.0, 5).nodes(2)
+
+    @staticmethod
+    def values(h_map, psi, xs, mu, **kw) -> np.ndarray:
+        return np.array([a.matrix for a in reconstruct_potential(h_map, psi, xs, mu, CFG, **kw)])
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("name", ["su2-shear", "su2-twist", "abelian-ydx"])
+    def test_every_value_within_ten_times_tol(self, name, tol):
+        p = hf.get_preset(name)
+        psi, record = p.frame(), {}
+        for mu in (0, 1):
+            got = self.values(p.holonomy_map(128), psi, self.NODES, mu, tol=tol, record=record)
+            if p.closed_form is not None:
+                ref = np.array([p.closed_form(x, mu) for x in self.NODES])
+            else:
+                ref = self.values(p.holonomy_map(1024), psi, self.NODES, mu)
+            assert np.abs(got - ref).max() <= 10.0 * tol
+        assert 0.0 < record["estimate"] <= tol
+        assert record["steps"] in (8, 16, 32, 64, 128)
+
+    @pytest.mark.parametrize("name", ["su2-twist", "abelian-ydx"])
+    def test_only_points_that_miss_run_again(self, name, monkeypatch):
+        # The n/2-step values come from the n-step lattice and equal a
+        # fixed n/2-step run, so fixed runs predict every estimate.
+        from holonomy_forge import reconstruction
+
+        p = hf.get_preset(name)
+        psi, xs, mu, cap = p.frame(), self.NODES, 0, 64
+        fixed = {n: self.values(p.holonomy_map(n), psi, xs, mu) for n in (4, 8, 16, 32, 64)}
+        est = {n: np.abs(fixed[n] - fixed[n // 2]).max(axis=(1, 2)) / 15.0 for n in (8, 16, 32, 64)}
+        levels = np.unique(est[8])
+        tol = math.sqrt(levels[len(levels) // 2 - 1] * levels[len(levels) // 2])
+        expected_passes, rows, expected = [], np.arange(len(xs)), np.empty_like(fixed[8])
+        for n in (8, 16, 32, 64):
+            expected_passes.append((n, {tuple(x) for x in xs[rows]}))
+            done = est[n][rows] <= tol
+            expected[rows[done]] = fixed[n][rows[done]]
+            rows = rows[~done]
+            if not rows.size:
+                break
+        assert len(expected_passes) >= 2
+
+        passes = []
+        chains, holonomies = reconstruction.reconstruction_chains, reconstruction._holonomy_matrices
+        monkeypatch.setattr(
+            reconstruction, "reconstruction_chains",
+            lambda psi, a, b: passes.append([{tuple(x) for x in a}]) or chains(psi, a, b),
+        )
+        monkeypatch.setattr(
+            reconstruction, "_holonomy_matrices",
+            lambda h_map, batch, steps=None: passes[-1].insert(0, steps) or holonomies(h_map, batch, steps),
+        )
+        got = self.values(p.holonomy_map(cap), psi, xs, mu, tol=tol)
+        assert [tuple(p) for p in passes] == expected_passes
+        assert np.array_equal(got, expected)
+
+    def test_target_below_the_rounding_floor_raises_naming_the_point(self):
+        p = hf.get_preset("su2-shear")
+        points = np.array([[0.2, 0.1], [0.6, -0.4]])
+        message = r"point \[0\.6, -0\.4\], direction 1: step-doubling estimate \S+ exceeds 1e-17 at 32 steps"
+        with pytest.raises(IntegrationError, match=message):
+            reconstruct_potential(p.holonomy_map(32), p.frame(), points[1], 1, CFG, tol=1e-17)
+        with pytest.raises(IntegrationError, match="point \\[0\\.2, 0\\.1\\], direction 1"):
+            reconstructed_connection(p.holonomy_map(32), p.frame(), CFG, 1e-17).rule(points, 1)
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-shear"])
+    def test_without_tol_the_fixed_map(self, name):
+        p = hf.get_preset(name)
+        h_map, psi = p.holonomy_map(16), p.frame()
+        for mu in (0, 1):
+            fixed = self.values(h_map, psi, self.NODES, mu)
+            assert np.array_equal(self.values(h_map, psi, self.NODES, mu, tol=None), fixed)
+            assert np.array_equal(reconstructed_connection(h_map, psi, CFG, None).rule(self.NODES, mu), fixed)
+            if h_map.kind == "analytic_abelian":
+                # An analytic map has no step count to control.
+                assert np.array_equal(self.values(h_map, psi, self.NODES, mu, tol=1e-9), fixed)
+
+    @pytest.mark.parametrize("steps, tol", [(1, 1e-6), (3, 1e-6), (7, 1e-6), (64, 0.0), (64, -1.0), (64, np.nan)])
+    def test_unusable_cap_or_tol_raises_before_evaluating(self, steps, tol, monkeypatch):
+        from holonomy_forge import reconstruction
+
+        p = hf.get_preset("su2-shear")
+        monkeypatch.setattr(reconstruction, "_holonomy_matrices", None)
+        with pytest.raises(ValueError, match="step doubling"):
+            reconstruct_potential(p.holonomy_map(steps), p.frame(), self.NODES, 0, CFG, tol=tol)
+
+    @pytest.mark.parametrize("steps, largest", [(2, 2), (4, 4), (6, 6), (9, 8)])
+    def test_small_caps(self, steps, largest):
+        # Passes start at min(8, N): an even N below 8 is the only pass,
+        # and an N that 8 does not divide caps at the last doubling below it.
+        p = hf.get_preset("su2-shear")
+        record = {}
+        got = self.values(p.holonomy_map(steps), p.frame(), self.NODES[:3], 0, tol=1.0, record=record)
+        assert record["steps"] == largest
+        assert np.array_equal(got, self.values(p.holonomy_map(largest), p.frame(), self.NODES[:3], 0))
