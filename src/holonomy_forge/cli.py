@@ -58,9 +58,10 @@ def _build_parser() -> _Parser:
             "--steps",
             type=int,
             metavar="N",
-            help="transport steps per segment; without it, reconstruct on a transport preset with a "
-            "reconstruct tolerance takes per point the fewest steps, up to the preset's default, "
-            "whose step-doubling estimate is within a tenth of that tolerance",
+            help="fix the transport steps per segment; without it, on a transport preset, reconstruct "
+            "(given a reconstruct tolerance) and audit take per point or loop the fewest steps, up to the "
+            "preset's default, whose step-doubling estimate is within a tenth of the gate (axiom 3: a "
+            "fortieth of the gate times the family grid step squared)",
         )
         p.add_argument("--seed", type=int, default=0, metavar="N")
         p.add_argument("--out", default=".", metavar="DIR")
@@ -161,6 +162,9 @@ def _load_custom(path: str) -> Preset:
         unknown = sorted(set(tolerances) - set(_TOLERANCE_NAMES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; the names are {list(_TOLERANCE_NAMES)}")
+        unusable = {k: v for k, v in tolerances.items() if not v > 0.0}
+        if unusable:
+            raise ValueError(f"tolerances must be positive numbers (infinity allowed), got {unusable}")
         box = tuple(_checked(v) for v in data.get("box", [-1.0, 1.0]))
         if len(box) != 2:
             raise ValueError(f"box must be two numbers lo, hi, got {list(box)}")
@@ -230,6 +234,19 @@ def _steps(args, preset: Preset) -> int:
     return args.steps
 
 
+def _controlled(args, preset: Preset, gated: bool = True) -> bool:
+    """Whether a run takes error control: a transport preset, a gate to
+    control against, and no --steps.  Its passes start at min(8, steps)
+    and halve it, so an odd count below 8 is an input error."""
+    controlled = gated and preset.backend == "transport" and args.steps is None
+    if controlled and min(8, preset.default_steps) % 2:
+        raise _InputError(
+            f"steps {preset.default_steps} cannot be error-controlled: step doubling needs an even count "
+            "or one of at least 8; give --steps to fix the count"
+        )
+    return controlled
+
+
 def _axiom3_family(preset: Preset):
     if preset.axiom3_anchor is None:
         return None
@@ -248,7 +265,7 @@ def _cmd_reconstruct(args) -> int:
     h_map = preset.holonomy_map(steps)
     tol = preset.tolerances.get("reconstruct")
     # Error control spends a tenth of the gate on integration; --steps fixes the count.
-    controlled = tol is not None and preset.backend == "transport" and args.steps is None
+    controlled = _controlled(args, preset, tol is not None)
     record: dict = {}
     A = reconstructed_connection(h_map, preset.frame(), cfg, tol / 10.0 if controlled else None, record)
     nodes = grid.nodes(preset.dim)
@@ -262,6 +279,8 @@ def _cmd_reconstruct(args) -> int:
         ]
         max_err = float(np.max(errs, initial=0.0))
     ok = max_err is None or (bool(np.isfinite(max_err)) and (tol is None or max_err <= tol))
+    # The values, and so the record, exist only once the grid is evaluated.
+    csv = potential_grid_csv(A, grid)
     summary = {
         "preset": preset.name,
         "grid": grid.describe(preset.dim),
@@ -273,7 +292,7 @@ def _cmd_reconstruct(args) -> int:
         "tolerance": tol,
         "pass": bool(ok),
     }
-    _write_atomic(args.out, "potential.csv", potential_grid_csv(A, grid))
+    _write_atomic(args.out, "potential.csv", csv)
     _write_atomic(args.out, "reconstruct_summary.json", _json_text(summary) + "\n")
     if not ok:
         print(f"reconstruct: defect {max_err:.3e} is not finite or exceeds tolerance {tol}", file=sys.stderr)
@@ -286,6 +305,7 @@ def _cmd_audit(args) -> int:
         raise _InputError("--samples must be at least 1")
     _fd_config(args)  # unused by the audit, but a bad value is still an input error
     h_map = preset.holonomy_map(_steps(args, preset))
+    controlled = _controlled(args, preset)
     tols = (
         preset.tolerances.get("axiom1", 1e-6),
         preset.tolerances.get("axiom2", 1e-8),
@@ -297,6 +317,7 @@ def _cmd_audit(args) -> int:
         seed=args.seed,
         tolerances=tols,
         axiom3_family=_axiom3_family(preset),
+        error_control=controlled,
     )
     _write_atomic(args.out, "axiom_report.json", _json_text(report.to_json_dict()) + "\n")
     if not report.all_passed:

@@ -18,15 +18,28 @@ Two backends are provided:
   value; every other piece takes the map's steps per segment.  On
   request the kernel also returns each chain's value at half the steps,
   read from the same samples, which step doubling (``_step_doubling``)
-  turns into a per-quantity step count for error-controlled
-  reconstructions.
+  turns into a per-quantity step count: the fewest steps, from 8 up to
+  the map's steps per segment as the cap, whose estimate
+  |V_n - V_{n/2}| / 15 meets a tolerance, or ``IntegrationError`` at the
+  cap.
 
-Both backends evaluate loops in batches (``eval_holonomies``): each
-distinct smooth piece of a batch (keyed on its exact control points and
-time map, so pieces shared between loops count once) is integrated once
-per pass, and the per-piece results are reduced per loop; ``eval_holonomy`` is the
-batch of one.  The randomized audit builds every loop of a law first and
-evaluates each law as one batch.
+Both backends evaluate loops in batches through one integration plan per
+batch (``_Plan``): each distinct smooth piece of a batch (keyed on its
+exact control points and time map, so pieces shared between loops count
+once) is found once, probed once, integrated once per pass, and the
+per-piece results are reduced per loop; ``eval_holonomy`` is the batch of
+one.  A fixed-step evaluation is the plan's single pass; under step
+doubling a later pass samples only the pieces of the quantities still
+above their tolerance.
+
+The randomized audit builds every loop of a law first and evaluates each
+law as one batch.  By default every piece takes the map's steps; with
+``error_control`` (the CLI's ``audit`` on a transport preset, unless
+``--steps`` fixes the count) each law refines until its estimates are
+within a tenth of its gate: axiom 1 per loop pair, whose three loops share
+one count, at gate/10; axiom 2 per thin loop at gate/10; axiom 3 per
+family loop at gate d**2 / 40 for the grid step d.  The report then gives
+each law's largest step count and estimate.
 
 The inverse in the transport convention makes composition come out as
 H(alpha o beta) = H(beta) H(alpha) (beta traversed first), and for
@@ -114,13 +127,14 @@ _GL_WEIGHTS = 0.5 * _weights
 # piece boundaries so that the (samples, d, d) temporaries stay below about
 # 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
 # peaks 0.5 MB higher, with no gain in speed.  The transport backend's
-# 2-step probe (5 samples per probed piece) and its n-step pass over the
-# pieces the probe does not accept (2n+1 samples) are chunked alike, so the
-# probe adds at most ceil(5 probed pieces / 2048) kernel calls.  So are the
-# passes of an error-controlled reconstruction (``_step_doubling``: n = 8,
-# 16, ... up to the map's steps per segment, only for callers that pass a
-# tolerance); their n/2-step values read the same samples and only add
-# n/2 propagators per piece, built after the n-step ones, so the cap holds.
+# 2-step probe (5 samples per probed piece, once per batch) and its n-step
+# pass over the pieces the probe does not accept (2n+1 samples) are chunked
+# alike, so the probe adds at most ceil(5 probed pieces / 2048) kernel
+# calls.  So are the passes of error-controlled reconstructions and audits
+# (``_step_doubling``: n = 8, 16, ... up to the map's steps per segment,
+# over the pieces of the quantities still above their tolerance); only the
+# first pass builds n/2-step values, which read the same samples and add
+# n/2 propagators per piece after the n-step ones, so the cap holds.
 _KERNEL_SAMPLES = 2048
 
 
@@ -334,22 +348,6 @@ def _sampled(batch: Batch, rows: np.ndarray, u: np.ndarray, kernel) -> np.ndarra
     return np.concatenate(results)
 
 
-def _line_integrals(field: ConnectionField, batch: Batch) -> np.ndarray:
-    """Line integral of the (abelian) connection along every chain of a
-    batch, by per-piece Gauss-Legendre quadrature (exact for the polynomial
-    fields used in presets, since the per-piece integrand degree is far
-    below 63)."""
-
-    def kernel(pts, vels):
-        return (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
-
-    counts = batch.counts
-    totals = np.zeros(len(counts), dtype=np.complex128)
-    rep, where = _distinct_pieces(batch)
-    np.add.at(totals, np.repeat(np.arange(len(counts)), counts), _sampled(batch, rep, _GL_NODES, kernel)[where])
-    return totals
-
-
 def _ordered_products(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Ordered product of each consecutive run of ``counts`` factors, later
     factor on the left; an empty run gives the identity."""
@@ -422,79 +420,138 @@ def _rk4_products(spec: GroupSpec, m: np.ndarray, n: int, half: bool):
     return (np.concatenate(values, axis=1) if half else values[0]), bad
 
 
-def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int, half: bool = False) -> np.ndarray:
-    """Solve u' = -A(b) b' u, u(0) = 1, over each whole chain of a batch;
-    returns the (chains, d, d) stack of u(1), or with ``half`` the
-    (2, chains, d, d) stack of u(1) at n and at n/2 steps per piece.
+class _Plan:
+    """One batch's integration plan, built once and shared by its passes.
 
-    RK4 is linear in u, so step k is u -> P_k u with the propagator
-    P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = M1, K2 = M2 (I + h/2 K1),
-    K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3), where M1, M2, M4 are the
-    coefficient -A(b) b' at the start, middle and end of the step.  For a
-    group-valued u, projecting P_k u equals projecting P_k and multiplying
-    by u, so per-step projection is kept and u(1) is the ordered product
-    P_{N-1} ... P_0 of projected propagators.  Each smooth piece takes n
-    steps in its local parameter (h = 1/n), and the coefficient is sampled
-    once on the half-step lattice of every distinct piece in a batch.
-
-    The n/2-step value is read from every other point of that lattice, so
-    it costs no field sample: only n/2 more propagators and their product
-    per piece, about half the arithmetic of the n-step value.  The
-    reconstruction's step doubling (``_step_doubling``) asks for it; no
-    fixed-step caller does, and their arithmetic is unchanged by it.  A
-    1x1 propagator <= 0 of either value raises ``IntegrationError``.
-
-    When n > 2, every distinct piece along which the coefficient is a
-    polynomial of degree <= 4 (``_probed``; never for a field of unknown
-    degree) is first integrated at 2 steps on the 5-sample lattice, which
-    fixes that polynomial: the same computation at n = 2, whose half value
-    is the 1-step value P1.  A piece keeps its 2-step value P2, as its n-
-    and n/2-step value, when its sampled coefficient entries are at most
-    ``_PROBE_SCALE``, so that the estimate's leading term dominates, and
-    max|P1 - P2| <= 15 eps max|P2|: step doubling puts the error of P2 at
-    |P1 - P2| / 15, so P2 is already exact to rounding, and so would its
-    n-step value be.  The two legs of a difference quotient therefore
-    differ only by rounding, whichever way each is integrated.  Every other
-    piece (a non-finite probe, or a 1x1 probe propagator <= 0, included) is
-    integrated at n steps exactly as without the probe, so an
-    ``IntegrationError`` comes from the n-step pass alone.
+    It holds the batch's distinct pieces (``_distinct_pieces``), the chain
+    of every row, and the quantity that owns each chain: ``per``
+    consecutive chains make one controlled quantity, so chain c belongs to
+    quantity c // per.  The 2-step probe runs once, on the first pass with
+    n > 2, and its accepted P2 values are kept.  A pass (``products``)
+    samples only the pieces of the chains of the quantities it is asked
+    for that the probe did not accept, and reduces them per chain.
     """
-    spec = field.spec
-    n = steps_per_segment
 
-    def kernel(pts, vels):
-        p, bad = _rk4_products(spec, -_connection_along(field, pts, vels), n, half)
-        if bad.any():
-            raise IntegrationError(f"RK4 step propagator left the positive reals ({n} steps per piece)")
-        return p
+    def __init__(self, field: ConnectionField, batch: Batch, per: int = 1):
+        self.field, self.batch, self.per = field, batch, per
+        self.rep, self.where = _distinct_pieces(batch)
+        self.chain = np.repeat(np.arange(len(batch.counts)), batch.counts)
+        self.quantities = len(batch.counts) // per
+        self._p2, self._probed = None, False
 
-    def probe(pts, vels):
-        # P2 of each piece the probe accepts, nan for every other piece.
-        m = -_connection_along(field, pts, vels)
-        p, bad = _rk4_products(spec, m, 2, True)
-        p2, p1 = p[:, 0], p[:, 1]
-        keep = (np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE) & ~bad
-        scale = np.abs(p2).max(axis=(1, 2))
-        keep &= (np.abs(p1 - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
-        return np.where(keep[:, None, None], p2, np.nan)
+    def line_integrals(self) -> np.ndarray:
+        """Line integral of the (abelian) connection along every chain, by
+        per-piece Gauss-Legendre quadrature (exact for the polynomial fields
+        used in presets, since the per-piece integrand degree is far below
+        63)."""
+        field = self.field
 
-    lattice = np.linspace(0.0, 1.0, 2 * n + 1)
-    rep, where = _distinct_pieces(batch)
-    probed = np.flatnonzero(_probed(field.degree, batch, rep)) if n > 2 else rep[:0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if probed.size:
-            p2 = _sampled(batch, rep[probed], _PROBE_SAMPLES, probe)
-            p = np.full((len(rep), 2 if half else 1) + p2.shape[1:], np.nan, dtype=p2.dtype)
-            p[probed] = p2[:, None]
-            redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2, 3)))
+        def kernel(pts, vels):
+            return (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
+
+        totals = np.zeros(len(self.batch.counts), dtype=np.complex128)
+        np.add.at(totals, self.chain, _sampled(self.batch, self.rep, _GL_NODES, kernel)[self.where])
+        return totals
+
+    def _probe(self):
+        """P2 of every distinct piece the probe accepts, nan for every other
+        one; None when no piece is probed."""
+        if not self._probed:
+            spec, field = self.field.spec, self.field
+
+            def probe(pts, vels):
+                m = -_connection_along(field, pts, vels)
+                p, bad = _rk4_products(spec, m, 2, True)
+                p2, p1 = p[:, 0], p[:, 1]
+                keep = (np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE) & ~bad
+                scale = np.abs(p2).max(axis=(1, 2))
+                keep &= (np.abs(p1 - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
+                return np.where(keep[:, None, None], p2, np.nan)
+
+            probed = np.flatnonzero(_probed(field.degree, self.batch, self.rep))
+            self._probed = True
+            if probed.size:
+                p2 = _sampled(self.batch, self.rep[probed], _PROBE_SAMPLES, probe)
+                self._p2 = np.full((len(self.rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
+                self._p2[probed] = p2
+        return self._p2
+
+    def products(self, n: int, quantities=None, half: bool = False) -> np.ndarray:
+        """Solve u' = -A(b) b' u, u(0) = 1, over each chain of the given
+        quantities (all by default); returns the (chains, d, d) stack of
+        u(1), or with ``half`` the (2, chains, d, d) stack of u(1) at n and
+        at n/2 steps per piece.
+
+        RK4 is linear in u, so step k is u -> P_k u with the propagator
+        P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = M1, K2 = M2 (I + h/2 K1),
+        K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3), where M1, M2, M4 are the
+        coefficient -A(b) b' at the start, middle and end of the step.  For
+        a group-valued u, projecting P_k u equals projecting P_k and
+        multiplying by u, so per-step projection is kept and u(1) is the
+        ordered product P_{N-1} ... P_0 of projected propagators.  Each
+        smooth piece takes n steps in its local parameter (h = 1/n), and the
+        coefficient is sampled once on the half-step lattice of every
+        distinct piece the pass needs.
+
+        The n/2-step value is read from every other point of that lattice,
+        so it costs no field sample: only n/2 more propagators and their
+        product per piece.  A 1x1 propagator <= 0 of either value raises
+        ``IntegrationError``.
+
+        When n > 2, every distinct piece along which the coefficient is a
+        polynomial of degree <= 4 (``_probed``; never for a field of unknown
+        degree) is integrated at 2 steps on the 5-sample lattice, which
+        fixes that polynomial: the same computation at n = 2, whose half
+        value is the 1-step value P1.  A piece keeps its 2-step value P2, as
+        its n- and n/2-step value, when its sampled coefficient entries are
+        at most ``_PROBE_SCALE``, so that the estimate's leading term
+        dominates, and max|P1 - P2| <= 15 eps max|P2|: step doubling puts
+        the error of P2 at |P1 - P2| / 15, so P2 is already exact to
+        rounding, and so would its n-step value be.  The two legs of a
+        difference quotient therefore differ only by rounding, whichever way
+        each is integrated.  Every other piece (a non-finite probe, or a 1x1
+        probe propagator <= 0, included) is integrated at n steps exactly as
+        without the probe, so an ``IntegrationError`` comes from the n-step
+        pass alone.  A piece's value does not depend on which other pieces a
+        pass takes, so every pass agrees bit for bit with a single pass over
+        its own chains.
+        """
+        spec, batch, rep = self.field.spec, self.batch, self.rep
+
+        def kernel(pts, vels):
+            p, bad = _rk4_products(spec, -_connection_along(self.field, pts, vels), n, half)
+            if bad.any():
+                raise IntegrationError(f"RK4 step propagator left the positive reals ({n} steps per piece)")
+            return p
+
+        live = np.zeros(self.quantities, dtype=bool)
+        live[slice(None) if quantities is None else quantities] = True
+        live = live.repeat(self.per)
+        where = self.where[live[self.chain]]
+        pieces = np.zeros(len(rep), dtype=bool)
+        pieces[where] = True
+        pieces = np.flatnonzero(pieces)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p2 = self._probe() if n > 2 else None
+            redo = pieces if p2 is None else pieces[np.isnan(p2[pieces]).any(axis=(1, 2))]
+            d = spec.matrix_dim
+            if p2 is None or redo.size:
+                values = _sampled(batch, rep[redo], np.linspace(0.0, 1.0, 2 * n + 1), kernel)
+            p = np.empty((len(rep), 2 if half else 1, d, d), dtype=(values if p2 is None else p2).dtype)
+            if p2 is not None:
+                p[pieces] = p2[pieces, None]
             if redo.size:
-                p[redo] = _sampled(batch, rep[redo], lattice, kernel)
-        else:
-            p = _sampled(batch, rep, lattice, kernel)
-        u = [_ordered_products(p[where, k], batch.counts) for k in range(p.shape[1])]
-    for v in u:
-        _check_representable(v, "the transport value u(1)")
-    return np.stack(u) if half else u[0]
+                p[redo] = values
+            u = [_ordered_products(p[where, k], batch.counts[live]) for k in range(p.shape[1])]
+        for v in u:
+            _check_representable(v, "the transport value u(1)")
+        return np.stack(u) if half else u[0]
+
+
+def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int, half: bool = False) -> np.ndarray:
+    """u(1) of every chain of a batch at n steps per piece (and with
+    ``half`` at n/2): the single pass of the batch's plan."""
+    return _Plan(field, batch).products(steps_per_segment, half=half)
 
 
 def _check_steps(steps_per_segment) -> int:
@@ -529,53 +586,60 @@ def _check_representable(values: np.ndarray, what: str):
         raise IntegrationError(f"{what} of loop {k[0]} has entries that are not finite")
 
 
-def _holonomy_matrices(h_map: HolonomyMap, batch: Batch, steps: int | None = None) -> np.ndarray:
-    """Holonomy matrices, (chains, d, d), of a batch of closed chains at the
-    map's base point; callers have checked dimension and base point.  With
-    ``steps``, a transport map integrates at that many steps per piece
-    instead of its own, and the result is the (2, chains, d, d) stack of
-    the values at steps and at steps/2.  A value a double cannot hold
-    raises ``IntegrationError``, not a RuntimeWarning."""
+def _holonomy_matrices(h_map: HolonomyMap, plan: _Plan, steps: int | None = None, quantities=None, half=False):
+    """Holonomy matrices, (chains, d, d), of a plan's closed chains at the
+    map's base point; callers have checked dimension and base point.  A
+    transport map integrates the chains of the given quantities (all by
+    default) at ``steps`` per piece (its own by default), and with ``half``
+    returns the (2, chains, d, d) stack of the values at steps and at
+    steps/2; an analytic map ignores all three.  A value a double cannot
+    hold raises ``IntegrationError``, not a RuntimeWarning."""
     spec = h_map.spec
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(h_map.backend, _AnalyticAbelianBackend):
-            h = np.exp(project_to_algebra(spec, _line_integrals(h_map.field, batch)[:, None, None]))
+            h = np.exp(project_to_algebra(spec, plan.line_integrals()[:, None, None]))
         else:
             n = h_map.backend.steps_per_segment if steps is None else steps
-            h = np.linalg.inv(_transport_products(h_map.field, batch, n, half=steps is not None))
+            h = np.linalg.inv(plan.products(n, quantities, half))
     for v in h.reshape((-1,) + h.shape[-3:]):
         _check_representable(v, "the holonomy")
     return project_to_group(spec, h)
 
 
-def _step_doubling(values, count: int, cap: int, tol: float, name, record: dict | None = None) -> np.ndarray:
-    """Error-controlled RK4 values of ``count`` quantities, each at the
-    fewest steps per piece whose step-doubling estimate meets ``tol``.
+def _step_doubling(h_map: HolonomyMap, plan: _Plan, reduce, tol: float, name, record: dict | None = None):
+    """Error-controlled values of a plan's quantities, each at the fewest
+    RK4 steps per piece whose step-doubling estimate meets ``tol``.
 
-    ``values(rows, n)`` returns the (2, len(rows), ...) stack of the given
-    quantities at n and at n/2 steps per piece, both from one n-step
-    lattice (``_transport_products`` with ``half``).  Passes start at
-    n = min(8, cap) and double while n <= cap.  A pass takes the estimate
+    ``reduce(h)`` maps the holonomies of the chains of some quantities,
+    (chains, d, d) in chain order, to the (quantities, ...) stack of their
+    values.  Passes start at n = min(8, N), N the map's steps per segment
+    as the cap, and double while n <= N.  A pass takes the estimate
     max|V_n - V_{n/2}| / 15 (Hairer, Norsett & Wanner, Solving ODEs I,
     II.4) of each quantity; one whose estimate is at most tol keeps V_n,
-    and only the others run again at 2n.  One still above tol at the cap
-    raises ``IntegrationError`` naming it by ``name(k)``; a cap of 1, or
-    odd below 8, and a tol that is not a positive number raise
-    ``ValueError`` before anything is evaluated.  Returns the values; a
-    ``record`` dict keeps the largest ``steps`` and ``estimate`` taken.
+    and only the others run again at 2n.  The first pass reads V_{n/2} from
+    its own lattice; a later one reuses the previous pass's V_n, which is
+    the same value bit for bit.  One still above tol at the cap raises
+    ``IntegrationError`` naming it by ``name(k)``; a cap of 1, or odd below
+    8, and a tol that is not a positive number raise ``ValueError`` before
+    anything is evaluated.  Returns the values; a ``record`` dict keeps
+    the largest ``steps`` and ``estimate`` taken.
     """
+    cap = h_map.backend.steps_per_segment
     if not tol > 0.0 or min(8, cap) % 2:
         raise ValueError(f"step doubling needs a positive tolerance and an even first step count, got {tol!r}, {cap}")
     out, worst = None, 0.0
-    rows, n = np.arange(count), min(8, cap)
+    rows, n, v_half = np.arange(plan.quantities), min(8, cap), None
     while rows.size:
-        v, v_half = values(rows, n)
+        if v_half is None:
+            v, v_half = (reduce(h) for h in _holonomy_matrices(h_map, plan, n, rows, half=True))
+        else:
+            v = reduce(_holonomy_matrices(h_map, plan, n, rows))
         est = np.abs(v - v_half).reshape(len(rows), -1).max(axis=1, initial=0.0) / 15.0
         if out is None:
-            out = np.empty((count,) + v.shape[1:], dtype=v.dtype)
+            out = np.empty((plan.quantities,) + v.shape[1:], dtype=v.dtype)
         done = est <= tol
         out[rows[done]], worst = v[done], max(worst, est[done].max(initial=0.0))
-        rows, est = rows[~done], est[~done]
+        rows, est, v_half = rows[~done], est[~done], v[~done]
         if rows.size and 2 * n > cap:
             raise IntegrationError(
                 f"{name(rows[0])}: step-doubling estimate {est[0]:.3g} exceeds {tol:.3g} at {n} steps per piece, the cap"
@@ -587,6 +651,19 @@ def _step_doubling(values, count: int, cap: int, tol: float, name, record: dict 
     return out
 
 
+def _loop_holonomies(h_map: HolonomyMap, loops, per: int = 1, tol=None, name=None, record=None) -> np.ndarray:
+    """Holonomy matrices, (loops, d, d), of based loops as one batch; with
+    ``tol`` on a transport map, each run of ``per`` consecutive loops is one
+    quantity of ``_step_doubling``."""
+    for loop in loops:
+        _check_based(h_map, loop.dim, loop.basepoint)
+    plan = _Plan(h_map.field, stack_tables([loop.path for loop in loops]), per)
+    if tol is None or h_map.kind != "transport":
+        return _holonomy_matrices(h_map, plan)
+    d = h_map.spec.matrix_dim
+    return _step_doubling(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
+
+
 def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
     """Evaluate the holonomies of many based loops as one batch.
 
@@ -596,12 +673,9 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
     bit.
     """
     loops = list(loops)
-    for loop in loops:
-        _check_based(h_map, loop.dim, loop.basepoint)
     if not loops:
         return []
-    mats = _holonomy_matrices(h_map, stack_tables([loop.path for loop in loops]))
-    return [GroupElement(h_map.spec, m) for m in mats]
+    return [GroupElement(h_map.spec, m) for m in _loop_holonomies(h_map, loops)]
 
 
 def eval_holonomy(h_map: HolonomyMap, loop: LoopAtBase) -> GroupElement:
@@ -622,20 +696,23 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 
-def _composition_defects(h_map: HolonomyMap, pairs) -> list[float]:
+def _composition_defects(h_map: HolonomyMap, pairs, tol=None, record=None) -> list[float]:
     """|H(alpha o beta) - H(beta) H(alpha)| for every pair (alpha, beta),
-    from one batch: the composed loop reuses the pieces of alpha and beta."""
+    from one batch: the composed loop reuses the pieces of alpha and beta.
+    Under error control each triple shares one step count."""
     loops = []
     for alpha, beta in pairs:
         loops += [LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint), alpha, beta]
-    hols = eval_holonomies(h_map, loops)
-    return [group_distance(ab, b @ a) for ab, a, b in zip(hols[::3], hols[1::3], hols[2::3])]
+    hols = _loop_holonomies(h_map, loops, 3, tol, lambda k: f"axiom 1, loop pair {k}", record)
+    products = project_to_group(h_map.spec, hols[2::3] @ hols[1::3])
+    return [float(np.linalg.norm(ab - ba)) for ab, ba in zip(hols[::3], products)]
 
 
-def _thin_loop_defects(h_map: HolonomyMap, loops) -> list[float]:
+def _thin_loop_defects(h_map: HolonomyMap, loops, tol=None, record=None) -> list[float]:
     """Distance of H(loop) from the identity for every loop, one batch."""
-    identity = GroupElement.identity(h_map.spec)
-    return [group_distance(g, identity) for g in eval_holonomies(h_map, loops)]
+    identity = np.eye(h_map.spec.matrix_dim, dtype=h_map.spec.dtype)
+    hols = _loop_holonomies(h_map, loops, 1, tol, lambda k: f"axiom 2, thin loop {k}", record)
+    return [float(np.linalg.norm(h - identity)) for h in hols]
 
 
 def check_axiom1(h_map: HolonomyMap, alpha: LoopAtBase, beta: LoopAtBase) -> float:
@@ -648,7 +725,7 @@ def check_axiom2(h_map: HolonomyMap, loop: LoopAtBase) -> float:
     return _thin_loop_defects(h_map, [loop])[0]
 
 
-def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
+def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None, record=None) -> float:
     """Smoothness proxy for a k-parameter loop family over [0, 1]^k.
 
     Evaluates H on a grid**k lattice, in one batch, and returns the largest
@@ -657,7 +734,10 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     grid scale; genuine smoothness is not finitely decidable.
 
     One-parameter families may take a bare float; for k > 1 the family
-    receives a length-k array.
+    receives a length-k array.  With ``tol`` on a transport map each
+    family loop takes its own step count by step doubling, at tol d**2 / 4
+    per loop: an error e in each holonomy moves the proxy by up to
+    4 e / d**2.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 nodes")
@@ -668,7 +748,9 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     shape = (grid,) * k
     loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in np.ndindex(shape)]
     d = h_map.spec.matrix_dim
-    values = np.array([g.matrix for g in eval_holonomies(h_map, loops)]).reshape(shape + (d, d))
+    per_loop = None if tol is None else tol * delta**2 / 4.0
+    name = lambda j: f"axiom 3, family loop {j}"
+    values = _loop_holonomies(h_map, loops, 1, per_loop, name, record).reshape(shape + (d, d))
     worst = []
     for axis in range(k):
         v = np.moveaxis(values, axis, 0)
@@ -681,13 +763,16 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Defect summary for the three loop-space laws."""
+    """Defect summary for the three loop-space laws; under error control
+    also each law's largest step count and integration estimate."""
 
     axiom1_max_defect: float
     axiom2_max_defect: float
     axiom3_max_second_difference: float
     samples: int
     passed: tuple[bool, bool, bool]
+    steps: tuple[int, int, int] | None = None
+    integration_estimates: tuple[float, float, float] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -696,6 +781,8 @@ class AxiomReport:
             "axiom3_max_second_difference": self.axiom3_max_second_difference,
             "samples": self.samples,
             "pass": list(self.passed),
+            "steps": None if self.steps is None else list(self.steps),
+            "integration_estimates": None if self.integration_estimates is None else list(self.integration_estimates),
         }
 
     @property
@@ -712,6 +799,7 @@ def audit_axioms(
     radius: float = 0.75,
     axiom3_family: Callable[[float], LoopAtBase] | None = None,
     axiom3_grid: int = 21,
+    error_control: bool = False,
 ) -> AxiomReport:
     """Seeded randomized audit of the three laws.
 
@@ -720,9 +808,24 @@ def audit_axioms(
     by a cubic-start time map), smoothness on the supplied family or on a
     default frame-conjugated straight-shift family.  All loops of a law
     are built first and evaluated as one batch.
+
+    Without ``error_control``, or on an analytic map, every piece takes the
+    map's steps.  With it on a transport map, each law's loops go through
+    ``_step_doubling`` on their plan, capped at the map's steps per
+    segment, so that integration takes a tenth of each gate: axiom 1 at
+    gate/10 per triple (alpha o beta, alpha, beta), which shares one step
+    count so that the composition defect stays at rounding; axiom 2 at
+    gate/10 per thin loop; axiom 3 at gate d**2 / 40 per family loop.  A
+    quantity above its tolerance at the cap raises ``IntegrationError``
+    naming the law and the loop; a law with an infinite gate accepts the
+    first pass.  The report then gives each law's largest step count and
+    integration estimate.
     """
     if samples < 1:
         raise ValueError("an audit needs at least one sample")
+    control = error_control and h_map.kind == "transport"
+    tols = [t / 10.0 if control else None for t in tolerances]
+    records: list[dict] = [{}, {}, {}]
     rng = np.random.default_rng(seed)
     base = h_map.basepoint
     pairs = []
@@ -730,7 +833,7 @@ def audit_axioms(
         alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
         beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
         pairs.append((alpha, beta))
-    a1 = np.max(_composition_defects(h_map, pairs), initial=0.0)
+    a1 = np.max(_composition_defects(h_map, pairs, tols[0], records[0]), initial=0.0)
     thin = []
     phi = piecewise_power_map(3, 0.5)
     for k in range(samples):
@@ -739,7 +842,7 @@ def audit_axioms(
         if k % 2:
             path = reparametrize(path, phi)
         thin.append(LoopAtBase(path, base))
-    a2 = np.max(_thin_loop_defects(h_map, thin), initial=0.0)
+    a2 = np.max(_thin_loop_defects(h_map, thin, tols[1], records[1]), initial=0.0)
     if axiom3_family is None:
         from .path_algebra import radial_family
 
@@ -748,8 +851,12 @@ def audit_axioms(
         step = np.zeros_like(base)
         step[0] = 0.5
         axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
-    a3 = check_axiom3(h_map, axiom3_family, axiom3_grid)
+    a3 = check_axiom3(h_map, axiom3_family, axiom3_grid, tol=tols[2], record=records[2])
     t1, t2, t3 = tolerances
+    steps = estimates = None
+    if control:
+        steps = tuple(r["steps"] for r in records)
+        estimates = tuple(r["estimate"] for r in records)
     return AxiomReport(
-        float(a1), float(a2), float(a3), samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3))
+        float(a1), float(a2), float(a3), samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)), steps, estimates
     )

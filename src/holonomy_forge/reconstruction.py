@@ -48,8 +48,8 @@ from .holonomy import (
     _check_axis,
     _check_based,
     _check_steps,
+    _Plan,
     _holonomy_matrices,
-    _line_integrals,
     _step_doubling,
     _transport_products,
     eval_holonomy,
@@ -175,24 +175,26 @@ def reconstruct_potential(
     spec, dim = h_map.spec, xs.shape[1]
     _check_based(h_map, psi.dim, psi.basepoint)
     shifts = _steps(dim, mu, cfg.h, cfg.richardson)
+    k = len(shifts)
 
-    def quotients(rows, steps=None):
-        # D at the given points, (1, m, d, d), or with steps at steps and steps/2.
-        pts = xs[rows]
-        xs_rep, ys = np.repeat(pts, len(shifts), axis=0), (pts[:, None, :] + shifts).reshape(-1, dim)
-        blocks = []
-        for k in range(0, len(ys), _LOOPS_PER_BLOCK):
-            chains = reconstruction_chains(psi, xs_rep[k : k + _LOOPS_PER_BLOCK], ys[k : k + _LOOPS_PER_BLOCK])
-            logs = _logs_for_difference(spec, _holonomy_matrices(h_map, chains, steps))
-            blocks.append(logs.reshape((-1,) + logs.shape[-3:]))
-        logs = np.concatenate(blocks, axis=1).reshape((len(blocks[0]), len(rows), len(shifts)) + logs.shape[-2:])
-        return _central(np.moveaxis(logs, 2, 0), cfg.h, cfg.richardson)
+    def quotients(h):
+        # D at the points whose k difference loops have holonomies h, in order.
+        logs = _logs_for_difference(spec, h).reshape((-1, k) + h.shape[-2:])
+        return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
 
-    if tol is None or h_map.kind != "transport":
-        d = quotients(np.arange(len(xs)))[0]
-    else:
-        name = lambda k: f"point {xs[k].tolist()}, direction {mu}"
-        d = _step_doubling(quotients, len(xs), h_map.backend.steps_per_segment, tol, name, record)
+    controlled = tol is not None and h_map.kind == "transport"
+    blocks = []
+    # Whole points per block: _LOOPS_PER_BLOCK is a multiple of every k.
+    for a in range(0, len(xs), _LOOPS_PER_BLOCK // k):
+        pts = xs[a : a + _LOOPS_PER_BLOCK // k]
+        chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
+        plan = _Plan(h_map.field, chains, k)
+        if controlled:
+            name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
+            blocks.append(_step_doubling(h_map, plan, quotients, tol, name, record))
+        else:
+            blocks.append(quotients(_holonomy_matrices(h_map, plan)))
+    d = np.concatenate(blocks)
     out = [AlgebraElement(spec, a) for a in project_to_algebra(spec, d)]
     return out if x.ndim == 2 else out[0]
 
@@ -456,7 +458,7 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
     def gfield(points) -> list:
         batch = table_batch(*psi.tables(points))
         if spec.is_abelian:
-            zs = -_line_integrals(A_in, batch)
+            zs = -_Plan(A_in, batch).line_integrals()
             return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
         return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, batch, steps)]
 

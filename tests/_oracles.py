@@ -408,3 +408,128 @@ def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family
     a3 = check_axiom3(h_map, axiom3_family, axiom3_grid)
     t1, t2, t3 = tolerances
     return AxiomReport(a1, a2, a3, samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)))
+
+
+def reference_transport_products(field, batch, steps_per_segment: int, half: bool = False) -> np.ndarray:
+    """The single-pass transport kernel as it stood before integration
+    plans: the 2-step probe over every probed distinct piece of the batch,
+    then the n-step pass (with ``half`` also n/2) over every piece it does
+    not accept, and the per-chain products.  A plan's passes must give
+    these values bit for bit."""
+    from holonomy_forge.holonomy import (
+        _PROBE_SAMPLES,
+        _PROBE_SCALE,
+        _ROUNDING_GAP,
+        IntegrationError,
+        _check_representable,
+        _connection_along,
+        _distinct_pieces,
+        _ordered_products,
+        _probed,
+        _rk4_products,
+        _sampled,
+    )
+
+    spec = field.spec
+    n = steps_per_segment
+
+    def kernel(pts, vels):
+        p, bad = _rk4_products(spec, -_connection_along(field, pts, vels), n, half)
+        if bad.any():
+            raise IntegrationError(f"RK4 step propagator left the positive reals ({n} steps per piece)")
+        return p
+
+    def probe(pts, vels):
+        m = -_connection_along(field, pts, vels)
+        p, bad = _rk4_products(spec, m, 2, True)
+        p2, p1 = p[:, 0], p[:, 1]
+        keep = (np.abs(m).max(axis=(1, 2, 3)) <= _PROBE_SCALE) & ~bad
+        scale = np.abs(p2).max(axis=(1, 2))
+        keep &= (np.abs(p1 - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
+        return np.where(keep[:, None, None], p2, np.nan)
+
+    lattice = np.linspace(0.0, 1.0, 2 * n + 1)
+    rep, where = _distinct_pieces(batch)
+    probed = np.flatnonzero(_probed(field.degree, batch, rep)) if n > 2 else rep[:0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if probed.size:
+            p2 = _sampled(batch, rep[probed], _PROBE_SAMPLES, probe)
+            p = np.full((len(rep), 2 if half else 1) + p2.shape[1:], np.nan, dtype=p2.dtype)
+            p[probed] = p2[:, None]
+            redo = np.flatnonzero(np.isnan(p).any(axis=(1, 2, 3)))
+            if redo.size:
+                p[redo] = _sampled(batch, rep[redo], lattice, kernel)
+        else:
+            p = _sampled(batch, rep, lattice, kernel)
+        u = [_ordered_products(p[where, k], batch.counts) for k in range(p.shape[1])]
+    for v in u:
+        _check_representable(v, "the transport value u(1)")
+    return np.stack(u) if half else u[0]
+
+
+def controlled_holonomies(h_map, loops, tol: float):
+    """The holonomies of a group of loops that share one step count, one
+    group at a time: at the first n = min(8, N), 2 min(8, N), ... <= N
+    (N the map's steps per segment) whose estimate
+    max|H_n - H_{n/2}| / 15 over the group is at most tol, each value
+    from its own fixed-step map.  Returns the matrices, n and the
+    estimate; raises ``IntegrationError`` above tol at N."""
+    from holonomy_forge.holonomy import IntegrationError
+
+    cap = h_map.backend.steps_per_segment
+    n = min(8, cap)
+    while True:
+        h = [eval_holonomy(h_map.with_steps(n), loop).matrix for loop in loops]
+        h_half = [eval_holonomy(h_map.with_steps(n // 2), loop).matrix for loop in loops]
+        est = max(float(np.abs(a - b).max()) for a, b in zip(h, h_half)) / 15.0
+        if est <= tol:
+            return h, n, est
+        if 2 * n > cap:
+            raise IntegrationError(f"estimate {est:.3g} exceeds {tol:.3g} at the cap {cap}")
+        n *= 2
+
+
+def serial_controlled_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):
+    """The error-controlled audit one quantity at a time: each loop pair,
+    thin loop and family loop takes its own step count by
+    ``controlled_holonomies``, at a tenth of its law's gate (per family
+    loop gate d^2 / 40 for the grid step d), and its defect is that of the
+    single-law checker on the fixed map at that count."""
+    rng = np.random.default_rng(seed)
+    base = h_map.basepoint
+    t1, t2, t3 = tolerances
+    steps, estimates = [0, 0, 0], [0.0, 0.0, 0.0]
+
+    def take(law, loops, tol):
+        h, n, est = controlled_holonomies(h_map, loops, tol)
+        steps[law], estimates[law] = max(steps[law], n), max(estimates[law], est)
+        return h, n
+
+    a1 = 0.0
+    for _ in range(samples):
+        alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        composed = LoopAtBase(compose_paths(alpha.path, beta.path), base)
+        _, n = take(0, [composed, alpha, beta], t1 / 10.0)
+        a1 = max(a1, check_axiom1(h_map.with_steps(n), alpha, beta))
+    a2 = 0.0
+    phi = piecewise_power_map(3, 0.5)
+    for k in range(samples):
+        p = random_polyline(rng, base, n_segments=2, radius=radius)
+        path = compose_paths(invert_path(p), p)
+        if k % 2:
+            path = reparametrize(path, phi)
+        _, n = take(1, [LoopAtBase(path, base)], t2 / 10.0)
+        a2 = max(a2, check_axiom2(h_map.with_steps(n), LoopAtBase(path, base)))
+    if axiom3_family is None:
+        psi = radial_family(base)
+        anchor = base + 0.5 * np.ones_like(base)
+        step = np.zeros_like(base)
+        step[0] = 0.5
+        axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
+    us = np.linspace(0.0, 1.0, axiom3_grid)
+    delta = float(us[1] - us[0])
+    v = np.array([take(2, [axiom3_family(float(u))], t3 / 10.0 * delta**2 / 4.0)[0][0] for u in us])
+    a3 = max(float(np.linalg.norm(s)) / delta**2 for s in v[2:] - 2.0 * v[1:-1] + v[:-2])
+    passed = (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3))
+    return AxiomReport(a1, a2, a3, samples, passed, tuple(steps), tuple(estimates))

@@ -17,6 +17,26 @@ def read(path):
         return fh.read()
 
 
+def count_samples(monkeypatch) -> dict:
+    """Lattice points and probe pieces sampled by the transport kernels."""
+    from holonomy_forge import holonomy
+
+    counts, real = {"points": 0, "probed": 0}, holonomy.sample_pieces
+
+    def counting(cubic, ctrl, tmap, u):
+        counts["points"] += len(cubic) * len(u)
+        counts["probed"] += len(cubic) if len(u) == 5 else 0
+        return real(cubic, ctrl, tmap, u)
+
+    monkeypatch.setattr(holonomy, "sample_pieces", counting)
+    return counts
+
+
+# su2-twist's field as a connection file.
+SU2_TWIST = {"group": "SU2", "matrix_dim": 2, "dim": 2,
+             "components": [[{"coeff": 1.0, "exps": [0, 1], "basis": 0}], [{"coeff": 1.0, "exps": [1, 0], "basis": 2}]]}
+
+
 def csv_rows(path):
     lines = read(path).strip().split("\n")
     header = lines[0].split(",")
@@ -98,8 +118,10 @@ class TestAudit:
         report = json.loads(read(tmp_path / "axiom_report.json"))
         assert list(report.keys()) == [
             "axiom1_max_defect", "axiom2_max_defect", "axiom3_max_second_difference",
-            "samples", "pass",
+            "samples", "pass", "steps", "integration_estimates",
         ]
+        # An analytic map has no step count to control.
+        assert report["steps"] is None and report["integration_estimates"] is None
         assert report["samples"] == 50
         assert report["pass"] == [True, True, True]
         assert report["axiom1_max_defect"] <= 1e-10
@@ -118,6 +140,50 @@ class TestAudit:
             main(["audit", "--preset", "paper-sec6", "--samples", "20", "--seed", "9",
                   "--out", str(out)])
         assert read(a / "axiom_report.json") == read(b / "axiom_report.json")
+
+    def test_error_controlled_run_is_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["audit", "--preset", "su2-twist", "--samples", "5", "--out", str(out)]) == 0
+        assert read(a / "axiom_report.json") == read(b / "axiom_report.json")
+
+    def test_error_controlled_by_default(self, tmp_path, monkeypatch):
+        # Each law takes a tenth of its gate (axiom 3: a fortieth times the
+        # grid step 1/20 squared) per quantity, capped at the preset's 128.
+        counts = count_samples(monkeypatch)
+        argv = ["audit", "--preset", "su2-twist", "--samples", "30", "--seed", "1"]
+        assert main([*argv, "--steps", "128", "--out", str(tmp_path / "fixed")]) == 0
+        fixed = dict(counts)
+        counts.update(points=0, probed=0)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert counts["points"] <= fixed["points"] / 4
+        report = json.loads(read(tmp_path / "axiom_report.json"))
+        assert report["pass"] == [True, True, True]
+        assert report["steps"] == [16, 64, 8]
+        per_loop = [1e-6 / 10, 1e-8 / 10, 0.2 / 40 / 20**2]
+        assert all(0.0 < e <= t for e, t in zip(report["integration_estimates"], per_loop))
+        assert report["axiom2_max_defect"] <= 1e-8
+        fixed = json.loads(read(tmp_path / "fixed" / "axiom_report.json"))
+        assert fixed["steps"] is None and fixed["integration_estimates"] is None
+
+    @pytest.mark.parametrize("seed", [0, 16])
+    @pytest.mark.parametrize("preset", ["abelian-ydx", "su2-shear", "su2-twist"])
+    def test_error_controlled_audit_passes_at_the_preset_gates(self, tmp_path, preset, seed):
+        # Seed 16 of abelian-ydx holds the thin loop whose defect comes
+        # closest to its gate (7.95e-9 against 1e-8) over seeds 0-49.
+        assert main(["audit", "--preset", preset, "--samples", "100", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "axiom_report.json"))
+        assert report["pass"] == [True, True, True] and max(report["steps"]) <= 128
+
+    def test_gate_unmet_at_the_cap_fails_naming_the_law(self, tmp_path, capsys):
+        conn = {**SU2_TWIST, "steps": 8, "tolerances": {"axiom1": 1.0, "axiom2": 1e-12}}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        out = tmp_path / "out"
+        assert main(["audit", "--input", str(src), "--samples", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IntegrationError: axiom 2, thin loop ") and "at 8 steps per piece" in err
+        assert not out.exists()
 
 
 class TestReconstructSu2:
@@ -162,6 +228,23 @@ class TestReconstructSu2:
         summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
         assert summary["steps"] == steps
         assert summary["max_integration_estimate"] is None
+
+    def test_summary_of_a_connection_file_without_closed_form(self, tmp_path):
+        # The steps and estimate come from the rule's calls, which the grid
+        # output makes when there is no closed form to compare against.
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps({**SU2_TWIST, "steps": 12, "tolerances": {"reconstruct": 1e-3}}))
+        assert main(["reconstruct", "--input", str(src), "--grid", "5", "--out", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
+        assert summary["steps"] == 8
+        assert 0.0 < summary["max_integration_estimate"] <= 1e-4
+        assert summary["max_abs_error"] is None and summary["pass"] is True
+
+    def test_abelian_plan_probes_each_piece_once(self, tmp_path, monkeypatch):
+        # The passes at 8, 16, ... share one probe of the distinct pieces.
+        counts = count_samples(monkeypatch)
+        assert main(["reconstruct", "--preset", "abelian-ydx", "--grid", "5", "--out", str(tmp_path)]) == 0
+        assert counts["probed"] == 432
 
     def test_gate_below_the_rounding_floor_fails_the_run(self, tmp_path, capsys):
         conn = {"group": "SU2", "matrix_dim": 2, "dim": 2, "tolerances": {"reconstruct": 1e-14},
@@ -404,10 +487,14 @@ class TestErrors:
             ("roundtrip", {"tolerances": {"curvatur": 1e-30}}),
             ("audit", {"tolerances": {"axiom_1": 1e-30}}),
             ("reconstruct", {"tolerances": {"reconstruction": 1e-30}}),
+            ("reconstruct", {"backend": "transport", "tolerances": {"reconstruct": 0}}),
+            ("audit", {"backend": "transport", "tolerances": {"axiom2": -1e-8}}),
+            ("roundtrip", {"tolerances": {"gauge": float("nan")}}),
         ],
         ids=["float-exponent", "float-basis", "float-dim", "float-matrix-dim", "float-steps", "zero-steps",
              "unknown-backend", "one-number-box", "string-tolerance", "string-axiom-tolerance",
-             "misspelt-roundtrip-tolerance", "misspelt-audit-tolerance", "misspelt-reconstruct-tolerance"],
+             "misspelt-roundtrip-tolerance", "misspelt-audit-tolerance", "misspelt-reconstruct-tolerance",
+             "zero-tolerance", "negative-tolerance", "nan-tolerance"],
     )
     def test_connection_file_values_are_checked(self, tmp_path, capsys, command, change):
         # Each value used to be truncated, accepted as given or left to fail
@@ -420,6 +507,29 @@ class TestErrors:
         assert main([command, "--input", str(src), "--grid", "3", *samples, "--out", str(out)]) == 1
         assert "error: malformed connection file" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["reconstruct", "audit"])
+    @pytest.mark.parametrize("steps", [1, 3, 5, 7])
+    def test_odd_cap_of_an_error_controlled_run_names_steps(self, tmp_path, capsys, command, steps):
+        # Step doubling halves the count, so it cannot start from an odd
+        # count below 8; --steps fixes the count, and then the run goes on.
+        conn = {**SU2_TWIST, "steps": steps, "tolerances": {"reconstruct": 1.0, "axiom1": 1.0, "axiom2": 1.0}}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        argv = [command, "--input", str(src), "--grid", "3"] + (["--samples", "2"] if command == "audit" else [])
+        assert main([*argv, "--out", str(tmp_path / "never")]) == 1
+        assert f"error: steps {steps} cannot be error-controlled" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+        assert main([*argv, "--steps", str(steps), "--out", str(tmp_path / "fixed")]) in (0, 2)
+
+    def test_infinite_gates_are_allowed(self, tmp_path):
+        conn = {**SU2_TWIST, "tolerances": {"axiom1": float("inf"), "axiom3": float("inf")}}
+        src = tmp_path / "conn.json"
+        src.write_text(json.dumps(conn))
+        assert main(["audit", "--input", str(src), "--samples", "2", "--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "axiom_report.json"))
+        assert report["steps"][0] == report["steps"][2] == 8
 
 
 _IMPORT_GUARD = """

@@ -14,6 +14,8 @@ from holonomy_forge.holonomy import (
     DimMismatch,
     HolonomyMap,
     IntegrationError,
+    _distinct_pieces,
+    _Plan,
     _transport_products,
     audit_axioms,
     check_axiom1,
@@ -25,6 +27,7 @@ from holonomy_forge.holonomy import (
 )
 from holonomy_forge.path_algebra import (
     LoopAtBase,
+    PathNd,
     axis_dogleg_family,
     compose_paths,
     constant_path,
@@ -46,8 +49,10 @@ from _oracles import (
     loop_axiom3,
     polyline_vertices,
     polyline_ydx_integral,
+    reference_transport_products,
     sequential_rk4_transport,
     serial_audit,
+    serial_controlled_audit,
     shoelace_area,
 )
 from conftest import polyline, random_affine_field
@@ -435,6 +440,63 @@ def chord_lengths(calls, samples: int) -> np.ndarray:
     """Chord lengths of the pieces sampled on the lattice of that size."""
     ctrl = [c for k, c in calls if k == samples]
     return np.concatenate([np.linalg.norm(c[:, 3] - c[:, 0], axis=1) for c in ctrl]) if ctrl else np.zeros(0)
+
+
+def plan_test_paths(rng):
+    """Lines, cubics, time-mapped lines and cubics, shared and repeated
+    pieces, and length-1e-4 pieces that the 2-step probe accepts."""
+    paths = [loop.path for loop in shared_piece_loops(rng)] + kernel_test_paths(rng)
+    for _ in range(3):
+        pts = np.cumsum(0.25 * rng.normal(size=(7, 2)), axis=0)
+        cubic = PathNd(np.ones(2, dtype=bool), np.stack([pts[:4], pts[3:]]), np.linspace(0.0, 1.0, 3))
+        paths += [cubic, reparametrize(cubic, piecewise_power_map(3, 0.5))]
+    a = rng.uniform(-0.8, 0.8, size=2)
+    return paths + [straight_segment(a, a + [1e-4, 0.0]), straight_segment(a, a + [0.0, -1e-4])]
+
+
+class TestIntegrationPlan:
+    # A batch's plan holds its distinct pieces, the chains of each
+    # quantity and the probe's verdict; every pass equals the single-pass
+    # kernel it replaced (``reference_transport_products``) bit for bit.
+    SPECS = [MULTIPLICATIVE_REALS, SU2, gln(2)]
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.name.value}{s.matrix_dim}")
+    def test_single_pass_is_the_reference_kernel(self, spec, n, half, rng):
+        field = random_affine_field(spec, rng, scale=0.3)
+        batch = stack_tables(plan_test_paths(rng))
+        got = _transport_products(field, batch, n, half)
+        assert np.array_equal(got, reference_transport_products(field, batch, n, half))
+        if n > 2:
+            # Some pieces keep the probe's 2-step value.
+            plan = _Plan(field, batch)
+            plan.products(n)
+            assert np.isfinite(plan._probe()).all(axis=(1, 2)).any()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.name.value}{s.matrix_dim}")
+    def test_passes_over_some_quantities_probe_once(self, spec, rng, monkeypatch):
+        field = random_affine_field(spec, rng, scale=0.3)
+        paths = plan_test_paths(rng)
+        paths = paths[: len(paths) - len(paths) % 3]
+        plan, full = _Plan(field, stack_tables(paths), per=3), {}
+        calls = count_sampled_pieces(monkeypatch)
+        for n in (8, 16, 32):
+            full[n] = reference_transport_products(field, stack_tables(paths), n, half=True)
+        calls.clear()
+        for k, n in enumerate((8, 16, 32)):
+            quantities = np.sort(rng.choice(plan.quantities, size=4, replace=False))
+            chains = (quantities[:, None] * 3 + np.arange(3)).ravel()
+            got = plan.products(n, quantities, half=n == 8)
+            assert np.array_equal(got, full[n][:, chains] if n == 8 else full[n][0, chains])
+            if n > 8:
+                # The n/2-step value of a later pass is the previous pass's value.
+                assert np.array_equal(full[n][1], full[n // 2][0])
+            sampled = pieces_per_lattice(calls)
+            # Only the first pass probes; each samples the chosen chains' pieces.
+            assert 5 in sampled if k == 0 else 5 not in sampled
+            assert sampled[2 * n + 1] <= len(_distinct_pieces(stack_tables([paths[c] for c in chains]))[0])
+            calls.clear()
 
 
 class TestTwoStepProbe:
@@ -869,6 +931,50 @@ class TestAudit:
             "axiom3_max_second_difference",
             "samples",
             "pass",
+            "steps",
+            "integration_estimates",
         ]
         assert d["pass"] == [True, True, False]
+        assert d["steps"] is None and d["integration_estimates"] is None
         json.dumps(d)
+
+
+class TestControlledAudit:
+    # With error_control each law's loops take per quantity the fewest
+    # steps, doubled from 8 up to the map's, whose estimate
+    # max|H_n - H_{n/2}| / 15 meets a tenth of the gate (axiom 3: gate d^2
+    # / 40 per family loop); a pair's three loops share one count.
+    @pytest.mark.parametrize("preset", ["su2-twist", "abelian-ydx"])
+    def test_equals_serial_controlled_checks(self, preset):
+        p = hf.get_preset(preset)
+        h_map, gates = p.holonomy_map(), tuple(p.tolerances[f"axiom{k}"] for k in (1, 2, 3))
+        kwargs = dict(samples=6, seed=5, tolerances=gates)
+        got = audit_axioms(h_map, error_control=True, **kwargs)
+        assert got == serial_controlled_audit(h_map, **kwargs)
+        assert got.all_passed
+        assert all(n in (8, 16, 32, 64, 128) for n in got.steps)
+        per_loop = (gates[0] / 10.0, gates[1] / 10.0, gates[2] / 10.0 / 20.0**2 / 4.0)
+        assert all(0.0 < e <= t for e, t in zip(got.integration_estimates, per_loop))
+
+    def test_without_control_or_on_an_analytic_map_the_fixed_audit(self):
+        kwargs = dict(samples=5, seed=2, tolerances=(1e-6, 1e-8, 0.2))
+        su2 = hf.get_preset("su2-twist").holonomy_map()
+        assert audit_axioms(su2, **kwargs) == audit_axioms(su2, error_control=False, **kwargs) == serial_audit(su2, **kwargs)
+        fixed = audit_axioms(analytic_map(), **kwargs)
+        assert audit_axioms(analytic_map(), error_control=True, **kwargs) == fixed
+        assert fixed.steps is None and fixed.integration_estimates is None
+
+    def test_infinite_gate_accepts_the_first_pass(self):
+        h_map = hf.get_preset("su2-twist").holonomy_map()
+        report = audit_axioms(h_map, samples=4, seed=1, tolerances=(np.inf, 1e-8, np.inf), error_control=True)
+        assert report.steps[0] == report.steps[2] == 8
+        assert report.integration_estimates[0] > 0.0 and report.integration_estimates[2] > 0.0
+
+    @pytest.mark.parametrize(
+        "gates, message",
+        [((1e-17, 1.0, np.inf), r"axiom 1, loop pair 0: "), ((1.0, 1e-14, np.inf), r"axiom 2, thin loop \d+: ")],
+    )
+    def test_above_tol_at_the_cap_raises_naming_the_law(self, gates, message):
+        h_map = hf.get_preset("su2-twist").holonomy_map(16)
+        with pytest.raises(IntegrationError, match=message + r"step-doubling estimate \S+ exceeds \S+ at 16 steps"):
+            audit_axioms(h_map, samples=3, seed=0, tolerances=gates, error_control=True)

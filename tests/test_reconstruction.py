@@ -904,7 +904,7 @@ class TestErrorControl:
     def test_only_points_that_miss_run_again(self, name, monkeypatch):
         # The n/2-step values come from the n-step lattice and equal a
         # fixed n/2-step run, so fixed runs predict every estimate.
-        from holonomy_forge import reconstruction
+        from holonomy_forge import holonomy, reconstruction
 
         p = hf.get_preset(name)
         psi, xs, mu, cap = p.frame(), self.NODES, 0, 64
@@ -922,18 +922,22 @@ class TestErrorControl:
                 break
         assert len(expected_passes) >= 2
 
-        passes = []
-        chains, holonomies = reconstruction.reconstruction_chains, reconstruction._holonomy_matrices
+        # The difference loops are built once, before the passes; each pass
+        # integrates the loops of the points still above tol.
+        passes, built = [], []
+        chains, holonomies = reconstruction.reconstruction_chains, holonomy._holonomy_matrices
         monkeypatch.setattr(
-            reconstruction, "reconstruction_chains",
-            lambda psi, a, b: passes.append([{tuple(x) for x in a}]) or chains(psi, a, b),
+            reconstruction, "reconstruction_chains", lambda psi, a, b: built.append(len(a)) or chains(psi, a, b)
         )
         monkeypatch.setattr(
-            reconstruction, "_holonomy_matrices",
-            lambda h_map, batch, steps=None: passes[-1].insert(0, steps) or holonomies(h_map, batch, steps),
+            holonomy, "_holonomy_matrices",
+            lambda h_map, plan, steps=None, quantities=None, half=False: passes.append(
+                (steps, {tuple(x) for x in xs[quantities]})
+            ) or holonomies(h_map, plan, steps, quantities, half),
         )
         got = self.values(p.holonomy_map(cap), psi, xs, mu, tol=tol)
-        assert [tuple(p) for p in passes] == expected_passes
+        assert passes == expected_passes
+        assert built == [4 * len(xs)]
         assert np.array_equal(got, expected)
 
     def test_target_below_the_rounding_floor_raises_naming_the_point(self):
