@@ -65,7 +65,8 @@ from .lie_core import (
     GroupElement,
     GroupName,
     GroupSpec,
-    group_distance,
+    _check_algebra,
+    _check_group,
     project_to_algebra,
     project_to_group,
 )
@@ -175,11 +176,11 @@ class ConnectionField:
 
     @classmethod
     def from_matrix_rule(cls, dim: int, spec: GroupSpec, matrix_rule) -> "ConnectionField":
-        """A connection from a per-point ``matrix_rule(x, mu)``, each value
-        projected onto the algebra and checked."""
+        """A connection from a per-point ``matrix_rule(x, mu)``; each rule
+        call's stack of values is projected onto the algebra and checked."""
 
         def rule(points, mu):
-            return np.stack([AlgebraElement.from_matrix(spec, matrix_rule(x, mu)).matrix for x in points])
+            return _check_algebra(spec, np.stack([matrix_rule(x, mu) for x in points]), project=True)
 
         return cls(dim, spec, rule)
 
@@ -664,8 +665,9 @@ def _loop_holonomies(h_map: HolonomyMap, loops, per: int = 1, tol=None, name=Non
     return _step_doubling(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
 
 
-def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
-    """Evaluate the holonomies of many based loops as one batch.
+def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
+    """Evaluate the holonomies of many based loops as one batch, an
+    (m, d, d) stack of group matrices, checked once ((0, d, d) for none).
 
     Each distinct smooth piece of the batch is sampled and integrated once
     per pass, in kernel calls of a bounded number of lattice samples; a
@@ -674,13 +676,13 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> list[GroupElement]:
     """
     loops = list(loops)
     if not loops:
-        return []
-    return [GroupElement(h_map.spec, m) for m in _loop_holonomies(h_map, loops)]
+        return np.zeros((0, h_map.spec.matrix_dim, h_map.spec.matrix_dim), dtype=h_map.spec.dtype)
+    return _check_group(h_map.spec, _loop_holonomies(h_map, loops))
 
 
 def eval_holonomy(h_map: HolonomyMap, loop: LoopAtBase) -> GroupElement:
     """Evaluate the holonomy of a based loop (a batch of one)."""
-    return eval_holonomies(h_map, [loop])[0]
+    return GroupElement(h_map.spec, _loop_holonomies(h_map, [loop])[0])
 
 
 def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_segment: int = 64) -> GroupElement:

@@ -16,9 +16,10 @@ Conventions:
   outside it -- callers differentiating holonomies should shrink their
   step instead of crossing branch cuts.
 
-``project_to_group``, ``project_to_algebra`` and ``log_map`` also take
-(..., d, d) stacks of matrices, so batched integrators and reconstructions
-stay vectorized.
+Batch paths work on (k, d, d) stacks and build no elements: the
+projections and ``log_map`` take stacks, and ``_check_group``,
+``_check_algebra`` and ``_inverse`` are the one group check, algebra check
+and inverse, run once per stack; an element is their batch of one.
 """
 
 from __future__ import annotations
@@ -120,16 +121,6 @@ def gln(n: int, scalar_field: str = "real") -> GroupSpec:
     return GroupSpec(GroupName.GLN, n, scalar_field, n**2)
 
 
-def _as_matrix(spec: GroupSpec, matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=spec.dtype)
-    if m.shape != (spec.matrix_dim, spec.matrix_dim):
-        raise ValueError(
-            f"expected {spec.matrix_dim}x{spec.matrix_dim} matrix, got shape {m.shape}"
-        )
-    m.setflags(write=False)
-    return m
-
-
 def _det2(x: np.ndarray) -> np.ndarray:
     return (x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0])[..., None, None]
 
@@ -175,101 +166,129 @@ def project_to_algebra(spec: GroupSpec, matrix: np.ndarray) -> np.ndarray:
     the Lie algebra."""
     m = np.asarray(matrix)
     name = spec.name
-    if name is GroupName.MULTIPLICATIVE_REALS:
-        return np.real(m).astype(np.float64)
     if name is GroupName.U1:
         return 1j * np.imag(m)
     if name is GroupName.SU2:
         m = m.astype(np.complex128)
         ah = 0.5 * (m - _adjoint(m))
         return ah - (0.5 * (ah[..., 0, 0] + ah[..., 1, 1]))[..., None, None] * np.eye(2)
-    if spec.scalar_field == "real":
-        return np.real(m).astype(np.float64)
-    return m.astype(np.complex128)
+    # The positive reals and GL(n): no constraint; keep the scalar field.
+    return np.real(m).astype(np.float64) if spec.scalar_field == "real" else m.astype(np.complex128)
+
+
+def _stack(spec: GroupSpec, stack) -> np.ndarray:
+    """A (k, d, d) stack of finite matrices, or ``ValueError``."""
+    m, d = np.asarray(stack), spec.matrix_dim
+    if m.ndim != 3 or m.shape[1:] != (d, d):
+        raise ValueError(f"expected a stack of {d}x{d} matrices, got shape {m.shape}")
+    _require(np.isfinite(m).all(axis=(1, 2)), lambda k: f"matrix {k} of the stack has entries that are not finite")
+    return m
+
+
+def _require(ok: np.ndarray, message):
+    """``ValueError`` unless ``ok`` holds throughout; its message is
+    ``message``, or ``message(k)`` for the first k that fails if callable."""
+    k = np.flatnonzero(~ok)
+    if k.size:
+        raise ValueError(message(k[0]) if callable(message) else message)
+
+
+def _check_group(spec: GroupSpec, stack) -> np.ndarray:
+    """The (k, d, d) stack of group matrices in the group's dtype, or
+    ``ValueError`` for the first matrix that is not in the group."""
+    # |det| is relative to the Frobenius norm (its bound by Hadamard's
+    # inequality), so a positive real of 1e-130 is not taken for singular;
+    # both are of the matrix scaled to a largest entry of 1, so that neither
+    # overflows at 1e195.
+    m = np.asarray(_stack(spec, stack), dtype=spec.dtype)
+    scale = np.abs(m).max(axis=(1, 2))
+    _require(scale > 0.0, lambda k: f"matrix is not invertible (largest entry {scale[k]})")
+    unit = m / scale[:, None, None]
+    det = np.linalg.det(unit)
+    _require(
+        np.abs(det) > _DET_TOL * np.linalg.norm(unit, axis=(1, 2)) ** spec.matrix_dim,
+        lambda k: f"matrix is not invertible (|det| = {abs(det[k]):.3e} at a largest entry of 1)",
+    )
+    name, m00 = spec.name, m[:, 0, 0]
+    if name is GroupName.MULTIPLICATIVE_REALS:
+        _require(m00 > 0, "multiplicative-reals element must be positive")
+    if name is GroupName.U1:
+        _require(np.abs(np.abs(m00) - 1.0) <= _GROUP_TOL, lambda k: f"U(1) element has modulus {abs(m00[k])!r}")
+    if name is GroupName.SU2:
+        _require(np.linalg.norm(m @ _adjoint(m) - np.eye(2), axis=(1, 2)) <= _GROUP_TOL, "SU(2) element is not unitary")
+        det = det * scale**2
+        _require(np.abs(det - 1.0) <= _GROUP_TOL, lambda k: f"SU(2) element has det {det[k]!r}")
+    return m
+
+
+def _check_algebra(spec: GroupSpec, stack, project: bool = False) -> np.ndarray:
+    """The (k, d, d) stack of algebra matrices in the group's dtype, with
+    ``project`` after ``project_to_algebra``, or ``ValueError`` for the
+    first matrix that is not in the algebra.  Entries that are not finite
+    are refused first, before the projection could drop them."""
+    m = _stack(spec, stack)
+    m = np.asarray(project_to_algebra(spec, m) if project else m, dtype=spec.dtype)
+    if spec.name is GroupName.U1:
+        _require(np.abs(m[:, 0, 0].real) <= _ALGEBRA_TOL, "u(1) element must be purely imaginary")
+    if spec.name is GroupName.SU2:
+        _require(np.linalg.norm(m + _adjoint(m), axis=(1, 2)) <= _ALGEBRA_TOL, "su(2) element must be anti-Hermitian")
+        _require(np.abs(np.trace(m, axis1=1, axis2=2)) <= _ALGEBRA_TOL, "su(2) element must be traceless")
+    return m
+
+
+def _inverse(spec: GroupSpec, stack: np.ndarray) -> np.ndarray:
+    """Inverses of a (k, d, d) stack of group matrices, projected onto the group."""
+    if spec.name is GroupName.MULTIPLICATIVE_REALS:
+        inv = 1.0 / stack
+    elif spec.name in (GroupName.U1, GroupName.SU2):
+        inv = _adjoint(stack)
+    else:
+        inv = np.linalg.inv(stack)
+    return project_to_group(spec, inv)
 
 
 @dataclass(frozen=True, eq=False)
-class GroupElement:
-    """A member of a matrix Lie group."""
+class _Element:
+    """A read-only copy of one matrix, checked by ``_check`` as a batch of one."""
 
     spec: GroupSpec
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.spec, self.matrix))
+        m = np.array(self.matrix, dtype=self.spec.dtype)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         self.validate()
 
     def validate(self):
-        # Every test is written so that a nan entry fails it.
-        m = self.matrix
-        # |det| relative to the Frobenius norm (which bounds it via Hadamard's
-        # inequality), so a valid element far from the identity, such as a
-        # positive real of size 1e-130, is not mistaken for a singular one;
-        # both of the matrix scaled to a largest entry of 1, so that neither
-        # overflows for a valid element of size 1e195.
-        scale = float(np.abs(m).max())
-        if not 0.0 < scale < np.inf:
-            raise ValueError(f"matrix is not invertible (largest entry {scale})")
-        unit = m / scale
-        det = np.linalg.det(unit)
-        if not abs(det) > _DET_TOL * float(np.linalg.norm(unit)) ** m.shape[0]:
-            raise ValueError(f"matrix is not invertible (|det| = {abs(det):.3e} at a largest entry of 1)")
-        name = self.spec.name
-        if name is GroupName.MULTIPLICATIVE_REALS and not m[0, 0] > 0:
-            raise ValueError("multiplicative-reals element must be positive")
-        if name is GroupName.U1 and not abs(abs(m[0, 0]) - 1.0) <= _GROUP_TOL:
-            raise ValueError(f"U(1) element has modulus {abs(m[0, 0])!r}")
-        if name is GroupName.SU2:
-            if not np.linalg.norm(m @ m.conj().T - np.eye(2)) <= _GROUP_TOL:
-                raise ValueError("SU(2) element is not unitary")
-            det = det * scale**2
-            if not abs(det - 1.0) <= _GROUP_TOL:
-                raise ValueError(f"SU(2) element has det {det!r}")
+        self._check(self.spec, self.matrix[None])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec.name.value}, {self.matrix.tolist()})"
+
+
+class GroupElement(_Element):
+    """A member of a matrix Lie group."""
+
+    _check = staticmethod(_check_group)
 
     @classmethod
     def identity(cls, spec: GroupSpec) -> "GroupElement":
         return cls(spec, np.eye(spec.matrix_dim, dtype=spec.dtype))
 
     def inverse(self) -> "GroupElement":
-        name = self.spec.name
-        if name is GroupName.MULTIPLICATIVE_REALS:
-            inv = np.array([[1.0 / self.matrix[0, 0]]])
-        elif name in (GroupName.U1, GroupName.SU2):
-            inv = self.matrix.conj().T  # unitary
-        else:
-            inv = np.linalg.inv(self.matrix)
-        return GroupElement(self.spec, project_to_group(self.spec, inv))
+        return GroupElement(self.spec, _inverse(self.spec, self.matrix[None])[0])
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
             raise SpecMismatch("cannot multiply elements of different groups")
         return GroupElement(self.spec, project_to_group(self.spec, self.matrix @ other.matrix))
 
-    def __repr__(self):
-        return f"GroupElement({self.spec.name.value}, {self.matrix.tolist()})"
 
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(_Element):
     """A member of the Lie algebra (tangent space at the identity)."""
 
-    spec: GroupSpec
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.spec, self.matrix))
-        self.validate()
-
-    def validate(self):
-        m = self.matrix
-        name = self.spec.name
-        if name is GroupName.U1 and not abs(np.real(m[0, 0])) <= _ALGEBRA_TOL:
-            raise ValueError("u(1) element must be purely imaginary")
-        if name is GroupName.SU2:
-            if not np.linalg.norm(m + m.conj().T) <= _ALGEBRA_TOL:
-                raise ValueError("su(2) element must be anti-Hermitian")
-            if not abs(np.trace(m)) <= _ALGEBRA_TOL:
-                raise ValueError("su(2) element must be traceless")
+    _check = staticmethod(_check_algebra)
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "AlgebraElement":
@@ -278,7 +297,7 @@ class AlgebraElement:
     @classmethod
     def from_matrix(cls, spec: GroupSpec, matrix) -> "AlgebraElement":
         """Build an element, projecting away numerical drift first."""
-        return cls(spec, project_to_algebra(spec, np.asarray(matrix)))
+        return cls(spec, _check_algebra(spec, np.asarray(matrix)[None], project=True)[0])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -303,9 +322,6 @@ class AlgebraElement:
         return AlgebraElement(self.spec, self.matrix * float(scalar))
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"AlgebraElement({self.spec.name.value}, {self.matrix.tolist()})"
 
 
 def _exp_su2(x: np.ndarray) -> np.ndarray:
@@ -361,17 +377,12 @@ def log_map(g, spec: GroupSpec | None = None):
     instead of catching this.
     """
     element = isinstance(g, GroupElement)
-    if element:
-        spec, m = g.spec, g.matrix
-    else:
-        m = np.asarray(g)
+    spec, m = (g.spec, g.matrix) if element else (spec, np.asarray(g))
     dist = np.linalg.norm(m - np.eye(spec.matrix_dim), axis=(-2, -1))
     # Positive reals have a global single-valued logarithm; every other
     # supported group has branch cuts, so stay inside the trust region.
     if spec.name is not GroupName.MULTIPLICATIVE_REALS and np.any(dist >= _LOG_TRUST_RADIUS):
-        raise FarFromIdentity(
-            f"element is {np.max(dist):.3g} from the identity (trust radius {_LOG_TRUST_RADIUS})"
-        )
+        raise FarFromIdentity(f"element is {np.max(dist):.3g} from the identity (trust radius {_LOG_TRUST_RADIUS})")
     if spec.matrix_dim == 1:
         out = np.log(np.real(m)) if spec.scalar_field == "real" else np.log(m.astype(np.complex128))
     elif spec.name is GroupName.SU2:
@@ -413,10 +424,4 @@ def algebra_basis(spec: GroupSpec) -> list[np.ndarray]:
     if spec.name is GroupName.SU2:
         return [0.5j * s for s in _PAULI]
     n = spec.matrix_dim
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=spec.dtype)
-            e[i, j] = 1.0
-            basis.append(e)
-    return basis
+    return list(np.eye(n * n, dtype=spec.dtype).reshape(n * n, n, n))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lie_core import MULTIPLICATIVE_REALS, SU2, GroupSpec, su2_basis
+from .lie_core import MULTIPLICATIVE_REALS, SU2, GroupSpec, algebra_basis
 from .holonomy import ConnectionField, HolonomyMap
 from .path_algebra import PathFamily, radial_family
 
@@ -68,7 +68,7 @@ def iter_presets():
     return [PRESETS[k] for k in sorted(PRESETS)]
 
 
-_X3 = su2_basis()[2].matrix
+_X3 = algebra_basis(SU2)[2]
 
 _register(
     Preset(

@@ -32,10 +32,11 @@ import numpy as np
 
 from .lie_core import (
     AlgebraElement,
-    FarFromIdentity,
     GroupElement,
     GroupSpec,
-    exp_map,
+    _check_algebra,
+    _check_group,
+    _inverse,
     group_distance,
     log_map,
     project_to_algebra,
@@ -144,10 +145,7 @@ def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
     far = np.flatnonzero(dist >= 0.5)
     if far.size:
         raise StepTooLarge(f"holonomy is {dist[far[0]]:.3g} from the identity; reduce cfg.h")
-    try:
-        return log_map(hols, spec)
-    except FarFromIdentity as exc:  # same trust radius, defensive
-        raise StepTooLarge(f"reduce cfg.h: {exc}") from exc
+    return log_map(hols, spec)
 
 
 def reconstruct_potential(
@@ -157,9 +155,9 @@ def reconstruct_potential(
 
     Central difference of log H over straight shifts of x along axis mu,
     with one Richardson step when configured.  ``x`` is one point, giving
-    an ``AlgebraElement``, or an (m, dim) array of points, giving a list of
-    m of them; either way the difference loops of all points are built as
-    flat segment tables and evaluated in batches, with no per-point work.
+    an ``AlgebraElement``, or an (m, dim) array of points, giving their
+    (m, d, d) stack; either way the difference loops of all points are
+    built as flat segment tables and evaluated in batches.
     Raises ``StepTooLarge`` if the holonomy of any difference loop leaves
     the logarithm trust region.
 
@@ -194,9 +192,8 @@ def reconstruct_potential(
             blocks.append(_step_doubling(h_map, plan, quotients, tol, name, record))
         else:
             blocks.append(quotients(_holonomy_matrices(h_map, plan)))
-    d = np.concatenate(blocks)
-    out = [AlgebraElement(spec, a) for a in project_to_algebra(spec, d)]
-    return out if x.ndim == 2 else out[0]
+    out = _check_algebra(spec, np.concatenate(blocks), project=True)
+    return out if x.ndim == 2 else AlgebraElement(spec, out[0])
 
 
 def reconstructed_connection(
@@ -206,10 +203,10 @@ def reconstructed_connection(
 
     Its rule calls ``reconstruct_potential`` (with ``tol`` and ``record``)
     once per batch, on the points it has not seen, and memoizes the values
-    per (point, direction).  If the batch raises, those points are
-    evaluated again one at a time, so the error raised and the values
-    memoized are those of single-point calls in order.  Its degree is
-    unknown (None).
+    per (point, direction); each call returns a new stack.  If the batch
+    raises, those points are evaluated again one at a time, so the error
+    raised and the values memoized are those of single-point calls in
+    order.  Its degree is unknown (None).
     """
     memo: dict = {}
 
@@ -224,7 +221,7 @@ def reconstructed_connection(
             except (ValueError, ArithmeticError):
                 for key, x in missing.items():
                     memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0]
-        return np.stack([memo[key].matrix for key in keys])
+        return np.stack([memo[key] for key in keys])
 
     return ConnectionField(h_map.field.dim, h_map.spec, rule)
 
@@ -314,9 +311,9 @@ def connection_form_action(
     gj_inv = curve.g(j).inverse().matrix
     ts = j + _steps(1, 0, cfg.h, cfg.richardson)[:, 0]
     hols = eval_holonomies(h_map, _frame_loops(curve.psi, curve.base_curve, j, ts))
-    values = [project_to_group(spec, gj_inv @ u.matrix @ curve.g(i).matrix) for u, i in zip(hols, ts)]
-    logs = _logs_for_difference(spec, np.stack([GroupElement(spec, m).matrix for m in values]))
-    return AlgebraElement(spec, project_to_algebra(spec, _central(logs, cfg.h, cfg.richardson)))
+    values = project_to_group(spec, gj_inv @ hols @ np.stack([curve.g(i).matrix for i in ts]))
+    logs = _logs_for_difference(spec, _check_group(spec, values))
+    return AlgebraElement.from_matrix(spec, _central(logs, cfg.h, cfg.richardson))
 
 
 def horizontal_transport(h_map: HolonomyMap, psi: PathFamily, p: PathNd, g0: GroupElement, i: float) -> GroupElement:
@@ -336,39 +333,39 @@ def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x
     Multiplying on the left by this value (and adding its logarithmic
     derivative) carries the psi-frame potential into the psi2-frame one;
     swapping the arguments yields the inverse element.  ``x`` is one point,
-    giving a ``GroupElement``, or an (m, dim) array of points, giving a
-    list of m of them from one holonomy batch.
+    giving a ``GroupElement``, or an (m, dim) array of points, giving the
+    (m, d, d) stack of their values from one holonomy batch.
     """
     if np.linalg.norm(psi.basepoint - psi2.basepoint) > 1e-12 * (1.0 + np.max(np.abs(psi.basepoint))):
         raise BasepointMismatch("frames must share a base point")
     x = np.asarray(x, dtype=float)
     loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in np.atleast_2d(x)]
     out = eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
-    return out if x.ndim == 2 else out[0]
+    return out if x.ndim == 2 else GroupElement(h_map.spec, out[0])
 
 
 def gauge_transform_potential(
-    A: ConnectionField, gfield: Callable[[np.ndarray], list], x, mu: int, cfg: FdConfig = FdConfig()
+    A: ConnectionField, gfield: Callable[[np.ndarray], np.ndarray], x, mu: int, cfg: FdConfig = FdConfig()
 ):
     """Transform a potential by a group-valued field:
     g^{-1} A_mu g + g^{-1} d_mu g, the derivative by central difference.
 
-    ``gfield(points)`` maps an (m, dim) array to m ``GroupElement``s and is
-    called once, on the points and their shifts along axis mu.  ``x`` is
-    one point, giving an ``AlgebraElement``, or an (m, dim) array, giving a
-    list; ``StepTooLarge`` if the field varies too fast at any point.
+    ``gfield(points)`` maps an (m, dim) array to an (m, d, d) stack of
+    group matrices, which is checked as outside input; it is called once,
+    on the points and their shifts along axis mu.  ``x`` is one point,
+    giving an ``AlgebraElement``, or an (m, dim) array, giving the stack;
+    ``StepTooLarge`` if the field varies too fast at any point.
     """
     x = np.asarray(x, dtype=float)
     xs = _as_points(x, A.dim)
-    gs = gfield(np.concatenate([xs, *(xs + s for s in _steps(xs.shape[1], mu, cfg.h, cfg.richardson))]))
-    g_inv = np.stack([g.inverse().matrix for g in gs[: len(xs)]])
-    g = np.stack([g.matrix for g in gs]).reshape((-1,) + g_inv.shape)
+    g = _check_group(A.spec, gfield(np.concatenate([xs, *(xs + s for s in _steps(A.dim, mu, cfg.h, cfg.richardson))])))
+    g = g.reshape((-1, len(xs)) + g.shape[1:])
     if np.any(np.linalg.norm(g[1::2] - g[2::2], axis=(-2, -1)) > 1.0):
         raise StepTooLarge("gauge field varies too fast at the difference scale")
-    d = _central(g[1:], cfg.h, cfg.richardson)
-    out = g_inv @ A.rule(xs, mu) @ g[0] + g_inv @ d
-    out = [AlgebraElement(A.spec, a) for a in project_to_algebra(A.spec, out)]
-    return out if x.ndim == 2 else out[0]
+    g_inv = _inverse(A.spec, g[0])
+    out = g_inv @ A.rule(xs, mu) @ g[0] + g_inv @ _central(g[1:], cfg.h, cfg.richardson)
+    out = _check_algebra(A.spec, out, project=True)
+    return out if x.ndim == 2 else AlgebraElement(A.spec, out[0])
 
 
 def curvature(A: ConnectionField, x, mu: int, nu: int, cfg: FdConfig = FdConfig()):
@@ -377,8 +374,8 @@ def curvature(A: ConnectionField, x, mu: int, nu: int, cfg: FdConfig = FdConfig(
     Central differences with step ``cfg.curvature_h``; the formula is
     literally antisymmetric, so swapping (mu, nu) negates the value
     exactly.  ``x`` is one point, giving an ``AlgebraElement``, or an
-    (m, dim) array, giving a list; A is evaluated in one ``rule`` call per
-    direction.
+    (m, dim) array, giving the (m, d, d) stack; A is evaluated in one
+    ``rule`` call per direction.
     """
     x = np.asarray(x, dtype=float)
     xs = _as_points(x, A.dim)
@@ -387,8 +384,8 @@ def curvature(A: ConnectionField, x, mu: int, nu: int, cfg: FdConfig = FdConfig(
     around = [np.concatenate([*(xs + _steps(xs.shape[1], a, ch)[:, None]), xs]) for a in (mu, nu)]
     (*nu_along_mu, a_nu), (*mu_along_nu, a_mu) = (np.split(A.rule(pts, b), 3) for pts, b in zip(around, (nu, mu)))
     f = _central(nu_along_mu, ch, False) - _central(mu_along_nu, ch, False) + a_mu @ a_nu - a_nu @ a_mu
-    out = [AlgebraElement(A.spec, m) for m in project_to_algebra(A.spec, f)]
-    return out if x.ndim == 2 else out[0]
+    out = _check_algebra(A.spec, f, project=True)
+    return out if x.ndim == 2 else AlgebraElement(A.spec, out[0])
 
 
 @dataclass(frozen=True)
@@ -450,17 +447,18 @@ class RoundTripReport:
 
 def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
     """The group-valued field carrying the input potential into its
-    radial-frame reconstruction, as a batch function of an (m, dim) array
-    of points: transport of the identity along the frame paths
-    (closed-form quadrature in the abelian case)."""
+    radial-frame reconstruction, as a batch function from an (m, dim) array
+    of points to an (m, d, d) stack: transport of the identity along the
+    frame paths (closed-form quadrature in the abelian case)."""
     spec = A_in.spec
 
-    def gfield(points) -> list:
+    def gfield(points) -> np.ndarray:
         batch = table_batch(*psi.tables(points))
         if spec.is_abelian:
-            zs = -_Plan(A_in, batch).line_integrals()
-            return [exp_map(AlgebraElement(spec, project_to_algebra(spec, np.array([[z]])))) for z in zs]
-        return [GroupElement(spec, project_to_group(spec, u)) for u in _transport_products(A_in, batch, steps)]
+            u = np.exp(project_to_algebra(spec, -_Plan(A_in, batch).line_integrals()[:, None, None]))
+        else:
+            u = _transport_products(A_in, batch, steps)
+        return project_to_group(spec, u)
 
     return gfield
 
@@ -499,16 +497,18 @@ def round_trip_report(
 
     def node_defects(xs):
         """Worst curvature and gauge defects at each of an (m, dim) array of nodes."""
-        gs = gfield(xs)
-        g_inv = [g.inverse().matrix for g in gs]
+        g = _check_group(A_in.spec, gfield(xs))
+        g_inv = _inverse(A_in.spec, g)
+        # One norm call per node, as in check_axiom3: a stacked norm can
+        # differ in the last bit.
         curv = gauge = np.zeros(len(xs))
         for mu in range(dim):
             for nu in range(mu + 1, dim):
-                rows = zip(curvature(A_rec, xs, mu, nu, cfg), curvature(A_in, xs, mu, nu, cfg), g_inv, gs)
-                curv = np.maximum(curv, [np.linalg.norm(r.matrix - gi @ i.matrix @ g.matrix) for r, i, gi, g in rows])
+                diff = curvature(A_rec, xs, mu, nu, cfg) - g_inv @ curvature(A_in, xs, mu, nu, cfg) @ g
+                curv = np.maximum(curv, [np.linalg.norm(m) for m in diff])
         for mu in range(dim):
-            expected = gauge_transform_potential(A_in, gfield, xs, mu, cfg)
-            gauge = np.maximum(gauge, [np.linalg.norm(a - e.matrix) for a, e in zip(A_rec.rule(xs, mu), expected)])
+            diff = A_rec.rule(xs, mu) - gauge_transform_potential(A_in, gfield, xs, mu, cfg)
+            gauge = np.maximum(gauge, [np.linalg.norm(m) for m in diff])
         return curv, gauge
 
     # All nodes in one batch; only if that raises, node by node, so that
@@ -552,20 +552,13 @@ def potential_grid_csv(A: ConnectionField, grid: GridSpec) -> str:
     Header ``x1,..,xn,mu,re_0_0,im_0_0,..`` with row-major matrix entries;
     floats carry 17 significant digits.
     """
-    dim = A.dim
-    d = A.spec.matrix_dim
-    cols = [f"x{k + 1}" for k in range(dim)] + ["mu"]
-    for r in range(d):
-        for c in range(d):
-            cols += [f"re_{r}_{c}", f"im_{r}_{c}"]
-    lines = [",".join(cols)]
+    dim, d = A.dim, A.spec.matrix_dim
+    entries = [f"{part}_{r}_{c}" for r in range(d) for c in range(d) for part in ("re", "im")]
+    lines = [",".join([f"x{k + 1}" for k in range(dim)] + ["mu"] + entries)]
     nodes = grid.nodes(dim)
-    values = [A.rule(nodes, mu) for mu in range(dim)]
+    values = [np.asarray(A.rule(nodes, mu), dtype=complex).reshape(len(nodes), -1) for mu in range(dim)]
     for k, x in enumerate(nodes):
         for mu in range(dim):
-            m = np.asarray(values[mu][k], dtype=complex).reshape(-1)
-            vals = [f"{v:.17g}" for v in x] + [str(mu)]
-            for entry in m:
-                vals += [f"{entry.real:.17g}", f"{entry.imag:.17g}"]
-            lines.append(",".join(vals))
+            row = [f"{v:.17g}" for v in x] + [str(mu)]
+            lines.append(",".join(row + [f"{v:.17g}" for e in values[mu][k] for v in (e.real, e.imag)]))
     return "\n".join(lines) + "\n"

@@ -279,6 +279,14 @@ class TestRoundtrip:
         assert report["max_curvature_defect"] <= 1e-10
         assert report["failures"] == []
 
+    def test_su2_run_is_deterministic(self, tmp_path):
+        # The SU(2) stack path of the node defects: gauge field, inverse and
+        # conjugated curvature as (m, 2, 2) stacks.
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["roundtrip", "--preset", "su2-shear", "--grid", "3", "--steps", "8", "--out", str(out)]) == 0
+        assert read(a / "roundtrip_report.json") == read(b / "roundtrip_report.json")
+
 
     def test_wide_box_corners_fail_by_step_size(self, tmp_path):
         # On [-30, 30]^2 the relating gauge value at a corner is exp(-450),

@@ -64,6 +64,12 @@ def holonomy_maps(spec, field):
         yield HolonomyMap.analytic_abelian(field, ORIGIN)
 
 
+def holonomies(h_map, loops) -> list:
+    """The values of one ``eval_holonomies`` batch as elements, for the
+    group operations the laws are stated in."""
+    return [GroupElement(h_map.spec, m) for m in eval_holonomies(h_map, loops)]
+
+
 def assert_matches_oracle(h_map, loop, got):
     if h_map.kind == "transport":
         expected = np.linalg.inv(sequential_rk4_transport(h_map.field, loop.path, STEPS))
@@ -78,7 +84,7 @@ def test_composition_law(connection, a, b):
     composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
     loops = [alpha, beta, composed]
     for h_map in holonomy_maps(spec, field):
-        h_alpha, h_beta, h_composed = eval_holonomies(h_map, loops)
+        h_alpha, h_beta, h_composed = holonomies(h_map, loops)
         scale = max(1.0, float(np.linalg.norm(h_composed.matrix)))
         assert group_distance(h_composed, h_beta @ h_alpha) <= 1e-12 * scale
         assert_matches_oracle(h_map, composed, h_composed)
@@ -106,7 +112,7 @@ def test_thin_loop_law(connection, corners):
     ]
     identity = GroupElement.identity(spec)
     for h_map in holonomy_maps(spec, field):
-        values = eval_holonomies(h_map, loops)
+        values = holonomies(h_map, loops)
         assert_matches_oracle(h_map, loops[0], values[0])
         defects = [group_distance(g, identity) for g in values]
         if h_map.kind == "analytic_abelian":
@@ -123,9 +129,9 @@ def test_thin_loop_law(connection, corners):
         # luckily small defect at one step count only passes more easily.
         exact = 2 if spec.name in UNITARY else 0
         assert max(defects[:exact], default=0.0) <= 1e-12
-        reference = eval_holonomies(h_map.with_steps(16 * STEPS), loops[exact:])
+        reference = holonomies(h_map.with_steps(16 * STEPS), loops[exact:])
         for k in (1, 2, 4):
-            coarse = values[exact:] if k == 1 else eval_holonomies(h_map.with_steps(k * STEPS), loops[exact:])
+            coarse = values[exact:] if k == 1 else holonomies(h_map.with_steps(k * STEPS), loops[exact:])
             for g, ref in zip(coarse, reference):
                 assert group_distance(g, identity) <= 64.0 / 63.0 * group_distance(g, ref) + 1e-12
 
@@ -137,7 +143,7 @@ def test_reparametrization_invariance(connection, corners, phi):
     loop = polygon_loop(corners)
     warped = LoopAtBase(reparametrize(loop.path, phi), ORIGIN)
     for h_map in holonomy_maps(spec, field):
-        h_loop, h_warped = eval_holonomies(h_map, [loop, warped])
+        h_loop, h_warped = holonomies(h_map, [loop, warped])
         if h_map.kind == "analytic_abelian":
             # The pulled-back integrand has degree <= 8 on every piece.
             assert group_distance(h_warped, h_loop) <= 1e-12 * max(1.0, float(np.linalg.norm(h_loop.matrix)))

@@ -262,7 +262,7 @@ class TestDirectionIndex:
         x = np.array([1.0, 2.0])
         rec = reconstructed_connection(h_map, psi, CFG)
         reconstructions = count_reconstructions(monkeypatch)
-        ident = lambda pts: [GroupElement.identity(MULTIPLICATIVE_REALS)] * len(pts)
+        ident = lambda pts: np.ones((len(pts), 1, 1))
         calls = [lambda: reconstruct_potential(h_map, psi, x, mu, CFG)]
         calls += [lambda: TrivializedCurve.coordinate_shift(psi, x, mu, spec6.spec)]
         for field in (spec6.connection, rec):
@@ -350,10 +350,9 @@ class TestGaugeTransform:
     def test_identity_field_returns_potential(self, sec6):
         h_map, psi, _ = sec6
         a = reconstructed_connection(h_map, psi, CFG)
-        ident = GroupElement.identity(MULTIPLICATIVE_REALS)
         x = np.array([0.9, 0.4])
         for mu in (0, 1):
-            got = gauge_transform_potential(a, lambda pts: [ident] * len(pts), x, mu, CFG)
+            got = gauge_transform_potential(a, lambda pts: np.ones((len(pts), 1, 1)), x, mu, CFG)
             assert np.linalg.norm(got.matrix - a.component(x, mu).matrix) <= 1e-12
 
     def test_pure_gauge_from_zero_potential(self):
@@ -363,7 +362,7 @@ class TestGaugeTransform:
 
         def gfield(pts):
             calls.append(pts.shape)
-            return [GroupElement(MULTIPLICATIVE_REALS, [[math.exp(x[0] * x[1])]]) for x in pts]
+            return np.exp(pts[:, 0] * pts[:, 1])[:, None, None]
 
         x = np.array([0.7, -1.2])
         d0 = gauge_transform_potential(zero, gfield, x, 0, CFG).matrix[0, 0]
@@ -375,7 +374,7 @@ class TestGaugeTransform:
 
     def test_fast_varying_gauge_field_rejected(self):
         zero = ConnectionField.zero(2, MULTIPLICATIVE_REALS)
-        steep = lambda pts: [GroupElement(MULTIPLICATIVE_REALS, [[1.0 + 1e5 * abs(x[0])]]) for x in pts]
+        steep = lambda pts: (1.0 + 1e5 * np.abs(pts[:, 0]))[:, None, None]
         with pytest.raises(StepTooLarge):
             gauge_transform_potential(zero, steep, np.array([0.5, 0.0]), 0, CFG)
 
@@ -390,6 +389,51 @@ class TestGaugeTransform:
             for mu in (0, 1):
                 expected = gauge_transform_potential(a_rad, relating, x, mu, CFG).matrix
                 assert np.linalg.norm(a_dog.component(x, mu).matrix - expected) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "spec, bad, message",
+        [
+            (MULTIPLICATIVE_REALS, [[-2.0]], "must be positive"),
+            (MULTIPLICATIVE_REALS, [[0.0]], "not invertible"),
+            (SU2, [[1.0, 0.5], [0.0, 1.0]], "not unitary"),
+            (gln(2), [[1.0, 1.0], [1.0, 1.0]], "not invertible"),
+            (MULTIPLICATIVE_REALS, [[np.nan]], "not finite"),
+            (SU2, [[np.nan, 0.0], [0.0, 1.0]], "not finite"),
+        ],
+        ids=["negative", "zero", "non-unitary", "singular", "nan-real", "nan-su2"],
+    )
+    def test_gauge_field_stack_is_checked(self, spec, bad, message):
+        # gfield is outside input: a raw stack whose last matrix is not in
+        # the group is refused by the group check, not read as a value.
+        def gfield(pts):
+            g = np.tile(np.eye(spec.matrix_dim, dtype=spec.dtype), (len(pts), 1, 1))
+            g[-1] = bad
+            return g
+
+        xs = np.array([[0.3, -0.4], [0.1, 0.2]])
+        with pytest.raises(ValueError, match=message) as info:
+            gauge_transform_potential(ConnectionField.zero(2, spec), gfield, xs, 0, CFG)
+        assert not isinstance(info.value, StepTooLarge)
+
+
+class TestNonFiniteValues:
+    # A rule value that is not finite is refused by the algebra check, for
+    # every group, before a projection could drop it: U(1)'s component
+    # used to read nan as 0j, and the positive reals and GL(2) returned it.
+    @pytest.mark.parametrize("call", ["curvature", "gauge_transform_potential", "component"])
+    @pytest.mark.parametrize("spec", [MULTIPLICATIVE_REALS, U1, SU2, gln(2)], ids=lambda s: s.name.value)
+    def test_refused_as_not_finite(self, spec, call):
+        d = spec.matrix_dim
+        A = ConnectionField(2, spec, lambda pts, mu: np.full((len(pts), d, d), np.nan, dtype=spec.dtype))
+        ident = lambda pts: np.tile(np.eye(d, dtype=spec.dtype), (len(pts), 1, 1))
+        x = np.array([0.3, -0.4])
+        calls = {
+            "curvature": lambda: curvature(A, x, 0, 1, CFG),
+            "gauge_transform_potential": lambda: gauge_transform_potential(A, ident, x, 0, CFG),
+            "component": lambda: A.component(x, 0),
+        }
+        with pytest.raises(ValueError, match="not finite"):
+            calls[call]()
 
 
 class TestCurvature:
@@ -582,6 +626,17 @@ class TestPotentialField:
             assert row[0, 0] != 0.0
             assert np.array_equal(A.component(x, 1).matrix, row)
 
+    @pytest.mark.parametrize("preset", ["paper-sec6", "su2-shear"])
+    def test_transport_twice_gives_equal_values(self, preset):
+        # Transport scales the rule's values in place; the memo must not
+        # share memory with them, or the second transport reads them scaled.
+        p = hf.get_preset(preset)
+        A = reconstructed_connection(p.holonomy_map(16), p.frame(), CFG)
+        path = straight_segment([0.2, 0.1], [0.9, -0.4])
+        ident = GroupElement.identity(p.spec)
+        first, second = (transport_along(A, path, ident, 8).matrix for _ in range(2))
+        assert np.array_equal(first, second)
+
     @pytest.mark.parametrize("x", [[0.5, 0.2, 9.0], [0.5], [[0.5, 0.2, 9.0]]])
     def test_point_of_the_wrong_length_rejected(self, sec6, x, monkeypatch):
         h_map, psi, _ = sec6
@@ -598,7 +653,7 @@ class TestPotentialField:
         samples, gauge_calls = [], []
         sampled = lambda pts, mu: samples.append(pts) or h_map.field.rule(pts, mu)
         closed = ConnectionField(2, MULTIPLICATIVE_REALS, sampled)
-        gfield = lambda pts: gauge_calls.append(pts) or [GroupElement.identity(MULTIPLICATIVE_REALS)] * len(pts)
+        gfield = lambda pts: gauge_calls.append(pts) or np.ones((len(pts), 1, 1))
         for A in (reconstructed_connection(h_map, psi, CFG), closed):
             for call in (
                 lambda: A.component(np.zeros(shape), 0),
@@ -661,9 +716,9 @@ class TestArrayForms:
     def test_curvature(self, name):
         _, _, fresh = self.setting(name)
         batched = curvature(fresh(), self.POINTS, 0, 1, CFG)
-        assert len(batched) == len(self.POINTS)
+        assert batched.shape[0] == len(self.POINTS)
         for x, f in zip(self.POINTS, batched):
-            assert np.array_equal(f.matrix, curvature(fresh(), x, 0, 1, CFG).matrix)
+            assert np.array_equal(f, curvature(fresh(), x, 0, 1, CFG).matrix)
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
     def test_transition_function_and_gauge_transform(self, name):
@@ -671,13 +726,13 @@ class TestArrayForms:
         dogleg = axis_dogleg_family(ORIGIN)
         batched = transition_function(h_map, p.frame(), dogleg, self.POINTS)
         for x, t in zip(self.POINTS, batched):
-            assert np.array_equal(t.matrix, transition_function(h_map, p.frame(), dogleg, x).matrix)
+            assert np.array_equal(t, transition_function(h_map, p.frame(), dogleg, x).matrix)
         # transition_function is itself a batch gauge field.
         relating = lambda pts: transition_function(h_map, p.frame(), dogleg, pts)
         for mu in (0, 1):
             batched = gauge_transform_potential(fresh(), relating, self.POINTS, mu, CFG)
             for x, a in zip(self.POINTS, batched):
-                assert np.array_equal(a.matrix, gauge_transform_potential(fresh(), relating, x, mu, CFG).matrix)
+                assert np.array_equal(a, gauge_transform_potential(fresh(), relating, x, mu, CFG).matrix)
 
     def test_round_trip_checks_all_nodes_in_one_batch(self, monkeypatch):
         # A failure-free round trip makes one curvature call per pair of
@@ -727,10 +782,11 @@ class TestBatchedReconstruction:
         for psi in (radial_family(ORIGIN), axis_dogleg_family(ORIGIN)):
             for mu in (0, 1):
                 got = reconstruct_potential(h_map, psi, self.POINTS, mu, cfg)
-                assert len(got) == len(self.POINTS)
+                assert got.shape == (len(self.POINTS), spec.matrix_dim, spec.matrix_dim)
                 for x, a in zip(self.POINTS, got):
                     expected = reference_potential(field, psi, x, mu, cfg.h, richardson, 8)
-                    assert np.linalg.norm(a.matrix - expected) <= 1e-9, (x, mu)
+                    assert np.linalg.norm(a - expected) <= 1e-9, (x, mu)
+                    assert np.array_equal(a, reconstruct_potential(h_map, psi, x, mu, cfg).matrix)
 
     @pytest.mark.parametrize("preset", ["paper-sec6", "su2-shear"])
     def test_single_point_is_the_batch_of_one(self, preset):
@@ -741,8 +797,8 @@ class TestBatchedReconstruction:
             batch = reconstruct_potential(h_map, psi, np.array(xs), mu, CFG)
             for x, a in zip(xs, batch):
                 single = reconstruct_potential(h_map, psi, x, mu, CFG)
-                assert np.array_equal(a.matrix, single.matrix)
-                assert np.linalg.norm(a.matrix - p.closed_form(x, mu)) <= 1e-3
+                assert np.array_equal(a, single.matrix)
+                assert np.linalg.norm(a - p.closed_form(x, mu)) <= 1e-3
 
     @pytest.mark.parametrize("miss", ["start", "end"])
     def test_frame_endpoints_checked_in_a_batch(self, sec6, miss):
@@ -862,7 +918,7 @@ class TestBatchedReconstruction:
         gfield = _relating_gauge_field(p.connection, p.frame(), 16)
         batched = gfield(np.concatenate([xs, xs[:2]]))
         for x, g in zip(xs, batched):
-            assert np.array_equal(g.matrix, gfield(x[None])[0].matrix)
+            assert np.array_equal(g, gfield(x[None])[0])
 
     def test_su2_twist_curvature_is_gauge_covariant(self):
         # non-commuting field: the reconstructed curvature equals the input
@@ -883,7 +939,7 @@ class TestErrorControl:
 
     @staticmethod
     def values(h_map, psi, xs, mu, **kw) -> np.ndarray:
-        return np.array([a.matrix for a in reconstruct_potential(h_map, psi, xs, mu, CFG, **kw)])
+        return reconstruct_potential(h_map, psi, xs, mu, CFG, **kw)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-7])
     @pytest.mark.parametrize("name", ["su2-shear", "su2-twist", "abelian-ydx"])
