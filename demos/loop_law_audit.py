@@ -29,7 +29,7 @@ origin = np.zeros(2)
 for name in ("paper-sec6", "su2-twist"):
     preset = hf.get_preset(name)
     h_map = preset.holonomy_map()
-    print(f"== {name} ({preset.spec.name.value}, {h_map.kind} backend)")
+    print(f"== {name} ({preset.spec.name.value}, {preset.backend} backend)")
 
     alpha = random_polygon_loop(rng, origin, n_vertices=4, radius=0.75)
     beta = random_polygon_loop(rng, origin, n_vertices=5, radius=0.75)

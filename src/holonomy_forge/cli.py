@@ -234,14 +234,14 @@ def _steps(args, preset: Preset) -> int:
     return args.steps
 
 
-def _controlled(args, preset: Preset, gated: bool = True) -> bool:
-    """Whether a run takes error control: a transport preset, a gate to
+def _controlled(args, h_map, gated: bool = True) -> bool:
+    """Whether a run takes error control: a transport map, a gate to
     control against, and no --steps.  Its passes start at min(8, steps)
     and halve it, so an odd count below 8 is an input error."""
-    controlled = gated and preset.backend == "transport" and args.steps is None
-    if controlled and min(8, preset.default_steps) % 2:
+    controlled = gated and h_map.steps is not None and args.steps is None
+    if controlled and min(8, h_map.steps) % 2:
         raise _InputError(
-            f"steps {preset.default_steps} cannot be error-controlled: step doubling needs an even count "
+            f"steps {h_map.steps} cannot be error-controlled: step doubling needs an even count "
             "or one of at least 8; give --steps to fix the count"
         )
     return controlled
@@ -261,11 +261,10 @@ def _cmd_reconstruct(args) -> int:
     preset = _resolve_preset(args)
     grid = _grid_from(args, preset)
     cfg = _fd_config(args)
-    steps = _steps(args, preset)
-    h_map = preset.holonomy_map(steps)
+    h_map = preset.holonomy_map(_steps(args, preset))
     tol = preset.tolerances.get("reconstruct")
     # Error control spends a tenth of the gate on integration; --steps fixes the count.
-    controlled = _controlled(args, preset, tol is not None)
+    controlled = _controlled(args, h_map, tol is not None)
     record: dict = {}
     A = reconstructed_connection(h_map, preset.frame(), cfg, tol / 10.0 if controlled else None, record)
     nodes = grid.nodes(preset.dim)
@@ -285,7 +284,7 @@ def _cmd_reconstruct(args) -> int:
         "preset": preset.name,
         "grid": grid.describe(preset.dim),
         "fd_h": cfg.h,
-        "steps": None if preset.backend == "analytic" else record.get("steps", steps),
+        "steps": record.get("steps", h_map.steps),
         "backend": preset.backend,
         "max_abs_error": max_err,
         "max_integration_estimate": record.get("estimate"),
@@ -305,7 +304,7 @@ def _cmd_audit(args) -> int:
         raise _InputError("--samples must be at least 1")
     _fd_config(args)  # unused by the audit, but a bad value is still an input error
     h_map = preset.holonomy_map(_steps(args, preset))
-    controlled = _controlled(args, preset)
+    controlled = _controlled(args, h_map)
     tols = (
         preset.tolerances.get("axiom1", 1e-6),
         preset.tolerances.get("axiom2", 1e-8),

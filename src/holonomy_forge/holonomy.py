@@ -1,36 +1,37 @@
 """Holonomy maps and executable checks of the loop-space laws.
 
 A holonomy map sends loops at a fixed base point into a matrix Lie group.
-Two backends are provided:
+A ``HolonomyMap`` is a field, a base point and a step count, which alone
+says how it integrates:
 
-* ``analytic_abelian`` -- for one-dimensional (commuting) groups the
-  holonomy is exp of the line integral of the connection along the loop,
-  evaluated segmentwise with 32-point Gauss-Legendre quadrature;
-* ``transport`` -- parallel transport: solve u'(i) = -A(b(i)) b'(i) u(i),
-  u(0) = 1, with classical RK4 (order 4) written as the ordered product
-  of its step propagators, each projected onto the group, and set
-  H(loop) = u(1)^{-1}.  One vectorized kernel serves every group; a
-  propagator that leaves the positive reals raises ``IntegrationError``.
-  A piece along which a polynomial field's coefficient has degree <= 4
-  and entries <= 1/8, and whose 1- and 2-step values agree to rounding
-  (step doubling puts the 2-step error at a fifteenth of their gap, so
-  its value is already exact to double precision), keeps its 2-step
-  value; every other piece takes the map's steps per segment.  On
+* ``steps=None`` (``analytic_abelian``) -- for one-dimensional
+  (commuting) groups the holonomy is exp of the line integral of the
+  connection along the loop, evaluated segmentwise with 32-point
+  Gauss-Legendre quadrature;
+* ``steps=n`` (``transport``) -- parallel transport: solve
+  u'(i) = -A(b(i)) b'(i) u(i), u(0) = 1, with classical RK4 (order 4)
+  written as the ordered product of its step propagators, each projected
+  onto the group, and set H(loop) = u(1)^{-1}.  One vectorized kernel
+  serves every group; a propagator that leaves the positive reals raises
+  ``IntegrationError``.  A piece along which a polynomial field's
+  coefficient has degree <= 4 and entries <= 1/8, and whose 1- and 2-step
+  values agree to rounding (step doubling puts the 2-step error at a
+  fifteenth of their gap, so its value is already exact to double
+  precision), keeps its 2-step value; every other piece takes n steps.  On
   request the kernel also returns each chain's value at half the steps,
-  read from the same samples, which step doubling (``_step_doubling``)
-  turns into a per-quantity step count: the fewest steps, from 8 up to
-  the map's steps per segment as the cap, whose estimate
-  |V_n - V_{n/2}| / 15 meets a tolerance, or ``IntegrationError`` at the
-  cap.
+  read from the same samples, which the one evaluation entry
+  (``_evaluate``), given a tolerance, turns into a per-quantity step
+  count: the fewest steps, from 8 up to n as the cap, whose estimate
+  |V_n - V_{n/2}| / 15 meets it, or ``IntegrationError`` at the cap.
 
-Both backends evaluate loops in batches through one integration plan per
-batch (``_Plan``): each distinct smooth piece of a batch (keyed on its
-exact control points and time map, so pieces shared between loops count
-once) is found once, probed once, integrated once per pass, and the
-per-piece results are reduced per loop; ``eval_holonomy`` is the batch of
-one.  A fixed-step evaluation is the plan's single pass; under step
-doubling a later pass samples only the pieces of the quantities still
-above their tolerance.
+Loops are evaluated in batches through one integration plan per batch
+(``_Plan``): each distinct smooth piece of a batch (keyed on its exact
+control points and time map, so pieces shared between loops count once)
+is found once, probed once, integrated once per pass, and the per-piece
+results are reduced per loop; ``eval_holonomy`` is the batch of one.  A
+fixed-step evaluation is the plan's single pass; under step doubling a
+later pass samples only the pieces of the quantities still above their
+tolerance.
 
 The randomized audit builds every loop of a law first and evaluates each
 law as one batch.  By default every piece takes the map's steps; with
@@ -43,8 +44,8 @@ each law's largest step count and estimate.
 
 The inverse in the transport convention makes composition come out as
 H(alpha o beta) = H(beta) H(alpha) (beta traversed first), and for
-commuting groups it reduces to H = exp(+ integral), matching the analytic
-backend.
+commuting groups it reduces to H = exp(+ integral), matching the exact
+integral.
 
 The three loop-space laws are checked as numbers, not booleans: each
 checker returns a defect the caller compares against its own tolerance.
@@ -73,6 +74,7 @@ from .lie_core import (
 from .path_algebra import (
     LoopAtBase,
     _as_points,
+    _set_basepoint,
     compose_paths,
     invert_path,
     piecewise_power_map,
@@ -127,12 +129,12 @@ _GL_WEIGHTS = 0.5 * _weights
 # Lattice samples per kernel call.  Distinct pieces are cut into chunks at
 # piece boundaries so that the (samples, d, d) temporaries stay below about
 # 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
-# peaks 0.5 MB higher, with no gain in speed.  The transport backend's
+# peaks 0.5 MB higher, with no gain in speed.  Transport's
 # 2-step probe (5 samples per probed piece, once per batch) and its n-step
 # pass over the pieces the probe does not accept (2n+1 samples) are chunked
 # alike, so the probe adds at most ceil(5 probed pieces / 2048) kernel
 # calls.  So are the passes of error-controlled reconstructions and audits
-# (``_step_doubling``: n = 8, 16, ... up to the map's steps per segment,
+# (``_evaluate``: n = 8, 16, ... up to the map's steps as the cap,
 # over the pieces of the quantities still above their tolerance); only the
 # first pass builds n/2-step values, which read the same samples and add
 # n/2 propagators per piece after the n-step ones, so the cap holds.
@@ -177,10 +179,12 @@ class ConnectionField:
     @classmethod
     def from_matrix_rule(cls, dim: int, spec: GroupSpec, matrix_rule) -> "ConnectionField":
         """A connection from a per-point ``matrix_rule(x, mu)``; each rule
-        call's stack of values is projected onto the algebra and checked."""
+        call's (m, d, d) stack of values is projected and checked."""
+        d = spec.matrix_dim
 
         def rule(points, mu):
-            return _check_algebra(spec, np.stack([matrix_rule(x, mu) for x in points]), project=True)
+            values = [matrix_rule(x, mu) for x in points]
+            return _check_algebra(spec, np.stack(values) if values else np.zeros((0, d, d)), project=True)
 
         return cls(dim, spec, rule)
 
@@ -233,59 +237,43 @@ def _check_axis(mu, dim: int) -> int:
     return int(mu)
 
 
-@dataclass(frozen=True)
-class _AnalyticAbelianBackend:
-    field: ConnectionField
-
-
-@dataclass(frozen=True)
-class _TransportBackend:
-    field: ConnectionField
-    steps_per_segment: int
-
-
 @dataclass(frozen=True, eq=False)
 class HolonomyMap:
-    """An evaluatable assignment of group elements to based loops."""
+    """The holonomy of ``field`` on loops based at ``basepoint`` (finite):
+    the exact line integral when ``steps`` is None (abelian groups only),
+    else RK4 transport at ``steps`` per piece, the cap of error control."""
 
-    spec: GroupSpec
+    field: ConnectionField
     basepoint: np.ndarray
-    backend: object
+    steps: int | None = None
 
     def __post_init__(self):
-        bp = np.array(self.basepoint, dtype=float)
+        bp = _set_basepoint(self)
         if bp.shape != (self.field.dim,):
             raise DimMismatch(f"base point of shape {bp.shape} for a field on R^{self.field.dim}")
-        bp.setflags(write=False)
-        object.__setattr__(self, "basepoint", bp)
+        if self.steps is not None:
+            object.__setattr__(self, "steps", _check_steps(self.steps))
+        elif not self.field.spec.is_abelian:
+            raise ValueError("the exact line integral requires a one-dimensional (abelian) group")
 
     @classmethod
     def analytic_abelian(cls, field: ConnectionField, basepoint) -> "HolonomyMap":
-        if not field.spec.is_abelian:
-            raise ValueError("analytic backend requires a one-dimensional (abelian) group")
-        return cls(field.spec, np.asarray(basepoint, dtype=float), _AnalyticAbelianBackend(field))
+        return cls(field, basepoint)
 
     @classmethod
     def transport(cls, field: ConnectionField, basepoint, steps_per_segment: int = 64) -> "HolonomyMap":
-        steps = _check_steps(steps_per_segment)
-        return cls(field.spec, np.asarray(basepoint, dtype=float), _TransportBackend(field, steps))
+        return cls(field, basepoint, _check_steps(steps_per_segment))
 
     @property
-    def field(self) -> ConnectionField:
-        return self.backend.field
-
-    @property
-    def kind(self) -> str:
-        return "analytic_abelian" if isinstance(self.backend, _AnalyticAbelianBackend) else "transport"
+    def spec(self) -> GroupSpec:
+        return self.field.spec
 
     def __call__(self, loop: LoopAtBase) -> GroupElement:
         return eval_holonomy(self, loop)
 
     def with_steps(self, steps_per_segment: int) -> "HolonomyMap":
-        _check_steps(steps_per_segment)
-        if isinstance(self.backend, _AnalyticAbelianBackend):
-            return self
-        return HolonomyMap.transport(self.field, self.basepoint, steps_per_segment)
+        steps = _check_steps(steps_per_segment)
+        return self if self.steps is None else HolonomyMap(self.field, self.basepoint, steps)
 
 
 def _stacked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -549,12 +537,6 @@ class _Plan:
         return np.stack(u) if half else u[0]
 
 
-def _transport_products(field: ConnectionField, batch: Batch, steps_per_segment: int, half: bool = False) -> np.ndarray:
-    """u(1) of every chain of a batch at n steps per piece (and with
-    ``half`` at n/2): the single pass of the batch's plan."""
-    return _Plan(field, batch).products(steps_per_segment, half=half)
-
-
 def _check_steps(steps_per_segment) -> int:
     """The steps per piece of a transport; ``ValueError`` unless it is an
     integer (Python or numpy) of at least 1."""
@@ -589,32 +571,32 @@ def _check_representable(values: np.ndarray, what: str):
 
 def _holonomy_matrices(h_map: HolonomyMap, plan: _Plan, steps: int | None = None, quantities=None, half=False):
     """Holonomy matrices, (chains, d, d), of a plan's closed chains at the
-    map's base point; callers have checked dimension and base point.  A
-    transport map integrates the chains of the given quantities (all by
-    default) at ``steps`` per piece (its own by default), and with ``half``
-    returns the (2, chains, d, d) stack of the values at steps and at
-    steps/2; an analytic map ignores all three.  A value a double cannot
-    hold raises ``IntegrationError``, not a RuntimeWarning."""
+    map's base point, the one place a map is evaluated.  A transport map
+    integrates the chains of the given quantities (all by default) at
+    ``steps`` per piece (its own by default), and with ``half`` returns the
+    (2, chains, d, d) stack of the values at steps and at steps/2; an exact
+    map ignores all three.  A value a double cannot hold raises
+    ``IntegrationError``, not a RuntimeWarning."""
     spec = h_map.spec
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(h_map.backend, _AnalyticAbelianBackend):
+        if h_map.steps is None:
             h = np.exp(project_to_algebra(spec, plan.line_integrals()[:, None, None]))
         else:
-            n = h_map.backend.steps_per_segment if steps is None else steps
-            h = np.linalg.inv(plan.products(n, quantities, half))
+            h = np.linalg.inv(plan.products(h_map.steps if steps is None else steps, quantities, half))
     for v in h.reshape((-1,) + h.shape[-3:]):
         _check_representable(v, "the holonomy")
     return project_to_group(spec, h)
 
 
-def _step_doubling(h_map: HolonomyMap, plan: _Plan, reduce, tol: float, name, record: dict | None = None):
-    """Error-controlled values of a plan's quantities, each at the fewest
-    RK4 steps per piece whose step-doubling estimate meets ``tol``.
+def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None, record: dict | None = None):
+    """The values of a plan's quantities: ``reduce`` of all its holonomies
+    when ``tol`` is None or the map is exact, else each at the fewest RK4
+    steps per piece whose step-doubling estimate meets ``tol``.
 
     ``reduce(h)`` maps the holonomies of the chains of some quantities,
     (chains, d, d) in chain order, to the (quantities, ...) stack of their
-    values.  Passes start at n = min(8, N), N the map's steps per segment
-    as the cap, and double while n <= N.  A pass takes the estimate
+    values.  Passes start at n = min(8, N), N the map's ``steps`` as the
+    cap, and double while n <= N.  A pass takes the estimate
     max|V_n - V_{n/2}| / 15 (Hairer, Norsett & Wanner, Solving ODEs I,
     II.4) of each quantity; one whose estimate is at most tol keeps V_n,
     and only the others run again at 2n.  The first pass reads V_{n/2} from
@@ -625,7 +607,9 @@ def _step_doubling(h_map: HolonomyMap, plan: _Plan, reduce, tol: float, name, re
     anything is evaluated.  Returns the values; a ``record`` dict keeps
     the largest ``steps`` and ``estimate`` taken.
     """
-    cap = h_map.backend.steps_per_segment
+    if tol is None or h_map.steps is None:
+        return reduce(_holonomy_matrices(h_map, plan))
+    cap = h_map.steps
     if not tol > 0.0 or min(8, cap) % 2:
         raise ValueError(f"step doubling needs a positive tolerance and an even first step count, got {tol!r}, {cap}")
     out, worst = None, 0.0
@@ -653,16 +637,13 @@ def _step_doubling(h_map: HolonomyMap, plan: _Plan, reduce, tol: float, name, re
 
 
 def _loop_holonomies(h_map: HolonomyMap, loops, per: int = 1, tol=None, name=None, record=None) -> np.ndarray:
-    """Holonomy matrices, (loops, d, d), of based loops as one batch; with
-    ``tol`` on a transport map, each run of ``per`` consecutive loops is one
-    quantity of ``_step_doubling``."""
+    """Holonomy matrices, (loops, d, d), of based loops as one batch; each
+    run of ``per`` consecutive loops is one quantity of ``_evaluate``."""
     for loop in loops:
         _check_based(h_map, loop.dim, loop.basepoint)
     plan = _Plan(h_map.field, stack_tables([loop.path for loop in loops]), per)
-    if tol is None or h_map.kind != "transport":
-        return _holonomy_matrices(h_map, plan)
     d = h_map.spec.matrix_dim
-    return _step_doubling(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
+    return _evaluate(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
 
 
 def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
@@ -694,7 +675,7 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     steps = _check_steps(steps_per_segment)
     if path.dim != field.dim:
         raise DimMismatch(f"path dimension {path.dim} != field dimension {field.dim}")
-    u = _transport_products(field, stack_tables([path]), steps)[0]
+    u = _Plan(field, stack_tables([path])).products(steps)[0]
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 
@@ -811,9 +792,9 @@ def audit_axioms(
     default frame-conjugated straight-shift family.  All loops of a law
     are built first and evaluated as one batch.
 
-    Without ``error_control``, or on an analytic map, every piece takes the
+    Without ``error_control``, or on an exact map, every piece takes the
     map's steps.  With it on a transport map, each law's loops go through
-    ``_step_doubling`` on their plan, capped at the map's steps per
+    ``_evaluate`` on their plan, capped at the map's steps per
     segment, so that integration takes a tenth of each gate: axiom 1 at
     gate/10 per triple (alpha o beta, alpha, beta), which shares one step
     count so that the composition defect stays at rounding; axiom 2 at
@@ -825,7 +806,7 @@ def audit_axioms(
     """
     if samples < 1:
         raise ValueError("an audit needs at least one sample")
-    control = error_control and h_map.kind == "transport"
+    control = error_control and h_map.steps is not None
     tols = [t / 10.0 if control else None for t in tolerances]
     records: list[dict] = [{}, {}, {}]
     rng = np.random.default_rng(seed)

@@ -229,9 +229,7 @@ class LoopAtBase:
     basepoint: np.ndarray
 
     def __post_init__(self):
-        bp = np.array(self.basepoint, dtype=float)
-        bp.setflags(write=False)
-        object.__setattr__(self, "basepoint", bp)
+        bp = _set_basepoint(self)
         tol = _CONT_TOL * (1.0 + float(np.max(np.abs(bp))) if bp.size else 1.0)
         for end in (self.path.start, self.path.end):
             if np.linalg.norm(end - bp) > tol:
@@ -257,10 +255,7 @@ class PathFamily:
     table_rule: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
-        bp = np.array(self.basepoint, dtype=float)
-        bp.setflags(write=False)
-        object.__setattr__(self, "basepoint", bp)
-        if bp.shape != (self.dim,):
+        if _set_basepoint(self).shape != (self.dim,):
             raise ValueError("basepoint dimension mismatch")
 
     def tables(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -282,6 +277,17 @@ class PathFamily:
     def __getitem__(self, x) -> PathNd:
         (cubic,), (ctrl,) = self.tables(x)
         return PathNd(cubic, ctrl, np.linspace(0.0, 1.0, len(cubic) + 1))
+
+
+def _set_basepoint(obj) -> np.ndarray:
+    """Freeze ``obj.basepoint`` as a read-only float array and return it;
+    ``ValueError`` unless it is finite, as no loop could be checked at it."""
+    bp = np.array(obj.basepoint, dtype=float)
+    if not np.isfinite(bp).all():
+        raise ValueError(f"base point must be finite, got {bp.tolist()}")
+    bp.setflags(write=False)
+    object.__setattr__(obj, "basepoint", bp)
+    return bp
 
 
 def _as_points(points, dim: int) -> np.ndarray:

@@ -40,10 +40,9 @@ class Preset:
         return radial_family(np.array(self.basepoint, dtype=float))
 
     def holonomy_map(self, steps: int | None = None) -> HolonomyMap:
-        base = np.array(self.basepoint, dtype=float)
         if self.backend == "analytic":
-            return HolonomyMap.analytic_abelian(self.connection, base)
-        return HolonomyMap.transport(self.connection, base, self.default_steps if steps is None else steps)
+            return HolonomyMap(self.connection, self.basepoint)
+        return HolonomyMap(self.connection, self.basepoint, self.default_steps if steps is None else steps)
 
 
 PRESETS: dict[str, Preset] = {}

@@ -50,9 +50,7 @@ from .holonomy import (
     _check_based,
     _check_steps,
     _Plan,
-    _holonomy_matrices,
-    _step_doubling,
-    _transport_products,
+    _evaluate,
     eval_holonomy,
     eval_holonomies,
     transport_along,
@@ -165,7 +163,7 @@ def reconstruct_potential(
     steps per piece, doubled from min(8, N) up to the map's N as the cap,
     at which the estimate |D_n - D_{n/2}| / 15 of its difference quotient
     D is at most tol; D_{n/2} costs no field samples.  A point above tol at
-    N raises ``IntegrationError``, and ``record`` is ``_step_doubling``'s.
+    N raises ``IntegrationError``, and ``record`` is ``_evaluate``'s.
     Without ``tol``, every piece takes N steps, as fixed.
     """
     x = np.asarray(x, dtype=float)
@@ -180,18 +178,13 @@ def reconstruct_potential(
         logs = _logs_for_difference(spec, h).reshape((-1, k) + h.shape[-2:])
         return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
 
-    controlled = tol is not None and h_map.kind == "transport"
-    blocks = []
+    blocks = [np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)]  # no points: (0, d, d)
     # Whole points per block: _LOOPS_PER_BLOCK is a multiple of every k.
     for a in range(0, len(xs), _LOOPS_PER_BLOCK // k):
         pts = xs[a : a + _LOOPS_PER_BLOCK // k]
         chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
-        plan = _Plan(h_map.field, chains, k)
-        if controlled:
-            name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
-            blocks.append(_step_doubling(h_map, plan, quotients, tol, name, record))
-        else:
-            blocks.append(quotients(_holonomy_matrices(h_map, plan)))
+        name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
+        blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, name, record))
     out = _check_algebra(spec, np.concatenate(blocks), project=True)
     return out if x.ndim == 2 else AlgebraElement(spec, out[0])
 
@@ -206,9 +199,10 @@ def reconstructed_connection(
     per (point, direction); each call returns a new stack.  If the batch
     raises, those points are evaluated again one at a time, so the error
     raised and the values memoized are those of single-point calls in
-    order.  Its degree is unknown (None).
+    order.  No points give a (0, d, d) stack.  Its degree is unknown (None).
     """
     memo: dict = {}
+    spec, d = h_map.spec, h_map.spec.matrix_dim
 
     def rule(points, mu):
         pts = np.asarray(points, dtype=float)
@@ -221,9 +215,9 @@ def reconstructed_connection(
             except (ValueError, ArithmeticError):
                 for key, x in missing.items():
                     memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0]
-        return np.stack([memo[key] for key in keys])
+        return np.stack([memo[key] for key in keys]) if keys else np.zeros((0, d, d), dtype=spec.dtype)
 
-    return ConnectionField(h_map.field.dim, h_map.spec, rule)
+    return ConnectionField(h_map.field.dim, spec, rule)
 
 
 def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBase]:
@@ -358,8 +352,9 @@ def gauge_transform_potential(
     """
     x = np.asarray(x, dtype=float)
     xs = _as_points(x, A.dim)
-    g = _check_group(A.spec, gfield(np.concatenate([xs, *(xs + s for s in _steps(A.dim, mu, cfg.h, cfg.richardson))])))
-    g = g.reshape((-1, len(xs)) + g.shape[1:])
+    shifts = _steps(A.dim, mu, cfg.h, cfg.richardson)
+    g = _check_group(A.spec, gfield(np.concatenate([xs, *(xs + s for s in shifts)])))
+    g = g.reshape((1 + len(shifts), len(xs)) + g.shape[1:])
     if np.any(np.linalg.norm(g[1::2] - g[2::2], axis=(-2, -1)) > 1.0):
         raise StepTooLarge("gauge field varies too fast at the difference scale")
     g_inv = _inverse(A.spec, g[0])
@@ -457,7 +452,7 @@ def _relating_gauge_field(A_in: ConnectionField, psi: PathFamily, steps: int):
         if spec.is_abelian:
             u = np.exp(project_to_algebra(spec, -_Plan(A_in, batch).line_integrals()[:, None, None]))
         else:
-            u = _transport_products(A_in, batch, steps)
+            u = _Plan(A_in, batch).products(steps)
         return project_to_group(spec, u)
 
     return gfield

@@ -476,7 +476,7 @@ def controlled_holonomies(h_map, loops, tol: float):
     estimate; raises ``IntegrationError`` above tol at N."""
     from holonomy_forge.holonomy import IntegrationError
 
-    cap = h_map.backend.steps_per_segment
+    cap = h_map.steps
     n = min(8, cap)
     while True:
         h = [eval_holonomy(h_map.with_steps(n), loop).matrix for loop in loops]

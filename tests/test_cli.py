@@ -206,7 +206,7 @@ class TestReconstructSu2:
         calls = []
         real = cli.reconstructed_connection
         monkeypatch.setattr(cli, "reconstructed_connection", lambda h_map, psi, cfg, tol, record: calls.append(
-            (h_map.backend.steps_per_segment, tol)) or real(h_map, psi, cfg, tol, record))
+            (h_map.steps, tol)) or real(h_map, psi, cfg, tol, record))
         code = main(["reconstruct", "--preset", "su2-shear", "--grid", "5", "--out", str(tmp_path)])
         assert code == 0
         assert calls == [(128, 1e-3 / 10.0)]

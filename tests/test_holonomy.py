@@ -16,7 +16,6 @@ from holonomy_forge.holonomy import (
     IntegrationError,
     _distinct_pieces,
     _Plan,
-    _transport_products,
     audit_axioms,
     check_axiom1,
     check_axiom2,
@@ -145,8 +144,8 @@ class TestEvalTransport:
     def test_with_steps_rebinds_transport_resolution(self):
         h_map = HolonomyMap.transport(ydx_field(), ORIGIN, 8)
         finer = h_map.with_steps(64)
-        assert finer.backend.steps_per_segment == 64
-        assert analytic_map().with_steps(64).kind == "analytic_abelian"
+        assert finer.steps == 64
+        assert analytic_map().with_steps(64).steps is None
 
     @pytest.mark.parametrize("steps", [0, -2, 2.7, 8.0, True, None])
     def test_with_steps_checks_the_count_on_every_backend(self, steps):
@@ -187,7 +186,7 @@ class TestTransportKernel:
     def test_matches_sequential_oracle(self, spec, rng):
         field = random_affine_field(spec, rng)
         for path in kernel_test_paths(rng):
-            got = _transport_products(field, stack_tables([path]), 16)[0]
+            got = _Plan(field, stack_tables([path])).products(16)[0]
             expected = sequential_rk4_transport(field, path, 16)
             assert got.shape == (spec.matrix_dim, spec.matrix_dim)
             assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -203,10 +202,10 @@ class TestTransportKernel:
         paths = [loop.path for loop in shared_piece_loops(rng)] + kernel_test_paths(rng)
         paths += [straight_segment(a, a + [1e-4, 0.0]), straight_segment(a, a + [0.0, -1e-4])]
         batch = stack_tables(paths)
-        both = _transport_products(field, batch, n, half=True)
+        both = _Plan(field, batch).products(n, half=True)
         assert both.shape == (2, len(paths), spec.matrix_dim, spec.matrix_dim)
-        assert np.array_equal(both[0], _transport_products(field, batch, n))
-        assert np.array_equal(both[1], _transport_products(field, batch, n // 2))
+        assert np.array_equal(both[0], _Plan(field, batch).products(n))
+        assert np.array_equal(both[1], _Plan(field, batch).products(n // 2))
 
     def test_oracle_keeps_end_velocities_in_short_pieces(self):
         # Pieces of span 4e-5 and 1e-5 just below parameter 1, where a
@@ -214,7 +213,7 @@ class TestTransportKernel:
         field = hf.get_preset("su2-twist").connection
         verts = [ORIGIN, np.array([0.6, 0.1]), np.array([0.2, 0.7]), ORIGIN]
         path = polyline(verts, [0.0, 0.99995, 0.99999, 1.0])
-        got = _transport_products(field, stack_tables([path]), 16)[0]
+        got = _Plan(field, stack_tables([path])).products(16)[0]
         assert np.linalg.norm(got - sequential_rk4_transport(field, path, 16)) <= 1e-12
 
     def test_negative_propagator_raises(self):
@@ -467,7 +466,7 @@ class TestIntegrationPlan:
     def test_single_pass_is_the_reference_kernel(self, spec, n, half, rng):
         field = random_affine_field(spec, rng, scale=0.3)
         batch = stack_tables(plan_test_paths(rng))
-        got = _transport_products(field, batch, n, half)
+        got = _Plan(field, batch).products(n, half=half)
         assert np.array_equal(got, reference_transport_products(field, batch, n, half))
         if n > 2:
             # Some pieces keep the probe's 2-step value.
@@ -514,7 +513,7 @@ class TestTwoStepProbe:
 
         preset = PRESETS["su2-shear"]
         h_map = preset.holonomy_map()
-        n = h_map.backend.steps_per_segment
+        n = h_map.steps
         calls = count_sampled_pieces(monkeypatch)
         for mu in (0, 1):
             reconstruct_potential(h_map, preset.frame(), np.array([[0.6, -0.4], [-0.3, 0.8]]), mu)
@@ -856,12 +855,26 @@ class TestPinning:
         with pytest.raises(DimMismatch):
             eval_holonomy(h_map, unit_square())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["HolonomyMap.transport", "LoopAtBase", "radial_family"])
+    def test_non_finite_base_point_rejected(self, entry, bad):
+        # Every comparison with nan, and inf's distance to inf, is false, so
+        # no loop was ever checked against such a base point.
+        base = np.array([bad, 0.0])
+        build = {
+            "HolonomyMap.transport": lambda: HolonomyMap.transport(hf.get_preset("su2-shear").connection, base, 8),
+            "LoopAtBase": lambda: LoopAtBase(unit_square().path, base),
+            "radial_family": lambda: radial_family(base),
+        }[entry]
+        with pytest.raises(ValueError, match="base point must be finite"):
+            build()
+
 
 class TestTransportArguments:
     # Step counts of 0, -2 or 2.7 used to raise ZeroDivisionError, numpy's
     # sample-count error or TypeError, or (HolonomyMap.transport) run 2.7 as
     # 2 steps; a 3-d path or base point on a 2-d field failed inside numpy.
-    @pytest.mark.parametrize("entry", ["transport_along", "HolonomyMap.transport"])
+    @pytest.mark.parametrize("entry", ["transport_along", "HolonomyMap.transport", "HolonomyMap"])
     @pytest.mark.parametrize(
         "steps, dim, error",
         [
@@ -878,8 +891,10 @@ class TestTransportArguments:
         field, ident = ydx_field(), GroupElement.identity(MULTIPLICATIVE_REALS)
         if entry == "transport_along":
             run = lambda: transport_along(field, straight_segment(np.zeros(dim), np.full(dim, 0.5)), ident, steps)
-        else:
+        elif entry == "HolonomyMap.transport":
             run = lambda: HolonomyMap.transport(field, np.zeros(dim), steps)
+        else:
+            run = lambda: HolonomyMap(field, np.zeros(dim), steps)
         if error is None:
             run()
             return

@@ -71,7 +71,7 @@ def holonomies(h_map, loops) -> list:
 
 
 def assert_matches_oracle(h_map, loop, got):
-    if h_map.kind == "transport":
+    if h_map.steps is not None:
         expected = np.linalg.inv(sequential_rk4_transport(h_map.field, loop.path, STEPS))
         assert np.linalg.norm(got.matrix - expected) <= 1e-11 * max(1.0, np.linalg.norm(expected))
 
@@ -115,7 +115,7 @@ def test_thin_loop_law(connection, corners):
         values = holonomies(h_map, loops)
         assert_matches_oracle(h_map, loops[0], values[0])
         defects = [group_distance(g, identity) for g in values]
-        if h_map.kind == "analytic_abelian":
+        if h_map.steps is None:
             assert max(defects) <= 1e-12
             continue
         # Exact up to rounding where every piece meets its exact reversal
@@ -144,7 +144,7 @@ def test_reparametrization_invariance(connection, corners, phi):
     warped = LoopAtBase(reparametrize(loop.path, phi), ORIGIN)
     for h_map in holonomy_maps(spec, field):
         h_loop, h_warped = holonomies(h_map, [loop, warped])
-        if h_map.kind == "analytic_abelian":
+        if h_map.steps is None:
             # The pulled-back integrand has degree <= 8 on every piece.
             assert group_distance(h_warped, h_loop) <= 1e-12 * max(1.0, float(np.linalg.norm(h_loop.matrix)))
         assert_matches_oracle(h_map, warped, h_warped)

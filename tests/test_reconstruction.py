@@ -734,6 +734,22 @@ class TestArrayForms:
             for x, a in zip(self.POINTS, batched):
                 assert np.array_equal(a, gauge_transform_potential(fresh(), relating, x, mu, CFG).matrix)
 
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-shear"])
+    def test_no_points_give_an_empty_stack(self, name):
+        # As curvature of a polynomial field and transition_function do.
+        p, h_map, fresh = self.setting(name)
+        d, none = p.spec.matrix_dim, np.zeros((0, 2))
+        per_point = ConnectionField.from_matrix_rule(2, p.spec, lambda x, mu: p.connection.rule(x[None], mu)[0])
+        identity = lambda pts: np.broadcast_to(np.eye(d, dtype=p.spec.dtype), (len(pts), d, d))
+        for got in (
+            reconstruct_potential(h_map, p.frame(), none, 0, CFG),
+            fresh().rule(none, 1),
+            curvature(fresh(), none, 0, 1, CFG),
+            per_point.rule(none, 0),
+            gauge_transform_potential(p.connection, identity, none, 0, CFG),
+        ):
+            assert got.shape == (0, d, d) and got.dtype == p.spec.dtype
+
     def test_round_trip_checks_all_nodes_in_one_batch(self, monkeypatch):
         # A failure-free round trip makes one curvature call per pair of
         # directions and potential, one gauge transform per direction, and
@@ -1013,16 +1029,16 @@ class TestErrorControl:
             fixed = self.values(h_map, psi, self.NODES, mu)
             assert np.array_equal(self.values(h_map, psi, self.NODES, mu, tol=None), fixed)
             assert np.array_equal(reconstructed_connection(h_map, psi, CFG, None).rule(self.NODES, mu), fixed)
-            if h_map.kind == "analytic_abelian":
-                # An analytic map has no step count to control.
+            if h_map.steps is None:
+                # An exact map has no step count to control.
                 assert np.array_equal(self.values(h_map, psi, self.NODES, mu, tol=1e-9), fixed)
 
     @pytest.mark.parametrize("steps, tol", [(1, 1e-6), (3, 1e-6), (7, 1e-6), (64, 0.0), (64, -1.0), (64, np.nan)])
     def test_unusable_cap_or_tol_raises_before_evaluating(self, steps, tol, monkeypatch):
-        from holonomy_forge import reconstruction
+        from holonomy_forge import holonomy
 
         p = hf.get_preset("su2-shear")
-        monkeypatch.setattr(reconstruction, "_holonomy_matrices", None)
+        monkeypatch.setattr(holonomy, "_holonomy_matrices", None)
         with pytest.raises(ValueError, match="step doubling"):
             reconstruct_potential(p.holonomy_map(steps), p.frame(), self.NODES, 0, CFG, tol=tol)
 
