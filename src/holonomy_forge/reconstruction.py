@@ -53,7 +53,6 @@ from .holonomy import (
     _evaluate,
     eval_holonomy,
     eval_holonomies,
-    transport_along,
 )
 from .path_algebra import (
     LoopAtBase,
@@ -69,7 +68,7 @@ from .path_algebra import (
     straight_segment,
     thin_reduce,
 )
-from .segment_table import table_batch
+from .segment_table import stack_tables, table_batch
 
 __all__ = [
     "StepTooLarge",
@@ -89,11 +88,14 @@ __all__ = [
 ]
 
 
-# Difference loops are built and evaluated this many at a time, which
-# bounds the segment tables and frame paths held at once (the 676 loops of
-# a 13x13 grid held together peaked 0.8 MB higher) and keeps kernel
-# batches full.
-_LOOPS_PER_BLOCK = 128
+# Difference loops are built and evaluated at most this many at a time, in
+# blocks of equal size, which bounds the segment tables and frame paths held
+# at once and leaves no small remainder block; each block costs one plan and
+# at least one kernel call.  The round trip on abelian-ydx (grid 5, 16 steps)
+# takes its 650 transport points per direction in 3 blocks of 216 or 217
+# (not 256 + 256 + 138), 8 blocks in all against 28 at 128 loops, and its
+# peak RSS is about 0.08 MB higher (4 launches each, 2-core x86 VM).
+_LOOPS_PER_BLOCK = 512
 
 
 class StepTooLarge(ValueError):
@@ -167,8 +169,8 @@ def reconstruct_potential(
     Without ``tol``, every piece takes N steps, as fixed.
     """
     x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
-    spec, dim = h_map.spec, xs.shape[1]
+    spec, dim = h_map.spec, h_map.field.dim
+    xs = _as_points(x, dim)
     _check_based(h_map, psi.dim, psi.basepoint)
     shifts = _steps(dim, mu, cfg.h, cfg.richardson)
     k = len(shifts)
@@ -179,9 +181,12 @@ def reconstruct_potential(
         return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
 
     blocks = [np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)]  # no points: (0, d, d)
-    # Whole points per block: _LOOPS_PER_BLOCK is a multiple of every k.
-    for a in range(0, len(xs), _LOOPS_PER_BLOCK // k):
-        pts = xs[a : a + _LOOPS_PER_BLOCK // k]
+    # The fewest blocks of whole points (_LOOPS_PER_BLOCK is a multiple of
+    # every k), with counts that differ by at most one point.
+    n_blocks = -(-len(xs) // (_LOOPS_PER_BLOCK // k))
+    for b in range(n_blocks):
+        a = len(xs) * b // n_blocks
+        pts = xs[a : len(xs) * (b + 1) // n_blocks]
         chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
         name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
         blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, name, record))
@@ -333,7 +338,7 @@ def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x
     if np.linalg.norm(psi.basepoint - psi2.basepoint) > 1e-12 * (1.0 + np.max(np.abs(psi.basepoint))):
         raise BasepointMismatch("frames must share a base point")
     x = np.asarray(x, dtype=float)
-    loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in np.atleast_2d(x)]
+    loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in _as_points(x, h_map.field.dim)]
     out = eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
     return out if x.ndim == 2 else GroupElement(h_map.spec, out[0])
 
@@ -478,12 +483,19 @@ def round_trip_report(
     gauge defect compares the reconstruction against the explicitly
     transformed input; the transport defect compares holonomy-only
     transport with solving the transport equation in the reconstructed
-    potential along sample paths.  Failures are reported per grid node and
-    per sample path.
+    potential along ``transport_paths`` (an integer >= 0) sample paths,
+    whose transport equations are solved on one integration plan, so the
+    reconstruction driving them is read once per direction.  The nodes,
+    and the paths, are checked as one batch; only if it raises are they
+    checked one at a time, so that each failure names its node, or the
+    start of its path.
     """
     tolerances = dict(tolerances or {})
     dim = A_in.dim
     _check_steps(transport_steps)  # raised here, not recorded as a failure of every sample path
+    n = transport_paths
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"the number of transport paths must be an integer of at least 0, got {n!r}")
     h_map = HolonomyMap.transport(A_in, psi.basepoint, steps_per_segment)
     A_rec = reconstructed_connection(h_map, psi, cfg)
     gfield = _relating_gauge_field(A_in, psi, steps_per_segment)
@@ -526,16 +538,27 @@ def round_trip_report(
     rng = np.random.default_rng(seed)
     ident = GroupElement.identity(A_in.spec)
     span = 0.25 * (grid.hi - grid.lo)
-    transport = []
+    starts, paths = [], []
     for _ in range(transport_paths):
-        start = rng.uniform(grid.lo + span, grid.hi - span, size=dim)
-        p = random_polyline(rng, start, n_segments=2, radius=span)
-        try:
-            by_holonomy = horizontal_transport(h_map, psi, p, ident, 1.0)
-            by_ode = transport_along(A_drive, p, ident, transport_steps)
-            transport.append(group_distance(by_holonomy, by_ode))
-        except (ValueError, ArithmeticError) as exc:
-            failures.append((start.tolist(), type(exc).__name__, str(exc)))
+        starts.append(rng.uniform(grid.lo + span, grid.hi - span, size=dim))
+        paths.append(random_polyline(rng, starts[-1], n_segments=2, radius=span))
+
+    def transport_defects(paths):
+        """Distance of holonomy-only from ODE transport of the identity along each path."""
+        by_holonomy = [horizontal_transport(h_map, psi, p, ident, 1.0) for p in paths]
+        u = _Plan(A_drive, stack_tables(paths)).products(transport_steps)
+        by_ode = [GroupElement(A_in.spec, project_to_group(A_in.spec, m @ ident.matrix)) for m in u]
+        return [group_distance(a, b) for a, b in zip(by_holonomy, by_ode)]
+
+    try:
+        transport = transport_defects(paths) if paths else []
+    except (ValueError, ArithmeticError):
+        transport = []
+        for start, p in zip(starts, paths):
+            try:
+                transport += transport_defects([p])
+            except (ValueError, ArithmeticError) as exc:
+                failures.append((start.tolist(), type(exc).__name__, str(exc)))
     return RoundTripReport(
         grid.describe(dim), max_curv, max_gauge, float(np.max(transport, initial=0.0)), tolerances, tuple(failures)
     )

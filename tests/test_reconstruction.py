@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -551,6 +552,88 @@ class TestRoundTrip:
                 transport_steps=steps,
             )
 
+    @pytest.mark.parametrize("paths", [-3, 2.5, True, None, "3"])
+    def test_bad_transport_path_count_raises(self, paths, monkeypatch):
+        # -3 used to pass with no check run, and 2.5 to fail with a
+        # TypeError after the grid checks.
+        calls = count_reconstructions(monkeypatch)
+        with pytest.raises(ValueError, match="number of transport paths"):
+            round_trip_report(
+                hf.get_preset("zero-connection").connection, radial_family(ORIGIN), GridSpec(-1.0, 1.0, 2), CFG,
+                transport_paths=paths,
+            )
+        assert calls == []
+
+    @staticmethod
+    def recorded_cross_check(monkeypatch, fail_at=None, preset="abelian-ydx", **kwargs):
+        """Round trip on grid 3 that records, in call order, the sample
+        paths of the holonomy-only transport and the transport defects;
+        the holonomy-only transport of a path starting at ``fail_at`` raises."""
+        from holonomy_forge import reconstruction
+
+        paths, defects = [], []
+        real_transport, real_distance = reconstruction.horizontal_transport, reconstruction.group_distance
+
+        def transport(h_map, psi, p, g0, i):
+            paths.append(p)
+            if fail_at is not None and np.array_equal(p.point(0.0), fail_at):
+                raise IntegrationError("transport failed on purpose")
+            return real_transport(h_map, psi, p, g0, i)
+
+        def distance(a, b):
+            defects.append(real_distance(a, b))
+            return defects[-1]
+
+        monkeypatch.setattr(reconstruction, "horizontal_transport", transport)
+        monkeypatch.setattr(reconstruction, "group_distance", distance)
+        p = hf.get_preset(preset)
+        args = dict(steps_per_segment=16, transport_paths=5, transport_steps=16, seed=3) | kwargs
+        report = round_trip_report(p.connection, p.frame(), GridSpec(-1.0, 1.0, 3), CFG, **args)
+        monkeypatch.undo()
+        return report, paths, defects
+
+    @pytest.mark.parametrize("preset", ["abelian-ydx", "su2-shear"])
+    def test_cross_check_equals_the_per_path_loop(self, preset, monkeypatch):
+        # All paths on one plan give, bit for bit, the defects of one
+        # holonomy-only and one ODE transport per path.
+        p = hf.get_preset(preset)
+        h_map, psi, ident = p.holonomy_map(), p.frame(), GroupElement.identity(p.spec)
+        report, paths, defects = self.recorded_cross_check(
+            monkeypatch, preset=preset, steps_per_segment=h_map.steps, transport_paths=10
+        )
+        A_drive = reconstructed_connection(h_map, psi, FdConfig(h=CFG.h, richardson=False, curvature_h=CFG.curvature_h))
+        expected = [
+            group_distance(horizontal_transport(h_map, psi, path, ident, 1.0), transport_along(A_drive, path, ident, 16))
+            for path in paths
+        ]
+        assert len(paths) == 10 and not report.failures
+        assert defects == expected
+        assert report.max_transport_defect == max(expected)
+
+    def test_one_failing_path_is_named_and_the_others_keep_their_defects(self, monkeypatch):
+        _, paths, defects = self.recorded_cross_check(monkeypatch)
+        start = paths[2].point(0.0)
+        report, _, kept = self.recorded_cross_check(monkeypatch, fail_at=start)
+        assert report.failures == ((start.tolist(), "IntegrationError", "transport failed on purpose"),)
+        assert kept == defects[:2] + defects[3:]
+        assert report.max_transport_defect == max(kept)
+
+    def test_cross_check_reconstructs_once_per_direction(self, monkeypatch):
+        # However many paths, the reconstruction that drives their transport
+        # equations is read in one batch per direction.
+        p = hf.get_preset("abelian-ydx")
+        counts = []
+        for n in (0, 1, 4, 10):
+            calls = count_reconstructions(monkeypatch)
+            round_trip_report(
+                p.connection, p.frame(), GridSpec(-1.0, 1.0, 3), CFG, steps_per_segment=16, transport_paths=n
+            )
+            monkeypatch.undo()
+            counts.append(len(calls))
+            if n:
+                assert min(calls[-2:]) > 64 * n
+        assert counts[1:] == [counts[0] + 2] * 3
+
     def test_per_point_failures_recorded_not_raised(self):
         def exploding(x, mu):
             if np.linalg.norm(x - np.array([1.0, 1.0])) < 0.4:
@@ -663,6 +746,18 @@ class TestPotentialField:
                 with pytest.raises(ValueError, match="shape"):
                     call()
         assert reconstructions == samples == gauge_calls == []
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2), (3,), (2, 1)])
+    def test_point_shape_errors_name_the_callers_shape(self, sec6, shape):
+        # (3, 3) used to be reported as the shape (5, 3) of the distinct
+        # points inside, (2, 2, 2) as a numpy broadcast error, and (3, 3)
+        # by transition_function as (3,).
+        h_map, psi, _ = sec6
+        message = re.escape(f"got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            reconstruct_potential(h_map, psi, np.zeros(shape), 0, CFG)
+        with pytest.raises(ValueError, match=message):
+            transition_function(h_map, psi, axis_dogleg_family(ORIGIN), np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0]])
     def test_non_finite_frame_target_raises(self, bad):
@@ -1020,6 +1115,20 @@ class TestErrorControl:
             reconstruct_potential(p.holonomy_map(32), p.frame(), points[1], 1, CFG, tol=1e-17)
         with pytest.raises(IntegrationError, match="point \\[0\\.2, 0\\.1\\], direction 1"):
             reconstructed_connection(p.holonomy_map(32), p.frame(), CFG, 1e-17).rule(points, 1)
+
+    def test_point_in_a_later_block_is_named(self):
+        # 290 points of 4 loops each are 3 blocks of 96, 97 and 97 points.
+        # Near the base point every piece is accepted by the probe, so its
+        # estimate is 0; the one far point misses even at the cap.
+        p = hf.get_preset("su2-shear")
+        xs = GridSpec(-0.05, 0.05, 17).nodes(2)
+        xs = np.concatenate([xs[:250], [[0.6, -0.4]], xs[250:]])
+        message = r"^point \[0\.6, -0\.4\], direction 1: step-doubling estimate \S+ exceeds 1e-17 at 32 steps"
+        with pytest.raises(IntegrationError, match=message):
+            reconstruct_potential(p.holonomy_map(32), p.frame(), xs, 1, CFG, tol=1e-17)
+        record = {}
+        reconstruct_potential(p.holonomy_map(32), p.frame(), np.delete(xs, 250, axis=0), 1, CFG, tol=1e-17, record=record)
+        assert record["estimate"] == 0.0
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-shear"])
     def test_without_tol_the_fixed_map(self, name):
