@@ -6,8 +6,10 @@ says how it integrates:
 
 * ``steps=None`` (``analytic_abelian``) -- for one-dimensional
   (commuting) groups the holonomy is exp of the line integral of the
-  connection along the loop, evaluated segmentwise with 32-point
-  Gauss-Legendre quadrature;
+  connection along the loop, evaluated piece by piece with Gauss-Legendre
+  quadrature: a polynomial field's integrand of degree k <= 63 on a piece
+  takes the k // 2 + 1 nodes that are exact for it, and any other piece
+  the stored 32-node rule;
 * ``steps=n`` (``transport``) -- parallel transport: solve
   u'(i) = -A(b(i)) b'(i) u(i), u(0) = 1, with classical RK4 (order 4)
   written as the ordered product of its step propagators, each projected
@@ -123,8 +125,50 @@ _weights = np.array([float.fromhex(h) for h in """
     0x1.0d9b9a62cabebp-4 0x1.e0bd76c9249a4p-5 0x1.a1c6ae961fc05p-5 0x1.5ee963a3354e0p-5
     0x1.18c5800a35559p-5 0x1.a0060a8531f15p-6 0x1.0aa3c248694f0p-6 0x1.cbf8bc743dfd5p-8
 """.split()])
-_GL_NODES = 0.5 * (_nodes + 1.0)
-_GL_WEIGHTS = 0.5 * _weights
+# The rules on [0, 1] by node count, filled on first use by _gauss_legendre.
+_GL_RULES = {32: (0.5 * (_nodes + 1.0), 0.5 * _weights)}
+# Node count of the stored rule, which every piece of unknown or high degree takes.
+_GL_MAX = 32
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [0, 1], exact for
+    polynomials of degree up to 2n - 1, computed once per n: the stored
+    table for n = 32, else the roots of P_n by Newton's method on the
+    three-term recurrence and the weights 2 / ((1 - x^2) P_n'(x)^2) on
+    [-1, 1], halved.  (Not numpy's leggauss, whose module costs a few ms
+    to import on first use.)"""
+    rule = _GL_RULES.get(n)
+    if rule is None:
+        # Start from the asymptotic roots cos(pi (i - 1/4) / (n + 1/2)) =
+        # sin t, |t| < pi/2, by its degree-17 Taylor polynomial (error below
+        # 1e-13).  Newton needs only a start near each root, and a run's
+        # first np.cos maps about 0.2 MB more of libm and numpy code.
+        t = np.pi * (0.5 - np.arange(n - 0.25, 0.0, -1.0) / (n + 0.5))
+        x = np.ones(n)
+        for k in range(17, 1, -2):
+            x = 1.0 - t * t / (k * (k - 1)) * x
+        x = t * x
+        for _ in range(100):
+            dx = _legendre_ratio(n, x)[0]
+            x = x - dx
+            if np.abs(dx).max() <= 2.0 * np.finfo(float).eps:
+                break
+        dp = _legendre_ratio(n, x)[1]
+        rule = _GL_RULES[n] = (0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp))
+    return rule
+
+
+def _legendre_ratio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step P_n / P_n' and the derivative P_n' at x (|x| < 1),
+    from P_{n-1} and P_n by the recurrence k P_k = (2k - 1) x P_{k-1} -
+    (k - 1) P_{k-2}."""
+    q, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        q, p = p, ((2 * k - 1) * x * p - (k - 1) * q) / k
+    dp = n * (x * p - q) / (x * x - 1.0)
+    return p / dp, dp
+
 
 # Lattice samples per kernel call.  Distinct pieces are cut into chunks at
 # piece boundaries so that the (samples, d, d) temporaries stay below about
@@ -162,14 +206,18 @@ class ConnectionField:
     points returning a new (m, d, d) array of algebra matrices, which the
     integrators scale in place; ``component(x, mu)`` is the batch of one.
     ``degree`` is the total degree of a polynomial rule, None when the rule
-    is not known to be a polynomial.
+    is not known to be a polynomial; it sets the quadrature's node counts
+    and which pieces transport probes, so anything but None or an integer
+    of at least 0 (Python or numpy, not a bool) raises ``ValueError``.
     """
 
     def __init__(self, dim: int, spec: GroupSpec, rule, degree: int | None = None):
+        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0):
+            raise ValueError(f"a field's degree must be None or an integer of at least 0, got {degree!r}")
         self.dim = int(dim)
         self.spec = spec
         self.rule = rule
-        self.degree = degree
+        self.degree = None if degree is None else int(degree)
 
     @classmethod
     def zero(cls, dim: int, spec: GroupSpec) -> "ConnectionField":
@@ -373,18 +421,29 @@ _ROUNDING_GAP = 15.0 * np.finfo(float).eps
 _PROBE_SCALE = 0.125
 
 
+def _piece_degrees(degree: int | None, batch: Batch, rows: np.ndarray, read) -> np.ndarray | None:
+    """``read(k)`` of the degree k of the coefficient A(b) b' in the piece's
+    parameter along each of the given rows of a batch, for a field of
+    polynomial degree D: k = D along a line, 3D + 2 along a cubic or a
+    time-mapped line, 9D + 8 along a time-mapped cubic; None for a field of
+    unknown degree.  ``read`` sees the three Python ints, so any D works.
+    (Selected from the flags with no per-row cast or integer arithmetic:
+    either maps 64 KB more of numpy's code on a run that does no other.)"""
+    if degree is None:
+        return None
+    cubic = batch.cubic[rows]
+    mapped = np.zeros_like(cubic) if batch.tmap is None else ~np.isnan(batch.tmap[rows, 0])
+    line, one_bend, two_bends = (read(k) for k in (degree, 3 * degree + 2, 9 * degree + 8))
+    return np.where(cubic & mapped, two_bends, np.where(cubic | mapped, one_bend, line))
+
+
 def _probed(degree: int | None, batch: Batch, rows: np.ndarray) -> np.ndarray:
     """Mask of the given rows of a batch whose coefficient -A(b) b' is a
-    polynomial of degree <= 4 in the piece's parameter, which the probe's
-    five samples fix.  A field of degree D has degree D along a line, 3D + 2
-    along a cubic or a time-mapped line, 9D + 8 along a time-mapped cubic;
-    a field of unknown degree is never probed."""
-    if degree is None:
-        return np.zeros(len(rows), dtype=bool)
-    bends = batch.cubic[rows].astype(int)
-    if batch.tmap is not None:
-        bends += ~np.isnan(batch.tmap[rows, 0])
-    return np.choose(bends, [degree, 3 * degree + 2, 9 * degree + 8]) <= 4
+    polynomial of degree <= 4 in the piece's parameter (``_piece_degrees``),
+    which the probe's five samples fix; a field of unknown degree is never
+    probed."""
+    probed = _piece_degrees(degree, batch, rows, lambda k: k <= 4)
+    return np.zeros(len(rows), dtype=bool) if probed is None else probed
 
 
 def _rk4_products(spec: GroupSpec, m: np.ndarray, n: int, half: bool):
@@ -430,16 +489,27 @@ class _Plan:
 
     def line_integrals(self) -> np.ndarray:
         """Line integral of the (abelian) connection along every chain, by
-        per-piece Gauss-Legendre quadrature (exact for the polynomial fields
-        used in presets, since the per-piece integrand degree is far below
-        63)."""
-        field = self.field
-
-        def kernel(pts, vels):
-            return (_connection_along(field, pts, vels)[..., 0, 0] * _GL_WEIGHTS).sum(axis=1)
-
-        totals = np.zeros(len(self.batch.counts), dtype=np.complex128)
-        np.add.at(totals, self.chain, _sampled(self.batch, self.rep, _GL_NODES, kernel)[self.where])
+        per-piece Gauss-Legendre quadrature.  A piece whose integrand has
+        degree k <= 63 (``_piece_degrees``) takes the k // 2 + 1 nodes that
+        are exact for it; a piece of higher degree, and every piece of a
+        field of unknown degree, takes the stored 32-node rule.  The node
+        count depends on the piece alone, so a chain's value does not depend
+        on the other chains of its batch."""
+        field, batch, rep = self.field, self.batch, self.rep
+        nodes = _piece_degrees(field.degree, batch, rep, lambda k: min(k // 2 + 1, _GL_MAX))
+        if nodes is None:
+            nodes = np.full(len(rep), _GL_MAX)
+        values = np.empty(len(rep), dtype=np.complex128)
+        # At most three counts, one per piece kind.  (A set, not np.unique,
+        # whose first call imports numpy.ma.)
+        for n in sorted(set(nodes.tolist())):
+            u, w = _gauss_legendre(n)
+            rows = np.flatnonzero(nodes == n)
+            values[rows] = _sampled(
+                batch, rep[rows], u, lambda pts, vels: (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
+            )
+        totals = np.zeros(len(batch.counts), dtype=np.complex128)
+        np.add.at(totals, self.chain, values[self.where])
         return totals
 
     def _probe(self):

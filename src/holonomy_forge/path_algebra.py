@@ -416,19 +416,16 @@ def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
 
     Each chain is psi[x], the straight segment from x to y, then psi[y]
     reversed, with the semantics of ``thin_reduce``.  The frame paths of
-    all distinct points come from one ``PathFamily.tables`` call.
+    all xs and ys come from one ``PathFamily.tables`` call; its table rule
+    is a pure vectorized function of each target, so a repeated point costs
+    one more row of that call and nothing else.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n, dim = xs.shape
-    # Points are distinct by their bytes, as memo keys are.  (A dict, not
-    # np.unique, whose first call alone raises peak memory by 0.2-0.5 MB.)
-    ids: dict = {}
-    where = np.array([ids.setdefault(p.tobytes(), len(ids)) for p in np.concatenate([xs, ys])])
-    cubic, ctrl = psi.tables(np.frombuffer(b"".join(ids), dtype=float).reshape(-1, dim))
-    ix, iy = where[:n], where[n:]
-    ctrl = np.concatenate([ctrl[ix], np.stack([xs, xs, ys, ys], axis=1)[:, None], ctrl[iy, ::-1, ::-1]], axis=1)
-    cubic = np.concatenate([cubic[ix], np.zeros((n, 1), dtype=bool), cubic[iy, ::-1]], axis=1)
+    n = len(xs)
+    cubic, ctrl = psi.tables(np.concatenate([xs, ys]))
+    ctrl = np.concatenate([ctrl[:n], np.stack([xs, xs, ys, ys], axis=1)[:, None], ctrl[n:, ::-1, ::-1]], axis=1)
+    cubic = np.concatenate([cubic[:n], np.zeros((n, 1), dtype=bool), cubic[n:, ::-1]], axis=1)
     cubic, ctrl, _, counts = table_batch(cubic, ctrl)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
     return Batch(cubic[keep], ctrl[keep], None, np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n))

@@ -12,7 +12,10 @@ in ``path_algebra``.  These build their results with the ``PathNd``
 constructor and nothing else of the table code they check.  The
 connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
-each loop composed leg by leg, its holonomy evaluated alone.
+each loop composed leg by leg, its holonomy evaluated alone.  The
+integration kernels as they stood before a change that must reproduce
+them (``reference_transport_products``, ``reference_line_integrals``) are
+kept here as well.
 """
 
 import cmath
@@ -465,6 +468,28 @@ def reference_transport_products(field, batch, steps_per_segment: int, half: boo
     for v in u:
         _check_representable(v, "the transport value u(1)")
     return np.stack(u) if half else u[0]
+
+
+def reference_line_integrals(field, batch) -> np.ndarray:
+    """The exact map's line integrals as they stood before per-piece node
+    counts: SciPy's 32-node Gauss-Legendre rule on every distinct piece of
+    the batch, summed per chain.  A field of unknown degree must give these
+    values bit for bit; any other field must agree to rounding wherever its
+    integrand has degree <= 63."""
+    from scipy.special import roots_legendre
+
+    from holonomy_forge.holonomy import _connection_along, _distinct_pieces, _sampled
+
+    nodes, weights = roots_legendre(32)
+    u, w = 0.5 * (nodes + 1.0), 0.5 * weights
+
+    def kernel(pts, vels):
+        return (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
+
+    rep, where = _distinct_pieces(batch)
+    totals = np.zeros(len(batch.counts), dtype=np.complex128)
+    np.add.at(totals, np.repeat(np.arange(len(batch.counts)), batch.counts), _sampled(batch, rep, u, kernel)[where])
+    return totals
 
 
 def controlled_holonomies(h_map, loops, tol: float):

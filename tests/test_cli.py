@@ -549,6 +549,7 @@ runs = [
     ["reconstruct", "--preset", "paper-sec6", "--grid", "3"],
     ["reconstruct", "--preset", "su2-shear", "--grid", "3"],
     ["audit", "--preset", "su2-twist", "--samples", "2"],
+    ["audit", "--preset", "paper-sec6", "--samples", "2"],
     ["roundtrip", "--preset", "abelian-ydx", "--grid", "3", "--steps", "8"],
     ["roundtrip", "--preset", "su2-shear", "--grid", "3", "--steps", "8"],
 ]
@@ -573,6 +574,6 @@ def test_subcommands_import_no_scipy_and_no_module_inside_main(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * 5
+    assert result["codes"] == [0] * 6
     assert result["scipy"] == []
     assert result["inside_main"] == []

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holonomy_forge as hf
 from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, AlgebraElement, GroupElement, gln, group_distance
@@ -15,6 +17,7 @@ from holonomy_forge.holonomy import (
     HolonomyMap,
     IntegrationError,
     _distinct_pieces,
+    _gauss_legendre,
     _Plan,
     audit_axioms,
     check_axiom1,
@@ -42,12 +45,13 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 from holonomy_forge.presets import PRESETS
-from holonomy_forge.segment_table import stack_tables
+from holonomy_forge.segment_table import sample_pieces, stack_tables
 
 from _oracles import (
     loop_axiom3,
     polyline_vertices,
     polyline_ydx_integral,
+    reference_line_integrals,
     reference_transport_products,
     sequential_rk4_transport,
     serial_audit,
@@ -373,12 +377,13 @@ class TestSharedPieces:
 
     def test_composed_loop_integrates_no_new_piece(self, rng, monkeypatch):
         # Per lattice, since a transport map probes every piece at 2 steps
-        # before integrating the ones the probe does not accept at n.
+        # before integrating the ones the probe does not accept at n.  (y dx
+        # has degree 1 along a line, so the exact map takes one node.)
         calls = count_sampled_pieces(monkeypatch)
         alpha = random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8)
         beta = random_polygon_loop(rng, ORIGIN, n_vertices=3, radius=0.8)
         composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
-        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
+        for h_map, lattices in ((analytic_map(), {1}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
             calls.clear()
             eval_holonomies(h_map, [alpha, beta, composed])
             per_lattice = pieces_per_lattice(calls)
@@ -388,15 +393,16 @@ class TestSharedPieces:
     def test_reparametrized_pieces_are_shared(self, rng, monkeypatch):
         # A reparametrized loop given twice and the same reparametrization
         # built again: the time map is part of the piece key, so each
-        # reparametrized piece is integrated once.  (y dx has degree 8 along
-        # a time-mapped line, so the transport map does not probe them.)
+        # reparametrized piece is integrated once.  (y dx has degree 5 along
+        # a time-mapped line: the exact map takes 3 nodes, and the transport
+        # map does not probe them.)
         calls = count_sampled_pieces(monkeypatch)
         p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
         out_and_back = compose_paths(invert_path(p), p)
         phi = piecewise_power_map(3, 0.5)
         warped = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
         again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
-        for h_map, lattices in ((analytic_map(), {32}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33})):
+        for h_map, lattices in ((analytic_map(), {3}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33})):
             calls.clear()
             values = eval_holonomies(h_map, [warped, again, warped])
             per_lattice = pieces_per_lattice(calls)
@@ -409,7 +415,93 @@ class TestSharedPieces:
         plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
         minus = polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)])
         eval_holonomies(analytic_map(), [plus, minus])
-        assert pieces_per_lattice(calls) == {32: 5}
+        assert pieces_per_lattice(calls) == {1: 5}
+
+
+class TestQuadratureOrder:
+    # The exact map integrates each piece with the fewest Gauss-Legendre
+    # nodes exact for its integrand's degree, and with the stored 32-node
+    # rule when that degree is unknown or above 63.
+    def test_rules_match_scipy(self):
+        from scipy.special import roots_legendre
+
+        for n in range(1, 32):
+            u, w = _gauss_legendre(n)
+            nodes, weights = roots_legendre(n)
+            assert np.abs(2.0 * u - 1.0 - nodes).max() <= 1e-15
+            # SciPy scales its weights to sum to 2, which leaves them up to
+            # 4.8e-15 from the 50-digit rule (ours stay within 3.1e-16), so
+            # they are compared at 1e-14; the monomial test pins ours.
+            assert np.abs(2.0 * w - weights).max() <= 1e-14
+
+    def test_rules_integrate_monomials_to_rounding(self):
+        eps = np.finfo(float).eps
+        for n in range(1, 32):
+            u, w = _gauss_legendre(n)
+            for j in range(2 * n):
+                assert abs((w * u**j).sum() - 1.0 / (j + 1)) <= 4.0 * eps, (n, j)
+
+    @pytest.mark.parametrize(
+        "kind, nodes", [("line", 2), ("cubic", 5), ("time-mapped line", 5), ("time-mapped cubic", 14)]
+    )
+    def test_node_count_follows_the_piece_degree(self, monkeypatch, kind, nodes):
+        # A quadratic field: degree 2, 8, 8 and 26 along the four kinds.
+        field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, [[(1.0, (0, 2), 0)], [(1.0, (1, 1), 0)]])
+        calls = count_sampled_pieces(monkeypatch)
+        _Plan(field, stack_tables([piece_of_kind(kind, np.eye(4, 2))])).line_integrals()
+        assert pieces_per_lattice(calls) == {nodes: 1}
+
+    @pytest.mark.parametrize("degree", [None, 7, 10**30], ids=["unknown", "7", "huge"])
+    def test_stored_rule_bit_for_bit(self, rng, degree):
+        # An unknown degree puts every piece on the stored rule; so does a
+        # degree above 63 on a time-mapped cubic (9 * 7 + 8 = 71), and a
+        # degree past int64 on every piece.
+        for spec in (MULTIPLICATIVE_REALS, U1):
+            field = random_affine_field(spec, rng)
+            field = ConnectionField(2, spec, field.rule, degree)
+            paths = plan_test_paths(rng)
+            if degree == 7:
+                paths = [p for p in paths if p.tmap is not None and p.cubic.all()]
+            batch = stack_tables(paths)
+            assert np.array_equal(_Plan(field, batch).line_integrals(), reference_line_integrals(field, batch))
+
+
+def piece_of_kind(kind: str, ctrl: np.ndarray) -> PathNd:
+    """A one-piece path through control points ``ctrl`` (4, dim): the line
+    from the first to the last or the cubic, time-mapped by i -> i**3 for
+    the time-mapped kinds."""
+    cubic = "cubic" in kind
+    pts = ctrl if cubic else ctrl[[0, 0, 3, 3]]
+    path = PathNd(np.array([cubic]), pts[None], np.array([0.0, 1.0]))
+    return reparametrize(path, power_map(3)) if kind.startswith("time-mapped") else path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    degree=st.integers(0, 6),
+    kind=st.sampled_from(["line", "cubic", "time-mapped line", "time-mapped cubic"]),
+)
+def test_per_piece_rule_agrees_with_the_32_node_rule_property(seed, degree, kind):
+    # Every monomial of total degree <= D in both directions, so the field
+    # has degree D; the integrand then has degree <= 9 * 6 + 8 = 62, where
+    # both rules are exact.  Relative to the integral of the absolute terms
+    # c x^a y^b dx_mu/du, whose rounding both rules sample: the value
+    # itself can cancel to far below them.
+    from scipy.special import roots_legendre
+
+    rng = np.random.default_rng(seed)
+    monomials = [(a, k - a) for k in range(degree + 1) for a in range(k + 1)]
+    terms = [[(rng.normal(), exps, 0) for exps in monomials] for _ in range(2)]
+    field = ConnectionField.from_polynomial(2, MULTIPLICATIVE_REALS, terms)
+    assert field.degree == degree
+    batch = stack_tables([piece_of_kind(kind, rng.uniform(-1.0, 1.0, size=(4, 2)))])
+    got = _Plan(field, batch).line_integrals()
+    want = reference_line_integrals(field, batch)
+    nodes, weights = roots_legendre(32)
+    pts, vels = (s[0] for s in sample_pieces(*batch[:3], 0.5 * (nodes + 1.0)))
+    absolute = sum(abs(c) * np.abs(pts**exps).prod(axis=1) * np.abs(vels[:, mu]) for mu in (0, 1) for c, exps, _ in terms[mu])
+    assert np.abs(got - want).max() <= 1e-13 * (0.5 * weights * absolute).sum()
 
 
 def count_sampled_pieces(monkeypatch) -> list:
@@ -666,6 +758,15 @@ class TestConnectionField:
             for x, row in zip(xs, rows):
                 assert np.array_equal(row, AlgebraElement.from_matrix(spec, matrix_rule(x, mu)).matrix)
 
+
+    @pytest.mark.parametrize("degree", [-1, 1.0, np.float64(2.0), True, "2", [2]])
+    def test_degree_is_none_or_a_nonnegative_integer(self, degree):
+        # The degree sets the quadrature's node counts and the probe.
+        rule = ydx_field().rule
+        with pytest.raises(ValueError, match="degree must be None or an integer"):
+            ConnectionField(2, MULTIPLICATIVE_REALS, rule, degree)
+        assert ConnectionField(2, MULTIPLICATIVE_REALS, rule, np.int64(3)).degree == 3
+        assert ConnectionField(2, MULTIPLICATIVE_REALS, rule).degree is None
 
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, coeff):
