@@ -35,7 +35,8 @@ fixed-step evaluation is the plan's single pass; under step doubling a
 later pass samples only the pieces of the quantities still above their
 tolerance.
 
-The randomized audit builds every loop of a law first and evaluates each
+The randomized audit draws each law's loops as whole arrays into one
+checked segment table, with no path object per loop, and evaluates each
 law as one batch.  By default every piece takes the map's steps; with
 ``error_control`` (the CLI's ``audit`` on a transport preset, unless
 ``--steps`` fixes the count) each law refines until its estimates are
@@ -76,14 +77,11 @@ from .lie_core import (
 from .path_algebra import (
     LoopAtBase,
     _as_points,
+    _composition_triples,
     _set_basepoint,
+    _thin_loops,
     compose_paths,
-    invert_path,
-    piecewise_power_map,
-    random_polygon_loop,
-    random_polyline,
     reconstruction_loop,
-    reparametrize,
 )
 from .segment_table import Batch, sample_pieces, stack_tables
 
@@ -607,13 +605,16 @@ class _Plan:
         return np.stack(u) if half else u[0]
 
 
-def _check_steps(steps_per_segment) -> int:
-    """The steps per piece of a transport; ``ValueError`` unless it is an
-    integer (Python or numpy) of at least 1."""
-    n = steps_per_segment
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"steps per segment must be an integer of at least 1, got {n!r}")
+def _check_count(n, what: str, least: int = 1) -> int:
+    """``n`` as an int; ``ValueError`` unless it is an integer (Python or
+    numpy, not a bool) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
     return int(n)
+
+
+def _check_steps(steps_per_segment) -> int:
+    return _check_count(steps_per_segment, "steps per segment")
 
 
 def _check_based(h_map: HolonomyMap, dim: int, basepoint: np.ndarray):
@@ -706,12 +707,17 @@ def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None, reco
     return out
 
 
-def _loop_holonomies(h_map: HolonomyMap, loops, per: int = 1, tol=None, name=None, record=None) -> np.ndarray:
-    """Holonomy matrices, (loops, d, d), of based loops as one batch; each
-    run of ``per`` consecutive loops is one quantity of ``_evaluate``."""
+def _stacked(h_map: HolonomyMap, loops) -> Batch:
+    """Based loops as one batch, each checked against the map."""
     for loop in loops:
         _check_based(h_map, loop.dim, loop.basepoint)
-    plan = _Plan(h_map.field, stack_tables([loop.path for loop in loops]), per)
+    return stack_tables([loop.path for loop in loops])
+
+
+def _loop_holonomies(h_map: HolonomyMap, batch: Batch, per: int = 1, tol=None, name=None, record=None) -> np.ndarray:
+    """Holonomy matrices, (loops, d, d), of a batch of loops at the map's base
+    point; each run of ``per`` loops is one quantity of ``_evaluate``."""
+    plan = _Plan(h_map.field, batch, per)
     d = h_map.spec.matrix_dim
     return _evaluate(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
 
@@ -728,12 +734,12 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
     loops = list(loops)
     if not loops:
         return np.zeros((0, h_map.spec.matrix_dim, h_map.spec.matrix_dim), dtype=h_map.spec.dtype)
-    return _check_group(h_map.spec, _loop_holonomies(h_map, loops))
+    return _check_group(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, loops)))
 
 
 def eval_holonomy(h_map: HolonomyMap, loop: LoopAtBase) -> GroupElement:
     """Evaluate the holonomy of a based loop (a batch of one)."""
-    return GroupElement(h_map.spec, _loop_holonomies(h_map, [loop])[0])
+    return GroupElement(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, [loop]))[0])
 
 
 def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_segment: int = 64) -> GroupElement:
@@ -749,20 +755,18 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 
-def _composition_defects(h_map: HolonomyMap, pairs, tol=None, record=None) -> list[float]:
-    """|H(alpha o beta) - H(beta) H(alpha)| for every pair (alpha, beta),
-    from one batch: the composed loop reuses the pieces of alpha and beta.
-    Under error control each triple shares one step count."""
-    loops = []
-    for alpha, beta in pairs:
-        loops += [LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint), alpha, beta]
-    hols = _loop_holonomies(h_map, loops, 3, tol, lambda k: f"axiom 1, loop pair {k}", record)
+def _composition_defects(h_map: HolonomyMap, triples: Batch, tol=None, record=None) -> list[float]:
+    """|H(alpha o beta) - H(beta) H(alpha)| for every triple of loops
+    (alpha o beta, alpha, beta) of a batch: the composed loop reuses the
+    pieces of alpha and beta.  Under error control each triple shares one
+    step count."""
+    hols = _loop_holonomies(h_map, triples, 3, tol, lambda k: f"axiom 1, loop pair {k}", record)
     products = project_to_group(h_map.spec, hols[2::3] @ hols[1::3])
     return [float(np.linalg.norm(ab - ba)) for ab, ba in zip(hols[::3], products)]
 
 
-def _thin_loop_defects(h_map: HolonomyMap, loops, tol=None, record=None) -> list[float]:
-    """Distance of H(loop) from the identity for every loop, one batch."""
+def _thin_loop_defects(h_map: HolonomyMap, loops: Batch, tol=None, record=None) -> list[float]:
+    """Distance of H(loop) from the identity for every loop of a batch."""
     identity = np.eye(h_map.spec.matrix_dim, dtype=h_map.spec.dtype)
     hols = _loop_holonomies(h_map, loops, 1, tol, lambda k: f"axiom 2, thin loop {k}", record)
     return [float(np.linalg.norm(h - identity)) for h in hols]
@@ -770,12 +774,13 @@ def _thin_loop_defects(h_map: HolonomyMap, loops, tol=None, record=None) -> list
 
 def check_axiom1(h_map: HolonomyMap, alpha: LoopAtBase, beta: LoopAtBase) -> float:
     """Composition-law defect |H(alpha o beta) - H(beta) H(alpha)|."""
-    return _composition_defects(h_map, [(alpha, beta)])[0]
+    composed = LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint)
+    return _composition_defects(h_map, _stacked(h_map, [composed, alpha, beta]))[0]
 
 
 def check_axiom2(h_map: HolonomyMap, loop: LoopAtBase) -> float:
     """Thin-loop defect: distance of H(loop) from the identity."""
-    return _thin_loop_defects(h_map, [loop])[0]
+    return _thin_loop_defects(h_map, _stacked(h_map, [loop]))[0]
 
 
 def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None, record=None) -> float:
@@ -792,10 +797,7 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None,
     per loop: an error e in each holonomy moves the proxy by up to
     4 e / d**2.
     """
-    if grid < 3:
-        raise ValueError("grid must have at least 3 nodes")
-    if k < 1:
-        raise ValueError("family dimension must be positive")
+    grid, k = _check_count(grid, "the grid", 3), _check_count(k, "the family dimension")
     us = np.linspace(0.0, 1.0, grid)
     delta = float(us[1] - us[0])
     shape = (grid,) * k
@@ -803,7 +805,7 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None,
     d = h_map.spec.matrix_dim
     per_loop = None if tol is None else tol * delta**2 / 4.0
     name = lambda j: f"axiom 3, family loop {j}"
-    values = _loop_holonomies(h_map, loops, 1, per_loop, name, record).reshape(shape + (d, d))
+    values = _loop_holonomies(h_map, _stacked(h_map, loops), 1, per_loop, name, record).reshape(shape + (d, d))
     worst = []
     for axis in range(k):
         v = np.moveaxis(values, axis, 0)
@@ -859,8 +861,11 @@ def audit_axioms(
     Composition is tested on random polygon loop pairs, thin-loop
     triviality on out-and-back polylines (every other one reparametrized
     by a cubic-start time map), smoothness on the supplied family or on a
-    default frame-conjugated straight-shift family.  All loops of a law
-    are built first and evaluated as one batch.
+    default frame-conjugated straight-shift family.  Each of the first two
+    laws draws its loops (those of ``random_polygon_loop`` and
+    ``random_polyline``, bit for bit) as whole arrays into one segment
+    table, checked once and evaluated as one batch.  Bad ``samples``,
+    ``radius`` or ``axiom3_grid`` raise ``ValueError`` before any draw.
 
     Without ``error_control``, or on an exact map, every piece takes the
     map's steps.  With it on a transport map, each law's loops go through
@@ -874,27 +879,18 @@ def audit_axioms(
     first pass.  The report then gives each law's largest step count and
     integration estimate.
     """
-    if samples < 1:
-        raise ValueError("an audit needs at least one sample")
+    _check_count(samples, "an audit's samples")
+    _check_count(axiom3_grid, "the axiom 3 grid", 3)  # before axioms 1 and 2 are evaluated
+    if isinstance(radius, bool) or not isinstance(radius, (int, float, np.integer, np.floating)) or not 0 < radius < np.inf:
+        raise ValueError(f"the loops' radius must be a positive finite number, got {radius!r}")
     control = error_control and h_map.steps is not None
     tols = [t / 10.0 if control else None for t in tolerances]
     records: list[dict] = [{}, {}, {}]
     rng = np.random.default_rng(seed)
     base = h_map.basepoint
-    pairs = []
-    for _ in range(samples):
-        alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
-        beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
-        pairs.append((alpha, beta))
-    a1 = np.max(_composition_defects(h_map, pairs, tols[0], records[0]), initial=0.0)
-    thin = []
-    phi = piecewise_power_map(3, 0.5)
-    for k in range(samples):
-        p = random_polyline(rng, base, n_segments=2, radius=radius)
-        path = compose_paths(invert_path(p), p)
-        if k % 2:
-            path = reparametrize(path, phi)
-        thin.append(LoopAtBase(path, base))
+    triples = _composition_triples(rng, base, samples, radius)
+    a1 = np.max(_composition_defects(h_map, triples, tols[0], records[0]), initial=0.0)
+    thin = _thin_loops(rng, base, samples, radius)
     a2 = np.max(_thin_loop_defects(h_map, thin, tols[1], records[1]), initial=0.0)
     if axiom3_family is None:
         from .path_algebra import radial_family

@@ -15,7 +15,9 @@ A reference frame (``PathFamily``) is a vectorized ``table_rule`` giving
 the segment tables of the paths to many targets at once;
 ``reconstruction_chains`` builds many reconstruction loops, thin-reduced,
 as one flat batch (``segment_table.Batch``) from one ``PathFamily.tables``
-call.
+call.  The audit's random loops are drawn as whole arrays into one batch
+per law (``_composition_triples``, ``_thin_loops``), the loops the
+per-path builders give bit for bit, and checked as one (``_check_loops``).
 
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
@@ -29,7 +31,16 @@ from typing import Callable
 
 import numpy as np
 
-from .segment_table import Batch, bezier_points, bezier_velocities, table_batch, thin_keep, time_map
+from .segment_table import (
+    Batch,
+    bezier_points,
+    bezier_velocities,
+    polyline_rows,
+    reversed_rows,
+    table_batch,
+    thin_keep,
+    time_map,
+)
 
 __all__ = [
     "EndpointMismatch",
@@ -87,8 +98,7 @@ class PathNd:
             raise ValueError(f"time maps must have shape ({s}, 4), got {tmap.shape}")
         if not s:
             raise ValueError("a path needs at least one segment")
-        scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))  # not finite if a control point is not
-        if not math.isfinite(scale.max()) or not (tmap is None or np.isfinite(tmap).all()):
+        if not (tmap is None or np.isfinite(tmap).all()):
             raise ValueError("control points and time maps must be finite")
         if bp.shape != (s + 1,):
             raise ValueError("breakpoints must have one more entry than segments")
@@ -96,21 +106,7 @@ class PathNd:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if tmap is None:
-            d = ctrl[:-1, 3] - ctrl[1:, 0]
-        else:
-            # Rows of one segment repeat its control points, so compare the
-            # evaluated ends of adjacent pieces, to within what moving the
-            # junction by the tolerance in the global parameter can move
-            # them (reparametrize merges breakpoints closer than that).  A
-            # piece moves at most 3 * 2 max|ctrl| * 3 max|time step| / span.
-            ends = bezier_points(cubic[:, None], ctrl[:, None], tmap[:, ::3])
-            d = ends[:-1, 1] - ends[1:, 0]
-            scale = scale * (1.0 + 18.0 * np.abs(np.diff(tmap, axis=1)).max(axis=1) / np.diff(bp))
-        gap = np.sqrt((d * d).sum(axis=1))
-        bad = gap > _CONT_TOL * np.maximum(scale[:-1], scale[1:])
-        if bad.any():
-            raise ValueError(f"adjacent segments are discontinuous (gap {gap[bad][0]:.3e})")
+        _check_junctions(cubic, ctrl, tmap, None if tmap is None else np.diff(bp))
         bp.setflags(write=False)
         self.dim, self.cubic, self.ctrl, self.tmap, self.breakpoints = ctrl.shape[2], cubic, ctrl, tmap, bp
 
@@ -156,6 +152,60 @@ class PathNd:
         return bool(np.all(np.abs(ctrl - ctrl[:, :1]).max(axis=(1, 2)) <= tol))
 
 
+def _check_junctions(cubic, ctrl, tmap, spans, inside=None) -> np.ndarray:
+    """``ValueError`` unless the control points are finite and the end of
+    each row of a table meets the start of the next, at the junctions
+    ``inside`` marks (all by default), within ``_CONT_TOL`` of the larger
+    scale 1 + max|ctrl| of the two rows; returns the start and end point of
+    every row, (rows, 2, dim).
+
+    Rows of one segment repeat its control points, so a row with a time map
+    (a row of NaN marks none) ends where its time map starts and ends, and
+    time-mapped rows meet to within what moving the junction by the
+    tolerance in the global parameter can move them (reparametrize merges
+    breakpoints closer than that): a piece moves at most 3 * 2 max|ctrl| *
+    3 max|time step| / span, ``spans`` giving each row's range of the
+    global parameter.
+    """
+    scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))  # not finite if a control point is not
+    if not math.isfinite(scale.max(initial=1.0)):
+        raise ValueError("control points and time maps must be finite")
+    if tmap is None:
+        ends = ctrl[:, ::3]
+    else:
+        ends = bezier_points(cubic[:, None], ctrl[:, None], np.where(np.isnan(tmap[:, :1]), [0.0, 1.0], tmap[:, ::3]))
+        widen = 18.0 * np.abs(np.diff(tmap, axis=1)).max(axis=1) / spans
+        scale = scale * (1.0 + np.where(np.isnan(tmap[:, 0]), 0.0, widen))
+    d = ends[:-1, 1] - ends[1:, 0]
+    gap = np.sqrt((d * d).sum(axis=1))
+    bad = gap > _CONT_TOL * np.maximum(scale[:-1], scale[1:])
+    if inside is not None:
+        bad &= inside
+    if bad.any():
+        raise ValueError(f"adjacent segments are discontinuous (gap {gap[bad][0]:.3e})")
+    return ends
+
+
+def _check_loops(batch: Batch, basepoint: np.ndarray, spans=None):
+    """``ValueError`` unless every chain of a batch is a loop at the base
+    point, by the tests ``PathNd`` and ``LoopAtBase`` make of one: finite
+    control points and time maps (a row of NaN marks none), no empty
+    chain, rows of a chain that meet (``_check_junctions``, ``spans`` the
+    global parameter range of each time-mapped row) and chain ends within
+    ``_CONT_TOL`` (1 + max|basepoint|) of the base point."""
+    cubic, ctrl, tmap, counts = batch
+    if not (tmap is None or np.isfinite(tmap[~np.isnan(tmap[:, 0])]).all()):
+        raise ValueError("control points and time maps must be finite")
+    if (counts < 1).any():
+        raise ValueError("a loop needs at least one segment")
+    owner = np.repeat(np.arange(len(counts)), counts)
+    ends = _check_junctions(cubic, ctrl, tmap, spans, owner[1:] == owner[:-1])
+    last = np.cumsum(counts) - 1
+    tol = _CONT_TOL * (1.0 + float(np.max(np.abs(basepoint))) if basepoint.size else 1.0)
+    if np.any(np.linalg.norm(np.concatenate([ends[last - counts + 1, 0], ends[last, 1]]) - basepoint, axis=1) > tol):
+        raise ValueError("loop endpoints must sit at the base point")
+
+
 def _segment_backed(*paths, what: str):
     """Operations other than evaluation need paths without a time map."""
     for p in paths:
@@ -192,12 +242,12 @@ def _preimage(phi: PathNd, target: float) -> float | None:
     return a + hi * (b - a)
 
 
-def _time_breakpoints(p: PathNd, phi: PathNd) -> np.ndarray:
-    """Breakpoints of p(phi(i)): the union of the map's breakpoints and the
-    preimages of the base path's breakpoints, each within 1e-12 of the one
-    before it dropped and the last one 1."""
+def _time_breakpoints(breakpoints: np.ndarray, phi: PathNd) -> np.ndarray:
+    """Breakpoints of p(phi(i)) for a base path p with the given breakpoints:
+    the union of the map's breakpoints and the preimages of the base path's,
+    each within 1e-12 of the one before it dropped and the last one 1."""
     bps = set(float(b) for b in phi.breakpoints)
-    for b in p.breakpoints[1:-1]:
+    for b in breakpoints[1:-1]:
         t = _preimage(phi, float(b))
         if t is not None:
             bps.add(t)
@@ -302,8 +352,19 @@ def _as_points(points, dim: int) -> np.ndarray:
 def _polyline(vertices: np.ndarray) -> PathNd:
     """The chain of straight segments through an (n + 1, dim) array of
     vertices, with uniform breakpoints."""
-    a, b = vertices[:-1], vertices[1:]
-    return PathNd(np.zeros(len(a), dtype=bool), np.stack([a, a, b, b], axis=1), np.linspace(0.0, 1.0, len(a) + 1))
+    return PathNd(*polyline_rows(vertices), np.linspace(0.0, 1.0, len(vertices)))
+
+
+def _composed_breakpoints(beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Breakpoints of ``compose_paths``: beta's on [0, 1/2], alpha's on [1/2, 1]."""
+    return np.concatenate([0.5 * beta, 0.5 + 0.5 * alpha[1:]])
+
+
+def _reversed_breakpoints(bp: np.ndarray) -> np.ndarray:
+    """Breakpoints of ``invert_path``."""
+    bp = 1.0 - bp[::-1]
+    bp[0], bp[-1] = 0.0, 1.0
+    return bp
 
 
 def constant_path(x) -> PathNd:
@@ -328,16 +389,14 @@ def compose_paths(alpha: PathNd, beta: PathNd) -> PathNd:
     gap = float(np.linalg.norm(beta.end - alpha.start))
     if gap > 1e-10 * (1.0 + max(np.max(np.abs(beta.end)), np.max(np.abs(alpha.start)))):
         raise EndpointMismatch(f"beta ends {gap:.3e} away from where alpha starts")
-    bp = np.concatenate([0.5 * beta.breakpoints, 0.5 + 0.5 * alpha.breakpoints[1:]])
+    bp = _composed_breakpoints(beta.breakpoints, alpha.breakpoints)
     return PathNd(np.concatenate([beta.cubic, alpha.cubic]), np.concatenate([beta.ctrl, alpha.ctrl]), bp)
 
 
 def invert_path(p: PathNd) -> PathNd:
     """Reverse orientation: i -> p(1 - i)."""
     _segment_backed(p, what="inversion")
-    bp = 1.0 - p.breakpoints[::-1]
-    bp[0], bp[-1] = 0.0, 1.0
-    return PathNd(p.cubic[::-1], p.ctrl[::-1, ::-1], bp)
+    return PathNd(*reversed_rows(p.cubic, p.ctrl), _reversed_breakpoints(p.breakpoints))
 
 
 def contract(p: PathNd, i: float) -> PathNd:
@@ -372,8 +431,7 @@ def radial_family(basepoint) -> PathFamily:
     basepoint = np.asarray(basepoint, dtype=float)
 
     def table_rule(xs):
-        ctrl = np.stack(np.broadcast_arrays(basepoint, basepoint, xs, xs), axis=1)
-        return np.zeros((len(xs), 1), dtype=bool), ctrl[:, None]
+        return polyline_rows(np.stack(np.broadcast_arrays(basepoint, xs), axis=1))
 
     return PathFamily(basepoint.size, basepoint, table_rule=table_rule)
 
@@ -385,9 +443,7 @@ def axis_dogleg_family(basepoint) -> PathFamily:
     from_target = np.tri(dim + 1, dim, -1, dtype=bool)  # corner k takes x1..xk from x
 
     def table_rule(xs):
-        corners = np.where(from_target, xs[:, None, :], basepoint)
-        a, b = corners[:, :-1], corners[:, 1:]
-        return np.zeros((len(xs), dim), dtype=bool), np.stack([a, a, b, b], axis=2)
+        return polyline_rows(np.where(from_target, xs[:, None, :], basepoint))
 
     return PathFamily(dim, basepoint, table_rule=table_rule)
 
@@ -395,18 +451,15 @@ def axis_dogleg_family(basepoint) -> PathFamily:
 def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     """The frame-conjugated straight shift: out along psi[x], straight to y,
     back along psi[y]; a loop at the family's base point."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out, back = psi[x], psi[y]
-    _segment_backed(out, back, what="composition")
-    # compose_paths(invert_path(back), compose_paths(straight_segment(x, y),
-    # out)) as rows and breakpoints; the family checked that the legs meet.
-    cubic = np.concatenate([out.cubic, [False], back.cubic[::-1]])
-    ctrl = np.concatenate([out.ctrl, [[x, x, y, y]], back.ctrl[::-1, ::-1]])
-    inner = np.append(0.5 * out.breakpoints, 1.0)
-    reverse = 1.0 - back.breakpoints[::-1]
-    bp = np.concatenate([0.5 * inner, 0.5 + 0.5 * reverse[1:]])
-    return LoopAtBase(PathNd(cubic, ctrl, bp), psi.basepoint)
+    ends = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    cubic, ctrl = psi.tables(ends)
+    # compose_paths(invert_path(psi[y]), compose_paths(straight_segment(x, y),
+    # psi[x])) as rows and breakpoints, from one fetch of both frame paths.
+    shift, back = polyline_rows(ends), reversed_rows(cubic[1], ctrl[1])
+    legs = np.linspace(0.0, 1.0, cubic.shape[1] + 1)
+    bp = _composed_breakpoints(_composed_breakpoints(legs, np.array([0.0, 1.0])), _reversed_breakpoints(legs))
+    path = PathNd(np.concatenate([cubic[0], shift[0], back[0]]), np.concatenate([ctrl[0], shift[1], back[1]]), bp)
+    return LoopAtBase(path, psi.basepoint)
 
 
 def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
@@ -496,12 +549,23 @@ def reparametrize(p, phi: PathNd):
     if phi.n_pieces == 1 and not phi.cubic[0] and np.allclose(phi.ctrl[0, [0, 3]], [[0.0], [1.0]]):
         return p
     _segment_backed(p, phi, what="reparametrization")
-    # Each piece is one base segment's row plus one time-map piece (a line
-    # raised to degree 3), restricted by de Casteljau and mapped into the
-    # segment's local parameter.  A base segment too short for the merged
-    # breakpoints to resolve falls inside a piece, and the table then
-    # fails its continuity check.
-    bp = _time_breakpoints(p, phi)
+    j, bp, tmap = _time_table(p.breakpoints, phi)
+    return PathNd(p.cubic[j], p.ctrl[j], bp, tmap)
+
+
+def _time_table(breakpoints: np.ndarray, phi: PathNd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table part of ``reparametrize`` for a base path with the given
+    breakpoints and a time map phi that is not the identity: the base row j
+    of each piece of p(phi(i)), the pieces' breakpoints, and their time
+    maps.  None of them depends on the base path's control points.
+
+    Each piece is one base segment's row plus one time-map piece (a line
+    raised to degree 3), restricted by de Casteljau and mapped into the
+    segment's local parameter.  A base segment too short for the merged
+    breakpoints to resolve falls inside a piece, and the table then fails
+    its continuity check.
+    """
+    bp = _time_breakpoints(breakpoints, phi)
     lo, hi = bp[:-1], bp[1:]
     # The time-map piece under each piece, as cubic ordinates.
     k = np.clip(np.searchsorted(phi.breakpoints, 0.5 * (lo + hi), side="right") - 1, 0, phi.n_pieces - 1)
@@ -510,9 +574,9 @@ def reparametrize(p, phi: PathNd):
     line = np.stack([y[:, 0], (2.0 * y[:, 0] + y[:, 3]) / 3.0, (y[:, 0] + 2.0 * y[:, 3]) / 3.0, y[:, 3]], axis=1)
     y = _restrict(np.where(phi.cubic[k, None], y, line), (lo - fa) / (fb - fa), (hi - fa) / (fb - fa))
     # The base segment each piece runs along, and its local parameter.
-    j = np.clip(np.searchsorted(p.breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, p.n_pieces - 1)
-    ba, bb = p.breakpoints[j, None], p.breakpoints[j + 1, None]
-    return PathNd(p.cubic[j], p.ctrl[j], bp, (y - ba) / (bb - ba))
+    j = np.clip(np.searchsorted(breakpoints, 0.5 * (y[:, 0] + y[:, 3]), side="right") - 1, 0, len(breakpoints) - 2)
+    ba, bb = breakpoints[j, None], breakpoints[j + 1, None]
+    return j, bp, (y - ba) / (bb - ba)
 
 
 def random_polygon_loop(rng: np.random.Generator, basepoint, n_vertices: int = 4, radius: float = 0.75) -> LoopAtBase:
@@ -527,3 +591,49 @@ def random_polyline(rng: np.random.Generator, start, n_segments: int = 2, radius
     start = np.asarray(start, dtype=float)
     steps = rng.uniform(-radius, radius, size=(n_segments, start.size))
     return _polyline(np.cumsum(np.concatenate([start[None], steps]), axis=0))
+
+
+def _composition_triples(rng: np.random.Generator, basepoint: np.ndarray, samples: int, radius: float) -> Batch:
+    """The composition law's loops as one checked batch: for each of
+    ``samples`` pairs of 4-vertex polygon loops alpha, beta at the base
+    point, drawn as ``random_polygon_loop`` draws alpha and then beta, the
+    rows of compose_paths(alpha, beta) (beta first), of alpha and of beta."""
+    dim = basepoint.size
+    verts = basepoint + rng.uniform(-radius, radius, size=(samples, 2, 4, dim))
+    ends = np.broadcast_to(basepoint, (samples, 2, 1, dim))
+    _, ctrl = polyline_rows(np.concatenate([ends, verts, ends], axis=2))
+    alpha, beta = ctrl[:, 0], ctrl[:, 1]
+    n = alpha.shape[1]
+    ctrl = np.concatenate([beta, alpha, alpha, beta], axis=1).reshape(-1, 4, dim)
+    batch = Batch(np.zeros(len(ctrl), dtype=bool), ctrl, None, np.tile([2 * n, n, n], samples))
+    _check_loops(batch, basepoint)
+    return batch
+
+
+def _thin_loops(rng: np.random.Generator, basepoint: np.ndarray, samples: int, radius: float) -> Batch:
+    """The thin-loop law's loops as one checked batch: for each of
+    ``samples`` 2-segment polylines p from the base point, drawn as
+    ``random_polyline`` draws them, the rows of compose_paths(invert_path(p),
+    p), those of every odd loop reparametrized by piecewise_power_map(3,
+    0.5) and the others with time maps of NaN, as ``stack_tables`` gives
+    them."""
+    dim = basepoint.size
+    steps = rng.uniform(-radius, radius, size=(samples, 2, dim))
+    verts = np.cumsum(np.concatenate([np.broadcast_to(basepoint, (samples, 1, dim)), steps], axis=1), axis=1)
+    cubic, ctrl = polyline_rows(verts)
+    ctrl = np.concatenate([ctrl, reversed_rows(cubic, ctrl)[1]], axis=1).reshape(-1, 4, dim)
+    # Every loop has the breakpoints of p o p^-1, so one time table serves
+    # every reparametrized one.  Loop 2m takes rows 8m + (0, 1, 2, 3) with
+    # no time map and loop 2m + 1 rows 8m + 4 + j with the time maps; an odd
+    # count of loops drops the last pair's second.
+    p_bp = np.linspace(0.0, 1.0, 3)
+    j, bp, tmap = _time_table(_composed_breakpoints(p_bp, _reversed_breakpoints(p_bp)), piecewise_power_map(3, 0.5))
+    pair, none = np.arange((samples + 1) // 2)[:, None], np.full((4, 4), np.nan)
+    counts = np.where(np.arange(samples) % 2, len(j), 4)
+    rows = counts.sum()
+    take = (np.concatenate([np.arange(4), 4 + j]) + 8 * pair).ravel()[:rows]
+    tmaps = np.tile(np.concatenate([none, tmap]), (len(pair), 1))[:rows]
+    spans = np.tile(np.concatenate([none[0], np.diff(bp)]), len(pair))[:rows]
+    batch = Batch(np.zeros(rows, dtype=bool), ctrl[take], tmaps if samples > 1 else None, counts)
+    _check_loops(batch, basepoint, spans)
+    return batch

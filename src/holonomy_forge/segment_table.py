@@ -5,6 +5,8 @@ and control points of shape (s, 4, dim), a line p0 -> p1 stored as
 [p0, p0, p1, p1] so that reversing the rows of either kind reverses the
 segment.  A reparametrized piece adds a time map ``tmap`` (s, 4): the
 Bezier ordinates of a cubic from the piece's parameter to the segment's.
+``polyline_rows`` and ``reversed_rows`` build the rows of straight chains
+and of chains traversed backwards, for one chain or many at once.
 ``PathNd`` holds a table with breakpoints.  A batch of many chains is one
 flat table plus the row count of each chain (``Batch``); it is what frames,
 reconstruction loops and the holonomy kernels pass on, and
@@ -22,6 +24,8 @@ __all__ = [
     "bezier_points",
     "bezier_velocities",
     "time_map",
+    "polyline_rows",
+    "reversed_rows",
     "thin_keep",
     "table_batch",
     "stack_tables",
@@ -76,6 +80,19 @@ def time_map(tmap: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     timed = ~np.isnan(tmap[..., 0])
     t, dt = bezier_points(True, tm, u)[..., 0], bezier_velocities(True, tm, u)[..., 0]
     return np.where(timed, t, u), np.where(timed, dt, 1.0)
+
+
+def polyline_rows(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the straight chains through vertices (..., n + 1, dim):
+    flags (..., n) and control points (..., n, 4, dim)."""
+    a, b = vertices[..., :-1, :], vertices[..., 1:, :]
+    return np.zeros(a.shape[:-1], dtype=bool), np.stack([a, a, b, b], axis=-2)
+
+
+def reversed_rows(cubic: np.ndarray, ctrl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of chains, flags (..., s) and control points (..., s, 4,
+    dim), traversed backwards."""
+    return cubic[..., ::-1], ctrl[..., ::-1, ::-1, :]
 
 
 def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.ndarray:

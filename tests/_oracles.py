@@ -4,7 +4,9 @@ Everything here is deliberately primitive (truncated series, polygon
 area formulas, exact per-edge integrals, one loop at a time) and shares
 no code with the library's own evaluation paths beyond building paths.
 The exceptions are ``serial_audit``, the audit written as the loop over
-single-law checkers that the batched ``audit_axioms`` must reproduce, and
+single-law checkers that the batched ``audit_axioms`` must reproduce,
+``per_loop_audit_batches``, the audit's random loops built one path at a
+time, which its whole-array draws must reproduce bit for bit, and
 the path operations one segment at a time (``segment_compose`` and its
 siblings on lists of rows ``(cubic flag, 4 control points)``, and
 ``LazyReparametrization``), the reference forms of the table operations
@@ -411,6 +413,31 @@ def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family
     a3 = check_axiom3(h_map, axiom3_family, axiom3_grid)
     t1, t2, t3 = tolerances
     return AxiomReport(a1, a2, a3, samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)))
+
+
+def per_loop_audit_batches(basepoint, samples: int, seed: int, radius: float = 0.75):
+    """The random loops of ``audit_axioms`` built one path at a time, as
+    the audit built them before it drew whole arrays: the composition
+    triples (alpha o beta, alpha, beta) and the thin loops (p o p^-1, every
+    odd one reparametrized) as ``stack_tables`` batches, and the range of
+    the global parameter of every thin-loop row."""
+    from holonomy_forge.segment_table import stack_tables
+
+    rng = np.random.default_rng(seed)
+    base = np.asarray(basepoint, dtype=float)
+    triples = []
+    for _ in range(samples):
+        alpha = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        beta = random_polygon_loop(rng, base, n_vertices=4, radius=radius)
+        triples += [compose_paths(alpha.path, beta.path), alpha.path, beta.path]
+    thin = []
+    phi = piecewise_power_map(3, 0.5)
+    for k in range(samples):
+        p = random_polyline(rng, base, n_segments=2, radius=radius)
+        path = compose_paths(invert_path(p), p)
+        thin.append(reparametrize(path, phi) if k % 2 else path)
+    spans = np.concatenate([np.diff(p.breakpoints) for p in thin])
+    return stack_tables(triples), stack_tables(thin), spans
 
 
 def reference_transport_products(field, batch, steps_per_segment: int, half: bool = False) -> np.ndarray:

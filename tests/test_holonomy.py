@@ -30,6 +30,9 @@ from holonomy_forge.holonomy import (
 from holonomy_forge.path_algebra import (
     LoopAtBase,
     PathNd,
+    _check_loops,
+    _composition_triples,
+    _thin_loops,
     axis_dogleg_family,
     compose_paths,
     constant_path,
@@ -49,6 +52,7 @@ from holonomy_forge.segment_table import sample_pieces, stack_tables
 
 from _oracles import (
     loop_axiom3,
+    per_loop_audit_batches,
     polyline_vertices,
     polyline_ydx_integral,
     reference_line_integrals,
@@ -916,9 +920,10 @@ class TestAxiom3:
         proxy = check_axiom3(h_map, family, grid=7, k=2)
         assert 0.0 < proxy <= 1.0
 
-    def test_small_grid_rejected(self):
+    @pytest.mark.parametrize("grid, k", [(2, 1), (4.5, 1), (True, 1), (5, 0), (5, 1.0)])
+    def test_small_grid_rejected(self, grid, k):
         with pytest.raises(ValueError):
-            check_axiom3(analytic_map(), lambda u: unit_square(), grid=2)
+            check_axiom3(analytic_map(), lambda u: unit_square(), grid=grid, k=k)
 
     @pytest.mark.parametrize("name", ["su2-twist", "paper-sec6"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -1039,6 +1044,38 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_axioms(analytic_map(), samples=0, seed=0, tolerances=(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(radius=0.0),
+            dict(radius=-0.5),
+            dict(radius=float("nan")),
+            dict(radius=float("inf")),
+            dict(radius=True),
+            dict(radius="0.5"),
+            dict(axiom3_grid=2),
+            dict(axiom3_grid=0),
+            dict(axiom3_grid=4.0),
+            dict(samples=True),
+            dict(samples=2.5),
+            dict(samples=3.0),
+            dict(samples="3"),
+        ],
+        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_bad_inputs_refused_before_any_loop_is_drawn(self, bad, monkeypatch):
+        # A zero radius would pass vacuously, a non-finite one fail inside
+        # numpy, and a small grid only after axioms 1 and 2 are evaluated.
+        from holonomy_forge import holonomy
+
+        def drawn(*args):
+            raise AssertionError("a loop was drawn")
+
+        monkeypatch.setattr(holonomy, "_composition_triples", drawn)
+        kwargs = dict(samples=3, seed=0, tolerances=(1.0, 1.0, 1.0)) | bad
+        with pytest.raises(ValueError):
+            audit_axioms(analytic_map(), **kwargs)
+
     def test_report_json_keys(self):
         report = AxiomReport(1e-12, 2e-12, 0.1, 7, (True, True, False))
         d = report.to_json_dict()
@@ -1095,3 +1132,75 @@ class TestControlledAudit:
         h_map = hf.get_preset("su2-twist").holonomy_map(16)
         with pytest.raises(IntegrationError, match=message + r"step-doubling estimate \S+ exceeds \S+ at 16 steps"):
             audit_axioms(h_map, samples=3, seed=0, tolerances=gates, error_control=True)
+
+
+class TestAuditBatches:
+    # The audit draws each law's random loops as whole arrays, one checked
+    # batch per law; they must be the loops of the per-loop construction,
+    # bit for bit.
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    @pytest.mark.parametrize("radius", [0.3, 0.75])
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_batches_equal_the_per_loop_construction(self, dim, samples, radius, seed):
+        base = 0.25 + 0.5 * np.arange(dim)
+        rng = np.random.default_rng(seed)
+        triples = _composition_triples(rng, base, samples, radius)
+        thin = _thin_loops(rng, base, samples, radius)
+        want_triples, want_thin, _ = per_loop_audit_batches(base, samples, seed, radius)
+        self.assert_same_bits(triples, want_triples)
+        self.assert_same_bits(thin, want_thin)
+        assert triples.counts.tolist() == [10, 5, 5] * samples
+        assert thin.counts.tolist() == [4 if k % 2 == 0 else 5 for k in range(samples)]
+
+    @staticmethod
+    def mutable_batches():
+        base = np.array([0.5, -0.25])
+        triples, thin, spans = per_loop_audit_batches(base, 4, 7)
+        copy = lambda b, **kw: b._replace(ctrl=b.ctrl.copy(), **kw)
+        return base, {"composition": (copy(triples), None), "thin": (copy(thin), spans)}
+
+    @pytest.mark.parametrize("law, row", [("composition", 1), ("composition", 23), ("thin", 1), ("thin", 5)])
+    def test_batch_check_refuses_a_moved_control_point(self, law, row):
+        # Row 5 of the thin batch is the second time-mapped row of loop 1.
+        base, batches = self.mutable_batches()
+        batch, spans = batches[law]
+        _check_loops(batch, base, spans)
+        batch.ctrl[row, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="discontinuous"):
+            _check_loops(batch, base, spans)
+
+    @pytest.mark.parametrize("law", ["composition", "thin"])
+    def test_batch_check_refuses_a_chain_off_the_base_point(self, law):
+        # The whole chain moves, so its rows still meet; only its ends are off.
+        base, batches = self.mutable_batches()
+        batch, spans = batches[law]
+        start = batch.counts[0]
+        batch.ctrl[start : start + batch.counts[1]] += 1e-6
+        with pytest.raises(ValueError, match="base point"):
+            _check_loops(batch, base, spans)
+
+    @pytest.mark.parametrize("law", ["composition", "thin"])
+    def test_batch_check_refuses_a_nan_control_point(self, law):
+        # An inner control point of a line, which no junction test reads.
+        base, batches = self.mutable_batches()
+        batch, spans = batches[law]
+        batch.ctrl[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _check_loops(batch, base, spans)
+
+    def test_audit_builds_few_paths(self, monkeypatch):
+        # Axioms 1 and 2 build no PathNd; axiom 3 builds one per family loop.
+        made = []
+        init = PathNd.__init__
+        monkeypatch.setattr(PathNd, "__init__", lambda self, *args, **kw: made.append(1) or init(self, *args, **kw))
+        h_map = hf.get_preset("su2-twist").holonomy_map()
+        audit_axioms(h_map, samples=30, seed=1, tolerances=(1e-6, 1e-8, 0.2), axiom3_grid=21)
+        assert 0 < len(made) <= 21 + 5

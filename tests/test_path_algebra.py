@@ -224,6 +224,21 @@ class TestReconstructionLoop:
         assert np.allclose(a.ctrl, b.ctrl, atol=1e-12)
 
 
+    @pytest.mark.parametrize("family", [radial_family, axis_dogleg_family])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_the_composed_legs(self, family, dim):
+        # One fetch of both frame paths gives the rows and breakpoints of
+        # the loop composed leg by leg, bit for bit.
+        rng = np.random.default_rng(dim)
+        psi = family(rng.uniform(-1.0, 1.0, size=dim))
+        for x, y in rng.uniform(-2.0, 2.0, size=(5, 2, dim)):
+            loop = reconstruction_loop(psi, x, y)
+            want = compose_paths(invert_path(psi[y]), compose_paths(straight_segment(x, y), psi[x]))
+            assert np.array_equal(loop.basepoint, psi.basepoint) and loop.path.tmap is None
+            for got, ref in zip((loop.path.cubic, loop.path.ctrl, loop.path.breakpoints), (want.cubic, want.ctrl, want.breakpoints)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class TestThinReduce:
     def test_spur_removed(self):
         sq = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
@@ -331,7 +346,7 @@ def test_breakpoints_match_brentq_property(phi, inner):
     flat_levels = {float(t[0, 0]) for t in phi.ctrl if np.all(t == t[0])}
     assume(not flat_levels & set(inner))
     path = polyline_1d([0.0, *sorted(inner), 1.0])
-    bps = _time_breakpoints(path, phi)
+    bps = _time_breakpoints(path.breakpoints, phi)
     expected = brentq_breakpoints(path, phi)
     assert bps.shape == expected.shape
     assert np.all(np.abs(bps - expected) <= 1e-15 + 4 * np.finfo(float).eps * np.abs(expected))
