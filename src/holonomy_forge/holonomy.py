@@ -9,7 +9,7 @@ says how it integrates:
   connection along the loop, evaluated piece by piece with Gauss-Legendre
   quadrature: a polynomial field's integrand of degree k <= 63 on a piece
   takes the k // 2 + 1 nodes that are exact for it, and any other piece
-  the stored 32-node rule;
+  the 32-node rule, all computed by ``_gauss_legendre``;
 * ``steps=n`` (``transport``) -- parallel transport: solve
   u'(i) = -A(b(i)) b'(i) u(i), u(0) = 1, with classical RK4 (order 4)
   written as the ordered product of its step propagators, each projected
@@ -101,41 +101,19 @@ __all__ = [
     "audit_axioms",
 ]
 
-# 32-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those
-# of SciPy's roots_legendre(32) (numpy's leggauss differs in the last bits).
-_nodes = np.array([float.fromhex(h) for h in """
-    -0x1.fe995e70409b6p-1 -0x1.f8a212714bcdcp-1 -0x1.edf5518053baap-1 -0x1.deac0259f7f42p-1
-    -0x1.caea9b4574cb9p-1 -0x1.b2e04fd686a12p-1 -0x1.96c69481c4bc4p-1 -0x1.76e0931d693bap-1
-    -0x1.537a89c487f8ap-1 -0x1.2ce9146962ca4p-1 -0x1.038862866b29ep-1 -0x1.af76b57c6f8f2p-2
-    -0x1.53d55ce57bdf6p-2 -0x1.ea0f7e19c094cp-3 -0x1.27e0ea717f235p-3 -0x1.8bbc8488cc49cp-5
-    0x1.8bbc8488cc49cp-5 0x1.27e0ea717f235p-3 0x1.ea0f7e19c094cp-3 0x1.53d55ce57bdf6p-2
-    0x1.af76b57c6f8f2p-2 0x1.038862866b29ep-1 0x1.2ce9146962ca4p-1 0x1.537a89c487f8ap-1
-    0x1.76e0931d693bap-1 0x1.96c69481c4bc4p-1 0x1.b2e04fd686a12p-1 0x1.caea9b4574cb9p-1
-    0x1.deac0259f7f42p-1 0x1.edf5518053baap-1 0x1.f8a212714bcdcp-1 0x1.fe995e70409b6p-1
-""".split()])
-_weights = np.array([float.fromhex(h) for h in """
-    0x1.cbf8bc743dfd5p-8 0x1.0aa3c248694f0p-6 0x1.a0060a8531f15p-6 0x1.18c5800a35559p-5
-    0x1.5ee963a3354e0p-5 0x1.a1c6ae961fc05p-5 0x1.e0bd76c9249a4p-5 0x1.0d9b9a62cabebp-4
-    0x1.2854103b35e0bp-4 0x1.40483e126fd09p-4 0x1.553ee25ebebb2p-4 0x1.6705e18e13ec9p-4
-    0x1.7572bdb3f6e3fp-4 0x1.8062fc0f6feeep-4 0x1.87bc776f8c6c8p-4 0x1.8b6d9eaec779ep-4
-    0x1.8b6d9eaec779ep-4 0x1.87bc776f8c6c8p-4 0x1.8062fc0f6feeep-4 0x1.7572bdb3f6e3fp-4
-    0x1.6705e18e13ec9p-4 0x1.553ee25ebebb2p-4 0x1.40483e126fd09p-4 0x1.2854103b35e0bp-4
-    0x1.0d9b9a62cabebp-4 0x1.e0bd76c9249a4p-5 0x1.a1c6ae961fc05p-5 0x1.5ee963a3354e0p-5
-    0x1.18c5800a35559p-5 0x1.a0060a8531f15p-6 0x1.0aa3c248694f0p-6 0x1.cbf8bc743dfd5p-8
-""".split()])
 # The rules on [0, 1] by node count, filled on first use by _gauss_legendre.
-_GL_RULES = {32: (0.5 * (_nodes + 1.0), 0.5 * _weights)}
-# Node count of the stored rule, which every piece of unknown or high degree takes.
+_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Node count for every piece of unknown degree or degree above 63.
 _GL_MAX = 32
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes and weights on [0, 1], exact for
-    polynomials of degree up to 2n - 1, computed once per n: the stored
-    table for n = 32, else the roots of P_n by Newton's method on the
-    three-term recurrence and the weights 2 / ((1 - x^2) P_n'(x)^2) on
-    [-1, 1], halved.  (Not numpy's leggauss, whose module costs a few ms
-    to import on first use.)"""
+    polynomials of degree up to 2n - 1, computed once per n on first use:
+    the roots of P_n by Newton's method on the three-term recurrence and
+    the weights 2 / ((1 - x^2) P_n'(x)^2) on [-1, 1], halved.  (Not
+    numpy's leggauss, whose module costs a few ms to import on first
+    use.)"""
     rule = _GL_RULES.get(n)
     if rule is None:
         # Start from the asymptotic roots cos(pi (i - 1/4) / (n + 1/2)) =
@@ -490,7 +468,7 @@ class _Plan:
         per-piece Gauss-Legendre quadrature.  A piece whose integrand has
         degree k <= 63 (``_piece_degrees``) takes the k // 2 + 1 nodes that
         are exact for it; a piece of higher degree, and every piece of a
-        field of unknown degree, takes the stored 32-node rule.  The node
+        field of unknown degree, takes the 32-node rule.  The node
         count depends on the piece alone, so a chain's value does not depend
         on the other chains of its batch."""
         field, batch, rep = self.field, self.batch, self.rep

@@ -302,27 +302,6 @@ class AlgebraElement(_Element):
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
-    def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.spec != other.spec:
-            raise SpecMismatch("cannot bracket elements of different algebras")
-        comm = self.matrix @ other.matrix - other.matrix @ self.matrix
-        return AlgebraElement.from_matrix(self.spec, comm)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.spec != other.spec:
-            raise SpecMismatch("cannot add elements of different algebras")
-        return AlgebraElement(self.spec, self.matrix + other.matrix)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.spec != other.spec:
-            raise SpecMismatch("cannot subtract elements of different algebras")
-        return AlgebraElement(self.spec, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float) -> "AlgebraElement":
-        return AlgebraElement(self.spec, self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def _exp_su2(x: np.ndarray) -> np.ndarray:
     # x is traceless, so x^2 = -det(x) I and exp(x) = cos(t) I + sin(t)/t x

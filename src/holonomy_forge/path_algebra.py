@@ -477,8 +477,9 @@ def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n = len(xs)
     cubic, ctrl = psi.tables(np.concatenate([xs, ys]))
-    ctrl = np.concatenate([ctrl[:n], np.stack([xs, xs, ys, ys], axis=1)[:, None], ctrl[n:, ::-1, ::-1]], axis=1)
-    cubic = np.concatenate([cubic[:n], np.zeros((n, 1), dtype=bool), cubic[n:, ::-1]], axis=1)
+    shift, back = polyline_rows(np.stack([xs, ys], axis=1)), reversed_rows(cubic[n:], ctrl[n:])
+    ctrl = np.concatenate([ctrl[:n], shift[1], back[1]], axis=1)
+    cubic = np.concatenate([cubic[:n], shift[0], back[0]], axis=1)
     cubic, ctrl, _, counts = table_batch(cubic, ctrl)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
     return Batch(cubic[keep], ctrl[keep], None, np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n))

@@ -48,6 +48,7 @@ from .holonomy import (
     HolonomyMap,
     _check_axis,
     _check_based,
+    _check_count,
     _check_steps,
     _Plan,
     _evaluate,
@@ -68,7 +69,7 @@ from .path_algebra import (
     straight_segment,
     thin_reduce,
 )
-from .segment_table import stack_tables, table_batch
+from .segment_table import reversed_rows, stack_tables, table_batch
 
 __all__ = [
     "StepTooLarge",
@@ -238,11 +239,13 @@ def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBas
     for t, c, x in zip(ts, cubic, ctrl):
         if moving and t:
             k = contract(p, t)
-            c, x = np.concatenate([c, k.cubic[::-1]]), np.concatenate([x, k.ctrl[::-1, ::-1]])
+            kc, kx = reversed_rows(k.cubic, k.ctrl)
+            c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
         legs.append((c, x))
     (cj, xj), loops = legs[0], []
     for c, x in legs[1:]:
-        rows, points = np.concatenate([cj, c[::-1]]), np.concatenate([xj, x[::-1, ::-1]])
+        c, x = reversed_rows(c, x)
+        rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
         path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
         loops.append(LoopAtBase(path, psi.basepoint))
     return loops
@@ -493,9 +496,7 @@ def round_trip_report(
     tolerances = dict(tolerances or {})
     dim = A_in.dim
     _check_steps(transport_steps)  # raised here, not recorded as a failure of every sample path
-    n = transport_paths
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"the number of transport paths must be an integer of at least 0, got {n!r}")
+    _check_count(transport_paths, "the number of transport paths", 0)
     h_map = HolonomyMap.transport(A_in, psi.basepoint, steps_per_segment)
     A_rec = reconstructed_connection(h_map, psi, cfg)
     gfield = _relating_gauge_field(A_in, psi, steps_per_segment)

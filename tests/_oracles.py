@@ -15,9 +15,9 @@ constructor and nothing else of the table code they check.  The
 connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
 each loop composed leg by leg, its holonomy evaluated alone.  The
-integration kernels as they stood before a change that must reproduce
-them (``reference_transport_products``, ``reference_line_integrals``) are
-kept here as well.
+integration kernel as it stood before a change that must reproduce it
+(``reference_transport_products``) is kept here as well, and so is an
+oracle for the exact map's line integrals (``reference_line_integrals``).
 """
 
 import cmath
@@ -498,11 +498,11 @@ def reference_transport_products(field, batch, steps_per_segment: int, half: boo
 
 
 def reference_line_integrals(field, batch) -> np.ndarray:
-    """The exact map's line integrals as they stood before per-piece node
-    counts: SciPy's 32-node Gauss-Legendre rule on every distinct piece of
-    the batch, summed per chain.  A field of unknown degree must give these
-    values bit for bit; any other field must agree to rounding wherever its
-    integrand has degree <= 63."""
+    """An oracle for the exact map's line integrals: SciPy's 32-node
+    Gauss-Legendre rule on every distinct piece of the batch, summed per
+    chain.  Wherever the integrand has degree <= 63 both this rule and the
+    map's are exact, so they agree to rounding, relative to the integral of
+    the absolute integrand."""
     from scipy.special import roots_legendre
 
     from holonomy_forge.holonomy import _connection_along, _distinct_pieces, _sampled
