@@ -146,19 +146,23 @@ def _legendre_ratio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, dp
 
 
-# Lattice samples per kernel call.  Distinct pieces are cut into chunks at
-# piece boundaries so that the (samples, d, d) temporaries stay below about
-# 1 MB for any batch size; at 4096 an SU(2) grid reconstruction already
-# peaks 0.5 MB higher, with no gain in speed.  Transport's
-# 2-step probe (5 samples per probed piece, once per batch) and its n-step
-# pass over the pieces the probe does not accept (2n+1 samples) are chunked
-# alike, so the probe adds at most ceil(5 probed pieces / 2048) kernel
-# calls.  So are the passes of error-controlled reconstructions and audits
-# (``_evaluate``: n = 8, 16, ... up to the map's steps as the cap,
-# over the pieces of the quantities still above their tolerance); only the
-# first pass builds n/2-step values, which read the same samples and add
-# n/2 propagators per piece after the n-step ones, so the cap holds.
-_KERNEL_SAMPLES = 2048
+# Matrix entries per (samples, d, d) kernel temporary: a call takes at
+# most 8192 // d**2 lattice samples, 2048 for SU(2) and 8192 for 1x1 groups.
+# Distinct pieces are cut into chunks at piece boundaries so that the
+# temporaries stay below about 1 MB for any batch size; at twice the budget
+# an SU(2) grid reconstruction already peaks 0.5 MB higher, with no gain in
+# speed.  The kernel computes in the group's dtype, float64 for the
+# positive reals and real GL(n): an elementwise complex product or sum
+# whose imaginary parts are 0 rounds exactly like the real one.
+# Transport's 2-step probe (5 samples per probed piece, once per batch) and
+# its n-step pass over the pieces the probe does not accept (2n+1 samples)
+# are chunked alike, and so are the passes of error-controlled
+# reconstructions and audits (``_evaluate``: n = 8, 16, ... up to the map's
+# steps as the cap, over the pieces of the quantities still above their
+# tolerance); only the first pass builds n/2-step values, which read the
+# same samples and add n/2 propagators per piece after the n-step ones, so
+# the budget holds.
+_KERNEL_ENTRIES = 8192
 
 
 class DimMismatch(ValueError):
@@ -179,8 +183,9 @@ class ConnectionField:
     """Algebra-valued connection components A_mu(x) on R^n.
 
     ``rule(points, mu)`` must be a pure function of an (m, dim) array of
-    points returning a new (m, d, d) array of algebra matrices, which the
-    integrators scale in place; ``component(x, mu)`` is the batch of one.
+    points returning a new (m, d, d) array of algebra matrices in the
+    group's dtype (real for a real group), which the integrators scale in
+    place; ``component(x, mu)`` is the batch of one.
     ``degree`` is the total degree of a polynomial rule, None when the rule
     is not known to be a polynomial; it sets the quadrature's node counts
     and which pieces transport probes, so anything but None or an integer
@@ -314,7 +319,7 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     """sum_mu A_mu(x) dx_mu/du at every sample, (pieces, samples, d, d)."""
     d = field.spec.matrix_dim
     flat, v = pts.reshape(-1, field.dim), vels.reshape(-1, field.dim)
-    out = np.zeros((len(flat), d, d), dtype=np.complex128)
+    out = np.zeros((len(flat), d, d), dtype=field.spec.dtype)
     if len(flat):
         for mu in range(field.dim):
             a = field.rule(flat, mu)
@@ -338,22 +343,24 @@ def _distinct_pieces(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     if tmap is not None:
         parts.append(tmap.view(np.uint8))
     rows = np.concatenate(parts, axis=1)
-    raw, w = rows.tobytes(), rows.shape[1]
+    # Fixed-width byte strings drop trailing NULs, which keeps them distinct.
+    keys = rows.view(f"S{rows.shape[1]}").ravel().tolist()
     ids: dict = {}
-    where = np.array([ids.setdefault(raw[k * w : (k + 1) * w], len(ids)) for k in range(len(rows))], dtype=np.intp)
+    where = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
     # Any occurrence represents its piece: equal keys mean equal bytes.
     rep = np.empty(len(ids), dtype=np.intp)
     rep[where] = np.arange(len(where))
     return rep, where
 
 
-def _sampled(batch: Batch, rows: np.ndarray, u: np.ndarray, kernel) -> np.ndarray:
+def _sampled(batch: Batch, rows: np.ndarray, u: np.ndarray, kernel, d: int = 1) -> np.ndarray:
     """``kernel(points, velocities)`` on the samples at abscissae ``u`` of
-    the given rows of a batch, in chunks of at most ``_KERNEL_SAMPLES``
-    samples cut at piece boundaries; the kernel treats each piece on its
-    own, so no result depends on its chunk."""
+    the given rows of a batch, in chunks of at most ``_KERNEL_ENTRIES``
+    entries of the kernel's (samples, d, d) temporaries, cut at piece
+    boundaries; the kernel treats each piece on its own, so no result
+    depends on its chunk."""
     cubic, ctrl, tmap, _ = batch
-    cap = max(1, _KERNEL_SAMPLES // len(u))
+    cap = max(1, _KERNEL_ENTRIES // (len(u) * d * d))
     results = [
         kernel(*sample_pieces(cubic[c], ctrl[c], None if tmap is None else tmap[c], u))
         for c in (rows[a : a + cap] for a in range(0, max(len(rows), 1), cap))
@@ -477,10 +484,12 @@ class _Plan:
             nodes = np.full(len(rep), _GL_MAX)
         values = np.empty(len(rep), dtype=np.complex128)
         # At most three counts, one per piece kind.  (A set, not np.unique,
-        # whose first call imports numpy.ma.)
+        # whose first call imports numpy.ma.)  Complex weights keep the sums
+        # complex for a real group too: numpy's pairwise sum adds a complex
+        # row of 4 or more in another order than a real one.
         for n in sorted(set(nodes.tolist())):
             u, w = _gauss_legendre(n)
-            rows = np.flatnonzero(nodes == n)
+            w, rows = w.astype(np.complex128), np.flatnonzero(nodes == n)
             values[rows] = _sampled(
                 batch, rep[rows], u, lambda pts, vels: (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
             )
@@ -506,7 +515,7 @@ class _Plan:
             probed = np.flatnonzero(_probed(field.degree, self.batch, self.rep))
             self._probed = True
             if probed.size:
-                p2 = _sampled(self.batch, self.rep[probed], _PROBE_SAMPLES, probe)
+                p2 = _sampled(self.batch, self.rep[probed], _PROBE_SAMPLES, probe, spec.matrix_dim)
                 self._p2 = np.full((len(self.rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
                 self._p2[probed] = p2
         return self._p2
@@ -571,7 +580,7 @@ class _Plan:
             redo = pieces if p2 is None else pieces[np.isnan(p2[pieces]).any(axis=(1, 2))]
             d = spec.matrix_dim
             if p2 is None or redo.size:
-                values = _sampled(batch, rep[redo], np.linspace(0.0, 1.0, 2 * n + 1), kernel)
+                values = _sampled(batch, rep[redo], np.linspace(0.0, 1.0, 2 * n + 1), kernel, d)
             p = np.empty((len(rep), 2 if half else 1, d, d), dtype=(values if p2 is None else p2).dtype)
             if p2 is not None:
                 p[pieces] = p2[pieces, None]
@@ -705,7 +714,7 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
     (m, d, d) stack of group matrices, checked once ((0, d, d) for none).
 
     Each distinct smooth piece of the batch is sampled and integrated once
-    per pass, in kernel calls of a bounded number of lattice samples; a
+    per pass, in kernel calls of a bounded number of matrix entries; a
     loop's value does not depend on the other loops of its batch, bit for
     bit.
     """

@@ -101,20 +101,25 @@ def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.nda
     Drops zero-length segments, then cancels exact (control-point level)
     adjacent retracings until none is left; ``counts`` gives the number of
     segments of each chain and ``tol`` the relative tolerance of both
-    tests.  Returns the mask of surviving segments.
+    tests.  Returns the mask of surviving segments.  Both tests reduce
+    over the control points held coordinate-major in memory, as (4, dim,
+    rows) planes, so that every operation runs along the rows.
     """
-    scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))
-    keep = np.abs(ctrl - ctrl[:, :1]).max(axis=(1, 2)) > tol * scale
+    c = np.ascontiguousarray(np.moveaxis(ctrl, 0, -1))
+    scale = 1.0 + np.abs(c).max(axis=(0, 1))
+    keep = np.abs(c - c[:1]).max(axis=(0, 1)) > tol * scale
     owner = np.repeat(np.arange(len(counts)), counts)
 
-    def retraces(a, b):
+    def retraces(a, b, ca, cb):
+        # Rows a and b, with control-point planes ca and cb.
         return (cubic[a] == cubic[b]) & (
-            np.abs(ctrl[a] - ctrl[b, ::-1]).max(axis=(-2, -1)) <= tol * np.maximum(scale[a], scale[b])
+            np.abs(ca - cb[::-1]).max(axis=(0, 1)) <= tol * np.maximum(scale[a], scale[b])
         )
 
     idx = np.flatnonzero(keep)
+    kept = c.take(idx, axis=2)
     a, b = idx[:-1], idx[1:]
-    flagged = (owner[a] == owner[b]) & retraces(a, b)
+    flagged = (owner[a] == owner[b]) & retraces(a, b, kept[..., :-1], kept[..., 1:])
     # Cancelling one pair can make its neighbours adjacent, so chains with
     # a retracing are reduced with a stack, which reaches the fixed point.
     # (Not np.unique, whose first call imports numpy.ma, about 10 ms.)
@@ -122,7 +127,7 @@ def thin_keep(cubic: np.ndarray, ctrl: np.ndarray, counts, tol: float) -> np.nda
         members = idx[owner[idx] == chain]
         stack: list[int] = []
         for j in members:
-            if stack and retraces(stack[-1], j):
+            if stack and retraces(stack[-1], j, c[..., stack[-1]], c[..., j]):
                 stack.pop()
             else:
                 stack.append(j)
@@ -162,11 +167,16 @@ def stack_tables(paths) -> Batch:
 def sample_pieces(cubic, ctrl, tmap, u) -> tuple[np.ndarray, np.ndarray]:
     """Samples at local abscissae u in [0, 1] on every row of a segment
     table (flags, control points, time maps or None): points and
-    velocities d/du, each (rows, len(u), dim).  A row without a time map
-    is sampled from its control points alone, bit for bit whatever else
-    is in the table."""
-    k, c, t = cubic[:, None], ctrl[:, None], np.asarray(u, dtype=float)[None, :]
+    velocities d/du, each (rows, len(u), dim).  Both are views of arrays
+    held coordinate-major in memory, (dim, rows, len(u)), so that every
+    operation runs along rows and samples.  A row without a time map is
+    sampled from its control points alone, bit for bit whatever else is
+    in the table."""
+    c = np.ascontiguousarray(np.moveaxis(ctrl, -1, 0))[:, :, None, :, None]
+    k, t = cubic[:, None], np.asarray(u, dtype=float)[None, :]
     if tmap is None:
-        return bezier_points(k, c, t), bezier_velocities(k, c, t)
-    t, dt = time_map(tmap[:, None], t)
-    return bezier_points(k, c, t), bezier_velocities(k, c, t) * dt[..., None]
+        pts, vels = bezier_points(k, c, t), bezier_velocities(k, c, t)
+    else:
+        t, dt = time_map(tmap[:, None], t)
+        pts, vels = bezier_points(k, c, t), bezier_velocities(k, c, t) * dt[..., None]
+    return pts[..., 0].transpose(1, 2, 0), vels[..., 0].transpose(1, 2, 0)

@@ -16,8 +16,12 @@ connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
 each loop composed leg by leg, its holonomy evaluated alone.  The
 integration kernel as it stood before a change that must reproduce it
-(``reference_transport_products``) is kept here as well, and so is an
-oracle for the exact map's line integrals (``reference_line_integrals``).
+(``reference_transport_products``) is kept here as well, and so are an
+oracle for the exact map's line integrals (``reference_line_integrals``),
+the coefficient built in complex arithmetic for every group
+(``complex_connection_along``) and the thin reduction over row-major
+control points (``reference_thin_keep``), the forms the real-dtype kernel
+and the coordinate-major thin reduction must reproduce bit for bit.
 """
 
 import cmath
@@ -585,3 +589,46 @@ def serial_controlled_audit(h_map, *, samples, seed, tolerances, radius=0.75, ax
     a3 = max(float(np.linalg.norm(s)) / delta**2 for s in v[2:] - 2.0 * v[1:-1] + v[:-2])
     passed = (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3))
     return AxiomReport(a1, a2, a3, samples, passed, tuple(steps), tuple(estimates))
+
+
+def complex_connection_along(field, pts, vels) -> np.ndarray:
+    """The coefficient sum_mu A_mu(x) dx_mu/du of ``_connection_along`` in
+    complex128 for every group, from the field's rule cast to complex128:
+    the arithmetic the transport kernel did for real groups before it
+    computed in their own dtype."""
+    d = field.spec.matrix_dim
+    flat, v = pts.reshape(-1, field.dim), vels.reshape(-1, field.dim)
+    out = np.zeros((len(flat), d, d), dtype=np.complex128)
+    for mu in range(field.dim):
+        out += field.rule(flat, mu).astype(np.complex128) * v[:, mu, None, None]
+    return out.reshape(pts.shape[:2] + (d, d))
+
+
+def reference_thin_keep(cubic, ctrl, counts, tol: float) -> np.ndarray:
+    """``segment_table.thin_keep`` reducing over row-major (rows, 4, dim)
+    control points, one fancy-indexed gather per side of each test: the
+    mask of segments that survive dropping zero-length rows and cancelling
+    exact adjacent retracings within each chain."""
+    scale = 1.0 + np.abs(ctrl).max(axis=(1, 2))
+    keep = np.abs(ctrl - ctrl[:, :1]).max(axis=(1, 2)) > tol * scale
+    owner = np.repeat(np.arange(len(counts)), counts)
+
+    def retraces(a, b):
+        return (cubic[a] == cubic[b]) & (
+            np.abs(ctrl[a] - ctrl[b, ::-1]).max(axis=(-2, -1)) <= tol * np.maximum(scale[a], scale[b])
+        )
+
+    idx = np.flatnonzero(keep)
+    a, b = idx[:-1], idx[1:]
+    flagged = (owner[a] == owner[b]) & retraces(a, b)
+    for chain in sorted(set(owner[a[flagged]].tolist())):
+        members = idx[owner[idx] == chain]
+        stack: list[int] = []
+        for j in members:
+            if stack and retraces(stack[-1], j):
+                stack.pop()
+            else:
+                stack.append(j)
+        keep[members] = False
+        keep[stack] = True
+    return keep

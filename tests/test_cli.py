@@ -18,12 +18,14 @@ def read(path):
 
 
 def count_samples(monkeypatch) -> dict:
-    """Lattice points and probe pieces sampled by the transport kernels."""
+    """Kernel calls, lattice points and probe pieces sampled by the
+    transport kernels."""
     from holonomy_forge import holonomy
 
-    counts, real = {"points": 0, "probed": 0}, holonomy.sample_pieces
+    counts, real = {"calls": 0, "points": 0, "probed": 0}, holonomy.sample_pieces
 
     def counting(cubic, ctrl, tmap, u):
+        counts["calls"] += 1
         counts["points"] += len(cubic) * len(u)
         counts["probed"] += len(cubic) if len(u) == 5 else 0
         return real(cubic, ctrl, tmap, u)
@@ -300,6 +302,22 @@ class TestRoundtrip:
         corners = [f for f in failures if sorted(map(abs, f[0])) == [30, 30]]
         assert len(corners) == 4
         assert all(kind == "StepTooLarge" for _, kind, _ in corners), corners
+
+
+class TestKernelCalls:
+    # A kernel call holds at most 8192 entries of its (samples, d, d)
+    # temporaries: the 1x1 round trip packs its samples into fewer, longer
+    # calls, and SU(2)'s 2048 samples per call stay where they were.
+    def test_abelian_roundtrip(self, tmp_path, monkeypatch):
+        counts = count_samples(monkeypatch)
+        argv = ["roundtrip", "--preset", "abelian-ydx", "--grid", "5", "--steps", "16", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert counts["calls"] <= 52 and counts["points"] == 184_373
+
+    def test_su2_audit(self, tmp_path, monkeypatch):
+        counts = count_samples(monkeypatch)
+        assert main(["audit", "--preset", "su2-twist", "--samples", "30", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert counts["calls"] == 17 and counts["points"] == 20_734
 
 
 @pytest.mark.parametrize("preset", [p.name for p in iter_presets()])

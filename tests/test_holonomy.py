@@ -51,6 +51,7 @@ from holonomy_forge.presets import PRESETS
 from holonomy_forge.segment_table import sample_pieces, stack_tables
 
 from _oracles import (
+    complex_connection_along,
     loop_axiom3,
     per_loop_audit_batches,
     polyline_vertices,
@@ -608,6 +609,49 @@ class TestIntegrationPlan:
             assert 5 in sampled if k == 0 else 5 not in sampled
             assert sampled[2 * n + 1] <= len(_distinct_pieces(stack_tables([paths[c] for c in chains]))[0])
             calls.clear()
+
+
+class TestRealArithmeticKernel:
+    # The positive reals and real GL(n) are integrated in float64: a
+    # complex product or sum whose imaginary parts are 0 rounds like the
+    # real one, so the values are those of the complex kernel bit for bit.
+    # A 1x1 kernel call holds up to 8192 lattice samples, four times SU(2)'s.
+    @pytest.mark.parametrize(
+        "spec, steps",
+        [(MULTIPLICATIVE_REALS, None), (MULTIPLICATIVE_REALS, 16), (gln(2), 16), (gln(3), 16)],
+        ids=["reals-exact", "reals-transport", "GL2", "GL3"],
+    )
+    def test_real_kernel_is_the_complex_kernel(self, spec, steps, rng, monkeypatch):
+        import holonomy_forge.holonomy as holonomy
+
+        field = random_affine_field(spec, rng, scale=0.3)
+        h_map = HolonomyMap(field, ORIGIN, steps)
+        pts = np.cumsum(np.vstack([ORIGIN, 0.25 * rng.normal(size=(6, 2))]), axis=0)
+        cubic = PathNd(np.ones(2, dtype=bool), np.stack([pts[:4], pts[3:]]), [0.0, 0.5, 1.0])
+        loop = compose_paths(invert_path(cubic), cubic)
+        loops = shared_piece_loops(rng) + [
+            LoopAtBase(loop, ORIGIN),
+            LoopAtBase(reparametrize(loop, piecewise_power_map(3, 0.5)), ORIGIN),
+        ]
+        pts, vels = sample_pieces(*stack_tables([x.path for x in loops])[:3], np.linspace(0.0, 1.0, 5))
+        assert holonomy._connection_along(field, pts, vels).dtype == np.float64
+        got = eval_holonomies(h_map, loops)
+        monkeypatch.setattr(holonomy, "_connection_along", complex_connection_along)
+        assert np.array_equal(got, eval_holonomies(h_map, loops).real)
+
+    def test_batch_across_chunks_is_bitwise_single_loop_evaluation(self, rng, monkeypatch):
+        # At 16 steps a 1x1 call takes 8192 // 33 = 248 pieces (8184
+        # samples), so 120 pentagons span at least three calls.  (A field
+        # of unknown degree, so that no piece is probed.)
+        field = ConnectionField(2, MULTIPLICATIVE_REALS, random_affine_field(MULTIPLICATIVE_REALS, rng, 0.3).rule)
+        h_map = HolonomyMap.transport(field, ORIGIN, 16)
+        loops = [random_polygon_loop(rng, ORIGIN, n_vertices=5, radius=0.8) for _ in range(120)]
+        calls = count_sampled_pieces(monkeypatch)
+        values = eval_holonomies(h_map, loops)
+        samples = [k * len(ctrl) for k, ctrl in calls]
+        assert len(calls) >= 3 and max(samples) == 8184
+        for loop, got in zip(loops, values):
+            assert np.array_equal(got, eval_holonomy(h_map, loop).matrix)
 
 
 class TestTwoStepProbe:

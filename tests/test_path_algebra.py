@@ -28,11 +28,12 @@ from holonomy_forge.path_algebra import (
     thin_reduce,
 )
 
-from holonomy_forge.segment_table import bezier_points, bezier_velocities, sample_pieces
+from holonomy_forge.segment_table import bezier_points, bezier_velocities, sample_pieces, thin_keep, time_map
 
 from _oracles import (
     LazyReparametrization,
     brentq_breakpoints,
+    reference_thin_keep,
     polyline_vertices,
     segment_compose,
     segment_contract,
@@ -658,3 +659,105 @@ class TestFamilyTables:
         # reshape(-1, dim) would silently regroup the six numbers of (2, 3).
         with pytest.raises(ValueError, match="shape"):
             radial_family(BASE).tables(np.zeros(shape))
+
+
+# --- coordinate-major sampling and thin reduction ----------------------------
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def segment_tables(draw):
+    """Flags, control points and time maps or None of a table that mixes
+    lines, cubics, time-mapped rows, rows without a time map (NaN) and
+    signed zeros."""
+    rows, dim = draw(st.integers(1, 6), label="rows"), draw(st.integers(1, 3), label="dim")
+    cubic = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    ctrl = np.array(draw(st.lists(_coordinate, min_size=4 * rows * dim, max_size=4 * rows * dim))).reshape(rows, 4, dim)
+    ctrl[~cubic, 1], ctrl[~cubic, 2] = ctrl[~cubic, 0], ctrl[~cubic, 3]  # a line is [p0, p0, p1, p1]
+    if not draw(st.booleans(), label="time-mapped"):
+        return cubic, ctrl, None
+    ordinates = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).map(sorted)
+    nan_row = st.just([np.nan] * 4)
+    return cubic, ctrl, np.array(draw(st.lists(st.one_of(ordinates, nan_row), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=segment_tables(), inner=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_sample_pieces_is_per_row_sampling_property(table, inner):
+    """``sample_pieces`` samples in coordinate-major memory and returns
+    (rows, len(u), dim) views whose every bit is that of sampling each row
+    on its own."""
+    cubic, ctrl, tmap = table
+    u = np.array([0.0, *inner, 1.0])
+    pts, vels = sample_pieces(cubic, ctrl, tmap, u)
+    assert pts.shape == vels.shape == (len(cubic), len(u), ctrl.shape[-1])
+    assert pts.transpose(2, 0, 1).flags.c_contiguous and vels.transpose(2, 0, 1).flags.c_contiguous
+    for r in range(len(cubic)):
+        if tmap is None:
+            want = bezier_points(cubic[r], ctrl[r], u), bezier_velocities(cubic[r], ctrl[r], u)
+        else:
+            t, dt = time_map(tmap[r], u)
+            want = bezier_points(cubic[r], ctrl[r], t), bezier_velocities(cubic[r], ctrl[r], t) * dt[:, None]
+        assert pts[r].tobytes() == want[0].tobytes() and vels[r].tobytes() == want[1].tobytes()
+
+
+def _row(cubic: bool, *points) -> tuple[bool, np.ndarray]:
+    """A table row: a line through two points, or a cubic through four."""
+    ctrl = np.array(points, dtype=float)
+    return cubic, ctrl if cubic else ctrl[[0, 0, 1, 1]]
+
+
+def _back(row) -> tuple[bool, np.ndarray]:
+    return row[0], row[1][::-1]
+
+
+_A, _B = _row(True, [0.0, 0.0], [0.3, 0.1], [0.5, -0.2], [1.0, 0.0]), _row(False, [1.0, 0.0], [1.0, 1.0])
+_C = _row(False, [1.0, 1.0], [0.0, 1.0])
+_POINT = _row(False, [1.0, 1.0], [1.0, 1.0])
+_SHORT = _row(False, [1.0, 1.0], [1.0, 1.0 + 1e-14])
+_NAN = _row(True, [1.0, 1.0], [np.nan, 1.0], [0.5, 1.0], [0.0, 1.0])
+THIN_BATCHES = {
+    # Zero-length rows (a point, and one below the tolerance) are dropped,
+    # after which B and its reversal meet and cancel.
+    "zero-length rows": [[_A, _B, _POINT, _SHORT, _back(_B), _C]],
+    # A o B o C o C^-1 o B^-1 o A^-1 cancels to nothing, with a point inside.
+    "nested retracings": [[_A, _B, _C, _POINT, _back(_C), _back(_B), _back(_A)], [_C, _back(_C)]],
+    # A retracing across a chain boundary belongs to two chains: none cancels.
+    "across a chain boundary": [[_A, _B], [_back(_B), _back(_A)], [_C]],
+    # A row with a NaN control point is never longer than the tolerance, so
+    # it is dropped, after which A and its reversal meet and cancel.
+    "NaN control point": [[_A, _NAN, _back(_A)], [_NAN, _back(_NAN), _C]],
+}
+
+
+@pytest.mark.parametrize("chains", THIN_BATCHES.values(), ids=THIN_BATCHES.keys())
+def test_thin_keep_is_the_row_major_reduction(chains):
+    rows = [row for chain in chains for row in chain]
+    cubic, ctrl = np.array([c for c, _ in rows]), np.stack([t for _, t in rows])
+    counts = [len(chain) for chain in chains]
+    keep = thin_keep(cubic, ctrl, counts, 1e-12)
+    assert keep.tolist() == reference_thin_keep(cubic, ctrl, counts, 1e-12).tolist()
+    if chains is THIN_BATCHES["across a chain boundary"]:
+        assert keep.all()
+    if chains is THIN_BATCHES["nested retracings"]:
+        assert not keep.any()
+    if chains is THIN_BATCHES["NaN control point"]:
+        assert keep.tolist() == [False] * 5 + [True]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=14),
+    cuts=st.lists(st.integers(0, 14), max_size=4),
+)
+def test_thin_keep_is_the_row_major_reduction_property(picks, cuts):
+    """Random chains over a few rows, their reversals, zero-length and NaN
+    rows, cut into chains at random: the same mask as the row-major form."""
+    vocabulary = [_A, _B, _C, _POINT, _SHORT, _NAN]
+    vocabulary += [_back(row) for row in vocabulary]
+    rows = [vocabulary[k] for k in picks]
+    bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+    counts = np.diff(bounds)
+    cubic, ctrl = np.array([c for c, _ in rows]), np.stack([t for _, t in rows])
+    assert thin_keep(cubic, ctrl, counts, 1e-12).tolist() == reference_thin_keep(cubic, ctrl, counts, 1e-12).tolist()
