@@ -184,8 +184,8 @@ class ConnectionField:
 
     ``rule(points, mu)`` must be a pure function of an (m, dim) array of
     points returning a new (m, d, d) array of algebra matrices in the
-    group's dtype (real for a real group), which the integrators scale in
-    place; ``component(x, mu)`` is the batch of one.
+    group's dtype (real for a real group), which the integrators check
+    (``ValueError``) and scale in place; ``component`` is the batch of one.
     ``degree`` is the total degree of a polynomial rule, None when the rule
     is not known to be a polynomial; it sets the quadrature's node counts
     and which pieces transport probes, so anything but None or an integer
@@ -322,7 +322,9 @@ def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray)
     out = np.zeros((len(flat), d, d), dtype=field.spec.dtype)
     if len(flat):
         for mu in range(field.dim):
-            a = field.rule(flat, mu)
+            a = np.asarray(field.rule(flat, mu))
+            if a.shape != out.shape or a.dtype.kind not in ("fc" if out.dtype.kind == "c" else "f"):
+                raise ValueError(f"the field's rule gave {a.dtype} values of shape {a.shape} in direction {mu}")
             a *= v[:, mu, None, None]
             out += a
     return out.reshape(pts.shape[:2] + (d, d))
@@ -641,12 +643,12 @@ def _holonomy_matrices(h_map: HolonomyMap, plan: _Plan, steps: int | None = None
             h = np.exp(project_to_algebra(spec, plan.line_integrals()[:, None, None]))
         else:
             h = np.linalg.inv(plan.products(h_map.steps if steps is None else steps, quantities, half))
-    for v in h.reshape((-1,) + h.shape[-3:]):
+    for v in h if h.ndim == 4 else [h]:
         _check_representable(v, "the holonomy")
     return project_to_group(spec, h)
 
 
-def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None, record: dict | None = None):
+def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None):
     """The values of a plan's quantities: ``reduce`` of all its holonomies
     when ``tol`` is None or the map is exact, else each at the fewest RK4
     steps per piece whose step-doubling estimate meets ``tol``.
@@ -662,16 +664,17 @@ def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None, reco
     the same value bit for bit.  One still above tol at the cap raises
     ``IntegrationError`` naming it by ``name(k)``; a cap of 1, or odd below
     8, and a tol that is not a positive number raise ``ValueError`` before
-    anything is evaluated.  Returns the values; a ``record`` dict keeps
-    the largest ``steps`` and ``estimate`` taken.
+    anything is evaluated.  Returns the values, and each quantity's steps
+    per piece and estimate as (quantities,) arrays: without control the
+    map's steps (0 for the exact map) and nan.
     """
+    steps, estimates = np.full(plan.quantities, h_map.steps or 0), np.full(plan.quantities, np.nan)
     if tol is None or h_map.steps is None:
-        return reduce(_holonomy_matrices(h_map, plan))
+        return reduce(_holonomy_matrices(h_map, plan)), steps, estimates
     cap = h_map.steps
     if not tol > 0.0 or min(8, cap) % 2:
         raise ValueError(f"step doubling needs a positive tolerance and an even first step count, got {tol!r}, {cap}")
-    out, worst = None, 0.0
-    rows, n, v_half = np.arange(plan.quantities), min(8, cap), None
+    out, rows, n, v_half = None, np.arange(plan.quantities), min(8, cap), None
     while rows.size:
         if v_half is None:
             v, v_half = (reduce(h) for h in _holonomy_matrices(h_map, plan, n, rows, half=True))
@@ -681,17 +684,14 @@ def _evaluate(h_map: HolonomyMap, plan: _Plan, reduce, tol=None, name=None, reco
         if out is None:
             out = np.empty((plan.quantities,) + v.shape[1:], dtype=v.dtype)
         done = est <= tol
-        out[rows[done]], worst = v[done], max(worst, est[done].max(initial=0.0))
+        out[rows[done]], steps[rows[done]], estimates[rows[done]] = v[done], n, est[done]
         rows, est, v_half = rows[~done], est[~done], v[~done]
         if rows.size and 2 * n > cap:
             raise IntegrationError(
                 f"{name(rows[0])}: step-doubling estimate {est[0]:.3g} exceeds {tol:.3g} at {n} steps per piece, the cap"
             )
         n *= 2
-    if record is not None:
-        record["steps"] = max(record.get("steps", 0), n // 2)
-        record["estimate"] = max(record.get("estimate", 0.0), float(worst))
-    return out
+    return out, steps, estimates
 
 
 def _stacked(h_map: HolonomyMap, loops) -> Batch:
@@ -701,12 +701,13 @@ def _stacked(h_map: HolonomyMap, loops) -> Batch:
     return stack_tables([loop.path for loop in loops])
 
 
-def _loop_holonomies(h_map: HolonomyMap, batch: Batch, per: int = 1, tol=None, name=None, record=None) -> np.ndarray:
+def _loop_holonomies(h_map: HolonomyMap, batch: Batch, per: int = 1, tol=None, name=None):
     """Holonomy matrices, (loops, d, d), of a batch of loops at the map's base
-    point; each run of ``per`` loops is one quantity of ``_evaluate``."""
-    plan = _Plan(h_map.field, batch, per)
+    point, and ``_evaluate``'s steps and estimates of each run of ``per``."""
     d = h_map.spec.matrix_dim
-    return _evaluate(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name, record).reshape(-1, d, d)
+    plan = _Plan(h_map.field, batch, per)
+    values, steps, estimates = _evaluate(h_map, plan, lambda h: h.reshape(-1, per, d, d), tol, name)
+    return values.reshape(-1, d, d), steps, estimates
 
 
 def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
@@ -721,12 +722,12 @@ def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
     loops = list(loops)
     if not loops:
         return np.zeros((0, h_map.spec.matrix_dim, h_map.spec.matrix_dim), dtype=h_map.spec.dtype)
-    return _check_group(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, loops)))
+    return _check_group(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, loops))[0])
 
 
 def eval_holonomy(h_map: HolonomyMap, loop: LoopAtBase) -> GroupElement:
     """Evaluate the holonomy of a based loop (a batch of one)."""
-    return GroupElement(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, [loop]))[0])
+    return GroupElement(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, [loop]))[0][0])
 
 
 def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_segment: int = 64) -> GroupElement:
@@ -742,35 +743,35 @@ def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_se
     return GroupElement(field.spec, project_to_group(field.spec, u @ g0.matrix))
 
 
-def _composition_defects(h_map: HolonomyMap, triples: Batch, tol=None, record=None) -> list[float]:
+def _composition_defects(h_map: HolonomyMap, triples: Batch, tol=None):
     """|H(alpha o beta) - H(beta) H(alpha)| for every triple of loops
-    (alpha o beta, alpha, beta) of a batch: the composed loop reuses the
-    pieces of alpha and beta.  Under error control each triple shares one
-    step count."""
-    hols = _loop_holonomies(h_map, triples, 3, tol, lambda k: f"axiom 1, loop pair {k}", record)
+    (alpha o beta, alpha, beta) of a batch, with each triple's steps and
+    estimate: the composed loop reuses the pieces of alpha and beta, and
+    under error control each triple shares one step count."""
+    hols, steps, estimates = _loop_holonomies(h_map, triples, 3, tol, lambda k: f"axiom 1, loop pair {k}")
     products = project_to_group(h_map.spec, hols[2::3] @ hols[1::3])
-    return [float(np.linalg.norm(ab - ba)) for ab, ba in zip(hols[::3], products)]
+    return [float(np.linalg.norm(ab - ba)) for ab, ba in zip(hols[::3], products)], steps, estimates
 
 
-def _thin_loop_defects(h_map: HolonomyMap, loops: Batch, tol=None, record=None) -> list[float]:
-    """Distance of H(loop) from the identity for every loop of a batch."""
+def _thin_loop_defects(h_map: HolonomyMap, loops: Batch, tol=None):
+    """Distance of H(loop) from the identity, steps and estimate of every loop of a batch."""
     identity = np.eye(h_map.spec.matrix_dim, dtype=h_map.spec.dtype)
-    hols = _loop_holonomies(h_map, loops, 1, tol, lambda k: f"axiom 2, thin loop {k}", record)
-    return [float(np.linalg.norm(h - identity)) for h in hols]
+    hols, steps, estimates = _loop_holonomies(h_map, loops, 1, tol, lambda k: f"axiom 2, thin loop {k}")
+    return [float(np.linalg.norm(h - identity)) for h in hols], steps, estimates
 
 
 def check_axiom1(h_map: HolonomyMap, alpha: LoopAtBase, beta: LoopAtBase) -> float:
     """Composition-law defect |H(alpha o beta) - H(beta) H(alpha)|."""
     composed = LoopAtBase(compose_paths(alpha.path, beta.path), alpha.basepoint)
-    return _composition_defects(h_map, _stacked(h_map, [composed, alpha, beta]))[0]
+    return _composition_defects(h_map, _stacked(h_map, [composed, alpha, beta]))[0][0]
 
 
 def check_axiom2(h_map: HolonomyMap, loop: LoopAtBase) -> float:
     """Thin-loop defect: distance of H(loop) from the identity."""
-    return _thin_loop_defects(h_map, _stacked(h_map, [loop]))[0]
+    return _thin_loop_defects(h_map, _stacked(h_map, [loop]))[0][0]
 
 
-def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None, record=None) -> float:
+def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     """Smoothness proxy for a k-parameter loop family over [0, 1]^k.
 
     Evaluates H on a grid**k lattice, in one batch, and returns the largest
@@ -779,11 +780,14 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None,
     grid scale; genuine smoothness is not finitely decidable.
 
     One-parameter families may take a bare float; for k > 1 the family
-    receives a length-k array.  With ``tol`` on a transport map each
-    family loop takes its own step count by step doubling, at tol d**2 / 4
-    per loop: an error e in each holonomy moves the proxy by up to
-    4 e / d**2.
+    receives a length-k array.
     """
+    return float(np.max(_second_differences(h_map, family, grid, k)[0]))
+
+
+def _second_differences(h_map: HolonomyMap, family, grid: int, k: int = 1, tol=None):
+    """``check_axiom3``'s second differences, and each family loop's steps and
+    estimate, at tol d**2 / 4 per loop: an error e moves the proxy by 4 e / d**2."""
     grid, k = _check_count(grid, "the grid", 3), _check_count(k, "the family dimension")
     us = np.linspace(0.0, 1.0, grid)
     delta = float(us[1] - us[0])
@@ -792,15 +796,15 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1, *, tol=None,
     d = h_map.spec.matrix_dim
     per_loop = None if tol is None else tol * delta**2 / 4.0
     name = lambda j: f"axiom 3, family loop {j}"
-    values = _loop_holonomies(h_map, _stacked(h_map, loops), 1, per_loop, name, record).reshape(shape + (d, d))
+    values, steps, estimates = _loop_holonomies(h_map, _stacked(h_map, loops), 1, per_loop, name)
     worst = []
     for axis in range(k):
-        v = np.moveaxis(values, axis, 0)
+        v = np.moveaxis(values.reshape(shape + (d, d)), axis, 0)
         second = (v[2:] - 2.0 * v[1:-1] + v[:-2]).reshape(-1, d, d)
         # One norm call per node: a stacked norm sums the squares in another
         # order and can differ in the last bit.
         worst += [float(np.linalg.norm(s)) / delta**2 for s in second]
-    return float(np.max(worst))
+    return worst, steps, estimates
 
 
 @dataclass(frozen=True)
@@ -863,8 +867,8 @@ def audit_axioms(
     gate/10 per thin loop; axiom 3 at gate d**2 / 40 per family loop.  A
     quantity above its tolerance at the cap raises ``IntegrationError``
     naming the law and the loop; a law with an infinite gate accepts the
-    first pass.  The report then gives each law's largest step count and
-    integration estimate.
+    first pass.  The report then gives the largest of each law's per-loop
+    (axiom 1: per-triple) steps and estimates.
     """
     _check_count(samples, "an audit's samples")
     _check_count(axiom3_grid, "the axiom 3 grid", 3)  # before axioms 1 and 2 are evaluated
@@ -872,13 +876,10 @@ def audit_axioms(
         raise ValueError(f"the loops' radius must be a positive finite number, got {radius!r}")
     control = error_control and h_map.steps is not None
     tols = [t / 10.0 if control else None for t in tolerances]
-    records: list[dict] = [{}, {}, {}]
     rng = np.random.default_rng(seed)
     base = h_map.basepoint
-    triples = _composition_triples(rng, base, samples, radius)
-    a1 = np.max(_composition_defects(h_map, triples, tols[0], records[0]), initial=0.0)
-    thin = _thin_loops(rng, base, samples, radius)
-    a2 = np.max(_thin_loop_defects(h_map, thin, tols[1], records[1]), initial=0.0)
+    laws = [_composition_defects(h_map, _composition_triples(rng, base, samples, radius), tols[0])]
+    laws.append(_thin_loop_defects(h_map, _thin_loops(rng, base, samples, radius), tols[1]))
     if axiom3_family is None:
         from .path_algebra import radial_family
 
@@ -887,12 +888,10 @@ def audit_axioms(
         step = np.zeros_like(base)
         step[0] = 0.5
         axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
-    a3 = check_axiom3(h_map, axiom3_family, axiom3_grid, tol=tols[2], record=records[2])
-    t1, t2, t3 = tolerances
-    steps = estimates = None
-    if control:
-        steps = tuple(r["steps"] for r in records)
-        estimates = tuple(r["estimate"] for r in records)
-    return AxiomReport(
-        float(a1), float(a2), float(a3), samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)), steps, estimates
-    )
+    laws.append(_second_differences(h_map, axiom3_family, axiom3_grid, 1, tols[2]))
+    maxima = [float(np.max(defects, initial=0.0)) for defects, _, _ in laws]
+    passed = tuple(bool(a <= t) for a, t in zip(maxima, tolerances, strict=True))
+    if not control:
+        return AxiomReport(*maxima, samples, passed)
+    steps, estimates = tuple(int(s.max()) for _, s, _ in laws), tuple(float(e.max()) for _, _, e in laws)
+    return AxiomReport(*maxima, samples, passed, steps, estimates)

@@ -462,24 +462,24 @@ def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     return LoopAtBase(path, psi.basepoint)
 
 
-def reconstruction_chains(psi: PathFamily, xs, ys) -> Batch:
+def reconstruction_chains(psi: PathFamily, xs, ys, back: PathFamily | None = None) -> Batch:
     """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
     thin-reduced, as one batch for the holonomy kernel: the surviving rows
     of every loop in order, and the number of rows of each.
 
-    Each chain is psi[x], the straight segment from x to y, then psi[y]
-    reversed, with the semantics of ``thin_reduce``.  The frame paths of
-    all xs and ys come from one ``PathFamily.tables`` call; its table rule
-    is a pure vectorized function of each target, so a repeated point costs
-    one more row of that call and nothing else.
+    Each chain is psi[x], the straight segment from x to y, then back[y]
+    reversed (back is psi by default), with the semantics of
+    ``thin_reduce``.  The frame paths of all xs, and of all ys, come from
+    one ``PathFamily.tables`` call each, a pure vectorized function of each
+    target, so a repeated point costs one more row and nothing else.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n = len(xs)
-    cubic, ctrl = psi.tables(np.concatenate([xs, ys]))
-    shift, back = polyline_rows(np.stack([xs, ys], axis=1)), reversed_rows(cubic[n:], ctrl[n:])
-    ctrl = np.concatenate([ctrl[:n], shift[1], back[1]], axis=1)
-    cubic = np.concatenate([cubic[:n], shift[0], back[0]], axis=1)
+    (cubic, ctrl), ends = psi.tables(xs), (psi if back is None else back).tables(ys)
+    shift, rev = polyline_rows(np.stack([xs, ys], axis=1)), reversed_rows(*ends)
+    ctrl = np.concatenate([ctrl, shift[1], rev[1]], axis=1)
+    cubic = np.concatenate([cubic, shift[0], rev[0]], axis=1)
     cubic, ctrl, _, counts = table_batch(cubic, ctrl)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
     return Batch(cubic[keep], ctrl[keep], None, np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n))

@@ -34,6 +34,7 @@ from .lie_core import (
     AlgebraElement,
     GroupElement,
     GroupSpec,
+    _LOG_TRUST_RADIUS,
     _check_algebra,
     _check_group,
     _inverse,
@@ -52,6 +53,7 @@ from .holonomy import (
     _check_steps,
     _Plan,
     _evaluate,
+    _loop_holonomies,
     eval_holonomy,
     eval_holonomies,
 )
@@ -60,10 +62,8 @@ from .path_algebra import (
     PathFamily,
     PathNd,
     _as_points,
-    compose_paths,
     constant_path,
     contract,
-    invert_path,
     random_polyline,
     reconstruction_chains,
     straight_segment,
@@ -143,31 +143,30 @@ def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
     further (it does for the positive reals).
     """
     dist = np.linalg.norm(hols - np.eye(spec.matrix_dim), axis=(-2, -1)).ravel()
-    far = np.flatnonzero(dist >= 0.5)
+    far = np.flatnonzero(dist >= _LOG_TRUST_RADIUS)
     if far.size:
         raise StepTooLarge(f"holonomy is {dist[far[0]]:.3g} from the identity; reduce cfg.h")
     return log_map(hols, spec)
 
 
-def reconstruct_potential(
-    h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig(), tol=None, record=None
-):
-    """Gauge potential component A_mu(x) recovered from holonomies only.
+def reconstruct_potential(h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig(), tol=None):
+    """Gauge potential component A_mu(x) recovered from holonomies only,
+    with the steps per piece and the integration estimate of each value.
 
     Central difference of log H over straight shifts of x along axis mu,
     with one Richardson step when configured.  ``x`` is one point, giving
-    an ``AlgebraElement``, or an (m, dim) array of points, giving their
-    (m, d, d) stack; either way the difference loops of all points are
-    built as flat segment tables and evaluated in batches.
-    Raises ``StepTooLarge`` if the holonomy of any difference loop leaves
-    the logarithm trust region.
+    an ``AlgebraElement``, an int and a float, or an (m, dim) array of
+    points, giving their (m, d, d) stack and two (m,) arrays; either way
+    the difference loops of all points are built as flat segment tables
+    and evaluated in batches.  Raises ``StepTooLarge`` if the holonomy of
+    any difference loop leaves the logarithm trust region.
 
     With ``tol`` on a transport map, all loops of a point share the fewest
     steps per piece, doubled from min(8, N) up to the map's N as the cap,
     at which the estimate |D_n - D_{n/2}| / 15 of its difference quotient
     D is at most tol; D_{n/2} costs no field samples.  A point above tol at
-    N raises ``IntegrationError``, and ``record`` is ``_evaluate``'s.
-    Without ``tol``, every piece takes N steps, as fixed.
+    N raises ``IntegrationError``.  Without ``tol``, every piece takes N
+    steps (0 on the exact map), as fixed, and the estimates are nan.
     """
     x = np.asarray(x, dtype=float)
     spec, dim = h_map.spec, h_map.field.dim
@@ -181,7 +180,7 @@ def reconstruct_potential(
         logs = _logs_for_difference(spec, h).reshape((-1, k) + h.shape[-2:])
         return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
 
-    blocks = [np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype)]  # no points: (0, d, d)
+    blocks = [(np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype), np.zeros(0, dtype=int), np.zeros(0))]
     # The fewest blocks of whole points (_LOOPS_PER_BLOCK is a multiple of
     # every k), with counts that differ by at most one point.
     n_blocks = -(-len(xs) // (_LOOPS_PER_BLOCK // k))
@@ -190,22 +189,21 @@ def reconstruct_potential(
         pts = xs[a : len(xs) * (b + 1) // n_blocks]
         chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
         name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
-        blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, name, record))
-    out = _check_algebra(spec, np.concatenate(blocks), project=True)
-    return out if x.ndim == 2 else AlgebraElement(spec, out[0])
+        blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, name))
+    out, steps, est = (np.concatenate(part) for part in zip(*blocks))
+    out = _check_algebra(spec, out, project=True)
+    return (out, steps, est) if x.ndim == 2 else (AlgebraElement(spec, out[0]), int(steps[0]), float(est[0]))
 
 
-def reconstructed_connection(
-    h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig(), tol=None, record=None
-) -> ConnectionField:
+def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig(), tol=None):
     """The connection recovered from a holonomy map in the frame psi.
 
-    Its rule calls ``reconstruct_potential`` (with ``tol`` and ``record``)
-    once per batch, on the points it has not seen, and memoizes the values
-    per (point, direction); each call returns a new stack.  If the batch
-    raises, those points are evaluated again one at a time, so the error
-    raised and the values memoized are those of single-point calls in
-    order.  No points give a (0, d, d) stack.  Its degree is unknown (None).
+    Its rule calls ``reconstruct_potential`` (with ``tol``) once per batch,
+    on the points it has not seen, and memoizes the values per (point,
+    direction), not their steps and estimates; each call returns a new
+    stack.  If the batch raises, those points are evaluated again one at a
+    time, so the error raised and the values memoized are those of
+    single-point calls in order.  No points give a (0, d, d) stack.  Its degree is unknown (None).
     """
     memo: dict = {}
     spec, d = h_map.spec, h_map.spec.matrix_dim
@@ -215,12 +213,12 @@ def reconstructed_connection(
         keys = [(x.tobytes(), mu) for x in pts]
         missing = {key: x for key, x in zip(keys, pts) if key not in memo}
         if missing:
-            args = (mu, cfg, tol, record)
+            args = (mu, cfg, tol)
             try:
-                memo.update(zip(missing, reconstruct_potential(h_map, psi, np.array(list(missing.values())), *args)))
+                memo.update(zip(missing, reconstruct_potential(h_map, psi, np.array(list(missing.values())), *args)[0]))
             except (ValueError, ArithmeticError):
                 for key, x in missing.items():
-                    memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0]
+                    memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0][0]
         return np.stack([memo[key] for key in keys]) if keys else np.zeros((0, d, d), dtype=spec.dtype)
 
     return ConnectionField(h_map.field.dim, spec, rule)
@@ -341,8 +339,10 @@ def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x
     if np.linalg.norm(psi.basepoint - psi2.basepoint) > 1e-12 * (1.0 + np.max(np.abs(psi.basepoint))):
         raise BasepointMismatch("frames must share a base point")
     x = np.asarray(x, dtype=float)
-    loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in _as_points(x, h_map.field.dim)]
-    out = eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
+    xs = _as_points(x, h_map.field.dim)
+    _check_based(h_map, psi.dim, psi.basepoint)
+    # The chains psi[x], x -> x (zero length, so thin reduction drops it), psi2[x] reversed.
+    out = _check_group(h_map.spec, _loop_holonomies(h_map, reconstruction_chains(psi, xs, xs, psi2))[0])
     return out if x.ndim == 2 else GroupElement(h_map.spec, out[0])
 
 
@@ -565,19 +565,21 @@ def round_trip_report(
     )
 
 
-def potential_grid_csv(A: ConnectionField, grid: GridSpec) -> str:
-    """CSV dump of a potential over a grid.
-
-    Header ``x1,..,xn,mu,re_0_0,im_0_0,..`` with row-major matrix entries;
-    floats carry 17 significant digits.
+def potential_grid_csv(values, grid: GridSpec) -> str:
+    """CSV dump of a potential: values[mu] is the (m, d, d) stack of A_mu
+    at the m nodes of ``grid.nodes(len(values))``.  Header
+    ``x1,..,xn,mu,re_0_0,im_0_0,..`` with row-major matrix entries; floats
+    carry 17 significant digits.
     """
-    dim, d = A.dim, A.spec.matrix_dim
+    values = np.asarray(values, dtype=complex)
+    dim, d = len(values), values.shape[-1]
     entries = [f"{part}_{r}_{c}" for r in range(d) for c in range(d) for part in ("re", "im")]
     lines = [",".join([f"x{k + 1}" for k in range(dim)] + ["mu"] + entries)]
     nodes = grid.nodes(dim)
-    values = [np.asarray(A.rule(nodes, mu), dtype=complex).reshape(len(nodes), -1) for mu in range(dim)]
+    if values.shape != (dim, len(nodes), d, d):
+        raise ValueError(f"values of shape {values.shape} for {len(nodes)} nodes in R^{dim}")
     for k, x in enumerate(nodes):
         for mu in range(dim):
             row = [f"{v:.17g}" for v in x] + [str(mu)]
-            lines.append(",".join(row + [f"{v:.17g}" for e in values[mu][k] for v in (e.real, e.imag)]))
+            lines.append(",".join(row + [f"{v:.17g}" for e in values[mu, k].ravel() for v in (e.real, e.imag)]))
     return "\n".join(lines) + "\n"

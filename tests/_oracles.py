@@ -14,7 +14,9 @@ in ``path_algebra``.  These build their results with the ``PathNd``
 constructor and nothing else of the table code they check.  The
 connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
-each loop composed leg by leg, its holonomy evaluated alone.  The
+each loop composed leg by leg, its holonomy evaluated alone; so has the
+frame change (``reference_transition_function``), whose loops are composed
+path by path and evaluated as one batch.  The
 integration kernel as it stood before a change that must reproduce it
 (``reference_transport_products``) is kept here as well, and so are an
 oracle for the exact map's line integrals (``reference_line_integrals``),
@@ -29,7 +31,14 @@ import cmath
 import numpy as np
 import scipy.linalg
 
-from holonomy_forge.holonomy import AxiomReport, check_axiom1, check_axiom2, check_axiom3, eval_holonomy
+from holonomy_forge.holonomy import (
+    AxiomReport,
+    check_axiom1,
+    check_axiom2,
+    check_axiom3,
+    eval_holonomies,
+    eval_holonomy,
+)
 from holonomy_forge.lie_core import GroupElement, log_map, project_to_algebra, project_to_group
 from holonomy_forge.path_algebra import (
     LoopAtBase,
@@ -387,6 +396,14 @@ def reference_horizontal_transport(h_map, psi, p, g0, i: float):
     reach = compose_paths(contract(p, i), psi[p.point(0.0)])
     loop = compose_paths(invert_path(reach), psi[p.point(float(i))])
     return eval_holonomy(h_map, LoopAtBase(thin_reduce(loop), psi.basepoint)) @ g0
+
+
+def reference_transition_function(h_map, psi, psi2, xs) -> np.ndarray:
+    """The frame-change values H(psi2[x]^{-1} o psi[x]) of an (m, dim)
+    array of points, each loop composed from the two frame paths and
+    thin-reduced, all evaluated as one batch."""
+    loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in xs]
+    return eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
 
 
 def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):

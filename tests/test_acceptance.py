@@ -242,7 +242,7 @@ def test_criterion_8_convergence_orders():
     fd_errors = []
     for h in (0.04, 0.02, 0.01):
         cfg = FdConfig(h=h, richardson=True, curvature_h=0.05)
-        got = reconstruct_potential(h_map, psi, x, 0, cfg).matrix[0, 0]
+        got = reconstruct_potential(h_map, psi, x, 0, cfg)[0].matrix[0, 0]
         fd_errors.append(abs(got - quartic.closed_form(x, 0)[0, 0]))
     fd_orders = [math.log2(a / b) for a, b in zip(fd_errors[:-1], fd_errors[1:])]
 

@@ -206,12 +206,12 @@ class TestReconstructSu2:
         from holonomy_forge import cli
 
         calls = []
-        real = cli.reconstructed_connection
-        monkeypatch.setattr(cli, "reconstructed_connection", lambda h_map, psi, cfg, tol, record: calls.append(
-            (h_map.steps, tol)) or real(h_map, psi, cfg, tol, record))
+        real = cli.reconstruct_potential
+        monkeypatch.setattr(cli, "reconstruct_potential", lambda h_map, psi, x, mu, cfg, tol: calls.append(
+            (h_map.steps, tol)) or real(h_map, psi, x, mu, cfg, tol))
         code = main(["reconstruct", "--preset", "su2-shear", "--grid", "5", "--out", str(tmp_path)])
         assert code == 0
-        assert calls == [(128, 1e-3 / 10.0)]
+        assert calls == [(128, 1e-3 / 10.0)] * 2
         summary = json.loads(read(tmp_path / "reconstruct_summary.json"))
         assert summary["steps"] == 8
         assert 0.0 < summary["max_integration_estimate"] <= 1e-4

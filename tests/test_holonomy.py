@@ -831,6 +831,25 @@ class TestConnectionField:
         assert ConnectionField(2, MULTIPLICATIVE_REALS, rule, np.int64(3)).degree == 3
         assert ConnectionField(2, MULTIPLICATIVE_REALS, rule).degree is None
 
+    @pytest.mark.parametrize(
+        "values, what",
+        [
+            (lambda m: np.full((m, 1, 1), 0.1 + 0j), r"complex128 values of shape \(\d+, 1, 1\)"),
+            (lambda m: np.zeros((m, 2, 2)), r"float64 values of shape \(\d+, 2, 2\)"),
+        ],
+        ids=["complex-for-a-real-group", "2x2-for-a-1x1-group"],
+    )
+    def test_bad_rule_values_are_named(self, values, what):
+        # Each used to raise from inside the kernel: numpy's UFuncTypeError
+        # (a TypeError, which no caller catches) or a bare broadcast error.
+        field = ConnectionField(2, MULTIPLICATIVE_REALS, lambda pts, mu: values(len(pts)))
+        message = f"rule gave {what} in direction 0"
+        for steps in (None, 8):
+            with pytest.raises(ValueError, match=message):
+                eval_holonomy(HolonomyMap(field, ORIGIN, steps), unit_square())
+        with pytest.raises(ValueError, match=message):
+            transport_along(field, straight_segment([0.0, 0.0], [1.0, 0.5]), GroupElement.identity(field.spec), 8)
+
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, coeff):
         with pytest.raises(ValueError, match="malformed term"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -42,7 +43,12 @@ from holonomy_forge.reconstruction import (
     transition_function,
 )
 
-from _oracles import reference_connection_form, reference_horizontal_transport, reference_potential
+from _oracles import (
+    reference_connection_form,
+    reference_horizontal_transport,
+    reference_potential,
+    reference_transition_function,
+)
 from conftest import random_affine_field
 
 ORIGIN = np.zeros(2)
@@ -97,8 +103,8 @@ class TestReconstructPotential:
     def test_closed_form_on_grid(self, sec6):
         h_map, psi, _ = sec6
         for x in GridSpec(-2.0, 2.0, 5).nodes(2):
-            a1 = reconstruct_potential(h_map, psi, x, 0, CFG).matrix[0, 0]
-            a2 = reconstruct_potential(h_map, psi, x, 1, CFG).matrix[0, 0]
+            a1 = reconstruct_potential(h_map, psi, x, 0, CFG)[0].matrix[0, 0]
+            a2 = reconstruct_potential(h_map, psi, x, 1, CFG)[0].matrix[0, 0]
             assert abs(a1 - x[1] / 2.0) <= 1e-6
             assert abs(a2 - (-x[0] / 2.0)) <= 1e-6
 
@@ -106,12 +112,12 @@ class TestReconstructPotential:
         zero = hf.get_preset("zero-connection")
         h_map, psi = zero.holonomy_map(), zero.frame()
         for mu in (0, 1):
-            assert reconstruct_potential(h_map, psi, [0.3, -0.7], mu, CFG).norm() == 0.0
+            assert reconstruct_potential(h_map, psi, [0.3, -0.7], mu, CFG)[0].norm() == 0.0
 
     def test_degenerate_base_point(self, sec6):
         h_map, psi, _ = sec6
         for mu in (0, 1):
-            assert abs(reconstruct_potential(h_map, psi, ORIGIN, mu, CFG).matrix[0, 0]) <= 1e-9
+            assert abs(reconstruct_potential(h_map, psi, ORIGIN, mu, CFG)[0].matrix[0, 0]) <= 1e-9
 
     def test_step_too_large_signalled(self):
         strong = ConnectionField.from_polynomial(
@@ -129,7 +135,7 @@ class TestReconstructPotential:
         h_map, psi = sh.holonomy_map(), sh.frame()
         x = np.array([0.6, -0.4])
         for mu in (0, 1):
-            got = reconstruct_potential(h_map, psi, x, mu, CFG).matrix
+            got = reconstruct_potential(h_map, psi, x, mu, CFG)[0].matrix
             assert np.linalg.norm(got - sh.closed_form(x, mu)) <= 1e-3
 
 
@@ -158,7 +164,7 @@ class TestConnectionFormAction:
             for mu in (0, 1):
                 curve = TrivializedCurve.coordinate_shift(psi, x, mu, spec6.spec, span=1.0)
                 via_form = connection_form_action(h_map, curve, 0.5, CFG).matrix
-                via_shift = reconstruct_potential(h_map, psi, x, mu, CFG).matrix
+                via_shift = reconstruct_potential(h_map, psi, x, mu, CFG)[0].matrix
                 assert np.linalg.norm(via_form - via_shift) <= 5.0 * CFG.h**2
 
     def test_right_translation_acts_by_adjoint(self):
@@ -337,6 +343,21 @@ class TestTransitionFunction:
         ab = transition_function(h_map, psi, dogleg, x)
         ba = transition_function(h_map, dogleg, psi, x)
         assert group_distance(ab @ ba, GroupElement.identity(MULTIPLICATIVE_REALS)) <= 1e-10
+
+    @pytest.mark.parametrize("name", [p.name for p in hf.iter_presets()])
+    def test_frame_tables_match_composed_loops(self, name):
+        # The chain psi[x], shift x -> x, psi2[x] reversed loses its
+        # zero-length shift to thin reduction: the composed loop, bit for bit.
+        p = hf.get_preset(name)
+        base = np.array(p.basepoint, dtype=float)
+        frames = (radial_family(base), axis_dogleg_family(base))
+        xs = base + np.array([[0.0, 0.0], [0.7, 1.1], [-0.4, 0.3], [0.5, -0.9], [0.0, 0.6]])
+        for steps in (None, 16, 3):
+            h_map = p.holonomy_map(steps)
+            for psi, psi2 in itertools.product(frames, repeat=2):
+                expected = reference_transition_function(h_map, psi, psi2, xs)
+                assert np.array_equal(transition_function(h_map, psi, psi2, xs), expected)
+                assert np.array_equal(transition_function(h_map, psi, psi2, xs[1]).matrix, expected[1])
 
     def test_mismatched_base_points_rejected(self, sec6):
         h_map, psi, _ = sec6
@@ -771,7 +792,8 @@ class TestPotentialField:
 
     def test_csv_header_and_precision(self, sec6):
         h_map, psi, _ = sec6
-        text = potential_grid_csv(reconstructed_connection(h_map, psi, CFG), GridSpec(-1.0, 1.0, 2))
+        grid = GridSpec(-1.0, 1.0, 2)
+        text = potential_grid_csv([reconstruct_potential(h_map, psi, grid.nodes(2), mu, CFG)[0] for mu in (0, 1)], grid)
         lines = text.strip().split("\n")
         assert lines[0] == "x1,x2,mu,re_0_0,im_0_0"
         assert len(lines) == 1 + 4 * 2
@@ -788,7 +810,7 @@ class TestRichardson:
         x = np.array([1.1, 0.7])
         errors = []
         for h in (0.04, 0.02, 0.01):
-            got = reconstruct_potential(h_map, psi, x, 0, FdConfig(h=h, curvature_h=0.05)).matrix[0, 0]
+            got = reconstruct_potential(h_map, psi, x, 0, FdConfig(h=h, curvature_h=0.05))[0].matrix[0, 0]
             errors.append(abs(got - q.closed_form(x, 0)[0, 0]))
         gains = [a / b for a, b in zip(errors[:-1], errors[1:])]
         assert min(gains) >= 8.0, errors
@@ -836,12 +858,15 @@ class TestArrayForms:
         d, none = p.spec.matrix_dim, np.zeros((0, 2))
         per_point = ConnectionField.from_matrix_rule(2, p.spec, lambda x, mu: p.connection.rule(x[None], mu)[0])
         identity = lambda pts: np.broadcast_to(np.eye(d, dtype=p.spec.dtype), (len(pts), d, d))
+        values, steps, estimates = reconstruct_potential(h_map, p.frame(), none, 0, CFG)
+        assert steps.shape == estimates.shape == (0,)
         for got in (
-            reconstruct_potential(h_map, p.frame(), none, 0, CFG),
+            values,
             fresh().rule(none, 1),
             curvature(fresh(), none, 0, 1, CFG),
             per_point.rule(none, 0),
             gauge_transform_potential(p.connection, identity, none, 0, CFG),
+            transition_function(h_map, p.frame(), axis_dogleg_family(ORIGIN), none),
         ):
             assert got.shape == (0, d, d) and got.dtype == p.spec.dtype
 
@@ -892,12 +917,12 @@ class TestBatchedReconstruction:
         cfg = FdConfig(h=1e-3, richardson=richardson, curvature_h=1e-2)
         for psi in (radial_family(ORIGIN), axis_dogleg_family(ORIGIN)):
             for mu in (0, 1):
-                got = reconstruct_potential(h_map, psi, self.POINTS, mu, cfg)
+                got = reconstruct_potential(h_map, psi, self.POINTS, mu, cfg)[0]
                 assert got.shape == (len(self.POINTS), spec.matrix_dim, spec.matrix_dim)
                 for x, a in zip(self.POINTS, got):
                     expected = reference_potential(field, psi, x, mu, cfg.h, richardson, 8)
                     assert np.linalg.norm(a - expected) <= 1e-9, (x, mu)
-                    assert np.array_equal(a, reconstruct_potential(h_map, psi, x, mu, cfg).matrix)
+                    assert np.array_equal(a, reconstruct_potential(h_map, psi, x, mu, cfg)[0].matrix)
 
     @pytest.mark.parametrize("preset", ["paper-sec6", "su2-shear"])
     def test_single_point_is_the_batch_of_one(self, preset):
@@ -905,9 +930,9 @@ class TestBatchedReconstruction:
         h_map, psi = p.holonomy_map(32), p.frame()
         xs = GridSpec(-1.0, 1.0, 4).nodes(2)
         for mu in (0, 1):
-            batch = reconstruct_potential(h_map, psi, np.array(xs), mu, CFG)
+            batch = reconstruct_potential(h_map, psi, np.array(xs), mu, CFG)[0]
             for x, a in zip(xs, batch):
-                single = reconstruct_potential(h_map, psi, x, mu, CFG)
+                single = reconstruct_potential(h_map, psi, x, mu, CFG)[0]
                 assert np.array_equal(a, single.matrix)
                 assert np.linalg.norm(a - p.closed_form(x, mu)) <= 1e-3
 
@@ -1050,22 +1075,22 @@ class TestErrorControl:
 
     @staticmethod
     def values(h_map, psi, xs, mu, **kw) -> np.ndarray:
-        return reconstruct_potential(h_map, psi, xs, mu, CFG, **kw)
+        return reconstruct_potential(h_map, psi, xs, mu, CFG, **kw)[0]
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-7])
     @pytest.mark.parametrize("name", ["su2-shear", "su2-twist", "abelian-ydx"])
     def test_every_value_within_ten_times_tol(self, name, tol):
         p = hf.get_preset(name)
-        psi, record = p.frame(), {}
+        psi = p.frame()
         for mu in (0, 1):
-            got = self.values(p.holonomy_map(128), psi, self.NODES, mu, tol=tol, record=record)
+            got, steps, estimates = reconstruct_potential(p.holonomy_map(128), psi, self.NODES, mu, CFG, tol=tol)
             if p.closed_form is not None:
                 ref = np.array([p.closed_form(x, mu) for x in self.NODES])
             else:
                 ref = self.values(p.holonomy_map(1024), psi, self.NODES, mu)
             assert np.abs(got - ref).max() <= 10.0 * tol
-        assert 0.0 < record["estimate"] <= tol
-        assert record["steps"] in (8, 16, 32, 64, 128)
+            assert 0.0 < estimates.max() and (estimates <= tol).all()
+            assert set(steps.tolist()) <= {8, 16, 32, 64, 128}
 
     @pytest.mark.parametrize("name", ["su2-twist", "abelian-ydx"])
     def test_only_points_that_miss_run_again(self, name, monkeypatch):
@@ -1126,16 +1151,30 @@ class TestErrorControl:
         message = r"^point \[0\.6, -0\.4\], direction 1: step-doubling estimate \S+ exceeds 1e-17 at 32 steps"
         with pytest.raises(IntegrationError, match=message):
             reconstruct_potential(p.holonomy_map(32), p.frame(), xs, 1, CFG, tol=1e-17)
-        record = {}
-        reconstruct_potential(p.holonomy_map(32), p.frame(), np.delete(xs, 250, axis=0), 1, CFG, tol=1e-17, record=record)
-        assert record["estimate"] == 0.0
+        near = np.delete(xs, 250, axis=0)
+        _, steps, estimates = reconstruct_potential(p.holonomy_map(32), p.frame(), near, 1, CFG, tol=1e-17)
+        assert (estimates == 0.0).all() and (steps == 8).all()
+
+    @pytest.mark.parametrize("name", ["su2-twist", "abelian-ydx"])
+    def test_steps_and_estimates_do_not_depend_on_the_batch(self, name):
+        # 290 points are 3 blocks; at tol 1e-8 they settle at 8, 16 and 32 steps.
+        p = hf.get_preset(name)
+        h_map, psi = p.holonomy_map(128), p.frame()
+        xs = np.concatenate([GridSpec(-1.0, 1.0, 17).nodes(2), [[0.3, -0.2]]])
+        values, steps, estimates = reconstruct_potential(h_map, psi, xs, 1, CFG, tol=1e-8)
+        assert set(steps.tolist()) == {8, 16, 32}
+        for x, value, n, est in zip(xs, values, steps, estimates):
+            single = reconstruct_potential(h_map, psi, x, 1, CFG, tol=1e-8)
+            assert np.array_equal(single[0].matrix, value) and single[1:] == (n, est)
+            assert type(single[1]) is int and type(single[2]) is float
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-shear"])
     def test_without_tol_the_fixed_map(self, name):
         p = hf.get_preset(name)
         h_map, psi = p.holonomy_map(16), p.frame()
         for mu in (0, 1):
-            fixed = self.values(h_map, psi, self.NODES, mu)
+            fixed, steps, estimates = reconstruct_potential(h_map, psi, self.NODES, mu, CFG)
+            assert (steps == (h_map.steps or 0)).all() and np.isnan(estimates).all()
             assert np.array_equal(self.values(h_map, psi, self.NODES, mu, tol=None), fixed)
             assert np.array_equal(reconstructed_connection(h_map, psi, CFG, None).rule(self.NODES, mu), fixed)
             if h_map.steps is None:
@@ -1156,7 +1195,6 @@ class TestErrorControl:
         # Passes start at min(8, N): an even N below 8 is the only pass,
         # and an N that 8 does not divide caps at the last doubling below it.
         p = hf.get_preset("su2-shear")
-        record = {}
-        got = self.values(p.holonomy_map(steps), p.frame(), self.NODES[:3], 0, tol=1.0, record=record)
-        assert record["steps"] == largest
+        got, taken, _ = reconstruct_potential(p.holonomy_map(steps), p.frame(), self.NODES[:3], 0, CFG, tol=1.0)
+        assert (taken == largest).all()
         assert np.array_equal(got, self.values(p.holonomy_map(largest), p.frame(), self.NODES[:3], 0))
