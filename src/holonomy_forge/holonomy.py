@@ -184,8 +184,10 @@ class ConnectionField:
 
     ``rule(points, mu)`` must be a pure function of an (m, dim) array of
     points returning a new (m, d, d) array of algebra matrices in the
-    group's dtype (real for a real group), which the integrators check
-    (``ValueError``) and scale in place; ``component`` is the batch of one.
+    group's dtype (real for a real group), which ``form``, the 1-form that
+    integrators read, checks (``ValueError`` naming the direction unless
+    it is (m, d, d) of a float kind, complex only for a complex group) and
+    scales in place; ``component`` is the batch of one.
     ``degree`` is the total degree of a polynomial rule, None when the rule
     is not known to be a polynomial; it sets the quadrature's node counts
     and which pieces transport probes, so anything but None or an integer
@@ -257,6 +259,21 @@ class ConnectionField:
         (x,) = _as_points(x, self.dim)
         return AlgebraElement.from_matrix(self.spec, self.rule(x[None, :], _check_axis(mu, self.dim))[0])
 
+    def form(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """The 1-form sum_mu A_mu(x) v_mu at (m, dim) arrays of points and
+        vectors, a new (m, d, d) stack, from one checked ``rule`` call per
+        direction.  A field that computes it directly replaces it."""
+        d = self.spec.matrix_dim
+        out = np.zeros((len(points), d, d), dtype=self.spec.dtype)
+        if len(points):
+            for mu in range(self.dim):
+                a = np.asarray(self.rule(points, mu))
+                if a.shape != out.shape or a.dtype.kind not in ("fc" if out.dtype.kind == "c" else "f"):
+                    raise ValueError(f"the field's rule gave {a.dtype} values of shape {a.shape} in direction {mu}")
+                a *= vectors[:, mu, None, None]
+                out += a
+        return out
+
 
 def _check_axis(mu, dim: int) -> int:
     """Direction mu of R^dim; ``ValueError`` unless it is an integer (Python
@@ -316,18 +333,10 @@ def _stacked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _connection_along(field: ConnectionField, pts: np.ndarray, vels: np.ndarray) -> np.ndarray:
-    """sum_mu A_mu(x) dx_mu/du at every sample, (pieces, samples, d, d)."""
-    d = field.spec.matrix_dim
-    flat, v = pts.reshape(-1, field.dim), vels.reshape(-1, field.dim)
-    out = np.zeros((len(flat), d, d), dtype=field.spec.dtype)
-    if len(flat):
-        for mu in range(field.dim):
-            a = np.asarray(field.rule(flat, mu))
-            if a.shape != out.shape or a.dtype.kind not in ("fc" if out.dtype.kind == "c" else "f"):
-                raise ValueError(f"the field's rule gave {a.dtype} values of shape {a.shape} in direction {mu}")
-            a *= v[:, mu, None, None]
-            out += a
-    return out.reshape(pts.shape[:2] + (d, d))
+    """The field's 1-form on the velocity at every sample, A(x)(dx/du), as
+    (pieces, samples, d, d): the one place a kernel reads a field."""
+    flat = field.form(pts.reshape(-1, field.dim), vels.reshape(-1, field.dim))
+    return flat.reshape(pts.shape[:2] + flat.shape[1:])
 
 
 def _distinct_pieces(batch: Batch) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ extrapolation step (h and h/2), giving observed order ~4; the error
 budget is explicit and owned by ``FdConfig``.  ``reconstruct_potential``
 takes many points of one direction at once and sends all their difference
 loops through the holonomy kernel as one batch; ``reconstructed_connection``
-is the recovered connection, a ``ConnectionField`` whose rule memoizes them.
+is the recovered connection, a ``ConnectionField`` whose rule memoizes them
+and whose 1-form on a vector v is |v| times the one difference quotient
+along v / |v|, which transport in it evaluates on every lattice velocity.
 
 The same difference quotient, applied to a curve over the frame (a foot
 point p(i) on a base curve plus a fiber value g(i)), evaluates the
@@ -58,6 +60,7 @@ from .holonomy import (
     eval_holonomies,
 )
 from .path_algebra import (
+    _CONT_TOL,
     LoopAtBase,
     PathFamily,
     PathNd,
@@ -67,9 +70,8 @@ from .path_algebra import (
     random_polyline,
     reconstruction_chains,
     straight_segment,
-    thin_reduce,
 )
-from .segment_table import reversed_rows, stack_tables, table_batch
+from .segment_table import reversed_rows, stack_tables, table_batch, thin_keep
 
 __all__ = [
     "StepTooLarge",
@@ -149,6 +151,33 @@ def _logs_for_difference(spec: GroupSpec, hols: np.ndarray) -> np.ndarray:
     return log_map(hols, spec)
 
 
+def _difference_quotients(h_map: HolonomyMap, psi: PathFamily, xs, units, cfg: FdConfig, tol, label):
+    """``reconstruct_potential``'s values, steps and estimates, with each
+    of the (m, dim) points ``xs`` shifted along its own row of ``units``
+    instead of one axis; ``label(k)`` names point k in an error."""
+    spec, dim = h_map.spec, h_map.field.dim
+    _check_based(h_map, psi.dim, psi.basepoint)
+    scheme = _steps(1, 0, cfg.h, cfg.richardson)
+    k = len(scheme)
+
+    def quotients(h):
+        # D at the points whose k difference loops have holonomies h, in order.
+        logs = _logs_for_difference(spec, h).reshape((-1, k) + h.shape[-2:])
+        return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
+
+    blocks = [(np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype), np.zeros(0, dtype=int), np.zeros(0))]
+    # The fewest blocks of whole points (_LOOPS_PER_BLOCK is a multiple of
+    # every k), with counts that differ by at most one point.
+    n_blocks = -(-len(xs) // (_LOOPS_PER_BLOCK // k))
+    for b in range(n_blocks):
+        a, e = len(xs) * b // n_blocks, len(xs) * (b + 1) // n_blocks
+        pts, shifts = xs[a:e], scheme * units[a:e, None, :]
+        chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
+        blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, lambda j: label(a + j)))
+    out, steps, est = (np.concatenate(part) for part in zip(*blocks))
+    return _check_algebra(spec, out, project=True), steps, est
+
+
 def reconstruct_potential(h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: FdConfig = FdConfig(), tol=None):
     """Gauge potential component A_mu(x) recovered from holonomies only,
     with the steps per piece and the integration estimate of each value.
@@ -168,31 +197,12 @@ def reconstruct_potential(h_map: HolonomyMap, psi: PathFamily, x, mu: int, cfg: 
     N raises ``IntegrationError``.  Without ``tol``, every piece takes N
     steps (0 on the exact map), as fixed, and the estimates are nan.
     """
-    x = np.asarray(x, dtype=float)
-    spec, dim = h_map.spec, h_map.field.dim
+    x, dim = np.asarray(x, dtype=float), h_map.field.dim
     xs = _as_points(x, dim)
-    _check_based(h_map, psi.dim, psi.basepoint)
-    shifts = _steps(dim, mu, cfg.h, cfg.richardson)
-    k = len(shifts)
-
-    def quotients(h):
-        # D at the points whose k difference loops have holonomies h, in order.
-        logs = _logs_for_difference(spec, h).reshape((-1, k) + h.shape[-2:])
-        return _central(np.moveaxis(logs, 1, 0), cfg.h, cfg.richardson)
-
-    blocks = [(np.zeros((0, spec.matrix_dim, spec.matrix_dim), dtype=spec.dtype), np.zeros(0, dtype=int), np.zeros(0))]
-    # The fewest blocks of whole points (_LOOPS_PER_BLOCK is a multiple of
-    # every k), with counts that differ by at most one point.
-    n_blocks = -(-len(xs) // (_LOOPS_PER_BLOCK // k))
-    for b in range(n_blocks):
-        a = len(xs) * b // n_blocks
-        pts = xs[a : len(xs) * (b + 1) // n_blocks]
-        chains = reconstruction_chains(psi, np.repeat(pts, k, axis=0), (pts[:, None, :] + shifts).reshape(-1, dim))
-        name = lambda j: f"point {xs[a + j].tolist()}, direction {mu}"
-        blocks.append(_evaluate(h_map, _Plan(h_map.field, chains, k), quotients, tol, name))
-    out, steps, est = (np.concatenate(part) for part in zip(*blocks))
-    out = _check_algebra(spec, out, project=True)
-    return (out, steps, est) if x.ndim == 2 else (AlgebraElement(spec, out[0]), int(steps[0]), float(est[0]))
+    axis = np.broadcast_to(np.eye(dim)[_check_axis(mu, dim)], xs.shape)
+    label = lambda k: f"point {xs[k].tolist()}, direction {mu}"
+    out, steps, est = _difference_quotients(h_map, psi, xs, axis, cfg, tol, label)
+    return (out, steps, est) if x.ndim == 2 else (AlgebraElement(h_map.spec, out[0]), int(steps[0]), float(est[0]))
 
 
 def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig = FdConfig(), tol=None):
@@ -201,9 +211,12 @@ def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig 
     Its rule calls ``reconstruct_potential`` (with ``tol``) once per batch,
     on the points it has not seen, and memoizes the values per (point,
     direction), not their steps and estimates; each call returns a new
-    stack.  If the batch raises, those points are evaluated again one at a
-    time, so the error raised and the values memoized are those of
-    single-point calls in order.  No points give a (0, d, d) stack.  Its degree is unknown (None).
+    stack.  Its 1-form ``form`` memoizes nothing: at each point it is |v|
+    times the difference quotient along v / |v|, 2 or 4 loops in any
+    dimension, and exactly zero with no loop for v = 0.  If a batch of
+    either raises, its points are evaluated again one at a time, so the
+    error raised and the values memoized are those of single-point calls in
+    order.  No points give a (0, d, d) stack.  Its degree is unknown (None).
     """
     memo: dict = {}
     spec, d = h_map.spec, h_map.spec.matrix_dim
@@ -221,14 +234,31 @@ def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig 
                     memo[key] = reconstruct_potential(h_map, psi, x[None], *args)[0][0]
         return np.stack([memo[key] for key in keys]) if keys else np.zeros((0, d, d), dtype=spec.dtype)
 
-    return ConnectionField(h_map.field.dim, spec, rule)
+    def form(points, vectors):
+        norms = np.linalg.norm(vectors, axis=1)
+        live = np.flatnonzero(norms)
+        pts, units = points[live], vectors[live] / norms[live, None]
+        label = lambda k: f"point {pts[k].tolist()}, vector {vectors[live[k]].tolist()}"
+        try:
+            values = _difference_quotients(h_map, psi, pts, units, cfg, tol, label)[0]
+        except (ValueError, ArithmeticError):
+            for k in range(len(pts)):
+                _difference_quotients(h_map, psi, pts[k : k + 1], units[k : k + 1], cfg, tol, lambda j: label(k))
+            raise
+        out = np.zeros((len(points), d, d), dtype=spec.dtype)
+        out[live] = values * norms[live, None, None]
+        return out
+
+    field = ConnectionField(h_map.field.dim, spec, rule)
+    field.form = form
+    return field
 
 
 def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBase]:
     """The based loops psi[p(i)]^{-1} o K(p,i) o K(p,j)^{-1} o psi[p(j)],
     thin-reduced, for each i of ``params``; K(p, t) is p contracted to
     [0, t].  The legs K(p, 0) and those of a constant p have zero length
-    and are left out."""
+    and are left out; a loop that is all thin is the constant path."""
     ts = [j, *params]
     cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
     moving = not p.is_constant()
@@ -244,7 +274,9 @@ def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBas
     for c, x in legs[1:]:
         c, x = reversed_rows(c, x)
         rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
-        path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
+        keep = thin_keep(rows, points, [len(rows)], _CONT_TOL)
+        n = np.count_nonzero(keep)
+        path = PathNd(rows[keep], points[keep], np.linspace(0.0, 1.0, n + 1)) if n else constant_path(psi.basepoint)
         loops.append(LoopAtBase(path, psi.basepoint))
     return loops
 
@@ -488,7 +520,9 @@ def round_trip_report(
     transport with solving the transport equation in the reconstructed
     potential along ``transport_paths`` (an integer >= 0) sample paths,
     whose transport equations are solved on one integration plan, so the
-    reconstruction driving them is read once per direction.  The nodes,
+    reconstruction driving them is read as its 1-form on the lattice
+    velocities, one batch per kernel call, 2 difference loops per sample
+    in any dimension (no Richardson step).  The nodes,
     and the paths, are checked as one batch; only if it raises are they
     checked one at a time, so that each failure names its node, or the
     start of its path.

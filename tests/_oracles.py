@@ -14,7 +14,9 @@ in ``path_algebra``.  These build their results with the ``PathNd``
 constructor and nothing else of the table code they check.  The
 connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
-each loop composed leg by leg, its holonomy evaluated alone; so has the
+each loop composed leg by leg, its holonomy evaluated alone; their loops
+as ``_frame_loops`` built them before it reduced rows rather than paths
+are kept too (``reference_frame_loops``); so has the
 frame change (``reference_transition_function``), whose loops are composed
 path by path and evaluated as one batch.  The
 integration kernel as it stood before a change that must reproduce it
@@ -56,6 +58,7 @@ from holonomy_forge.path_algebra import (
     reparametrize,
     thin_reduce,
 )
+from holonomy_forge.segment_table import reversed_rows
 
 
 def taylor_expm(m, terms: int = 20) -> np.ndarray:
@@ -396,6 +399,29 @@ def reference_horizontal_transport(h_map, psi, p, g0, i: float):
     reach = compose_paths(contract(p, i), psi[p.point(0.0)])
     loop = compose_paths(invert_path(reach), psi[p.point(float(i))])
     return eval_holonomy(h_map, LoopAtBase(thin_reduce(loop), psi.basepoint)) @ g0
+
+
+def reference_frame_loops(psi, p, j: float, params) -> list:
+    """The loops of ``reconstruction._frame_loops`` built as they were
+    before its rows were thin-reduced as a table: each loop's legs joined
+    into one path, which ``thin_reduce`` then rebuilds."""
+    ts = [j, *params]
+    cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
+    moving = not p.is_constant()
+    legs = []
+    for t, c, x in zip(ts, cubic, ctrl):
+        if moving and t:
+            k = contract(p, t)
+            kc, kx = reversed_rows(k.cubic, k.ctrl)
+            c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
+        legs.append((c, x))
+    (cj, xj), loops = legs[0], []
+    for c, x in legs[1:]:
+        c, x = reversed_rows(c, x)
+        rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
+        path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
+        loops.append(LoopAtBase(path, psi.basepoint))
+    return loops
 
 
 def reference_transition_function(h_map, psi, psi2, xs) -> np.ndarray:

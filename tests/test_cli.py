@@ -312,7 +312,15 @@ class TestKernelCalls:
         counts = count_samples(monkeypatch)
         argv = ["roundtrip", "--preset", "abelian-ydx", "--grid", "5", "--steps", "16", "--seed", "1"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
-        assert counts["calls"] <= 52 and counts["points"] == 184_373
+        assert counts["calls"] == 40 and counts["points"] == 105_458
+
+    def test_su2_roundtrip(self, tmp_path, monkeypatch):
+        # The transport cross-check's drive takes 2 difference loops per
+        # lattice sample, where one quotient per axis took 4.
+        counts = count_samples(monkeypatch)
+        argv = ["roundtrip", "--preset", "su2-shear", "--grid", "3", "--steps", "16", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert counts["calls"] == 70 and counts["points"] == 85_584
 
     def test_su2_audit(self, tmp_path, monkeypatch):
         counts = count_samples(monkeypatch)

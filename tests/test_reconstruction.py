@@ -22,6 +22,7 @@ from holonomy_forge.path_algebra import (
     PathFamily,
     axis_dogleg_family,
     compose_paths,
+    constant_path,
     radial_family,
     straight_segment,
 )
@@ -45,11 +46,12 @@ from holonomy_forge.reconstruction import (
 
 from _oracles import (
     reference_connection_form,
+    reference_frame_loops,
     reference_horizontal_transport,
     reference_potential,
     reference_transition_function,
 )
-from conftest import random_affine_field
+from conftest import polyline, random_affine_field
 
 ORIGIN = np.zeros(2)
 CFG = FdConfig()
@@ -246,6 +248,31 @@ class TestFrameLoops:
         for i in (0.0, 0.25, 0.5, 1.0):
             got = horizontal_transport(h_map, psi, self.P, g0, i).matrix
             assert np.array_equal(got, reference_horizontal_transport(h_map, psi, self.P, g0, i).matrix), i
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    def test_loops_from_tables_match_composed_paths(self, name, monkeypatch):
+        # Each loop thin-reduced as rows, then made one path, gives the values
+        # of the path built first and thin-reduced into a second one, bit for
+        # bit: on vertical curves (whose loops are fully thin), coordinate
+        # shifts and horizontal lifts, and transport to i = 0 (fully thin) .. 1.
+        from holonomy_forge import reconstruction
+
+        h_map, psi, spec, cases = self.curves(name)
+        curves = [(curve, j) for curve, _, j in cases]
+        for x in ([0.4, -0.3], ORIGIN):
+            curves += [(TrivializedCurve.coordinate_shift(psi, x, mu, spec), 0.5) for mu in (0, 1)]
+        ident = GroupElement.identity(spec)
+
+        def values():
+            cfgs = (FdConfig(richardson=True), FdConfig(richardson=False))
+            forms = [connection_form_action(h_map, c, j, cfg) for c, j in curves for cfg in cfgs]
+            return [m.matrix for m in forms] + [
+                horizontal_transport(h_map, psi, self.P, ident, i).matrix for i in (0.0, 0.25, 0.5, 1.0)
+            ]
+
+        got = values()
+        monkeypatch.setattr(reconstruction, "_frame_loops", reference_frame_loops)
+        assert all(np.array_equal(a, b) for a, b in zip(got, values(), strict=True))
 
     @pytest.mark.parametrize("richardson, loops", [(True, 4), (False, 2)])
     def test_one_holonomy_batch_per_form(self, sec6, monkeypatch, richardson, loops):
@@ -639,21 +666,29 @@ class TestRoundTrip:
         assert kept == defects[:2] + defects[3:]
         assert report.max_transport_defect == max(kept)
 
-    def test_cross_check_reconstructs_once_per_direction(self, monkeypatch):
-        # However many paths, the reconstruction that drives their transport
-        # equations is read in one batch per direction.
-        p = hf.get_preset("abelian-ydx")
-        counts = []
+    def test_cross_check_reads_the_drive_in_one_batch(self, monkeypatch):
+        # However many paths, the transport equations read the reconstruction
+        # driving them as one 1-form batch, over every lattice sample of
+        # their 2 pieces at 16 steps, and reconstruct no potential component.
+        from holonomy_forge import reconstruction
+
+        def counting(*args):
+            A = real(*args)
+            form = A.form
+            A.form = lambda pts, vs: reads.append(len(pts)) or form(pts, vs)
+            return A
+
+        p, counts, real = hf.get_preset("abelian-ydx"), [], reconstruction.reconstructed_connection
         for n in (0, 1, 4, 10):
-            calls = count_reconstructions(monkeypatch)
+            calls, reads = count_reconstructions(monkeypatch), []
+            monkeypatch.setattr(reconstruction, "reconstructed_connection", counting)
             round_trip_report(
                 p.connection, p.frame(), GridSpec(-1.0, 1.0, 3), CFG, steps_per_segment=16, transport_paths=n
             )
             monkeypatch.undo()
             counts.append(len(calls))
-            if n:
-                assert min(calls[-2:]) > 64 * n
-        assert counts[1:] == [counts[0] + 2] * 3
+            assert reads == ([2 * 33 * n] if n else [])
+        assert counts == [counts[0]] * 4
 
     def test_per_point_failures_recorded_not_raised(self):
         def exploding(x, mu):
@@ -799,6 +834,110 @@ class TestPotentialField:
         assert len(lines) == 1 + 4 * 2
         value = lines[1].split(",")[3]
         assert len(value.replace("-", "").replace(".", "").split("e")[0]) >= 15
+
+
+class TestConnectionForm:
+    # The reconstructed connection's 1-form, which transport reads at every
+    # lattice sample: |v| times one difference quotient along v / |v|, not
+    # one quotient per axis contracted with v.
+    NAMES = ["abelian-ydx", "su2-shear", "su2-3d"]
+    # A polynomial SU(2) field on R^3 with terms along every basis element.
+    FIELD_3D = [
+        [(0.7, (0, 1, 0), 0), (0.3, (0, 0, 1), 2)],
+        [(0.5, (1, 0, 0), 1), (0.2, (0, 0, 0), 2)],
+        [(0.4, (1, 1, 0), 0)],
+    ]
+
+    @staticmethod
+    def reconstruction(name, cfg=CFG, tol=None, steps=None):
+        if name == "su2-3d":
+            field = ConnectionField.from_polynomial(3, SU2, TestConnectionForm.FIELD_3D)
+            h_map, psi = HolonomyMap.transport(field, np.zeros(3), steps or 64), radial_family(np.zeros(3))
+        else:
+            p = hf.get_preset(name)
+            h_map, psi = p.holonomy_map(steps), p.frame()
+        return reconstructed_connection(h_map, psi, cfg, tol)
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_axis_vectors_give_the_rule(self, name, richardson, rng):
+        A = self.reconstruction(name, FdConfig(richardson=richardson))
+        xs = rng.uniform(-0.8, 0.8, size=(7, A.dim))
+        for mu in range(A.dim):
+            assert np.array_equal(A.form(xs, np.tile(np.eye(A.dim)[mu], (len(xs), 1))), A.rule(xs, mu))
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_any_vector_gives_the_contracted_rule(self, name, richardson, rng):
+        # The 1-form is linear in the vector within the difference scheme's
+        # error, bounded here by h^2 |v| (the largest seen is 3e-11 |v|);
+        # a zero vector gives exact zeros.
+        cfg = FdConfig(richardson=richardson)
+        A = self.reconstruction(name, cfg)
+        xs = rng.uniform(-0.8, 0.8, size=(12, A.dim))
+        vs = rng.normal(size=(12, A.dim)) * np.repeat([1e-3, 1.0, 7.0], 4)[:, None]
+        vs[[3, 8]] = 0.0
+        got = A.form(xs, vs)
+        contracted = sum(A.rule(xs, mu) * vs[:, mu, None, None] for mu in range(A.dim))
+        assert (np.abs(got - contracted).max(axis=(1, 2)) <= cfg.h**2 * np.linalg.norm(vs, axis=1)).all()
+        assert got.shape == contracted.shape and not got[[3, 8]].any()
+
+    @pytest.mark.parametrize("name", ["abelian-ydx", "su2-shear"])
+    def test_batch_equals_points_alone(self, name, rng):
+        # 299 live points of 4 loops each are 3 blocks, and one zero vector.
+        A = self.reconstruction(name, steps=32)
+        xs = rng.uniform(-0.8, 0.8, size=(300, 2))
+        vs = rng.normal(size=(300, 2))
+        vs[7] = 0.0
+        for x, v, value in zip(xs, vs, A.form(xs, vs)):
+            assert np.array_equal(A.form(x[None], v[None])[0], value)
+
+    def test_controlled_form_keeps_every_estimate_within_tol(self, rng, monkeypatch):
+        from holonomy_forge import reconstruction
+
+        seen, real = [], reconstruction._difference_quotients
+        monkeypatch.setattr(
+            reconstruction, "_difference_quotients", lambda *args: seen.append(real(*args)) or seen[-1]
+        )
+        xs, vs = GridSpec(-1.0, 1.0, 5).nodes(2), rng.uniform(-1.0, 1.0, size=(25, 2))
+        got = self.reconstruction("su2-twist", tol=1e-8, steps=128).form(xs, vs)
+        ((_, steps, estimates),) = seen
+        assert 0.0 < estimates.max() and (estimates <= 1e-8).all()
+        assert set(steps.tolist()) <= {8, 16, 32, 64, 128} and len(set(steps.tolist())) > 1
+        fixed = self.reconstruction("su2-twist", steps=1024).form(xs, vs)
+        assert (np.abs(got - fixed).max(axis=(1, 2)) <= 10.0 * 1e-8 * np.linalg.norm(vs, axis=1)).all()
+
+    def test_point_above_tol_at_the_cap_is_named_with_its_vector(self):
+        # Near the base point every piece is accepted by the probe, so its
+        # estimate is 0; the far point misses even at the cap, unless its
+        # vector is zero, which builds no loop.
+        A = self.reconstruction("su2-shear", tol=1e-17, steps=32)
+        xs = np.array([[0.01, -0.02], [0.6, -0.4], [0.6, -0.4]])
+        vs = np.array([[1.0, 0.5], [0.0, 0.0], [0.5, 2.0]])
+        message = r"^point \[0\.6, -0\.4\], vector \[0\.5, 2\.0\]: step-doubling estimate \S+ exceeds 1e-17 at 32 steps"
+        with pytest.raises(IntegrationError, match=message):
+            A.form(xs, vs)
+        assert A.form(xs[:2], vs[:2]).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("name", ["su2-shear", "su2-3d"])
+    def test_two_loops_per_lattice_sample(self, name, monkeypatch):
+        # Transport along 2 pieces at 8 steps samples 2 x 17 lattice points,
+        # 2 difference loops each in any dimension; a constant path's zero
+        # velocities build none.
+        from holonomy_forge import reconstruction
+
+        A = self.reconstruction(name, FdConfig(richardson=False))
+        loops, chains = [], reconstruction.reconstruction_chains
+        monkeypatch.setattr(
+            reconstruction, "reconstruction_chains", lambda psi, a, b: loops.append(len(a)) or chains(psi, a, b)
+        )
+        ident = GroupElement.identity(SU2)
+        vertices = np.array([[0.1, 0.2, -0.1], [0.5, -0.3, 0.2], [0.2, 0.4, 0.3]])[:, : A.dim]
+        transport_along(A, polyline(vertices), ident, 8)
+        assert loops == [2 * 2 * 17]
+        loops.clear()
+        assert np.array_equal(transport_along(A, constant_path(vertices[0]), ident, 8).matrix, ident.matrix)
+        assert loops == []
 
 
 class TestRichardson:
@@ -1038,9 +1177,12 @@ class TestBatchedReconstruction:
         real = reconstruction.reconstructed_connection
 
         def serial_connection(h_map, psi, cfg):
-            # The same reconstruction, its rule read one point at a time.
+            # The same reconstruction, its rule and its 1-form read one point
+            # at a time.
             A = real(h_map, psi, cfg)
-            return ConnectionField(A.dim, A.spec, lambda pts, mu: np.stack([A.rule(x[None], mu)[0] for x in pts]))
+            serial = ConnectionField(A.dim, A.spec, lambda pts, mu: np.stack([A.rule(x[None], mu)[0] for x in pts]))
+            serial.form = lambda pts, vs: np.stack([A.form(x[None], v[None])[0] for x, v in zip(pts, vs)])
+            return serial
 
         monkeypatch.setattr(reconstruction, "reconstructed_connection", serial_connection)
         serial = reports()
