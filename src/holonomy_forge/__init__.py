@@ -56,7 +56,6 @@ from .holonomy import (
     check_axiom1,
     check_axiom2,
     check_axiom3,
-    eval_holonomies,
     eval_holonomy,
     transport_along,
 )

@@ -30,10 +30,10 @@ Loops are evaluated in batches through one integration plan per batch
 (``_Plan``): each distinct smooth piece of a batch (keyed on its exact
 control points and time map, so pieces shared between loops count once)
 is found once, probed once, integrated once per pass, and the per-piece
-results are reduced per loop; ``eval_holonomy`` is the batch of one.  A
-fixed-step evaluation is the plan's single pass; under step doubling a
-later pass samples only the pieces of the quantities still above their
-tolerance.
+results are reduced per loop; ``eval_holonomy`` evaluates one loop, or a
+sequence of them, as one batch.  A fixed-step evaluation is the plan's
+single pass; under step doubling a later pass samples only the pieces of
+the quantities still above their tolerance.
 
 The randomized audit draws each law's loops as whole arrays into one
 checked segment table, with no path object per loop, and evaluates each
@@ -93,7 +93,6 @@ __all__ = [
     "HolonomyMap",
     "AxiomReport",
     "eval_holonomy",
-    "eval_holonomies",
     "transport_along",
     "check_axiom1",
     "check_axiom2",
@@ -719,24 +718,22 @@ def _loop_holonomies(h_map: HolonomyMap, batch: Batch, per: int = 1, tol=None, n
     return values.reshape(-1, d, d), steps, estimates
 
 
-def eval_holonomies(h_map: HolonomyMap, loops) -> np.ndarray:
-    """Evaluate the holonomies of many based loops as one batch, an
-    (m, d, d) stack of group matrices, checked once ((0, d, d) for none).
+def eval_holonomy(h_map: HolonomyMap, loops):
+    """Evaluate the holonomy of one based loop, a ``GroupElement``, or of a
+    sequence of them as one batch, an (m, d, d) stack of group matrices
+    checked once ((0, d, d) for none).
 
     Each distinct smooth piece of the batch is sampled and integrated once
     per pass, in kernel calls of a bounded number of matrix entries; a
     loop's value does not depend on the other loops of its batch, bit for
     bit.
     """
-    loops = list(loops)
+    single = isinstance(loops, LoopAtBase)
+    loops = [loops] if single else list(loops)
     if not loops:
         return np.zeros((0, h_map.spec.matrix_dim, h_map.spec.matrix_dim), dtype=h_map.spec.dtype)
-    return _check_group(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, loops))[0])
-
-
-def eval_holonomy(h_map: HolonomyMap, loop: LoopAtBase) -> GroupElement:
-    """Evaluate the holonomy of a based loop (a batch of one)."""
-    return GroupElement(h_map.spec, _loop_holonomies(h_map, _stacked(h_map, [loop]))[0][0])
+    values = _loop_holonomies(h_map, _stacked(h_map, loops))[0]
+    return GroupElement(h_map.spec, values[0]) if single else _check_group(h_map.spec, values)
 
 
 def transport_along(field: ConnectionField, path, g0: GroupElement, steps_per_segment: int = 64) -> GroupElement:

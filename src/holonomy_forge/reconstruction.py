@@ -48,6 +48,7 @@ from .lie_core import (
 from .holonomy import (
     BasepointMismatch,
     ConnectionField,
+    DimMismatch,
     HolonomyMap,
     _check_axis,
     _check_based,
@@ -57,7 +58,6 @@ from .holonomy import (
     _evaluate,
     _loop_holonomies,
     eval_holonomy,
-    eval_holonomies,
 )
 from .path_algebra import (
     _CONT_TOL,
@@ -254,29 +254,33 @@ def reconstructed_connection(h_map: HolonomyMap, psi: PathFamily, cfg: FdConfig 
     return field
 
 
-def _frame_loops(psi: PathFamily, p: PathNd, j: float, params) -> list[LoopAtBase]:
+def _frame_loops(psi: PathFamily, paths, j: float, params) -> list[LoopAtBase]:
     """The based loops psi[p(i)]^{-1} o K(p,i) o K(p,j)^{-1} o psi[p(j)],
-    thin-reduced, for each i of ``params``; K(p, t) is p contracted to
-    [0, t].  The legs K(p, 0) and those of a constant p have zero length
-    and are left out; a loop that is all thin is the constant path."""
+    thin-reduced, for each path p of ``paths`` and each i of ``params``,
+    path-major; K(p, t) is p contracted to [0, t].  All frame paths come
+    from one ``PathFamily.tables`` call and all rows are thin-reduced as
+    one batch.  The legs K(p, 0) and those of a constant p have zero
+    length and are left out; a loop that is all thin is the constant path."""
     ts = [j, *params]
-    cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
-    moving = not p.is_constant()
-    # The leg of each parameter t: out along psi[p(t)], back along p to p(0).
-    legs = []
-    for t, c, x in zip(ts, cubic, ctrl):
-        if moving and t:
-            k = contract(p, t)
-            kc, kx = reversed_rows(k.cubic, k.ctrl)
-            c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
-        legs.append((c, x))
-    (cj, xj), loops = legs[0], []
-    for c, x in legs[1:]:
-        c, x = reversed_rows(c, x)
-        rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
-        keep = thin_keep(rows, points, [len(rows)], _CONT_TOL)
-        n = np.count_nonzero(keep)
-        path = PathNd(rows[keep], points[keep], np.linspace(0.0, 1.0, n + 1)) if n else constant_path(psi.basepoint)
+    cubic, ctrl = psi.tables(np.concatenate([p.point(np.array(ts)) for p in paths]))
+    tables = []
+    for k, p in enumerate(paths):
+        # The leg of each parameter t: out along psi[p(t)], back along p to p(0).
+        legs, moving = [], not p.is_constant()
+        for t, c, x in zip(ts, cubic[k * len(ts) :], ctrl[k * len(ts) :]):
+            if moving and t:
+                q = contract(p, t)
+                kc, kx = reversed_rows(q.cubic, q.ctrl)
+                c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
+            legs.append((c, x))
+        (cj, xj), back = legs[0], (reversed_rows(c, x) for c, x in legs[1:])
+        tables += [(np.concatenate([cj, c]), np.concatenate([xj, x])) for c, x in back]
+    counts = [len(c) for c, _ in tables]
+    keep = thin_keep(*(np.concatenate(part) for part in zip(*tables)), counts, _CONT_TOL)
+    loops = []
+    for (c, x), kept in zip(tables, np.split(keep, np.cumsum(counts)[:-1])):
+        n = np.count_nonzero(kept)
+        path = PathNd(c[kept], x[kept], np.linspace(0.0, 1.0, n + 1)) if n else constant_path(psi.basepoint)
         loops.append(LoopAtBase(path, psi.basepoint))
     return loops
 
@@ -342,21 +346,30 @@ def connection_form_action(
     spec = h_map.spec
     gj_inv = curve.g(j).inverse().matrix
     ts = j + _steps(1, 0, cfg.h, cfg.richardson)[:, 0]
-    hols = eval_holonomies(h_map, _frame_loops(curve.psi, curve.base_curve, j, ts))
+    hols = eval_holonomy(h_map, _frame_loops(curve.psi, [curve.base_curve], j, ts))
     values = project_to_group(spec, gj_inv @ hols @ np.stack([curve.g(i).matrix for i in ts]))
     logs = _logs_for_difference(spec, _check_group(spec, values))
     return AlgebraElement.from_matrix(spec, _central(logs, cfg.h, cfg.richardson))
 
 
-def horizontal_transport(h_map: HolonomyMap, psi: PathFamily, p: PathNd, g0: GroupElement, i: float) -> GroupElement:
+def horizontal_transport(h_map: HolonomyMap, psi: PathFamily, p, g0: GroupElement, i: float):
     """Parallel transport of g0 along p expressed purely through holonomies.
 
     The transported value is H(loop) g0 with the loop of ``_frame_loops``
     from i to 0, psi[p(0)]^{-1} o K(p,i)^{-1} o psi[p(i)]; at i = 0 the
-    loop is thin, so the initial value comes out exactly.
+    loop is thin, so the initial value comes out exactly.  ``p`` is one
+    path, giving a ``GroupElement``, or a sequence, giving the (m, d, d)
+    stack from one ``eval_holonomy`` batch; a path of another dimension
+    raises ``DimMismatch`` before any loop is built.
     """
-    (loop,) = _frame_loops(psi, p, float(i), [0.0])
-    return eval_holonomy(h_map, loop) @ g0
+    single = isinstance(p, PathNd)
+    paths = [p] if single else list(p)
+    for q in paths:
+        if q.dim != h_map.field.dim:
+            raise DimMismatch(f"path dimension {q.dim} != field dimension {h_map.field.dim}")
+    hols = eval_holonomy(h_map, _frame_loops(psi, paths, float(i), [0.0]) if paths else [])
+    out = project_to_group(h_map.spec, hols @ g0.matrix)
+    return GroupElement(h_map.spec, out[0]) if single else out
 
 
 def transition_function(h_map: HolonomyMap, psi: PathFamily, psi2: PathFamily, x):
@@ -518,14 +531,14 @@ def round_trip_report(
     gauge defect compares the reconstruction against the explicitly
     transformed input; the transport defect compares holonomy-only
     transport with solving the transport equation in the reconstructed
-    potential along ``transport_paths`` (an integer >= 0) sample paths,
-    whose transport equations are solved on one integration plan, so the
-    reconstruction driving them is read as its 1-form on the lattice
-    velocities, one batch per kernel call, 2 difference loops per sample
-    in any dimension (no Richardson step).  The nodes,
-    and the paths, are checked as one batch; only if it raises are they
-    checked one at a time, so that each failure names its node, or the
-    start of its path.
+    potential along ``transport_paths`` (an integer >= 0) sample paths.
+    The frame loops of all paths are one ``eval_holonomy`` batch, and their
+    transport equations are solved on one integration plan, which reads
+    the reconstruction driving them as its 1-form on the lattice
+    velocities, one batch per kernel call, 2 difference loops per sample in
+    any dimension (no Richardson step).  The nodes, and the paths, are
+    checked as one batch; only if it raises are they checked one at a
+    time, so that each failure names its node, or the start of its path.
     """
     tolerances = dict(tolerances or {})
     dim = A_in.dim
@@ -580,10 +593,10 @@ def round_trip_report(
 
     def transport_defects(paths):
         """Distance of holonomy-only from ODE transport of the identity along each path."""
-        by_holonomy = [horizontal_transport(h_map, psi, p, ident, 1.0) for p in paths]
+        by_holonomy = horizontal_transport(h_map, psi, paths, ident, 1.0)
         u = _Plan(A_drive, stack_tables(paths)).products(transport_steps)
         by_ode = [GroupElement(A_in.spec, project_to_group(A_in.spec, m @ ident.matrix)) for m in u]
-        return [group_distance(a, b) for a, b in zip(by_holonomy, by_ode)]
+        return [group_distance(GroupElement(A_in.spec, a), b) for a, b in zip(by_holonomy, by_ode)]
 
     try:
         transport = transport_defects(paths) if paths else []

@@ -15,8 +15,8 @@ constructor and nothing else of the table code they check.  The
 connection 1-form and holonomy-only transport have per-loop reference
 forms too (``reference_connection_form``, ``reference_horizontal_transport``):
 each loop composed leg by leg, its holonomy evaluated alone; their loops
-as ``_frame_loops`` built them before it reduced rows rather than paths
-are kept too (``reference_frame_loops``); so has the
+as ``_frame_loops`` built them, one path at a time, before it reduced
+rows rather than paths are kept too (``reference_frame_loops``); so has the
 frame change (``reference_transition_function``), whose loops are composed
 path by path and evaluated as one batch.  The
 integration kernel as it stood before a change that must reproduce it
@@ -38,7 +38,6 @@ from holonomy_forge.holonomy import (
     check_axiom1,
     check_axiom2,
     check_axiom3,
-    eval_holonomies,
     eval_holonomy,
 )
 from holonomy_forge.lie_core import GroupElement, log_map, project_to_algebra, project_to_group
@@ -401,26 +400,27 @@ def reference_horizontal_transport(h_map, psi, p, g0, i: float):
     return eval_holonomy(h_map, LoopAtBase(thin_reduce(loop), psi.basepoint)) @ g0
 
 
-def reference_frame_loops(psi, p, j: float, params) -> list:
+def reference_frame_loops(psi, paths, j: float, params) -> list:
     """The loops of ``reconstruction._frame_loops`` built as they were
-    before its rows were thin-reduced as a table: each loop's legs joined
-    into one path, which ``thin_reduce`` then rebuilds."""
-    ts = [j, *params]
-    cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
-    moving = not p.is_constant()
-    legs = []
-    for t, c, x in zip(ts, cubic, ctrl):
-        if moving and t:
-            k = contract(p, t)
-            kc, kx = reversed_rows(k.cubic, k.ctrl)
-            c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
-        legs.append((c, x))
-    (cj, xj), loops = legs[0], []
-    for c, x in legs[1:]:
-        c, x = reversed_rows(c, x)
-        rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
-        path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
-        loops.append(LoopAtBase(path, psi.basepoint))
+    before its rows were thin-reduced as a table, one path at a time: each
+    loop's legs joined into one path, which ``thin_reduce`` then rebuilds."""
+    ts, loops = [j, *params], []
+    for p in paths:
+        cubic, ctrl = psi.tables(np.stack([p.point(t) for t in ts]))
+        moving = not p.is_constant()
+        legs = []
+        for t, c, x in zip(ts, cubic, ctrl):
+            if moving and t:
+                k = contract(p, t)
+                kc, kx = reversed_rows(k.cubic, k.ctrl)
+                c, x = np.concatenate([c, kc]), np.concatenate([x, kx])
+            legs.append((c, x))
+        cj, xj = legs[0]
+        for c, x in legs[1:]:
+            c, x = reversed_rows(c, x)
+            rows, points = np.concatenate([cj, c]), np.concatenate([xj, x])
+            path = thin_reduce(PathNd(rows, points, np.linspace(0.0, 1.0, len(rows) + 1)))
+            loops.append(LoopAtBase(path, psi.basepoint))
     return loops
 
 
@@ -429,7 +429,7 @@ def reference_transition_function(h_map, psi, psi2, xs) -> np.ndarray:
     array of points, each loop composed from the two frame paths and
     thin-reduced, all evaluated as one batch."""
     loops = [thin_reduce(compose_paths(invert_path(psi2[y]), psi[y])) for y in xs]
-    return eval_holonomies(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
+    return eval_holonomy(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
 
 
 def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):

@@ -307,12 +307,14 @@ class TestRoundtrip:
 class TestKernelCalls:
     # A kernel call holds at most 8192 entries of its (samples, d, d)
     # temporaries: the 1x1 round trip packs its samples into fewer, longer
-    # calls, and SU(2)'s 2048 samples per call stay where they were.
+    # calls, and SU(2)'s 2048 samples per call stay where they were.  The
+    # holonomy-only transport of the 10 sample paths is one batch, 2 calls
+    # where one batch per path took 20, over the same samples.
     def test_abelian_roundtrip(self, tmp_path, monkeypatch):
         counts = count_samples(monkeypatch)
         argv = ["roundtrip", "--preset", "abelian-ydx", "--grid", "5", "--steps", "16", "--seed", "1"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
-        assert counts["calls"] == 40 and counts["points"] == 105_458
+        assert counts["calls"] == 22 and counts["points"] == 105_458
 
     def test_su2_roundtrip(self, tmp_path, monkeypatch):
         # The transport cross-check's drive takes 2 difference loops per
@@ -320,7 +322,7 @@ class TestKernelCalls:
         counts = count_samples(monkeypatch)
         argv = ["roundtrip", "--preset", "su2-shear", "--grid", "3", "--steps", "16", "--seed", "1"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
-        assert counts["calls"] == 70 and counts["points"] == 85_584
+        assert counts["calls"] == 52 and counts["points"] == 85_584
 
     def test_su2_audit(self, tmp_path, monkeypatch):
         counts = count_samples(monkeypatch)

@@ -23,7 +23,6 @@ from holonomy_forge.holonomy import (
     check_axiom1,
     check_axiom2,
     check_axiom3,
-    eval_holonomies,
     eval_holonomy,
     transport_along,
 )
@@ -272,7 +271,7 @@ class TestEvalHolonomies:
         else:
             h_map = HolonomyMap.transport(field, ORIGIN, 16)
         loops = batch_test_loops(rng)
-        batch = eval_holonomies(h_map, loops)
+        batch = eval_holonomy(h_map, loops)
         assert batch.shape == (len(loops), spec.matrix_dim, spec.matrix_dim) and batch.dtype == spec.dtype
         for loop, got in zip(loops, batch):
             expected = eval_holonomy(h_map, loop)
@@ -283,15 +282,15 @@ class TestEvalHolonomies:
         field = random_affine_field(SU2, rng)
         h_map = HolonomyMap.transport(field, ORIGIN, 16)
         loops = batch_test_loops(rng)
-        for loop, got in zip(loops, eval_holonomies(h_map, loops)):
+        for loop, got in zip(loops, eval_holonomy(h_map, loops)):
             expected = np.linalg.inv(sequential_rk4_transport(field, loop.path, 16))
             assert np.linalg.norm(got - expected) <= 1e-12
 
     def test_checks_every_loop(self):
         shifted = polygon_loop([(1, 1), (2, 1), (2, 2), (1, 1)])
         with pytest.raises(BasepointMismatch):
-            eval_holonomies(analytic_map(), [unit_square(), shifted])
-        empty = eval_holonomies(analytic_map(), [])
+            eval_holonomy(analytic_map(), [unit_square(), shifted])
+        empty = eval_holonomy(analytic_map(), [])
         assert empty.shape == (0, 1, 1) and empty.dtype == analytic_map().spec.dtype
 
     def test_integration_error_raised_from_inside_a_batch(self):
@@ -304,7 +303,7 @@ class TestEvalHolonomies:
         bad = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 0)])
         good = polygon_loop([(0, 0), (0, 1), (-1, 1), (0, 0)])
         with pytest.raises(IntegrationError):
-            eval_holonomies(h_map, [good] * 40 + [bad] + [good] * 5)
+            eval_holonomy(h_map, [good] * 40 + [bad] + [good] * 5)
 
 
 def shared_piece_loops(rng):
@@ -359,7 +358,7 @@ class TestSharedPieces:
             h_map = HolonomyMap.transport(field, ORIGIN, 16)
         loops = shared_piece_loops(rng)
         calls = count_sampled_pieces(monkeypatch)
-        for loop, got in zip(loops, eval_holonomies(h_map, loops)):
+        for loop, got in zip(loops, eval_holonomy(h_map, loops)):
             assert np.array_equal(got, eval_holonomy(h_map, loop).matrix)
         if backend == "transport":
             # The shift pieces are probed and accepted at 2 steps.
@@ -368,7 +367,7 @@ class TestSharedPieces:
     def test_batch_spans_several_kernel_calls(self, rng, monkeypatch):
         calls = count_sampled_pieces(monkeypatch)
         h_map = HolonomyMap.transport(random_affine_field(SU2, rng), ORIGIN, 16)
-        eval_holonomies(h_map, shared_piece_loops(rng))
+        eval_holonomy(h_map, shared_piece_loops(rng))
         assert len(calls) >= 3
 
     def test_composed_loop_integrates_no_new_piece(self, rng, monkeypatch):
@@ -381,7 +380,7 @@ class TestSharedPieces:
         composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
         for h_map, lattices in ((analytic_map(), {1}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
             calls.clear()
-            eval_holonomies(h_map, [alpha, beta, composed])
+            eval_holonomy(h_map, [alpha, beta, composed])
             per_lattice = pieces_per_lattice(calls)
             assert set(per_lattice) == lattices
             assert all(k == alpha.path.n_pieces + beta.path.n_pieces for k in per_lattice.values())
@@ -400,7 +399,7 @@ class TestSharedPieces:
         again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
         for h_map, lattices in ((analytic_map(), {3}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33})):
             calls.clear()
-            values = eval_holonomies(h_map, [warped, again, warped])
+            values = eval_holonomy(h_map, [warped, again, warped])
             per_lattice = pieces_per_lattice(calls)
             assert set(per_lattice) == lattices
             assert all(k == warped.path.n_pieces == 5 for k in per_lattice.values())
@@ -410,7 +409,7 @@ class TestSharedPieces:
         calls = count_sampled_pieces(monkeypatch)
         plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
         minus = polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)])
-        eval_holonomies(analytic_map(), [plus, minus])
+        eval_holonomy(analytic_map(), [plus, minus])
         assert pieces_per_lattice(calls) == {1: 5}
 
 
@@ -635,9 +634,9 @@ class TestRealArithmeticKernel:
         ]
         pts, vels = sample_pieces(*stack_tables([x.path for x in loops])[:3], np.linspace(0.0, 1.0, 5))
         assert holonomy._connection_along(field, pts, vels).dtype == np.float64
-        got = eval_holonomies(h_map, loops)
+        got = eval_holonomy(h_map, loops)
         monkeypatch.setattr(holonomy, "_connection_along", complex_connection_along)
-        assert np.array_equal(got, eval_holonomies(h_map, loops).real)
+        assert np.array_equal(got, eval_holonomy(h_map, loops).real)
 
     def test_batch_across_chunks_is_bitwise_single_loop_evaluation(self, rng, monkeypatch):
         # At 16 steps a 1x1 call takes 8192 // 33 = 248 pieces (8184
@@ -647,7 +646,7 @@ class TestRealArithmeticKernel:
         h_map = HolonomyMap.transport(field, ORIGIN, 16)
         loops = [random_polygon_loop(rng, ORIGIN, n_vertices=5, radius=0.8) for _ in range(120)]
         calls = count_sampled_pieces(monkeypatch)
-        values = eval_holonomies(h_map, loops)
+        values = eval_holonomy(h_map, loops)
         samples = [k * len(ctrl) for k, ctrl in calls]
         assert len(calls) >= 3 and max(samples) == 8184
         for loop, got in zip(loops, values):
@@ -769,7 +768,7 @@ class TestRelativeDeterminantCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="holonomy of loop 1 is (0.0|inf),"):
-                eval_holonomies(HolonomyMap.analytic_abelian(field, ORIGIN), [small, unit_square()])
+                eval_holonomy(HolonomyMap.analytic_abelian(field, ORIGIN), [small, unit_square()])
 
     @pytest.mark.parametrize("flux", [-8000.0, 8000.0])
     def test_transport_value_a_double_cannot_hold_raises(self, flux):

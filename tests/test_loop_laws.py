@@ -1,7 +1,7 @@
 """Property tests of the loop laws over random polynomial connections and
 random polygon loops.
 
-Each law is evaluated as one ``eval_holonomies`` batch in which loops
+Each law is evaluated as one ``eval_holonomy`` batch in which loops
 share smooth pieces (the composed loop reuses the pieces of its factors, a
 thin loop those of its forward leg), and a transport value of each batch is
 checked against the one-step-at-a-time RK4 oracle.  Reparametrization
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from holonomy_forge.holonomy import ConnectionField, HolonomyMap, eval_holonomies
+from holonomy_forge.holonomy import ConnectionField, HolonomyMap, eval_holonomy
 from holonomy_forge.lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupElement, algebra_basis, gln, group_distance
 from holonomy_forge.path_algebra import (
     LoopAtBase,
@@ -65,9 +65,9 @@ def holonomy_maps(spec, field):
 
 
 def holonomies(h_map, loops) -> list:
-    """The values of one ``eval_holonomies`` batch as elements, for the
+    """The values of one ``eval_holonomy`` batch as elements, for the
     group operations the laws are stated in."""
-    return [GroupElement(h_map.spec, m) for m in eval_holonomies(h_map, loops)]
+    return [GroupElement(h_map.spec, m) for m in eval_holonomy(h_map, loops)]
 
 
 def assert_matches_oracle(h_map, loop, got):

@@ -17,9 +17,10 @@ from holonomy_forge.lie_core import (
     group_distance,
     su2_basis,
 )
-from holonomy_forge.holonomy import ConnectionField, HolonomyMap, IntegrationError, transport_along
+from holonomy_forge.holonomy import ConnectionField, DimMismatch, HolonomyMap, IntegrationError, transport_along
 from holonomy_forge.path_algebra import (
     PathFamily,
+    PathNd,
     axis_dogleg_family,
     compose_paths,
     constant_path,
@@ -242,19 +243,34 @@ class TestFrameLoops:
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
     def test_horizontal_transport_matches_per_loop_reference(self, name):
+        # A constant path and paths of 1, 2 and 3 pieces as one batch: each
+        # value is, bit for bit, the one of its path alone and the one of
+        # its loop composed leg by leg, from the identity and from another g0.
+        # The last path ends where the one before it starts, so at i = 1 the
+        # last leg of a loop and the first of the next retrace each other.
         p = hf.get_preset(name)
-        h_map, psi = p.holonomy_map(), p.frame()
-        g0 = GroupElement.identity(p.spec)
-        for i in (0.0, 0.25, 0.5, 1.0):
-            got = horizontal_transport(h_map, psi, self.P, g0, i).matrix
-            assert np.array_equal(got, reference_horizontal_transport(h_map, psi, self.P, g0, i).matrix), i
+        h_map, psi, d = p.holonomy_map(), p.frame(), p.spec.matrix_dim
+        if p.spec is SU2:
+            g1 = GroupElement(SU2, scipy.linalg.expm(0.7 * su2_basis()[1].matrix))
+        else:
+            g1 = GroupElement(MULTIPLICATIVE_REALS, [[3.7]])
+        paths = [constant_path([0.4, 0.9]), straight_segment([0.3, 0.1], [1.0, 0.8]), self.P]
+        paths.append(compose_paths(straight_segment([0.4, 1.1], [-0.6, 0.2]), self.P))
+        paths.append(straight_segment([0.5, 0.5], [0.2, -0.5]))
+        for g0, i in itertools.product((GroupElement.identity(p.spec), g1), (0.0, 0.25, 0.5, 1.0)):
+            got = horizontal_transport(h_map, psi, paths, g0, i)
+            assert got.shape == (len(paths), d, d) and got.dtype == p.spec.dtype
+            for path, value in zip(paths, got, strict=True):
+                assert np.array_equal(value, horizontal_transport(h_map, psi, path, g0, i).matrix), (path, i)
+                assert np.array_equal(value, reference_horizontal_transport(h_map, psi, path, g0, i).matrix), (path, i)
 
     @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
     def test_loops_from_tables_match_composed_paths(self, name, monkeypatch):
         # Each loop thin-reduced as rows, then made one path, gives the values
         # of the path built first and thin-reduced into a second one, bit for
         # bit: on vertical curves (whose loops are fully thin), coordinate
-        # shifts and horizontal lifts, and transport to i = 0 (fully thin) .. 1.
+        # shifts and horizontal lifts, and transport to i = 0 (fully thin) .. 1
+        # along one path and along a batch of paths, one of them constant.
         from holonomy_forge import reconstruction
 
         h_map, psi, spec, cases = self.curves(name)
@@ -266,9 +282,10 @@ class TestFrameLoops:
         def values():
             cfgs = (FdConfig(richardson=True), FdConfig(richardson=False))
             forms = [connection_form_action(h_map, c, j, cfg) for c, j in curves for cfg in cfgs]
-            return [m.matrix for m in forms] + [
-                horizontal_transport(h_map, psi, self.P, ident, i).matrix for i in (0.0, 0.25, 0.5, 1.0)
-            ]
+            paths = [self.P, constant_path([0.4, 0.9]), straight_segment([0.3, 0.1], [1.0, 0.8])]
+            transports = [horizontal_transport(h_map, psi, self.P, ident, i).matrix for i in (0.0, 0.25, 0.5, 1.0)]
+            batches = [m for i in (0.0, 0.25, 0.5, 1.0) for m in horizontal_transport(h_map, psi, paths, ident, i)]
+            return [m.matrix for m in forms] + transports + batches
 
         got = values()
         monkeypatch.setattr(reconstruction, "_frame_loops", reference_frame_loops)
@@ -279,8 +296,8 @@ class TestFrameLoops:
         from holonomy_forge import reconstruction
 
         h_map, psi, spec6 = sec6
-        batches, real = [], reconstruction.eval_holonomies
-        monkeypatch.setattr(reconstruction, "eval_holonomies", lambda h, ls: batches.append(len(ls)) or real(h, ls))
+        batches, real = [], reconstruction.eval_holonomy
+        monkeypatch.setattr(reconstruction, "eval_holonomy", lambda h, ls: batches.append(len(ls)) or real(h, ls))
         curve = TrivializedCurve.coordinate_shift(psi, [0.5, -0.2], 1, spec6.spec)
         connection_form_action(h_map, curve, 0.5, FdConfig(richardson=richardson))
         assert batches == [loops]
@@ -348,6 +365,29 @@ class TestHorizontalTransport:
         lhs = horizontal_transport(h_map, psi, p, g0, 1.0)
         rhs = transport_along(a_rec, p, g0, 64)
         assert group_distance(lhs, rhs) <= 1e-6
+
+
+    @pytest.mark.parametrize("name", ["paper-sec6", "su2-twist"])
+    def test_no_paths_give_an_empty_stack(self, name):
+        p = hf.get_preset(name)
+        got = horizontal_transport(p.holonomy_map(), p.frame(), [], GroupElement.identity(p.spec), 1.0)
+        assert got.shape == (0, p.spec.matrix_dim, p.spec.matrix_dim) and got.dtype == p.spec.dtype
+
+    def test_path_of_another_dimension_raises_before_any_evaluation(self, sec6, monkeypatch):
+        from holonomy_forge import reconstruction
+
+        h_map, psi, _ = sec6
+        calls = []
+        for name in ("_frame_loops", "eval_holonomy"):
+            real = getattr(reconstruction, name)
+            monkeypatch.setattr(reconstruction, name, lambda *args, real=real: calls.append(1) or real(*args))
+        flat = straight_segment([0.3, 0.1], [1.0, 0.8])
+        bad = straight_segment([0.0, 0.0, 0.0], [1.0, 0.5, 0.2])
+        g0 = GroupElement.identity(MULTIPLICATIVE_REALS)
+        for p in (bad, [bad], [flat, bad]):
+            with pytest.raises(DimMismatch, match="path dimension 3"):
+                horizontal_transport(h_map, psi, p, g0, 1.0)
+        assert calls == []
 
 
 class TestTransitionFunction:
@@ -615,16 +655,18 @@ class TestRoundTrip:
     @staticmethod
     def recorded_cross_check(monkeypatch, fail_at=None, preset="abelian-ydx", **kwargs):
         """Round trip on grid 3 that records, in call order, the sample
-        paths of the holonomy-only transport and the transport defects;
-        the holonomy-only transport of a path starting at ``fail_at`` raises."""
+        paths of the holonomy-only transport, every path of each call, batch
+        or single, and the transport defects; a holonomy-only transport call
+        whose paths include one starting at ``fail_at`` raises."""
         from holonomy_forge import reconstruction
 
         paths, defects = [], []
         real_transport, real_distance = reconstruction.horizontal_transport, reconstruction.group_distance
 
         def transport(h_map, psi, p, g0, i):
-            paths.append(p)
-            if fail_at is not None and np.array_equal(p.point(0.0), fail_at):
+            batch = [p] if isinstance(p, PathNd) else list(p)
+            paths.extend(batch)
+            if fail_at is not None and any(np.array_equal(q.point(0.0), fail_at) for q in batch):
                 raise IntegrationError("transport failed on purpose")
             return real_transport(h_map, psi, p, g0, i)
 
@@ -689,6 +731,21 @@ class TestRoundTrip:
             counts.append(len(calls))
             assert reads == ([2 * 33 * n] if n else [])
         assert counts == [counts[0]] * 4
+
+    def test_holonomy_only_transport_is_one_batch(self, monkeypatch):
+        # However many paths, the holonomy-only transport evaluates their
+        # frame loops, one per path, as one eval_holonomy batch.
+        from holonomy_forge import reconstruction
+
+        p, real = hf.get_preset("abelian-ydx"), reconstruction.eval_holonomy
+        for n in (0, 1, 4, 10):
+            batches = []
+            monkeypatch.setattr(reconstruction, "eval_holonomy", lambda h, loops: batches.append(len(loops)) or real(h, loops))
+            round_trip_report(
+                p.connection, p.frame(), GridSpec(-1.0, 1.0, 3), CFG, steps_per_segment=16, transport_paths=n
+            )
+            monkeypatch.undo()
+            assert batches == ([n] if n else [])
 
     def test_per_point_failures_recorded_not_raised(self):
         def exploding(x, mu):

@@ -23,8 +23,9 @@ def test_traced_names_are_functions_of_the_program(module, names):
 
 def test_roundtrip_calls_the_traced_holonomy_evaluator(tmp_path, monkeypatch):
     # The traced roundtrip-abelian case reports holonomy.eval_holonomy calls,
-    # which only the round trip's holonomy-only transport makes; the tracer
-    # replaces the function wherever a module imported it by name.
+    # which only the round trip's holonomy-only transport makes, one batch
+    # call for all its sample paths; the tracer replaces the function
+    # wherever a module imported it by name.
     from holonomy_forge import cli, holonomy
 
     real, calls = holonomy.eval_holonomy, []
