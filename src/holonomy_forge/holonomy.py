@@ -27,13 +27,13 @@ says how it integrates:
   |V_n - V_{n/2}| / 15 meets it, or ``IntegrationError`` at the cap.
 
 Loops are evaluated in batches through one integration plan per batch
-(``_Plan``): each distinct smooth piece of a batch (keyed on its exact
-control points and time map, so pieces shared between loops count once)
-is found once, probed once, integrated once per pass, and the per-piece
-results are reduced per loop; ``eval_holonomy`` evaluates one loop, or a
-sequence of them, as one batch.  A fixed-step evaluation is the plan's
-single pass; under step doubling a later pass samples only the pieces of
-the quantities still above their tolerance.
+(``_Plan``); ``eval_holonomy`` evaluates one loop, or a sequence of them,
+as one batch.  The exact map integrates every row; transport keys each
+distinct smooth piece (on its exact control points and time map, so pieces
+shared between loops count once), probes it once, integrates it once per
+pass and reduces the per-piece results per loop.  A fixed-step evaluation
+is the plan's single pass; under step doubling a later pass samples only
+the pieces of the quantities still above their tolerance.
 
 The randomized audit draws each law's loops as whole arrays into one
 checked segment table, with no path object per loop, and evaluates each
@@ -59,6 +59,7 @@ on a grid -- the only finitely decidable surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -271,7 +272,8 @@ class ConnectionField:
                     raise ValueError(f"the field's rule gave {a.dtype} values of shape {a.shape} in direction {mu}")
                 a *= vectors[:, mu, None, None]
                 out += a
-        return out
+        # Entry-major memory, inherited by the kernel's temporaries: loops run along samples.
+        return np.ascontiguousarray(out.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _check_axis(mu, dim: int) -> int:
@@ -344,8 +346,8 @@ def _distinct_pieces(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
 
     Pieces are the same piece when their kind flag, control-point bytes
     and time-map bytes (in a batch that has time maps) are equal, so a
-    piece shared by several paths, or repeated in one, is sampled and
-    integrated once (orientation is part of the bytes).
+    piece shared by several paths, or repeated in one, is transported once
+    (orientation is part of the bytes).
     """
     cubic, ctrl, tmap, _ = batch
     # One flat byte row per piece: its flag, its control points, its time map.
@@ -464,35 +466,35 @@ def _rk4_products(spec: GroupSpec, m: np.ndarray, n: int, half: bool):
 class _Plan:
     """One batch's integration plan, built once and shared by its passes.
 
-    It holds the batch's distinct pieces (``_distinct_pieces``), the chain
-    of every row, and the quantity that owns each chain: ``per``
-    consecutive chains make one controlled quantity, so chain c belongs to
-    quantity c // per.  The 2-step probe runs once, on the first pass with
-    n > 2, and its accepted P2 values are kept.  A pass (``products``)
-    samples only the pieces of the chains of the quantities it is asked
-    for that the probe did not accept, and reduces them per chain.
+    It holds the chain of every row and the quantity that owns each chain:
+    ``per`` consecutive chains make one controlled quantity, so chain c
+    belongs to quantity c // per.  Transport alone keys the batch's
+    distinct pieces (``pieces``), on its first pass.  The 2-step probe runs
+    once, on the first pass with n > 2, and its accepted P2 values are
+    kept.  A pass (``products``) samples only the distinct pieces of the
+    chains of the quantities it is asked for that the probe did not
+    accept, and reduces them per chain.
     """
 
     def __init__(self, field: ConnectionField, batch: Batch, per: int = 1):
         self.field, self.batch, self.per = field, batch, per
-        self.rep, self.where = _distinct_pieces(batch)
         self.chain = np.repeat(np.arange(len(batch.counts)), batch.counts)
         self.quantities = len(batch.counts) // per
         self._p2, self._probed = None, False
 
     def line_integrals(self) -> np.ndarray:
         """Line integral of the (abelian) connection along every chain, by
-        per-piece Gauss-Legendre quadrature.  A piece whose integrand has
-        degree k <= 63 (``_piece_degrees``) takes the k // 2 + 1 nodes that
-        are exact for it; a piece of higher degree, and every piece of a
-        field of unknown degree, takes the 32-node rule.  The node
-        count depends on the piece alone, so a chain's value does not depend
-        on the other chains of its batch."""
-        field, batch, rep = self.field, self.batch, self.rep
-        nodes = _piece_degrees(field.degree, batch, rep, lambda k: min(k // 2 + 1, _GL_MAX))
+        Gauss-Legendre quadrature on every row of the batch (no piece is
+        keyed).  A piece whose integrand has degree k <= 63 (``_piece_degrees``)
+        takes the k // 2 + 1 nodes exact for it; a piece of higher degree,
+        and every piece of a field of unknown degree, the 32-node rule.  A
+        row's value depends on its bytes alone, so a chain's value does not
+        depend on the other chains of its batch."""
+        field, batch, m = self.field, self.batch, len(self.chain)
+        nodes = _piece_degrees(field.degree, batch, np.arange(m), lambda k: min(k // 2 + 1, _GL_MAX))
         if nodes is None:
-            nodes = np.full(len(rep), _GL_MAX)
-        values = np.empty(len(rep), dtype=np.complex128)
+            nodes = np.full(m, _GL_MAX)
+        values = np.empty(m, dtype=np.complex128)
         # At most three counts, one per piece kind.  (A set, not np.unique,
         # whose first call imports numpy.ma.)  Complex weights keep the sums
         # complex for a real group too: numpy's pairwise sum adds a complex
@@ -501,11 +503,16 @@ class _Plan:
             u, w = _gauss_legendre(n)
             w, rows = w.astype(np.complex128), np.flatnonzero(nodes == n)
             values[rows] = _sampled(
-                batch, rep[rows], u, lambda pts, vels: (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
+                batch, rows, u, lambda pts, vels: (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
             )
         totals = np.zeros(len(batch.counts), dtype=np.complex128)
-        np.add.at(totals, self.chain, values[self.where])
+        np.add.at(totals, self.chain, values)
         return totals
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_distinct_pieces`` of the batch, keyed on the first transport pass."""
+        return _distinct_pieces(self.batch)
 
     def _probe(self):
         """P2 of every distinct piece the probe accepts, nan for every other
@@ -522,11 +529,12 @@ class _Plan:
                 keep &= (np.abs(p1 - p2).max(axis=(1, 2)) <= _ROUNDING_GAP * scale) & (scale < np.inf)
                 return np.where(keep[:, None, None], p2, np.nan)
 
-            probed = np.flatnonzero(_probed(field.degree, self.batch, self.rep))
+            rep = self.pieces[0]
+            probed = np.flatnonzero(_probed(field.degree, self.batch, rep))
             self._probed = True
             if probed.size:
-                p2 = _sampled(self.batch, self.rep[probed], _PROBE_SAMPLES, probe, spec.matrix_dim)
-                self._p2 = np.full((len(self.rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
+                p2 = _sampled(self.batch, rep[probed], _PROBE_SAMPLES, probe, spec.matrix_dim)
+                self._p2 = np.full((len(rep),) + p2.shape[1:], np.nan, dtype=p2.dtype)
                 self._p2[probed] = p2
         return self._p2
 
@@ -570,7 +578,7 @@ class _Plan:
         pass takes, so every pass agrees bit for bit with a single pass over
         its own chains.
         """
-        spec, batch, rep = self.field.spec, self.batch, self.rep
+        spec, batch, (rep, where) = self.field.spec, self.batch, self.pieces
 
         def kernel(pts, vels):
             p, bad = _rk4_products(spec, -_connection_along(self.field, pts, vels), n, half)
@@ -581,7 +589,7 @@ class _Plan:
         live = np.zeros(self.quantities, dtype=bool)
         live[slice(None) if quantities is None else quantities] = True
         live = live.repeat(self.per)
-        where = self.where[live[self.chain]]
+        where = where[live[self.chain]]
         pieces = np.zeros(len(rep), dtype=bool)
         pieces[where] = True
         pieces = np.flatnonzero(pieces)
@@ -723,10 +731,10 @@ def eval_holonomy(h_map: HolonomyMap, loops):
     sequence of them as one batch, an (m, d, d) stack of group matrices
     checked once ((0, d, d) for none).
 
-    Each distinct smooth piece of the batch is sampled and integrated once
-    per pass, in kernel calls of a bounded number of matrix entries; a
-    loop's value does not depend on the other loops of its batch, bit for
-    bit.
+    Transport samples each distinct smooth piece of the batch once per
+    pass, the exact map every row, in kernel calls of a bounded number of
+    matrix entries; a loop's value does not depend on the other loops of
+    its batch, bit for bit.
     """
     single = isinstance(loops, LoopAtBase)
     loops = [loops] if single else list(loops)

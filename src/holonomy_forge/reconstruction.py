@@ -625,8 +625,10 @@ def potential_grid_csv(values, grid: GridSpec) -> str:
     nodes = grid.nodes(dim)
     if values.shape != (dim, len(nodes), d, d):
         raise ValueError(f"values of shape {values.shape} for {len(nodes)} nodes in R^{dim}")
-    for k, x in enumerate(nodes):
-        for mu in range(dim):
-            row = [f"{v:.17g}" for v in x] + [str(mu)]
-            lines.append(",".join(row + [f"{v:.17g}" for e in values[mu, k].ravel() for v in (e.real, e.imag)]))
+    # Python floats format as numpy's float64 do: one template per row part.
+    x_row, entry_row = (",".join(["{:.17g}"] * k) for k in (dim, 2 * d * d))
+    parts = np.stack([values.real, values.imag], axis=-1).reshape(dim, len(nodes), 2 * d * d).transpose(1, 0, 2)
+    for x, rows in zip(nodes.tolist(), parts.tolist()):
+        x = x_row.format(*x)
+        lines += [f"{x},{mu},{entry_row.format(*row)}" for mu, row in enumerate(rows)]
     return "\n".join(lines) + "\n"

@@ -22,6 +22,10 @@ path by path and evaluated as one batch.  The
 integration kernel as it stood before a change that must reproduce it
 (``reference_transport_products``) is kept here as well, and so are an
 oracle for the exact map's line integrals (``reference_line_integrals``),
+those integrals keyed on distinct pieces as the exact map summed them
+before it integrated every row (``reference_keyed_line_integrals``), the
+CSV of a potential formatted one entry at a time
+(``reference_potential_grid_csv``),
 the coefficient built in complex arithmetic for every group
 (``complex_connection_along``) and the thin reduction over row-major
 control points (``reference_thin_keep``), the forms the real-dtype kernel
@@ -564,6 +568,55 @@ def reference_line_integrals(field, batch) -> np.ndarray:
     totals = np.zeros(len(batch.counts), dtype=np.complex128)
     np.add.at(totals, np.repeat(np.arange(len(batch.counts)), batch.counts), _sampled(batch, rep, u, kernel)[where])
     return totals
+
+
+def reference_keyed_line_integrals(field, batch) -> np.ndarray:
+    """The exact map's line integrals as they were computed before every
+    row was integrated: each distinct piece (``_distinct_pieces``) once,
+    at the node count of its degree, then gathered into every row that
+    repeats it and summed per chain.  The unkeyed sums must equal these
+    bit for bit."""
+    from holonomy_forge.holonomy import (
+        _GL_MAX,
+        _connection_along,
+        _distinct_pieces,
+        _gauss_legendre,
+        _piece_degrees,
+        _sampled,
+    )
+
+    rep, where = _distinct_pieces(batch)
+    nodes = _piece_degrees(field.degree, batch, rep, lambda k: min(k // 2 + 1, _GL_MAX))
+    if nodes is None:
+        nodes = np.full(len(rep), _GL_MAX)
+    values = np.empty(len(rep), dtype=np.complex128)
+    for n in sorted(set(nodes.tolist())):
+        u, w = _gauss_legendre(n)
+        w, rows = w.astype(np.complex128), np.flatnonzero(nodes == n)
+        values[rows] = _sampled(
+            batch, rep[rows], u, lambda pts, vels: (_connection_along(field, pts, vels)[..., 0, 0] * w).sum(axis=1)
+        )
+    totals = np.zeros(len(batch.counts), dtype=np.complex128)
+    np.add.at(totals, np.repeat(np.arange(len(batch.counts)), batch.counts), values[where])
+    return totals
+
+
+def reference_potential_grid_csv(values, grid) -> str:
+    """``potential_grid_csv`` formatting every numpy scalar with its own
+    f-string, the form whose text the one-template rows must reproduce
+    byte for byte."""
+    values = np.asarray(values, dtype=complex)
+    dim, d = len(values), values.shape[-1]
+    entries = [f"{part}_{r}_{c}" for r in range(d) for c in range(d) for part in ("re", "im")]
+    lines = [",".join([f"x{k + 1}" for k in range(dim)] + ["mu"] + entries)]
+    nodes = grid.nodes(dim)
+    if values.shape != (dim, len(nodes), d, d):
+        raise ValueError(f"values of shape {values.shape} for {len(nodes)} nodes in R^{dim}")
+    for k, x in enumerate(nodes):
+        for mu in range(dim):
+            row = [f"{v:.17g}" for v in x] + [str(mu)]
+            lines.append(",".join(row + [f"{v:.17g}" for e in values[mu, k].ravel() for v in (e.real, e.imag)]))
+    return "\n".join(lines) + "\n"
 
 
 def controlled_holonomies(h_map, loops, tol: float):

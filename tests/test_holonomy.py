@@ -18,7 +18,9 @@ from holonomy_forge.holonomy import (
     IntegrationError,
     _distinct_pieces,
     _gauss_legendre,
+    _loop_holonomies,
     _Plan,
+    _rk4_products,
     audit_axioms,
     check_axiom1,
     check_axiom2,
@@ -55,6 +57,7 @@ from _oracles import (
     per_loop_audit_batches,
     polyline_vertices,
     polyline_ydx_integral,
+    reference_keyed_line_integrals,
     reference_line_integrals,
     reference_transport_products,
     sequential_rk4_transport,
@@ -205,6 +208,22 @@ class TestTransportKernel:
         assert both.shape == (2, len(paths), spec.matrix_dim, spec.matrix_dim)
         assert np.array_equal(both[0], _Plan(field, batch).products(n))
         assert np.array_equal(both[1], _Plan(field, batch).products(n // 2))
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("spec", [MULTIPLICATIVE_REALS, U1, SU2, gln(3)], ids=lambda s: f"{s.name.value}{s.matrix_dim}")
+    def test_entry_major_coefficient_gives_the_c_order_products(self, spec, half, rng):
+        # The field's 1-form is stored entry-major, and every kernel
+        # temporary inherits that layout; the values do not depend on it.
+        import holonomy_forge.holonomy as holonomy
+
+        field = random_affine_field(spec, rng)
+        pts, vels = sample_pieces(*stack_tables(kernel_test_paths(rng))[:3], np.linspace(0.0, 1.0, 33))
+        m = -holonomy._connection_along(field, pts, vels)
+        assert m.transpose(2, 3, 0, 1).flags.c_contiguous
+        c_order = np.ascontiguousarray(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _rk4_products(spec, m, 16, half), _rk4_products(spec, c_order, 16, half)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_oracle_keeps_end_velocities_in_short_pieces(self):
         # Pieces of span 4e-5 and 1e-5 just below parameter 1, where a
@@ -372,45 +391,119 @@ class TestSharedPieces:
 
     def test_composed_loop_integrates_no_new_piece(self, rng, monkeypatch):
         # Per lattice, since a transport map probes every piece at 2 steps
-        # before integrating the ones the probe does not accept at n.  (y dx
-        # has degree 1 along a line, so the exact map takes one node.)
+        # before integrating the ones the probe does not accept at n.  The
+        # exact map keys no piece: it integrates every row, each at one
+        # node (y dx has degree 1 along a line).
         calls = count_sampled_pieces(monkeypatch)
         alpha = random_polygon_loop(rng, ORIGIN, n_vertices=4, radius=0.8)
         beta = random_polygon_loop(rng, ORIGIN, n_vertices=3, radius=0.8)
         composed = LoopAtBase(compose_paths(alpha.path, beta.path), ORIGIN)
-        for h_map, lattices in ((analytic_map(), {1}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {5, 33})):
-            calls.clear()
-            eval_holonomy(h_map, [alpha, beta, composed])
-            per_lattice = pieces_per_lattice(calls)
-            assert set(per_lattice) == lattices
-            assert all(k == alpha.path.n_pieces + beta.path.n_pieces for k in per_lattice.values())
+        exact = eval_holonomy(analytic_map(), [alpha, beta, composed])
+        assert pieces_per_lattice(calls) == {1: alpha.path.n_pieces + beta.path.n_pieces + composed.path.n_pieces}
+        assert np.array_equal(exact, [eval_holonomy(analytic_map(), loop).matrix for loop in (alpha, beta, composed)])
+        calls.clear()
+        eval_holonomy(HolonomyMap.transport(ydx_field(), ORIGIN, 16), [alpha, beta, composed])
+        per_lattice = pieces_per_lattice(calls)
+        assert set(per_lattice) == {5, 33}
+        assert all(k == alpha.path.n_pieces + beta.path.n_pieces for k in per_lattice.values())
 
     def test_reparametrized_pieces_are_shared(self, rng, monkeypatch):
         # A reparametrized loop given twice and the same reparametrization
         # built again: the time map is part of the piece key, so each
-        # reparametrized piece is integrated once.  (y dx has degree 5 along
-        # a time-mapped line: the exact map takes 3 nodes, and the transport
-        # map does not probe them.)
+        # reparametrized piece is transported once.  (y dx has degree 5
+        # along a time-mapped line: the transport map does not probe them,
+        # and the exact map, which keys no piece, integrates each of the 15
+        # rows at 3 nodes.)
         calls = count_sampled_pieces(monkeypatch)
         p = random_polyline(rng, ORIGIN, n_segments=2, radius=0.7)
         out_and_back = compose_paths(invert_path(p), p)
         phi = piecewise_power_map(3, 0.5)
         warped = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
         again = LoopAtBase(reparametrize(out_and_back, phi), ORIGIN)
-        for h_map, lattices in ((analytic_map(), {3}), (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33})):
+        assert warped.path.n_pieces == 5
+        for h_map, lattices, pieces in (
+            (analytic_map(), {3}, 3 * warped.path.n_pieces),
+            (HolonomyMap.transport(ydx_field(), ORIGIN, 16), {33}, warped.path.n_pieces),
+        ):
             calls.clear()
             values = eval_holonomy(h_map, [warped, again, warped])
             per_lattice = pieces_per_lattice(calls)
             assert set(per_lattice) == lattices
-            assert all(k == warped.path.n_pieces == 5 for k in per_lattice.values())
+            assert all(k == pieces for k in per_lattice.values())
             assert all(np.array_equal(v, values[0]) for v in values)
 
     def test_signed_zero_twins_are_distinct_pieces(self, monkeypatch):
+        # The twins share one piece of three; a transport map probes each
+        # of the 5 distinct lines once.
         calls = count_sampled_pieces(monkeypatch)
         plus = polygon_loop([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0)])
         minus = polygon_loop([(0.0, 0.0), (0.5, -0.0), (0.5, 0.5), (0.0, 0.0)])
-        eval_holonomy(analytic_map(), [plus, minus])
-        assert pieces_per_lattice(calls) == {1: 5}
+        rep, where = _distinct_pieces(stack_tables([plus.path, minus.path]))
+        assert len(rep) == 5 and where.tolist() == [0, 1, 2, 3, 4, 2]
+        eval_holonomy(HolonomyMap.transport(ydx_field(), ORIGIN, 16), [plus, minus])
+        assert pieces_per_lattice(calls)[5] == 5
+
+
+def count_keyings(monkeypatch) -> list:
+    """Record the batch of each ``_distinct_pieces`` call."""
+    import holonomy_forge.holonomy as holonomy
+
+    calls = []
+    real = holonomy._distinct_pieces
+
+    def counting(batch):
+        calls.append(batch)
+        return real(batch)
+
+    monkeypatch.setattr(holonomy, "_distinct_pieces", counting)
+    return calls
+
+
+class TestPlanKeying:
+    # Only transport keys pieces: the exact map integrates every row of
+    # its batch, and a transport plan keys its batch once, on its first
+    # pass, however many passes follow.
+    def test_exact_map_keys_no_piece(self, rng, monkeypatch):
+        from holonomy_forge.reconstruction import reconstruct_potential
+
+        calls = count_keyings(monkeypatch)
+        h_map = HolonomyMap.analytic_abelian(random_affine_field(U1, rng), ORIGIN)
+        eval_holonomy(h_map, shared_piece_loops(rng))
+        eval_holonomy(h_map, unit_square())
+        for mu in (0, 1):
+            reconstruct_potential(h_map, radial_family(ORIGIN), rng.uniform(-0.8, 0.8, (6, 2)), mu, tol=1e-9)
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", [MULTIPLICATIVE_REALS, SU2], ids=lambda s: s.name.value)
+    def test_transport_plan_keys_once(self, spec, rng, monkeypatch):
+        calls = count_keyings(monkeypatch)
+        field = random_affine_field(spec, rng, scale=0.3)
+        batch = stack_tables(plan_test_paths(rng))
+        plan = _Plan(field, batch)
+        assert calls == []
+        for n, half in ((2, False), (16, True), (8, False), (32, False)):
+            plan.products(n, half=half)
+        assert calls == [batch]
+        calls.clear()
+        steps = _loop_holonomies(HolonomyMap.transport(field, ORIGIN, 1024), batch, tol=1e-9)[1]
+        assert steps.max() >= 32 and len(calls) == 1
+
+    @pytest.mark.parametrize("degree", ["field", None], ids=["polynomial", "unknown"])
+    @pytest.mark.parametrize("spec", [MULTIPLICATIVE_REALS, U1], ids=lambda s: s.name.value)
+    def test_unkeyed_sums_are_the_keyed_sums(self, spec, degree, rng):
+        # Repeated and shared pieces, integrated once per row, sum to the
+        # keyed integrals and to each loop's own value, bit for bit.
+        field = random_affine_field(spec, rng)
+        if degree is None:
+            field = ConnectionField(2, spec, field.rule)
+        loops = shared_piece_loops(rng)
+        batch = stack_tables([loop.path for loop in loops])
+        assert len(_distinct_pieces(batch)[0]) < len(batch.cubic)
+        got = _Plan(field, batch).line_integrals()
+        assert np.array_equal(got, reference_keyed_line_integrals(field, batch))
+        h_map = HolonomyMap.analytic_abelian(field, ORIGIN)
+        singles = [eval_holonomy(h_map, loop).matrix for loop in loops]
+        assert np.array_equal(eval_holonomy(h_map, loops), singles)
 
 
 class TestQuadratureOrder:

@@ -50,6 +50,7 @@ from _oracles import (
     reference_frame_loops,
     reference_horizontal_transport,
     reference_potential,
+    reference_potential_grid_csv,
     reference_transition_function,
 )
 from conftest import polyline, random_affine_field
@@ -891,6 +892,44 @@ class TestPotentialField:
         assert len(lines) == 1 + 4 * 2
         value = lines[1].split(",")[3]
         assert len(value.replace("-", "").replace(".", "").split("e")[0]) >= 15
+
+
+# Signed zero, the least subnormal, tiny and huge normals, and values that
+# need all 17 significant digits.
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.7e308, 0.1 + 0.2, -1.0 / 3.0, 2.0 / 3.0 * 1e-17, 123456789.12345678]
+
+
+class EdgeAxisGrid(GridSpec):
+    """A grid whose axis is ``EDGE_VALUES``."""
+
+    def axis(self) -> np.ndarray:
+        return np.array(EDGE_VALUES)
+
+
+class TestPotentialCsv:
+    # One template per row part, filled from Python floats, gives the text
+    # of one f-string per numpy scalar (reference_potential_grid_csv),
+    # byte for byte.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("d, kind", [(1, "real"), (2, "complex")])
+    def test_matches_per_entry_formatting(self, dim, d, kind, rng):
+        for grid in (GridSpec(-1.0 / 3.0, 0.7, 5), EdgeAxisGrid(-1.0, 1.0, len(EDGE_VALUES))):
+            shape = (dim, len(grid.nodes(dim)), d, d)
+            parts = [rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape) for _ in range(2)]
+            for part in parts:
+                part.reshape(-1)[: len(EDGE_VALUES)] = EDGE_VALUES[: part.size]
+            values = parts[0] if kind == "real" else parts[0] + 1j * parts[1][::-1]
+            assert potential_grid_csv(values, grid) == reference_potential_grid_csv(values, grid)
+            assert potential_grid_csv(list(values), grid) == reference_potential_grid_csv(values, grid)
+
+    @pytest.mark.parametrize("shape", [(2, 24, 1, 1), (1, 25, 1, 1), (2, 25, 2, 1), (3, 25, 2, 2)])
+    def test_wrong_shape_raises_the_same_error(self, shape):
+        grid = GridSpec(-1.0, 1.0, 5)
+        with pytest.raises(ValueError) as got:
+            potential_grid_csv(np.zeros(shape), grid)
+        with pytest.raises(ValueError) as want:
+            reference_potential_grid_csv(np.zeros(shape), grid)
+        assert str(got.value) == str(want.value) == f"values of shape {shape} for {5 ** shape[0]} nodes in R^{shape[0]}"
 
 
 class TestConnectionForm:
