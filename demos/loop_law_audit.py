@@ -20,7 +20,6 @@ from holonomy_forge import (
     invert_path,
     random_polygon_loop,
     random_polyline,
-    reconstruction_loop,
 )
 
 rng = np.random.default_rng(42)
@@ -39,9 +38,6 @@ for name in ("paper-sec6", "su2-twist"):
     thin = LoopAtBase(compose_paths(invert_path(p), p), origin)
     print(f"  out-and-back thin loop defect:       {check_axiom2(h_map, thin):.3e}")
 
-    psi = preset.frame()
-    anchor = np.array([0.5, 0.5])
-    family = lambda u: reconstruction_loop(psi, anchor, anchor + np.array([u, 0.0]))
     report = audit_axioms(
         h_map,
         samples=40,
@@ -51,7 +47,7 @@ for name in ("paper-sec6", "su2-twist"):
             preset.tolerances["axiom2"],
             preset.tolerances["axiom3"],
         ),
-        axiom3_family=family,
+        axiom3_shift=((0.5, 0.5), (1.0, 0.0)),
     )
     print("  full audit report:")
     print("   ", json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    "))

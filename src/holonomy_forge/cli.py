@@ -20,7 +20,6 @@ import numpy as np
 
 from .holonomy import ConnectionField, audit_axioms
 from .lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupSpec, gln
-from .path_algebra import reconstruction_loop
 from .presets import Preset, get_preset, iter_presets
 from .reconstruction import (
     FdConfig,
@@ -247,16 +246,6 @@ def _controlled(args, h_map, gated: bool = True) -> bool:
     return controlled
 
 
-def _axiom3_family(preset: Preset):
-    if preset.axiom3_anchor is None:
-        return None
-    frame = preset.frame()
-    anchor = np.array(preset.axiom3_anchor, dtype=float)
-    step = np.zeros(preset.dim)
-    step[0] = 1.0
-    return lambda u: reconstruction_loop(frame, anchor, anchor + u * step)
-
-
 def _cmd_reconstruct(args) -> int:
     preset = _resolve_preset(args)
     grid = _grid_from(args, preset)
@@ -313,7 +302,7 @@ def _cmd_audit(args) -> int:
         samples=args.samples,
         seed=args.seed,
         tolerances=tols,
-        axiom3_family=_axiom3_family(preset),
+        axiom3_shift=None if preset.axiom3_anchor is None else (preset.axiom3_anchor, np.eye(preset.dim)[0]),
         error_control=controlled,
     )
     _write_atomic(args.out, "axiom_report.json", _json_text(report.to_json_dict()) + "\n")

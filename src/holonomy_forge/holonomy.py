@@ -35,13 +35,14 @@ pass and reduces the per-piece results per loop.  A fixed-step evaluation
 is the plan's single pass; under step doubling a later pass samples only
 the pieces of the quantities still above their tolerance.
 
-The randomized audit draws each law's loops as whole arrays into one
-checked segment table, with no path object per loop, and evaluates each
-law as one batch.  By default every piece takes the map's steps; with
-``error_control`` (the CLI's ``audit`` on a transport preset, unless
-``--steps`` fixes the count) each law refines until its estimates are
-within a tenth of its gate: axiom 1 per loop pair, whose three loops share
-one count, at gate/10; axiom 2 per thin loop at gate/10; axiom 3 per
+The randomized audit builds each law's loops as whole arrays into one
+checked segment table, with no path object per loop (the smoothness
+family's from ``_shift_rows``, the one straight-shift row builder), and
+evaluates each law as one batch.  By default every piece takes the map's
+steps; with ``error_control`` (the CLI's ``audit`` on a transport preset,
+unless ``--steps`` fixes the count) each law refines until its estimates
+are within a tenth of its gate: axiom 1 per loop pair, whose three loops
+share one count, at gate/10; axiom 2 per thin loop at gate/10; axiom 3 per
 family loop at gate d**2 / 40 for the grid step d.  The report then gives
 each law's largest step count and estimate.
 
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; the audit and round trip draw from it
@@ -78,11 +78,13 @@ from .lie_core import (
 from .path_algebra import (
     LoopAtBase,
     _as_points,
+    _check_loops,
     _composition_triples,
     _set_basepoint,
+    _shift_rows,
     _thin_loops,
     compose_paths,
-    reconstruction_loop,
+    radial_family,
 )
 from .segment_table import Batch, sample_pieces, stack_tables
 
@@ -796,21 +798,22 @@ def check_axiom3(h_map: HolonomyMap, family, grid: int, k: int = 1) -> float:
     One-parameter families may take a bare float; for k > 1 the family
     receives a length-k array.
     """
-    return float(np.max(_second_differences(h_map, family, grid, k)[0]))
-
-
-def _second_differences(h_map: HolonomyMap, family, grid: int, k: int = 1, tol=None):
-    """``check_axiom3``'s second differences, and each family loop's steps and
-    estimate, at tol d**2 / 4 per loop: an error e moves the proxy by 4 e / d**2."""
     grid, k = _check_count(grid, "the grid", 3), _check_count(k, "the family dimension")
     us = np.linspace(0.0, 1.0, grid)
-    delta = float(us[1] - us[0])
+    loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in np.ndindex((grid,) * k)]
+    return float(np.max(_second_differences(h_map, _stacked(h_map, loops), grid, k)[0]))
+
+
+def _second_differences(h_map: HolonomyMap, loops: Batch, grid: int, k: int = 1, tol=None):
+    """``check_axiom3``'s second differences over a batch of the family's
+    grid**k loops in lattice order, and each loop's steps and estimate, at
+    tol d**2 / 4 per loop: an error e moves the proxy by 4 e / d**2."""
+    delta = 1.0 / (grid - 1)  # the step of np.linspace(0.0, 1.0, grid), bit for bit
     shape = (grid,) * k
-    loops = [family(float(us[idx[0]]) if k == 1 else us[list(idx)]) for idx in np.ndindex(shape)]
     d = h_map.spec.matrix_dim
     per_loop = None if tol is None else tol * delta**2 / 4.0
     name = lambda j: f"axiom 3, family loop {j}"
-    values, steps, estimates = _loop_holonomies(h_map, _stacked(h_map, loops), 1, per_loop, name)
+    values, steps, estimates = _loop_holonomies(h_map, loops, 1, per_loop, name)
     worst = []
     for axis in range(k):
         v = np.moveaxis(values.reshape(shape + (d, d)), axis, 0)
@@ -857,7 +860,7 @@ def audit_axioms(
     seed: int,
     tolerances: tuple[float, float, float],
     radius: float = 0.75,
-    axiom3_family: Callable[[float], LoopAtBase] | None = None,
+    axiom3_shift=None,
     axiom3_grid: int = 21,
     error_control: bool = False,
 ) -> AxiomReport:
@@ -865,12 +868,16 @@ def audit_axioms(
 
     Composition is tested on random polygon loop pairs, thin-loop
     triviality on out-and-back polylines (every other one reparametrized
-    by a cubic-start time map), smoothness on the supplied family or on a
-    default frame-conjugated straight-shift family.  Each of the first two
-    laws draws its loops (those of ``random_polygon_loop`` and
-    ``random_polyline``, bit for bit) as whole arrays into one segment
-    table, checked once and evaluated as one batch.  Bad ``samples``,
-    ``radius`` or ``axiom3_grid`` raise ``ValueError`` before any draw.
+    by a cubic-start time map), smoothness on the straight-shift family
+    u -> reconstruction_loop(radial_family(base), anchor, anchor + u step)
+    at ``axiom3_grid`` nodes u of [0, 1], ``axiom3_shift`` = (anchor, step)
+    ((base + 0.5, 0.5 e1) by default).  Each law's loops (those of
+    ``random_polygon_loop``, ``random_polyline`` and ``reconstruction_loop``
+    bit for bit) are built as whole arrays into one segment table, checked
+    once and evaluated as one batch.  Bad ``samples``, ``radius``,
+    ``tolerances`` (three gates, each > 0, inf allowed), ``axiom3_shift``
+    (two finite points of R^dim) or ``axiom3_grid`` raise ``ValueError``
+    before any draw.
 
     Without ``error_control``, or on an exact map, every piece takes the
     map's steps.  With it on a transport map, each law's loops go through
@@ -885,26 +892,28 @@ def audit_axioms(
     (axiom 1: per-triple) steps and estimates.
     """
     _check_count(samples, "an audit's samples")
-    _check_count(axiom3_grid, "the axiom 3 grid", 3)  # before axioms 1 and 2 are evaluated
-    if isinstance(radius, bool) or not isinstance(radius, (int, float, np.integer, np.floating)) or not 0 < radius < np.inf:
+    _check_count(axiom3_grid, "the axiom 3 grid", 3)
+    number = lambda x: not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+    if not (number(radius) and 0 < radius < np.inf):
         raise ValueError(f"the loops' radius must be a positive finite number, got {radius!r}")
+    tolerances = tuple(tolerances)
+    if len(tolerances) != 3 or not all(number(t) and t > 0 for t in tolerances):
+        raise ValueError(f"an audit needs three positive gates (infinity allowed), got {tolerances!r}")
+    base = h_map.basepoint
+    shift = np.array((base + 0.5, 0.5 * np.eye(base.size)[0]) if axiom3_shift is None else axiom3_shift, dtype=float)
+    if shift.shape != (2, base.size) or not np.isfinite(shift).all():
+        raise ValueError(f"axiom3_shift must be two finite points of R^{base.size}, got {axiom3_shift!r}")
     control = error_control and h_map.steps is not None
     tols = [t / 10.0 if control else None for t in tolerances]
     rng = np.random.default_rng(seed)
-    base = h_map.basepoint
     laws = [_composition_defects(h_map, _composition_triples(rng, base, samples, radius), tols[0])]
     laws.append(_thin_loop_defects(h_map, _thin_loops(rng, base, samples, radius), tols[1]))
-    if axiom3_family is None:
-        from .path_algebra import radial_family
-
-        psi = radial_family(base)
-        anchor = base + 0.5 * np.ones_like(base)
-        step = np.zeros_like(base)
-        step[0] = 0.5
-        axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
-    laws.append(_second_differences(h_map, axiom3_family, axiom3_grid, 1, tols[2]))
+    (anchor, step), us = shift, np.linspace(0.0, 1.0, axiom3_grid)
+    family = _shift_rows(radial_family(base), anchor, anchor + us[:, None] * step)
+    _check_loops(family, base)
+    laws.append(_second_differences(h_map, family, axiom3_grid, 1, tols[2]))
     maxima = [float(np.max(defects, initial=0.0)) for defects, _, _ in laws]
-    passed = tuple(bool(a <= t) for a, t in zip(maxima, tolerances, strict=True))
+    passed = tuple(bool(a <= t) for a, t in zip(maxima, tolerances))
     if not control:
         return AxiomReport(*maxima, samples, passed)
     steps, estimates = tuple(int(s.max()) for _, s, _ in laws), tuple(float(e.max()) for _, _, e in laws)

@@ -12,12 +12,14 @@ contraction splits the last by de Casteljau and thin reduction keeps what
 carry a time map, which evaluates exactly but takes no further algebra.
 
 A reference frame (``PathFamily``) is a vectorized ``table_rule`` giving
-the segment tables of the paths to many targets at once;
-``reconstruction_chains`` builds many reconstruction loops, thin-reduced,
-as one flat batch (``segment_table.Batch``) from one ``PathFamily.tables``
-call.  The audit's random loops are drawn as whole arrays into one batch
-per law (``_composition_triples``, ``_thin_loops``), the loops the
-per-path builders give bit for bit, and checked as one (``_check_loops``).
+the segment tables of the paths to many targets at once.  ``_shift_rows``,
+the one builder of straight-shift loops psi[y]^{-1} o (x -> y) o psi[x],
+gives many as one flat batch (``segment_table.Batch``) for
+``reconstruction_loop``, ``reconstruction_chains`` (thin-reduced) and the
+audit's smoothness family.  The audit's random loops are drawn as whole
+arrays into one batch per law (``_composition_triples``, ``_thin_loops``),
+the loops the per-path builders give bit for bit.  Each law's batch is
+checked as one (``_check_loops``).
 
 Velocities at a breakpoint use the right-hand derivative; holonomy values
 are parametrization-independent, so the choice is unobservable.
@@ -450,38 +452,37 @@ def axis_dogleg_family(basepoint) -> PathFamily:
 
 def reconstruction_loop(psi: PathFamily, x, y) -> LoopAtBase:
     """The frame-conjugated straight shift: out along psi[x], straight to y,
-    back along psi[y]; a loop at the family's base point."""
-    ends = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    cubic, ctrl = psi.tables(ends)
-    # compose_paths(invert_path(psi[y]), compose_paths(straight_segment(x, y),
-    # psi[x])) as rows and breakpoints, from one fetch of both frame paths.
-    shift, back = polyline_rows(ends), reversed_rows(cubic[1], ctrl[1])
-    legs = np.linspace(0.0, 1.0, cubic.shape[1] + 1)
+    back along psi[y]; a loop at the family's base point, with the
+    breakpoints of compose_paths(invert_path(psi[y]),
+    compose_paths(straight_segment(x, y), psi[x]))."""
+    cubic, ctrl, _, _ = _shift_rows(psi, [x], [y])
+    legs = np.linspace(0.0, 1.0, (len(cubic) - 1) // 2 + 1)
     bp = _composed_breakpoints(_composed_breakpoints(legs, np.array([0.0, 1.0])), _reversed_breakpoints(legs))
-    path = PathNd(np.concatenate([cubic[0], shift[0], back[0]]), np.concatenate([ctrl[0], shift[1], back[1]]), bp)
-    return LoopAtBase(path, psi.basepoint)
+    return LoopAtBase(PathNd(cubic, ctrl, bp), psi.basepoint)
 
 
-def reconstruction_chains(psi: PathFamily, xs, ys, back: PathFamily | None = None) -> Batch:
-    """The loops of ``reconstruction_loop`` for many pairs (x, y) at once,
-    thin-reduced, as one batch for the holonomy kernel: the surviving rows
-    of every loop in order, and the number of rows of each.
-
-    Each chain is psi[x], the straight segment from x to y, then back[y]
-    reversed (back is psi by default), with the semantics of
-    ``thin_reduce``.  The frame paths of all xs, and of all ys, come from
-    one ``PathFamily.tables`` call each, a pure vectorized function of each
+def _shift_rows(psi: PathFamily, xs, ys, back: PathFamily | None = None) -> Batch:
+    """The rows of ``reconstruction_loop`` for the pairs (x, y) of two
+    broadcast arrays of points, as one batch, unreduced: psi[x], the
+    straight segment from x to y, then back[y] reversed (back is psi by
+    default).  The frame paths of all xs, and of all ys, come from one
+    ``PathFamily.tables`` call each, a pure vectorized function of each
     target, so a repeated point costs one more row and nothing else.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = len(xs)
+    xs, ys = np.broadcast_arrays(*np.atleast_2d(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
     (cubic, ctrl), ends = psi.tables(xs), (psi if back is None else back).tables(ys)
     shift, rev = polyline_rows(np.stack([xs, ys], axis=1)), reversed_rows(*ends)
     ctrl = np.concatenate([ctrl, shift[1], rev[1]], axis=1)
-    cubic = np.concatenate([cubic, shift[0], rev[0]], axis=1)
-    cubic, ctrl, _, counts = table_batch(cubic, ctrl)
+    return table_batch(np.concatenate([cubic, shift[0], rev[0]], axis=1), ctrl)
+
+
+def reconstruction_chains(psi: PathFamily, xs, ys, back: PathFamily | None = None) -> Batch:
+    """The loops of ``_shift_rows`` thin-reduced, as one batch for the
+    holonomy kernel: the surviving rows of every loop in order, and the
+    number of rows of each, with the semantics of ``thin_reduce``."""
+    cubic, ctrl, _, counts = _shift_rows(psi, xs, ys, back)
     keep = thin_keep(cubic, ctrl, counts, _CONT_TOL)
+    n = len(counts)
     return Batch(cubic[keep], ctrl[keep], None, np.bincount(np.repeat(np.arange(n), counts)[keep], minlength=n))
 
 

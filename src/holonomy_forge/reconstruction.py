@@ -445,8 +445,7 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
+        _check_count(self.resolution, "the grid resolution", 2)
         if not -np.inf < self.lo < self.hi < np.inf:
             raise ValueError(f"the box must be finite with lo < hi, got {self.lo!r},{self.hi!r}")
 

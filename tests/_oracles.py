@@ -436,7 +436,21 @@ def reference_transition_function(h_map, psi, psi2, xs) -> np.ndarray:
     return eval_holonomy(h_map, [LoopAtBase(path, psi.basepoint) for path in loops])
 
 
-def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):
+def _shift_family(base, shift):
+    """The audit's smoothness family u -> reconstruction_loop(radial_family(base),
+    anchor, anchor + u step) for shift = (anchor, step), (base + 0.5, 0.5 e1)
+    when None, one loop per call."""
+    psi = radial_family(base)
+    if shift is None:
+        anchor = base + 0.5 * np.ones_like(base)
+        step = np.zeros_like(base)
+        step[0] = 0.5
+    else:
+        anchor, step = (np.array(p, dtype=float) for p in shift)
+    return lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
+
+
+def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_shift=None, axiom3_grid=21):
     """The randomized audit of ``audit_axioms``, one checker call per loop
     pair, thin loop and family grid, drawing the same random loops in the
     same order."""
@@ -455,13 +469,7 @@ def serial_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family
         if k % 2:
             path = reparametrize(path, phi)
         a2 = max(a2, check_axiom2(h_map, LoopAtBase(path, base)))
-    if axiom3_family is None:
-        psi = radial_family(base)
-        anchor = base + 0.5 * np.ones_like(base)
-        step = np.zeros_like(base)
-        step[0] = 0.5
-        axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
-    a3 = check_axiom3(h_map, axiom3_family, axiom3_grid)
+    a3 = check_axiom3(h_map, _shift_family(base, axiom3_shift), axiom3_grid)
     t1, t2, t3 = tolerances
     return AxiomReport(a1, a2, a3, samples, (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3)))
 
@@ -641,7 +649,7 @@ def controlled_holonomies(h_map, loops, tol: float):
         n *= 2
 
 
-def serial_controlled_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_family=None, axiom3_grid=21):
+def serial_controlled_audit(h_map, *, samples, seed, tolerances, radius=0.75, axiom3_shift=None, axiom3_grid=21):
     """The error-controlled audit one quantity at a time: each loop pair,
     thin loop and family loop takes its own step count by
     ``controlled_holonomies``, at a tenth of its law's gate (per family
@@ -673,15 +681,10 @@ def serial_controlled_audit(h_map, *, samples, seed, tolerances, radius=0.75, ax
             path = reparametrize(path, phi)
         _, n = take(1, [LoopAtBase(path, base)], t2 / 10.0)
         a2 = max(a2, check_axiom2(h_map.with_steps(n), LoopAtBase(path, base)))
-    if axiom3_family is None:
-        psi = radial_family(base)
-        anchor = base + 0.5 * np.ones_like(base)
-        step = np.zeros_like(base)
-        step[0] = 0.5
-        axiom3_family = lambda u: reconstruction_loop(psi, anchor, anchor + u * step)
+    family = _shift_family(base, axiom3_shift)
     us = np.linspace(0.0, 1.0, axiom3_grid)
     delta = float(us[1] - us[0])
-    v = np.array([take(2, [axiom3_family(float(u))], t3 / 10.0 * delta**2 / 4.0)[0][0] for u in us])
+    v = np.array([take(2, [family(float(u))], t3 / 10.0 * delta**2 / 4.0)[0][0] for u in us])
     a3 = max(float(np.linalg.norm(s)) / delta**2 for s in v[2:] - 2.0 * v[1:-1] + v[:-2])
     passed = (bool(a1 <= t1), bool(a2 <= t2), bool(a3 <= t3))
     return AxiomReport(a1, a2, a3, samples, passed, tuple(steps), tuple(estimates))

@@ -142,7 +142,7 @@ def test_criterion_5_axiom_suite():
         samples=100,
         seed=2024,
         tolerances=(1e-10, 1e-8, 2.0 * AXIOM3_REFERENCE["paper-sec6"]),
-        axiom3_family=_anchor_family(sec6, (1.0, 1.0)),
+        axiom3_shift=((1.0, 1.0), (1.0, 0.0)),
     )
     twist = hf.get_preset("su2-twist")
     su2 = audit_axioms(
@@ -150,7 +150,7 @@ def test_criterion_5_axiom_suite():
         samples=100,
         seed=2024,
         tolerances=(1e-6, 1e-8, 2.0 * AXIOM3_REFERENCE["su2-twist"]),
-        axiom3_family=_anchor_family(twist, (0.5, 0.5)),
+        axiom3_shift=((0.5, 0.5), (1.0, 0.0)),
     )
     shear = hf.get_preset("su2-shear")
     shear_proxy = check_axiom3(

@@ -30,6 +30,7 @@ from holonomy_forge.holonomy import (
 )
 from holonomy_forge.path_algebra import (
     LoopAtBase,
+    PathFamily,
     PathNd,
     _check_loops,
     _composition_triples,
@@ -1230,12 +1231,28 @@ class TestAudit:
             dict(samples=2.5),
             dict(samples=3.0),
             dict(samples="3"),
+            dict(tolerances=(1.0, 1.0)),
+            dict(tolerances=(1.0, 1.0, 1.0, 1.0)),
+            dict(tolerances=(1.0, float("nan"), 1.0)),
+            dict(tolerances=(1.0, 1.0, -1.0)),
+            dict(tolerances=(0.0, 1.0, 1.0)),
+            dict(tolerances=(1.0, True, 1.0)),
+            dict(tolerances=(1.0, "1", 1.0)),
+            dict(axiom3_shift=((0.5, 0.5),)),
+            dict(axiom3_shift=((0.5, 0.5), (1.0, 0.0), (0.0, 1.0))),
+            dict(axiom3_shift=((0.5, 0.5, 0.5), (1.0, 0.0, 0.0))),
+            dict(axiom3_shift=((0.5,), (1.0,))),
+            dict(axiom3_shift=((0.5, float("nan")), (1.0, 0.0))),
+            dict(axiom3_shift=((0.5, 0.5), (float("inf"), 0.0))),
+            dict(axiom3_shift=((0.5, 0.5), 1.0)),
         ],
         ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
     )
     def test_bad_inputs_refused_before_any_loop_is_drawn(self, bad, monkeypatch):
         # A zero radius would pass vacuously, a non-finite one fail inside
-        # numpy, and a small grid only after axioms 1 and 2 are evaluated.
+        # numpy, and a small grid, too few or too many gates, a gate that
+        # is not positive or a bad shift only after axioms 1 and 2 are
+        # evaluated.
         from holonomy_forge import holonomy
 
         def drawn(*args):
@@ -1245,6 +1262,21 @@ class TestAudit:
         kwargs = dict(samples=3, seed=0, tolerances=(1.0, 1.0, 1.0)) | bad
         with pytest.raises(ValueError):
             audit_axioms(analytic_map(), **kwargs)
+
+    @pytest.mark.parametrize("gate", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("law", [0, 1, 2])
+    def test_bad_gate_refused_before_step_doubling(self, gate, law, monkeypatch):
+        # Under error control a NaN or negative gate used to be refused by
+        # step doubling, after the laws before it had been evaluated.
+        from holonomy_forge import holonomy
+
+        def drawn(*args):
+            raise AssertionError("a loop was drawn")
+
+        monkeypatch.setattr(holonomy, "_composition_triples", drawn)
+        gates = tuple(gate if k == law else 1.0 for k in range(3))
+        with pytest.raises(ValueError, match="three positive gates"):
+            audit_axioms(hf.get_preset("su2-twist").holonomy_map(16), samples=3, seed=0, tolerances=gates, error_control=True)
 
     def test_report_json_keys(self):
         report = AxiomReport(1e-12, 2e-12, 0.1, 7, (True, True, False))
@@ -1367,10 +1399,49 @@ class TestAuditBatches:
             _check_loops(batch, base, spans)
 
     def test_audit_builds_few_paths(self, monkeypatch):
-        # Axioms 1 and 2 build no PathNd; axiom 3 builds one per family loop.
-        made = []
-        init = PathNd.__init__
+        # No law builds a path per loop: the one PathNd is the thin law's
+        # time map, piecewise_power_map(3, 0.5), and the smoothness family
+        # takes one frame table for its anchors and one for its shifts.
+        made, tables = [], []
+        init, fetch = PathNd.__init__, PathFamily.tables
         monkeypatch.setattr(PathNd, "__init__", lambda self, *args, **kw: made.append(1) or init(self, *args, **kw))
+        monkeypatch.setattr(PathFamily, "tables", lambda self, points: tables.append(1) or fetch(self, points))
         h_map = hf.get_preset("su2-twist").holonomy_map()
         audit_axioms(h_map, samples=30, seed=1, tolerances=(1e-6, 1e-8, 0.2), axiom3_grid=21)
-        assert 0 < len(made) <= 21 + 5
+        assert (len(made), len(tables)) == (1, 2)
+
+
+class TestAxiom3Table:
+    # The audit builds its smoothness family from (anchor, step) as one
+    # checked table; it must give what the family built loop by loop with
+    # reconstruction_loop gives (tests/_oracles.serial_audit and
+    # serial_controlled_audit), bit for bit in proxy, steps and estimates.
+    BASES = {2: (0.3, -0.2), 3: (0.1, -0.2, 0.25)}
+    SHIFTS = {2: ((0.4, -0.3), (0.7, 0.2)), 3: ((0.2, 0.5, -0.4), (0.3, -0.6, 0.25))}
+    U1_TERMS = {
+        2: [[(1.0, (0, 1), 0)], [(-0.5, (1, 0), 0)]],
+        3: [[(1.0, (0, 1, 0), 0)], [(-0.5, (1, 0, 0), 0)], [(0.3, (1, 1, 0), 0)]],
+    }
+    SU2_TERMS = {
+        2: [[(1.0, (0, 1), 0)], [(0.7, (1, 0), 1)]],
+        3: [[(1.0, (0, 1, 0), 0)], [(0.7, (0, 0, 1), 1)], [(0.5, (1, 0, 0), 2)]],
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["exact", "fixed", "controlled"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("grid", [3, 21])
+    def test_audit_equals_the_per_loop_family(self, dim, kind, explicit, grid):
+        if kind == "exact":
+            h_map = HolonomyMap(ConnectionField.from_polynomial(dim, U1, self.U1_TERMS[dim]), self.BASES[dim])
+        else:
+            h_map = HolonomyMap(ConnectionField.from_polynomial(dim, SU2, self.SU2_TERMS[dim]), self.BASES[dim], 64)
+        kwargs = dict(samples=2, seed=3, tolerances=(1e-6, 1e-6, 1.0), axiom3_grid=grid)
+        kwargs["axiom3_shift"] = self.SHIFTS[dim] if explicit else None
+        if kind == "controlled":
+            got, want = audit_axioms(h_map, error_control=True, **kwargs), serial_controlled_audit(h_map, **kwargs)
+            assert got.steps[2] in (8, 16, 32, 64) and got.integration_estimates[2] > 0.0
+        else:
+            got, want = audit_axioms(h_map, **kwargs), serial_audit(h_map, **kwargs)
+        assert repr(got) == repr(want)
+        assert got.axiom3_max_second_difference > 0.0

@@ -102,6 +102,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="the box must be finite with lo < hi"):
             GridSpec(lo, hi, 3)
 
+    # A fractional resolution used to be accepted and fail inside numpy on
+    # nodes(), and a string to raise TypeError.
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, "3", True, 1, 0, -2, None])
+    def test_resolution_must_be_an_integer_of_at_least_2(self, resolution):
+        with pytest.raises(ValueError, match="the grid resolution must be an integer of at least 2"):
+            GridSpec(0.0, 1.0, resolution)
+
+    @pytest.mark.parametrize("resolution", [2, 3, np.int64(4)])
+    def test_integer_resolutions_give_their_nodes(self, resolution):
+        assert GridSpec(0.0, 1.0, resolution).nodes(2).shape == (int(resolution) ** 2, 2)
+
 
 class TestReconstructPotential:
     def test_closed_form_on_grid(self, sec6):
