@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .holonomy import ConnectionField, audit_axioms
-from .lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupSpec, gln
+from .lie_core import MULTIPLICATIVE_REALS, SU2, U1, GroupSpec, _norms, gln
 from .presets import Preset, get_preset, iter_presets
 from .reconstruction import (
     FdConfig,
@@ -260,11 +260,7 @@ def _cmd_reconstruct(args) -> int:
     max_err = None
     if preset.closed_form is not None:
         # np.max, not a max() fold, so that a NaN defect is not dropped.
-        errs = [
-            float(np.linalg.norm(m - np.asarray(preset.closed_form(x, mu))))
-            for mu in range(preset.dim)
-            for x, m in zip(nodes, values[mu])
-        ]
+        errs = [_norms(values[mu] - preset.closed_form(nodes, mu)) for mu in range(preset.dim)]
         max_err = float(np.max(errs, initial=0.0))
     ok = max_err is None or (bool(np.isfinite(max_err)) and (tol is None or max_err <= tol))
     summary = {

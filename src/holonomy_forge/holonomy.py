@@ -72,6 +72,7 @@ from .lie_core import (
     GroupSpec,
     _check_algebra,
     _check_group,
+    _norms,
     project_to_algebra,
     project_to_group,
 )
@@ -766,14 +767,14 @@ def _composition_defects(h_map: HolonomyMap, triples: Batch, tol=None):
     under error control each triple shares one step count."""
     hols, steps, estimates = _loop_holonomies(h_map, triples, 3, tol, lambda k: f"axiom 1, loop pair {k}")
     products = project_to_group(h_map.spec, hols[2::3] @ hols[1::3])
-    return [float(np.linalg.norm(ab - ba)) for ab, ba in zip(hols[::3], products)], steps, estimates
+    return _norms(hols[::3] - products).tolist(), steps, estimates
 
 
 def _thin_loop_defects(h_map: HolonomyMap, loops: Batch, tol=None):
     """Distance of H(loop) from the identity, steps and estimate of every loop of a batch."""
     identity = np.eye(h_map.spec.matrix_dim, dtype=h_map.spec.dtype)
     hols, steps, estimates = _loop_holonomies(h_map, loops, 1, tol, lambda k: f"axiom 2, thin loop {k}")
-    return [float(np.linalg.norm(h - identity)) for h in hols], steps, estimates
+    return _norms(hols - identity).tolist(), steps, estimates
 
 
 def check_axiom1(h_map: HolonomyMap, alpha: LoopAtBase, beta: LoopAtBase) -> float:
@@ -818,9 +819,7 @@ def _second_differences(h_map: HolonomyMap, loops: Batch, grid: int, k: int = 1,
     for axis in range(k):
         v = np.moveaxis(values.reshape(shape + (d, d)), axis, 0)
         second = (v[2:] - 2.0 * v[1:-1] + v[:-2]).reshape(-1, d, d)
-        # One norm call per node: a stacked norm sums the squares in another
-        # order and can differ in the last bit.
-        worst += [float(np.linalg.norm(s)) / delta**2 for s in second]
+        worst += (_norms(second) / delta**2).tolist()
     return worst, steps, estimates
 
 

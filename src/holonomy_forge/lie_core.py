@@ -247,6 +247,16 @@ def _inverse(spec: GroupSpec, stack: np.ndarray) -> np.ndarray:
     return project_to_group(spec, inv)
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix of a (k, d, d) stack, bit for bit:
+    sqrt(v v) for 1x1 (abs(v) differs where v v underflows), one numpy call
+    per matrix for d >= 2 (a stacked norm sums the squares in another order)."""
+    if stack.shape[1:] != (1, 1):
+        return np.array([np.linalg.norm(m) for m in stack])
+    v = stack[:, 0, 0]
+    return np.sqrt(v.real * v.real + v.imag * v.imag if np.iscomplexobj(v) else v * v)
+
+
 @dataclass(frozen=True, eq=False)
 class _Element:
     """A read-only copy of one matrix, checked by ``_check`` as a batch of one."""

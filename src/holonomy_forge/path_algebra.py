@@ -319,6 +319,9 @@ class PathFamily:
         if not np.isfinite(pts).all():
             raise ValueError("frame targets must be finite")
         cubic, ctrl = self.table_rule(pts)
+        # Ends equal to the points, as built-in families copy them, are within any tolerance.
+        if (ctrl[:, 0, 0] == self.basepoint).all() and (ctrl[:, -1, 3] == pts).all():
+            return cubic, ctrl
         tol = _CONT_TOL * (1.0 + np.maximum(np.abs(pts).max(axis=1), np.abs(self.basepoint).max()))
         if np.any(np.linalg.norm(ctrl[:, 0, 0] - self.basepoint, axis=1) > tol):
             raise ValueError("family path does not start at the base point")

@@ -32,6 +32,7 @@ class Preset:
     backend: str  # "analytic" | "transport"
     default_steps: int
     box: tuple
+    # Radial-frame A_mu at a point, (dim,) -> (d, d), or a batch, (m, dim) -> (m, d, d).
     closed_form: Callable[[np.ndarray, int], np.ndarray] | None
     tolerances: dict = dc_field(default_factory=dict)
     axiom3_anchor: tuple | None = None
@@ -69,6 +70,13 @@ def iter_presets():
 
 _X3 = algebra_basis(SU2)[2]
 
+
+def _pow(a: np.ndarray, k: int) -> np.ndarray:
+    # libm's pow entry by entry, as numpy scalars take it: numpy's SIMD power
+    # on arrays differs in the last bit for about 3% of arguments (AVX-512).
+    return np.array([v**k for v in a.ravel()]).reshape(a.shape)
+
+
 _register(
     Preset(
         name="paper-sec6",
@@ -83,7 +91,7 @@ _register(
         backend="analytic",
         default_steps=64,
         box=(-2.0, 2.0),
-        closed_form=lambda x, mu: np.array([[x[1] / 2.0]]) if mu == 0 else np.array([[-x[0] / 2.0]]),
+        closed_form=lambda x, mu: x[..., 1:2, None] / 2.0 if mu == 0 else -x[..., 0:1, None] / 2.0,
         tolerances={
             "reconstruct": 1e-6,
             "axiom1": 1e-10,
@@ -112,7 +120,7 @@ _register(
         backend="transport",
         default_steps=64,
         box=(-1.0, 1.0),
-        closed_form=lambda x, mu: np.array([[x[1] / 2.0]]) if mu == 0 else np.array([[-x[0] / 2.0]]),
+        closed_form=lambda x, mu: x[..., 1:2, None] / 2.0 if mu == 0 else -x[..., 0:1, None] / 2.0,
         tolerances={
             "reconstruct": 1e-6,
             "axiom1": 1e-8,
@@ -137,7 +145,7 @@ _register(
         backend="analytic",
         default_steps=64,
         box=(-1.0, 1.0),
-        closed_form=lambda x, mu: np.array([[0.0]]),
+        closed_form=lambda x, mu: np.zeros(np.shape(x)[:-1] + (1, 1)),
         tolerances={
             "reconstruct": 1e-10,
             "axiom1": 1e-10,
@@ -163,7 +171,7 @@ _register(
         backend="transport",
         default_steps=128,
         box=(-1.0, 1.0),
-        closed_form=lambda x, mu: (-x[1] / 2.0) * _X3 if mu == 0 else (x[0] / 2.0) * _X3,
+        closed_form=lambda x, mu: (-x[..., 1, None, None] if mu == 0 else x[..., 0, None, None]) / 2.0 * _X3,
         tolerances={
             "reconstruct": 1e-3,
             "axiom1": 1e-6,
@@ -223,7 +231,7 @@ _register(
         default_steps=256,
         box=(-1.5, 1.5),
         closed_form=lambda x, mu: (
-            np.array([[x[0] ** 4 * x[1] / 6.0]]) if mu == 0 else np.array([[-x[0] ** 5 / 6.0]])
+            _pow(x[..., 0:1, None], 4) * x[..., 1:2, None] / 6.0 if mu == 0 else -_pow(x[..., 0:1, None], 5) / 6.0
         ),
         tolerances={
             "reconstruct": 1e-8,

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -330,6 +331,62 @@ class TestKernelCalls:
         assert counts["calls"] == 17 and counts["points"] == 20_734
 
 
+def count_norm_callers(monkeypatch) -> collections.Counter:
+    """np.linalg.norm calls, by the module and function that made them."""
+    calls, real = collections.Counter(), np.linalg.norm
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        calls[frame.f_globals["__name__"].rsplit(".", 1)[-1], frame.f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+class TestGridCheckCalls:
+    # The workloads' arguments at seed 1, and the PathFamily.tables calls
+    # each makes.  The built-in frames copy the base point and targets into
+    # their ends, so tables never takes its tolerance check, whose first
+    # step is a norm call.
+    WORKLOADS = {
+        "reconstruct-abelian": (["reconstruct", "--preset", "paper-sec6", "--grid", "13", "--box=-2.0585,2.0556"], 8),
+        "reconstruct-su2": (["reconstruct", "--preset", "su2-shear", "--grid", "5", "--box=-1.0293,1.0278"], 4),
+        "audit-su2": (["audit", "--preset", "su2-twist", "--samples", "30", "--seed", "1"], 2),
+        "roundtrip-abelian": (
+            ["roundtrip", "--preset", "abelian-ydx", "--grid", "5", "--steps", "16", "--box=-1.0293,1.0278", "--seed", "1"],
+            14,
+        ),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_frame_tables_take_no_tolerance_check(self, tmp_path, monkeypatch, workload):
+        from holonomy_forge.path_algebra import PathFamily
+
+        argv, want = self.WORKLOADS[workload]
+        norms, tables, real = count_norm_callers(monkeypatch), [], PathFamily.tables
+        monkeypatch.setattr(PathFamily, "tables", lambda psi, points: tables.append(1) or real(psi, points))
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert len(tables) == want and norms["path_algebra", "tables"] == 0
+
+    def test_reconstruct_check_is_one_closed_form_call_per_direction(self, tmp_path, monkeypatch):
+        # 169 nodes in 2 directions took 338 closed-form calls and as many
+        # norm calls; a 1x1 stack's norms take none.
+        import dataclasses
+
+        from holonomy_forge import cli
+
+        preset, calls = holonomy_forge.get_preset("paper-sec6"), []
+        counted = dataclasses.replace(preset, closed_form=lambda x, mu: calls.append(len(x)) or preset.closed_form(x, mu))
+        monkeypatch.setattr(cli, "get_preset", lambda name: counted)
+        norms = count_norm_callers(monkeypatch)
+        assert main([*self.WORKLOADS["reconstruct-abelian"][0], "--out", str(tmp_path)]) == 0
+        assert calls == [169, 169]
+        assert norms["cli", "_cmd_reconstruct"] == norms["lie_core", "_norms"] == 0
+
+
 @pytest.mark.parametrize("preset", [p.name for p in iter_presets()])
 def test_roundtrip_passes_at_every_preset_default(tmp_path, preset):
     # abelian-quartic exited 2 here at 64 steps: RK4 truncation put its
@@ -490,7 +547,7 @@ class TestErrors:
         from holonomy_forge import cli
 
         preset = dataclasses.replace(
-            holonomy_forge.get_preset("paper-sec6"), closed_form=lambda x, mu: np.full((1, 1), np.nan)
+            holonomy_forge.get_preset("paper-sec6"), closed_form=lambda x, mu: np.full(np.shape(x)[:-1] + (1, 1), np.nan)
         )
         monkeypatch.setattr(cli, "get_preset", lambda name: preset)
         assert main(["reconstruct", "--preset", "paper-sec6", "--grid", "3", "--out", str(tmp_path)]) == 2

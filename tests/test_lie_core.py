@@ -16,6 +16,7 @@ from holonomy_forge.lie_core import (
     GroupSpec,
     GroupName,
     SpecMismatch,
+    _norms,
     exp_map,
     gln,
     group_distance,
@@ -288,3 +289,37 @@ class TestBracket:
         x = random_algebra(U1, rng)
         y = random_algebra(U1, rng)
         assert bracket(x, y).norm() == 0.0
+
+
+class TestNorms:
+    # _norms is np.linalg.norm of each matrix, bit for bit: sqrt(v v) on
+    # 1x1 stacks, where abs(v) differs once v v underflows (1e-160), and
+    # one numpy call per matrix otherwise.
+    EDGES = [0.0, -0.0, 1e-160, -1e-160, 5e-324, 1.0 / 3.0, -2.5, 1e154, np.inf, -np.inf]
+
+    @staticmethod
+    def assert_bitwise(stack):
+        got, want = _norms(stack), np.array([np.linalg.norm(m) for m in stack])
+        assert got.dtype == np.float64 and got.shape == (len(stack),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_real_1x1(self, rng):
+        v = np.concatenate([self.EDGES, rng.normal(size=200) * 10.0 ** rng.integers(-170, 150, size=200)])
+        self.assert_bitwise(v[:, None, None])
+        assert abs(1e-160) != _norms(np.array([[[1e-160]]]))[0]
+
+    def test_complex_1x1(self, rng):
+        re = np.concatenate([self.EDGES, rng.normal(size=200) * 10.0 ** rng.integers(-170, 150, size=200)])
+        im = np.concatenate([self.EDGES[::-1], rng.normal(size=200)])
+        z = np.empty(len(re), dtype=complex)
+        z.real, z.imag = re, im  # re + 1j * im would turn 1j * inf into nan
+        self.assert_bitwise(z[:, None, None])
+        self.assert_bitwise(np.array(self.EDGES, dtype=complex)[:, None, None])
+
+    def test_matrices(self, rng):
+        self.assert_bitwise(rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+        self.assert_bitwise(rng.normal(size=(200, 3, 3)))
+        self.assert_bitwise(np.zeros((0, 2, 2)))
+
+    def test_nan_propagates(self):
+        assert np.isnan(np.max(_norms(np.array([[[1.0]], [[np.nan]]]))))

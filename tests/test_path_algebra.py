@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holonomy_forge.path_algebra import (
+    _CONT_TOL,
     EndpointMismatch,
     LoopAtBase,
     NotMonotone,
@@ -643,6 +644,28 @@ class TestFamilyTables:
             psi.tables([[1.0, 1.0], [0.5, 2.0]])
         with pytest.raises(ValueError, match=message):
             psi[[1.0, 1.0]]
+
+    @pytest.mark.parametrize("miss", ["start", "end"])
+    def test_ends_off_by_a_tolerance_multiple(self, miss):
+        # Ends equal to the base point and target pass without the check;
+        # ends that are not still get it: 2 tol off raises, 0.5 tol passes.
+        x = np.array([[1.0, 0.5]])
+        tol = _CONT_TOL * (1.0 + max(np.abs(x).max(), np.abs(BASE).max()))
+
+        def family(factor):
+            def table_rule(xs):
+                cubic, ctrl = radial_family(BASE).table_rule(xs)
+                ctrl[:, 0, 0, 0] += factor * tol if miss == "start" else 0.0
+                ctrl[:, -1, 3, 0] += factor * tol if miss == "end" else 0.0
+                return cubic, ctrl
+
+            return PathFamily(2, BASE, table_rule=table_rule)
+
+        _, near = family(0.5).tables(x)
+        assert not np.array_equal(near, radial_family(BASE).tables(x)[1])
+        message = "does not start at the base point" if miss == "start" else "does not end at the target point"
+        with pytest.raises(ValueError, match=message):
+            family(2.0).tables(x)
 
     @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
     def test_non_finite_targets_raise(self, bad):

@@ -918,9 +918,9 @@ class EdgeAxisGrid(GridSpec):
 
 
 class TestPotentialCsv:
-    # One template per row part, filled from Python floats, gives the text
-    # of one f-string per numpy scalar (reference_potential_grid_csv),
-    # byte for byte.
+    # One template of a node's rows, filled from Python floats in one call,
+    # gives the text of one f-string per numpy scalar
+    # (reference_potential_grid_csv), byte for byte.
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("d, kind", [(1, "real"), (2, "complex")])
     def test_matches_per_entry_formatting(self, dim, d, kind, rng):
@@ -941,6 +941,42 @@ class TestPotentialCsv:
         with pytest.raises(ValueError) as want:
             reference_potential_grid_csv(np.zeros(shape), grid)
         assert str(got.value) == str(want.value) == f"values of shape {shape} for {5 ** shape[0]} nodes in R^{shape[0]}"
+
+
+X3 = su2_basis()[2].matrix
+# The closed forms as they were written for one point, with numpy scalar
+# arithmetic: the presets' point-or-batch forms are held to them bit for bit.
+SCALAR_CLOSED_FORMS = {
+    "paper-sec6": lambda x, mu: np.array([[x[1] / 2.0]]) if mu == 0 else np.array([[-x[0] / 2.0]]),
+    "abelian-ydx": lambda x, mu: np.array([[x[1] / 2.0]]) if mu == 0 else np.array([[-x[0] / 2.0]]),
+    "zero-connection": lambda x, mu: np.array([[0.0]]),
+    "su2-shear": lambda x, mu: (-x[1] / 2.0) * X3 if mu == 0 else (x[0] / 2.0) * X3,
+    "abelian-quartic": lambda x, mu: (
+        np.array([[x[0] ** 4 * x[1] / 6.0]]) if mu == 0 else np.array([[-x[0] ** 5 / 6.0]])
+    ),
+}
+
+
+class TestPresetClosedForms:
+    # One call on an (m, dim) batch gives, bit for bit, the m per-point
+    # calls; numpy's SIMD power on arrays differs from the scalar pow of the
+    # point forms in the last bit for a few percent of arguments.
+    def test_every_closed_form_is_listed(self):
+        assert sorted(SCALAR_CLOSED_FORMS) == sorted(p.name for p in hf.iter_presets() if p.closed_form is not None)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CLOSED_FORMS))
+    @pytest.mark.parametrize("m", [1, 7, 169])
+    def test_batch_matches_point_calls(self, name, m, rng):
+        p, scalar = hf.get_preset(name), SCALAR_CLOSED_FORMS[name]
+        xs = rng.uniform(-2.0, 2.0, size=(m, 2))
+        xs.reshape(-1)[:4] = [-0.0, 1e-160, -1e-160, 0.0][: xs.size]
+        for mu in (0, 1):
+            batch = p.closed_form(xs, mu)
+            assert batch.shape == (m, p.spec.matrix_dim, p.spec.matrix_dim)
+            for x, got in zip(xs, batch):
+                single, want = p.closed_form(x, mu), scalar(x, mu)
+                assert single.shape == got.shape == want.shape and single.dtype == got.dtype == want.dtype
+                assert single.tobytes() == got.tobytes() == want.tobytes()
 
 
 class TestConnectionForm:
